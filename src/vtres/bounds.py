@@ -429,15 +429,13 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive",
 
 
 def _masks_prefix(g: Graph, m: int) -> list[int]:
-    masks = [0] * m
-    for v in range(m):
-        nb, _ = g.neighbors(v)
-        acc = 0
-        for w in nb:
-            if w < m:
-                acc |= 1 << int(w)
-        masks[v] = acc
-    return masks
+    """Bitmask of the neighbours below m of each vertex 0..m-1, as Python ints."""
+    rows = np.repeat(np.arange(m), np.diff(g.indptr[:m + 1]))
+    nbr = g.nbr[:g.indptr[m]]
+    keep = nbr < m
+    masks = np.zeros(m, dtype=object)
+    np.bitwise_or.at(masks, rows[keep], np.left_shift(1, nbr[keep].astype(object)))
+    return masks.tolist()
 
 
 def _csc_profile_fn(ball: BallGraph, total: int) -> Callable[[int], float]:

@@ -146,7 +146,7 @@ def _initial_values(tg: TerminalGraph, p: float, t: float, cfg: SolverConfig) ->
 
 def _laplacian_blocks(g: Graph, weights: np.ndarray, free_idx: np.ndarray):
     """Weighted-Laplacian blocks L_ff and L_fc for the free/clamped split."""
-    eu, ev, em = g.edges
+    eu, ev, _ = g.edges
     w = weights
     n = g.n
     pos = np.full(n, -1, dtype=np.int64)
@@ -197,8 +197,7 @@ def _solve_p2(tg: TerminalGraph, t: float, cfg: SolverConfig) -> Potential:
     free_mask[[tg.source, tg.ground]] = False
     free_idx = np.nonzero(free_mask)[0]
     if len(free_idx):
-        eu, ev, em = g.edges
-        w = em.astype(float)
+        w = g.edges[2].astype(float)
         a_ff = _laplacian_blocks(g, w, free_idx)
         b = _rhs_from_clamped(g, w, free_idx, f, free_mask)
         f[free_idx] = _solve_spd(a_ff, b)
@@ -245,8 +244,7 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0,
     free_mask[[tg.source, tg.ground]] = False
     free_idx = np.nonzero(free_mask)[0]
     f = _initial_values(tg, p, t, cfg)
-    eu, ev, em = g.edges
-    emf = em.astype(float)
+    emf = g.edges[2].astype(float)
     iterations = 0
 
     if len(free_idx):

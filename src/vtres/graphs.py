@@ -7,12 +7,19 @@ and two-terminal networks obtained by collapsing vertex sets.
 
 Vertex identity is deterministic everywhere: finite Cayley graphs number
 vertices by the lexicographic rank of the group tuple, balls by
-(layer, lexicographic tuple).  Adjacency is stored CSR-style with integer
-multiplicities so that terminal collapsing is exact.
+(layer, lexicographic tuple), so every smaller ball is an id prefix.  Ball
+construction encodes a group element as one mixed-radix integer key, with
+the first factor most significant: a finite factor of modulus m is a digit
+in [0, m), a Z factor a digit shifted to cover every coordinate up to
+radius + 1 steps from the origin.  Key order is then lexicographic tuple
+order, and a sorted key array with ``searchsorted`` is the vertex index.
+Adjacency is stored CSR-style with integer multiplicities so that terminal
+collapsing is exact.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -288,37 +295,41 @@ class Graph:
         return hash((self.n, self.nbr.tobytes(), self.mult.tobytes()))
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int, int]]) -> Graph:
-    """Build a Graph from (u, v, mult) triples, merging parallel entries."""
-    eu, ev, em = [], [], []
-    for u, v, m in edges:
-        if u == v:
-            raise BadArguments("self-loops are not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise BadArguments(f"edge ({u},{v}) out of range for n={n}")
-        if m <= 0:
-            raise BadArguments("edge multiplicity must be positive")
-        eu.append(u), ev.append(v), em.append(m)
-        eu.append(v), ev.append(u), em.append(m)
-    if not eu:
-        return Graph(n, np.zeros(n + 1, dtype=np.int64),
-                     np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    eu = np.asarray(eu, dtype=np.int64)
-    ev = np.asarray(ev, dtype=np.int64)
-    em = np.asarray(em, dtype=np.int64)
-    order = np.lexsort((ev, eu))
-    eu, ev, em = eu[order], ev[order], em[order]
+def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """CSR positions of every adjacency slot of ``rows``, row by row."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    first = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(lo - first, counts)
+
+
+def from_edge_list(n: int, edges: Sequence[Sequence[int]] | np.ndarray) -> Graph:
+    """Build a Graph from a (k, 3) array-like of (u, v, mult) rows, merging parallel entries."""
+    e = np.asarray(edges, dtype=np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 3)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise BadArguments("edges must be (u, v, mult) rows")
+    u, v, m = e.T
+    if np.any(u == v):
+        raise BadArguments("self-loops are not allowed")
+    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if out.any():
+        i = int(np.argmax(out))
+        raise BadArguments(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+    if np.any(m <= 0):
+        raise BadArguments("edge multiplicity must be positive")
+    # one slot key u*n+v per direction; sorting the keys sorts by (u, v)
+    key = np.concatenate([u * n + v, v * n + u])
+    order = np.argsort(key, kind="stable")
+    key, em = key[order], np.concatenate([m, m])[order]
     # merge duplicate (u, v) pairs
-    newpair = np.ones(len(eu), dtype=bool)
-    newpair[1:] = (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
-    idx = np.cumsum(newpair) - 1
-    mm = np.zeros(idx[-1] + 1, dtype=np.int64)
-    np.add.at(mm, idx, em)
-    uu, vv = eu[newpair], ev[newpair]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, uu + 1, 1)
-    indptr = np.cumsum(indptr)
-    return Graph(n, indptr, vv, mm)
+    indptr[1:] = np.cumsum(np.bincount(key // n, minlength=n))
+    return Graph(n, indptr, key % n, np.add.reduceat(em, np.flatnonzero(first)))
 
 
 def validate_graph(g: Graph) -> None:
@@ -328,10 +339,14 @@ def validate_graph(g: Graph) -> None:
         raise BadArguments("graph has a self-loop")
     if np.any(g.mult <= 0):
         raise BadArguments("graph has a non-positive multiplicity")
-    fwd = {(int(u), int(v)): int(m) for u, v, m in zip(rows, g.nbr, g.mult)}
-    for (u, v), m in fwd.items():
-        if fwd.get((v, u)) != m:
-            raise BadArguments(f"asymmetric adjacency at ({u},{v})")
+    # symmetric iff the (u, v, m) slots sorted equal the (v, u, m) slots sorted
+    fwd = np.lexsort((g.mult, g.nbr, rows))
+    bwd = np.lexsort((g.mult, rows, g.nbr))
+    bad = ((rows[fwd] != g.nbr[bwd]) | (g.nbr[fwd] != rows[bwd])
+           | (g.mult[fwd] != g.mult[bwd]))
+    if bad.any():
+        i = fwd[np.argmax(bad)]
+        raise BadArguments(f"asymmetric adjacency at ({rows[i]},{g.nbr[i]})")
 
 
 def bfs_layers(g: Graph, sources: Iterable[int],
@@ -342,24 +357,27 @@ def bfs_layers(g: Graph, sources: Iterable[int],
     deleted, used by cutset-separation checks.
     """
     dist = np.full(g.n, -1, dtype=np.int64)
-    frontier = sorted(set(int(s) for s in sources))
-    for s in frontier:
-        dist[s] = 0
+    frontier = np.unique(np.fromiter(sources, dtype=np.int64))
+    blocked = None
+    if banned_edges and g.nbr.size:
+        pairs = np.array(list(banned_edges), dtype=np.int64).reshape(-1, 2)
+        # slot keys u*n+v ascend: rows ascend and each row's neighbours are sorted
+        keys = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.nbr
+        q = np.concatenate([pairs @ [g.n, 1], pairs @ [1, g.n]])
+        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+        blocked = np.zeros(keys.size, dtype=bool)
+        blocked[pos[keys[pos] == q]] = True
+    dist[frontier] = 0
     d = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            lo, hi = g.indptr[u], g.indptr[u + 1]
-            for v in g.nbr[lo:hi]:
-                v = int(v)
-                if dist[v] >= 0:
-                    continue
-                if banned_edges is not None and (min(u, v), max(u, v)) in banned_edges:
-                    continue
-                dist[v] = d + 1
-                nxt.append(v)
-        frontier = nxt
+    while frontier.size:
+        pos = _row_slots(g.indptr, frontier)
+        w = g.nbr[pos]
+        fresh = dist[w] < 0
+        if blocked is not None:
+            fresh &= ~blocked[pos]
         d += 1
+        frontier = np.unique(w[fresh])
+        dist[frontier] = d
     return dist
 
 
@@ -405,7 +423,7 @@ class BallGraph:
     radius: int
     layer: np.ndarray
     exit_degree: np.ndarray
-    coords: tuple[tuple[int, ...], ...]
+    coords: np.ndarray  # (n, d) int64 group elements, one row per vertex id
 
     def beta(self, r: int) -> int:
         """Ball volume at radius r (number of ids with layer <= r)."""
@@ -421,63 +439,57 @@ def build_ball(spec: GraphSpec, radius: int, size_cap: int = DEFAULT_SIZE_CAP) -
     """BFS ball of ``spec``'s Cayley graph around the identity."""
     if radius < 0:
         raise BadArguments("radius must be >= 0")
-    offsets = spec_offsets(spec)
-    factors = spec.factors
-    d = spec.dim
+    offsets = np.asarray(spec_offsets(spec), dtype=np.int64)
+    finite = np.array([m is not None for m in spec.factors])
+    # a Z digit spans every coordinate within radius + 1 steps, so that exit
+    # neighbours of the top layer get keys of their own instead of aliasing
+    reach = np.abs(offsets).max(axis=0) * (radius + 1)
+    width = np.where(finite, [m or 0 for m in spec.factors], 2 * reach + 1)
+    lo = np.where(finite, 0, -reach)
+    if math.prod(width.tolist()) >= 2 ** 63:
+        raise SizeCapExceeded(f"ball key space {width.tolist()} overflows int64")
+    strides = np.ones(spec.dim, dtype=np.int64)
+    strides[:-1] = np.cumprod(width[::-1])[::-1][1:]
 
-    def step(t: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(a + b if m is None else (a + b) % m
-                     for a, b, m in zip(t, s, factors))
+    def decode(keys: np.ndarray) -> np.ndarray:
+        return keys[:, None] // strides % width
 
-    origin = tuple(0 for _ in range(d))
-    seen: set[tuple[int, ...]] = {origin}
-    layers: list[list[tuple[int, ...]]] = [[origin]]
+    def shifted(digits: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return (digits + s) % width @ strides
+
+    layers = [-lo[None, :] @ strides]
+    total = 1
     for _ in range(radius):
-        nxt: set[tuple[int, ...]] = set()
-        for t in layers[-1]:
-            for s in offsets:
-                w = step(t, s)
-                if w not in seen:
-                    nxt.add(w)
-        if not nxt:
+        front = decode(layers[-1])
+        reached = np.unique(np.concatenate([shifted(front, s) for s in offsets]))
+        nxt = np.setdiff1d(reached, np.concatenate(layers[-2:]), assume_unique=True)
+        if not nxt.size:
             break  # graph exhausted below the requested radius
-        seen.update(nxt)
-        if len(seen) > size_cap:
+        total += nxt.size
+        if total > size_cap:
             raise SizeCapExceeded(f"ball exceeds size cap {size_cap}")
-        layers.append(sorted(nxt))
+        layers.append(nxt)
 
-    coords: list[tuple[int, ...]] = []
-    layer_arr: list[int] = []
-    index: dict[tuple[int, ...], int] = {}
-    for l, members in enumerate(layers):
-        for t in members:
-            index[t] = len(coords)
-            coords.append(t)
-            layer_arr.append(l)
-    n = len(coords)
-
+    keys = np.concatenate(layers)
+    n = keys.size
+    digits = decode(keys)
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    # one column per offset; n marks a neighbour outside the ball
+    table = np.empty((n, len(offsets)), dtype=np.int64)
+    for j, s in enumerate(offsets):
+        q = shifted(digits, s)
+        pos = np.minimum(np.searchsorted(sorted_keys, q), n - 1)
+        table[:, j] = np.where(sorted_keys[pos] == q, by_key[pos], n)
+    exit_degree = (table == n).sum(axis=1, dtype=np.int64)
+    table.sort(axis=1)
+    nbr = table[table < n]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    nbr_rows: list[list[int]] = []
-    exit_degree = np.zeros(n, dtype=np.int64)
-    for i, t in enumerate(coords):
-        row = []
-        ex = 0
-        for s in offsets:
-            j = index.get(step(t, s))
-            if j is None:
-                ex += 1
-            else:
-                row.append(j)
-        row.sort()
-        nbr_rows.append(row)
-        exit_degree[i] = ex
-        indptr[i + 1] = indptr[i] + len(row)
-    nbr = np.fromiter((j for row in nbr_rows for j in row), dtype=np.int64,
-                      count=int(indptr[-1]))
-    base = Graph(n, indptr, nbr, np.ones(int(indptr[-1]), dtype=np.int64))
-    return BallGraph(spec=spec, base=base, center=0, radius=radius,
-                     layer=np.asarray(layer_arr, dtype=np.int64),
-                     exit_degree=exit_degree, coords=tuple(coords))
+    indptr[1:] = np.cumsum(len(offsets) - exit_degree)
+    base = Graph(n, indptr, nbr, np.ones(nbr.size, dtype=np.int64))
+    layer = np.repeat(np.arange(len(layers), dtype=np.int64), [len(l) for l in layers])
+    return BallGraph(spec=spec, base=base, center=0, radius=radius, layer=layer,
+                     exit_degree=exit_degree, coords=digits + lo)
 
 
 # ---------------------------------------------------------------------------
@@ -547,23 +559,19 @@ class BoundaryInfo(NamedTuple):
 
 def boundary(g: Graph, A: Iterable[int]) -> BoundaryInfo:
     """External vertex boundary and (multiplicity-weighted) edge boundary of A."""
-    ids = sorted(set(int(a) for a in A))
-    if not ids:
+    ids = np.unique(np.fromiter(A, dtype=np.int64))
+    if not ids.size:
         raise EmptySet("boundary of the empty set is undefined")
     if ids[0] < 0 or ids[-1] >= g.n:
         raise BadArguments("vertex id out of range")
-    if len(ids) == g.n:
+    if ids.size == g.n:
         raise FullSet("boundary of the full vertex set is undefined")
     in_a = np.zeros(g.n, dtype=bool)
     in_a[ids] = True
-    bset: set[int] = set()
-    ecount = 0
-    for u in ids:
-        nb, mu = g.neighbors(u)
-        outside = ~in_a[nb]
-        ecount += int(mu[outside].sum())
-        bset.update(int(v) for v in nb[outside])
-    return BoundaryInfo(len(bset), ecount, tuple(sorted(bset)))
+    pos = _row_slots(g.indptr, ids)
+    pos = pos[~in_a[g.nbr[pos]]]
+    bset = np.unique(g.nbr[pos])
+    return BoundaryInfo(bset.size, int(g.mult[pos].sum()), tuple(bset.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -605,23 +613,16 @@ def dirichlet_problem(ball: BallGraph, r: int, mode: str = "sphere") -> Terminal
         raise RadiusTooSmall(f"need ball radius >= {r + 1}, have {ball.radius}")
     m = ball.beta(r)
     ground = m
-    edges: list[tuple[int, int, int]] = []
-    ground_mult = np.zeros(m, dtype=np.int64)
-    for u in range(m):
-        nb, mu = ball.base.neighbors(u)
-        for v, k in zip(nb, mu):
-            v = int(v)
-            if v < m:
-                if v > u:
-                    edges.append((u, v, int(k)))
-            else:
-                if mode == "sphere" and ball.layer[v] != r + 1:
-                    raise BadArguments("layer invariant violated: edge jumps a sphere")
-                ground_mult[u] += int(k)
-    for u in range(m):
-        if ground_mult[u]:
-            edges.append((u, ground, int(ground_mult[u])))
-    g = from_edge_list(m + 1, edges)
+    base = ball.base
+    slots = int(base.indptr[m])
+    u = np.repeat(np.arange(m), np.diff(base.indptr[:m + 1]))
+    v = base.nbr[:slots]
+    if mode == "sphere" and np.any(ball.layer[v[v >= m]] != r + 1):
+        raise BadArguments("layer invariant violated: edge jumps a sphere")
+    # every vertex outside B(x, r) becomes the ground vertex m
+    v = np.minimum(v, ground)
+    keep = u < v
+    g = from_edge_list(m + 1, np.stack([u[keep], v[keep], base.mult[:slots][keep]], axis=1))
     return TerminalGraph(g, source=ball.center, ground=ground,
                          label=f"dirichlet(r={r}, mode={mode})")
 
@@ -634,30 +635,25 @@ def collapse_terminals(g: Graph, source: Iterable[int], ground: Iterable[int],
     source terminal becomes vertex f and the ground terminal f+1.  Edges
     inside a terminal set vanish; parallel edges accumulate multiplicity.
     """
-    src = set(int(v) for v in source)
-    gnd = set(int(v) for v in ground)
-    if not src or not gnd:
+    src = np.unique(np.fromiter(source, dtype=np.int64))
+    gnd = np.unique(np.fromiter(ground, dtype=np.int64))
+    if not src.size or not gnd.size:
         raise EmptySet("terminal sets must be nonempty")
-    if src & gnd:
+    if np.intersect1d(src, gnd).size:
         raise BadArguments("source and ground sets must be disjoint")
-    for v in src | gnd:
-        if not (0 <= v < g.n):
-            raise BadArguments("terminal vertex out of range")
-    free = [v for v in range(g.n) if v not in src and v not in gnd]
-    remap = {v: i for i, v in enumerate(free)}
-    s_id, g_id = len(free), len(free) + 1
-    for v in src:
-        remap[v] = s_id
-    for v in gnd:
-        remap[v] = g_id
+    if min(src[0], gnd[0]) < 0 or max(src[-1], gnd[-1]) >= g.n:
+        raise BadArguments("terminal vertex out of range")
+    free = np.ones(g.n, dtype=bool)
+    free[src] = free[gnd] = False
+    s_id = int(free.sum())
+    g_id = s_id + 1
+    remap = np.cumsum(free) - 1
+    remap[src] = s_id
+    remap[gnd] = g_id
     eu, ev, em = g.edges
-    edges = []
-    for u, v, m in zip(eu, ev, em):
-        a, b = remap[int(u)], remap[int(v)]
-        if a == b:
-            continue
-        edges.append((a, b, int(m)))
-    ng = from_edge_list(len(free) + 2, edges)
+    a, b = remap[eu], remap[ev]
+    keep = a != b
+    ng = from_edge_list(g_id + 1, np.stack([a[keep], b[keep], em[keep]], axis=1))
     return TerminalGraph(ng, source=s_id, ground=g_id, label=label)
 
 
@@ -684,6 +680,5 @@ def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
 
 def _prefix_subgraph(g: Graph, m: int) -> Graph:
     """Induced subgraph on vertices 0..m-1 (valid because balls are id prefixes)."""
-    eu, ev, em = g.edges
-    keep = (eu < m) & (ev < m)
-    return from_edge_list(m, zip(eu[keep].tolist(), ev[keep].tolist(), em[keep].tolist()))
+    edges = np.stack(g.edges, axis=1)
+    return from_edge_list(m, edges[edges[:, 1] < m])  # u < v, so both ends are < m

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bounds import (
     BoundReport,
+    _masks_prefix,
     connected_supersets,
     b_exponent,
     csc_bound,
@@ -52,17 +53,6 @@ class IsoProfile:
     mode: str
 
 
-def _nbr_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for v in range(g.n):
-        nb, _ = g.neighbors(v)
-        acc = 0
-        for w in nb:
-            acc |= 1 << int(w)
-        masks[v] = acc
-    return masks
-
-
 def _mask_boundaries(g: Graph, masks: list[int], s: int, simple: bool) -> tuple[int, int]:
     outside = ~s
     union = 0
@@ -96,7 +86,7 @@ def exact_profile(g: Graph, mode: str = "all_sets",
                                            else CONNECTED_SETS_CAP)
     if g.n > cap:
         raise SizeCapExceeded(f"{g.n} vertices exceeds profile cap {cap}")
-    masks = _nbr_masks(g)
+    masks = _masks_prefix(g, g.n)
     simple = bool(np.all(g.mult == 1))
     best: dict[int, list] = {}
 
@@ -205,14 +195,11 @@ def _candidate_sets(ball: BallGraph, rho: int, smax: int, seed: int,
         if 1 <= ball.beta(j) <= smax:
             out.append(tuple(range(ball.beta(j))))
     # coordinate cuts
-    coords = ball.coords
-    d = ball.spec.dim
-    for axis in range(d):
-        values = sorted(set(c[axis] for c in coords[:m]))
-        for cut in values[:-1]:
-            ids = tuple(v for v in range(m) if coords[v][axis] <= cut)
-            if 1 <= len(ids) <= smax:
-                out.append(ids)
+    for col in ball.coords[:m].T:
+        for cut in np.unique(col)[:-1]:
+            ids = np.flatnonzero(col <= cut)
+            if 1 <= ids.size <= smax:
+                out.append(tuple(ids.tolist()))
     # seeded random connected sets
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
     lo = 1

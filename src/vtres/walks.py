@@ -63,10 +63,9 @@ def _neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     if g.n * width > _TABLE_CELL_CAP:
         raise BadArguments("graph too large for the walk neighbour table")
     table = np.zeros((g.n, width), dtype=np.int64)
-    for v in range(g.n):
-        nb, mu = g.neighbors(v)
-        row = np.repeat(nb, mu)
-        table[v, : len(row)] = row
+    rows = np.repeat(np.arange(g.n), deg)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    table[rows, rank] = np.repeat(g.nbr, g.mult)
     return table, deg.astype(np.int64)
 
 

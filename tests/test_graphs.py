@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from vtres import (
     growth_profile,
     spec_cycle,
     spec_cyclic_chords,
+    spec_explicit,
     spec_lattice,
     spec_line,
     spec_torus,
@@ -27,7 +30,62 @@ from vtres.errors import (
     RadiusTooSmall,
     SizeCapExceeded,
 )
-from vtres.graphs import bfs_layers, spec_fibered_torus, spec_offsets, validate_graph
+from vtres.graphs import (
+    annulus_problem,
+    bfs_layers,
+    collapse_terminals,
+    spec_fibered_torus,
+    spec_offsets,
+    validate_graph,
+)
+
+
+def _digest(*arrays) -> str:
+    """sha256 over the int64 contents and shapes of ``arrays``."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(np.asarray(a, dtype=np.int64))
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _terminal_digest(tg) -> str:
+    g = tg.graph
+    return _digest(g.indptr, g.nbr, g.mult, [g.n, tg.source, tg.ground])
+
+
+# Vertex ids, layers and adjacency are part of the artifact format: these
+# digests pin the exact arrays, so any change of numbering or order fails.
+@pytest.mark.parametrize("spec,radius,expected", [
+    (spec_lattice(2), 16, "07c186e5f923511401ddef0149c489cfac3b50fbf61a48222eba9c58f9863d3c"),
+    (spec_lattice(3), 8, "31c385cbebb2f6f2892ebe923ce8d69c9f2041ca4bb92045477f69c61720f498"),
+    (spec_z_times_torus(5, 5), 20, "e0f35bac6eaf9f28a2c76d17a45dfd93d481f708cba7d1b6a83b8853306578ac"),
+    (spec_torus(6, 6, 2, full_last=True), 4, "4b88c1e496abdd8da5b87d602db13014eb624f1025d95f93459e1d5dbc788d28"),
+    (spec_fibered_torus(4, 4, 3), 4, "e66a26ea0e1c94911f1fc15e7c2882c125f5e1297de0282f94f4cfe840d3650c"),
+    (spec_cyclic_chords(14, 3), 5, "453f567d03bb99100f4722293bde2cab138290adf5450c2aff002dff97a56731"),
+], ids=["z2", "z3", "z-c5-c5", "torus-full-last", "fibered", "chords"])
+def test_golden_ball_identity(spec, radius, expected):
+    b = build_ball(spec, radius)
+    g = b.base
+    assert _digest(b.layer, b.exit_degree, b.coords, g.indptr, g.nbr, g.mult) == expected
+
+
+def test_golden_problem_identity():
+    torus = build_cayley_graph(spec_torus(6, 5))
+    mixed = build_cayley_graph(spec_torus(4, 4, 3, full_last=True))
+    got = {
+        "dirichlet": _terminal_digest(dirichlet_problem(build_ball(spec_lattice(3), 8), 6)),
+        "annulus": _terminal_digest(annulus_problem(build_ball(spec_lattice(2), 16), 3, 10)),
+        "collapse": _terminal_digest(collapse_terminals(torus, [0, 7], [15, 20, 29])),
+        "cayley": _digest(mixed.indptr, mixed.nbr, mixed.mult),
+    }
+    assert got == {
+        "dirichlet": "a3836343a21867d0c32dfac736243c3a8c74a760a0f0a27ecee677b09714378e",
+        "annulus": "39e3a9ec9416b34b935845656a06a3d936a306358f9f0583320baad234025c37",
+        "collapse": "bba51937d8507ecbbdb2a432847d34d4a5305cb046b8ff3d2823f256be3c7778",
+        "cayley": "b20d98fafd741643744b1e672199375349eea60a7c28c4f082b172ec59ff701b",
+    }
 
 
 def test_cycle_five():
@@ -153,8 +211,52 @@ def test_beta_of_union_generators_lags_one_step():
 
 def test_ball_ids_sorted_by_layer_then_tuple():
     b = build_ball(spec_z_times_torus(3), 3)
-    keys = [(int(l), c) for l, c in zip(b.layer, b.coords)]
+    keys = [(int(l), tuple(c)) for l, c in zip(b.layer, b.coords.tolist())]
     assert keys == sorted(keys)
+
+
+def _reference_ball(spec, radius):
+    """Ball by breadth-first search over group tuples: layer, coords, rows, exits."""
+    offsets = spec_offsets(spec)
+
+    def step(t, s):
+        return tuple(a + b if m is None else (a + b) % m
+                     for a, b, m in zip(t, s, spec.factors))
+
+    layers = [[tuple(0 for _ in spec.factors)]]
+    seen = set(layers[0])
+    for _ in range(radius):
+        nxt = sorted({step(t, s) for t in layers[-1] for s in offsets} - seen)
+        if not nxt:
+            break
+        seen.update(nxt)
+        layers.append(nxt)
+    coords = [t for members in layers for t in members]
+    index = {t: i for i, t in enumerate(coords)}
+    rows = [sorted(index[w] for w in (step(t, s) for s in offsets) if w in index)
+            for t in coords]
+    layer = [l for l, members in enumerate(layers) for _ in members]
+    return layer, coords, rows, [len(offsets) - len(row) for row in rows]
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (spec_line(), 0),
+    (spec_lattice(2), 5),
+    (spec_z_times_torus(2, 3), 4),
+    (spec_torus(5, 3, 2, full_last=True), 4),
+    (spec_cyclic_chords(9, 4), 3),
+    # Z offsets longer than one step: exits of the top layer lie up to
+    # (radius + 1) * 3 away and must not alias onto ball vertices
+    (spec_explicit((None,), [(2,), (-2,), (3,), (-3,)]), 5),
+    (spec_explicit((7, None), [(3, 1), (4, -1), (0, 2), (0, -2)]), 4),
+])
+def test_ball_matches_tuple_bfs_reference(spec, radius):
+    layer, coords, rows, exits = _reference_ball(spec, radius)
+    b = build_ball(spec, radius)
+    assert b.layer.tolist() == layer
+    assert [tuple(c) for c in b.coords.tolist()] == coords
+    assert [b.base.neighbors(v)[0].tolist() for v in range(b.base.n)] == rows
+    assert b.exit_degree.tolist() == exits
 
 
 def test_boundary_singleton(z2_ball_r5):
