@@ -9,6 +9,7 @@ empirical ratio so that sweeps can assert boundedness instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -100,28 +101,55 @@ class CutsetFamily:
 
 
 def validate_cutsets(family: CutsetFamily) -> None:
-    seen: set[tuple[int, int]] = set()
-    adj = {}
-    eu, ev, em = family.graph.edges
-    for u, v, m in zip(eu, ev, em):
-        adj[(int(u), int(v))] = int(m)
-    for cutset in family.cutsets:
-        pairs = set()
-        for u, v, m in cutset:
-            key = (min(u, v), max(u, v))
-            if key not in adj:
-                raise InvalidCutsets(f"edge {key} not present in the graph")
-            if m != adj[key]:
-                raise InvalidCutsets(f"edge {key} multiplicity mismatch")
-            if key in pairs:
-                raise InvalidCutsets(f"edge {key} repeated inside a cutset")
-            pairs.add(key)
-        if pairs & seen:
-            raise InvalidCutsets("cutsets are not pairwise disjoint")
-        seen |= pairs
-        dist = bfs_layers(family.graph, family.source, banned_edges=pairs)
-        if any(dist[g] >= 0 for g in family.ground):
+    """Raise InvalidCutsets unless each cutset is a set of graph edges with
+    their multiplicities, the cutsets are pairwise disjoint, and each one
+    separates source from ground.
+
+    Faults are reported in the order of an edge-by-edge scan: cutset by
+    cutset, and within a cutset the edge checks first, in edge order.
+    """
+    g, n, cutsets = family.graph, family.graph.n, family.cutsets
+    eu, ev, em = g.edges
+    lengths = [len(c) for c in cutsets]
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(cutsets)),
+                       dtype=np.int64, count=3 * sum(lengths)).reshape(-1, 3)
+    cid = np.repeat(np.arange(len(cutsets)), lengths)
+    pairs = np.sort(flat[:, :2], axis=1)
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    # graph keys ascend (rows ascend, each row's neighbours are sorted); the
+    # sentinel keeps every search position a valid index
+    graph_keys = np.append(eu * n + ev, np.iinfo(np.int64).max)
+    pos = np.searchsorted(graph_keys, keys)
+    present = (pairs[:, 0] >= 0) & (pairs[:, 1] < n) & (graph_keys[pos] == keys)
+    mismatch = present & (np.append(em, 0)[pos] != flat[:, 2])
+    # a stable sort puts earlier copies of a key first: a copy in the same
+    # cutset is a repeat, one in an earlier cutset an overlap
+    order = np.argsort(keys, kind="stable")
+    again = np.zeros(len(keys), dtype=bool)
+    again[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    same = np.zeros(len(keys), dtype=bool)
+    same[order[1:]] = cid[order[1:]] == cid[order[:-1]]
+    edge_fault = ~present | mismatch | (again & same)
+    faulty = np.nonzero(edge_fault | again)[0]
+    bad = int(cid[faulty[0]]) if len(faulty) else len(cutsets)
+    ground = np.asarray(family.ground, dtype=np.int64)
+    start = 0
+    for k in range(bad):
+        dist = bfs_layers(g, family.source, banned_edges=pairs[start:start + lengths[k]])
+        if np.any(dist[ground] >= 0):
             raise InvalidCutsets("a cutset fails to separate source from ground")
+        start += lengths[k]
+    if bad == len(cutsets):
+        return
+    i = int(np.argmax(edge_fault))
+    if not edge_fault[i] or cid[i] != bad:
+        raise InvalidCutsets("cutsets are not pairwise disjoint")
+    key = (int(pairs[i, 0]), int(pairs[i, 1]))
+    if not present[i]:
+        raise InvalidCutsets(f"edge {key} not present in the graph")
+    if mismatch[i]:
+        raise InvalidCutsets(f"edge {key} multiplicity mismatch")
+    raise InvalidCutsets(f"edge {key} repeated inside a cutset")
 
 
 def nash_williams_bound(family: CutsetFamily, p: float, validate: bool = True) -> float:
@@ -140,23 +168,22 @@ def sphere_cutsets(ball: BallGraph, r: int) -> CutsetFamily:
         raise BadArguments("r must be >= 1")
     if ball.radius < r:
         raise RadiusTooSmall(f"need ball radius >= {r}, have {ball.radius}")
-    layer = ball.layer
-    cutsets = []
-    sizes = []
-    for i in range(r):
-        edges = []
-        w = 0
-        for u in ball.sphere_ids(i):
-            nb, mu = ball.base.neighbors(int(u))
-            up = layer[nb] == i + 1
-            for v, m in zip(nb[up], mu[up]):
-                edges.append((int(u), int(v), int(m)))
-                w += int(m)
-        cutsets.append(tuple(edges))
-        sizes.append(float(w))
+    g, layer = ball.base, ball.layer
+    # B(x, r-1) is an id prefix, so its adjacency slots are a CSR prefix;
+    # rows ascend, so the edges come out sphere by sphere, vertex by vertex
+    inner = ball.beta(r - 1)
+    rows = np.repeat(np.arange(inner), np.diff(g.indptr[:inner + 1]))
+    nbr, mult = g.nbr[:len(rows)], g.mult[:len(rows)]
+    up = layer[nbr] == layer[rows] + 1
+    rows, nbr, mult = rows[up], nbr[up], mult[up]
+    cuts = np.searchsorted(layer[rows], np.arange(1, r))
+    cutsets, sizes = [], []
+    for u, v, m in zip(np.split(rows, cuts), np.split(nbr, cuts), np.split(mult, cuts)):
+        cutsets.append(tuple(zip(u.tolist(), v.tolist(), m.tolist())))
+        sizes.append(float(m.sum()))
     return CutsetFamily(cutsets=tuple(cutsets), sizes=tuple(sizes),
-                        graph=ball.base, source=(ball.center,),
-                        ground=tuple(int(v) for v in ball.sphere_ids(r)))
+                        graph=g, source=(ball.center,),
+                        ground=tuple(ball.sphere_ids(r).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ executes a manifest file directly.
 Global flags: --seed, --out, --format, --threads, --size-cap.  Environment
 variables with the VTRES_ prefix (VTRES_SEED, VTRES_OUT, VTRES_FORMAT,
 VTRES_THREADS, VTRES_SIZE_CAP) supply defaults for the matching flags.
+
+Errors go to stderr as ``error.type`` and ``error.message`` lines.  A
+NonConvergence adds ``error.iterations`` and, for a general-p Newton solve,
+``error.stage_iterations``: one ``stage:steps:rejected`` entry per eps
+stage (named by its eps) and for the final "polish" stage, where
+``rejected`` counts the trial steps the stage turned down.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import VtresError
+from .errors import NonConvergence, VtresError
 from .graphs import DEFAULT_SIZE_CAP, GraphSpec
 from .manifest import ExperimentManifest, emit_manifest, parse_manifest, run
 from .textspec import generators_from_value, parse_graphspec
@@ -237,6 +243,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except VtresError as exc:
         sys.stderr.write(f"error.type = {type(exc).__name__}\n")
         sys.stderr.write(f"error.message = {exc}\n")
+        if isinstance(exc, NonConvergence):
+            sys.stderr.write(f"error.iterations = {exc.iterations}\n")
+            if exc.stages:
+                stages = ", ".join(f"{s}:{n}:{b}" for s, n, b in exc.stages)
+                sys.stderr.write(f"error.stage_iterations = {stages}\n")
         return 2
     except OSError as exc:
         sys.stderr.write("error.type = IoError\n")

@@ -10,6 +10,25 @@ run damped Newton on the free values with iteratively reweighted quadratic
 models; the edge weight |f(x)-f(y)|^(p-2) is regularized as
 (delta^2 + eps^2)^((p-2)/2) with eps continued from 1e-2 down to 1e-10,
 since the weight is singular at delta=0 for p < 2 and degenerate for p > 2.
+
+Each eps stage ends when the regularized gradient vanishes or when a Newton
+step stops helping.  Near the optimum the decrease -g.d that the Newton
+model predicts falls below the float64 resolution of the regularized energy
+(NEWTON_DECREMENT_FLOOR * max(1, E)), where an Armijo test on energy cannot
+tell a good step from a bad one.  There the full Newton step is taken and
+judged by the max-norm of the regularized gradient: kept if the norm fell,
+otherwise the stage ends.
+
+The CSR pattern of the free/free block of the weighted Laplacian is built
+once per solve, with the edge of every off-diagonal slot and the slot of
+every diagonal entry recorded; each Newton step fills the values with one
+gather and one bincount.  Systems of up to DIRECT_SOLVE_LIMIT
+unknowns go to SuperLU with its default ordering and partial pivoting,
+larger ones to Jacobi-preconditioned CG.  SuperLU's symmetric mode is
+faster, but its rounding turns differences that are exactly zero across
+symmetric vertex pairs into ~1e-16, and for p < 2 the residual term
+|delta|^(p-1) of such a pair is then about 6e-4 at p = 1.2, which the
+final residual test rejects.
 """
 
 from __future__ import annotations
@@ -18,6 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -31,6 +51,9 @@ from .errors import (
 from .graphs import Graph, TerminalGraph, bfs_layers, collapse_terminals
 
 DIRECT_SOLVE_LIMIT = 6000  # above this, p=2 falls back to preconditioned CG
+# relative float64 resolution of the regularized energy: a Newton step whose
+# predicted decrease is below this times max(1, E) is judged by its gradient
+NEWTON_DECREMENT_FLOOR = 1e-13
 
 
 def signed_power(x: np.ndarray | float, q: float):
@@ -58,9 +81,7 @@ def p_laplacian(g: Graph, f: np.ndarray, p: float) -> np.ndarray:
         raise DimensionMismatch(f"expected {g.n} vertex values, got shape {f.shape}")
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     delta = f[rows] - f[g.nbr]
-    out = np.zeros(g.n)
-    np.add.at(out, rows, g.mult * signed_power(delta, p - 1))
-    return out
+    return np.bincount(rows, weights=g.mult * signed_power(delta, p - 1), minlength=g.n)
 
 
 def stokes_check(g: Graph, f: np.ndarray, p: float, A) -> float:
@@ -123,62 +144,87 @@ def _check_terminals(tg: TerminalGraph) -> None:
         raise DisconnectedTerminals("problem graph is not connected")
 
 
-def _initial_values(tg: TerminalGraph, p: float, t: float, cfg: SolverConfig) -> np.ndarray:
+def _initial_values(tg: TerminalGraph, t: float, cfg: SolverConfig,
+                    lap: _FreeLaplacian) -> np.ndarray:
     f = np.zeros(tg.graph.n)
     f[tg.source] = t
     if cfg.init == "zeros":
         return f
     if cfg.init == "flat":
-        free = np.ones(tg.graph.n, dtype=bool)
-        free[[tg.source, tg.ground]] = False
-        f[free] = t / 2.0
+        f[lap.free_idx] = t / 2.0
         return f
     if cfg.init == "random":
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed & (2**64 - 1), 0]))
-        free = np.ones(tg.graph.n, dtype=bool)
-        free[[tg.source, tg.ground]] = False
-        f[free] = t * rng.random(int(free.sum()))
+        f[lap.free_idx] = t * rng.random(len(lap.free_idx))
         return f
     if cfg.init == "p2":
-        return _solve_p2(tg, t, cfg).values
+        return _solve_p2(tg, t, lap)
     raise BadArguments(f"unknown init {cfg.init!r}")
 
 
-def _laplacian_blocks(g: Graph, weights: np.ndarray, free_idx: np.ndarray):
-    """Weighted-Laplacian blocks L_ff and L_fc for the free/clamped split."""
-    eu, ev, _ = g.edges
-    w = weights
-    n = g.n
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[free_idx] = np.arange(len(free_idx))
-    fu, fv = pos[eu], pos[ev]
-    diag = np.zeros(n)
-    np.add.at(diag, eu, w)
-    np.add.at(diag, ev, w)
-    both = (fu >= 0) & (fv >= 0)
-    a_ff = sp.coo_matrix(
-        (np.concatenate([-w[both], -w[both], diag[free_idx]]),
-         (np.concatenate([fu[both], fv[both], np.arange(len(free_idx))]),
-          np.concatenate([fv[both], fu[both], np.arange(len(free_idx))]))),
-        shape=(len(free_idx), len(free_idx)),
-    ).tocsr()
-    return a_ff
+class _FreeLaplacian:
+    """Free/free block of a weighted graph Laplacian in fixed CSR slots.
 
+    The pattern is built once per solve and records which edge each
+    off-diagonal slot belongs to and where each diagonal entry sits, so new
+    edge weights cost a gather, a bincount and no sort.  The block is
+    symmetric, so its CSR arrays are also its CSC arrays.
+    """
 
-def _rhs_from_clamped(g: Graph, weights: np.ndarray, free_idx: np.ndarray,
-                      f: np.ndarray, free_mask: np.ndarray) -> np.ndarray:
-    eu, ev, em = g.edges
-    rhs = np.zeros(g.n)
-    mixed_u = free_mask[eu] & ~free_mask[ev]
-    np.add.at(rhs, eu[mixed_u], weights[mixed_u] * f[ev[mixed_u]])
-    mixed_v = free_mask[ev] & ~free_mask[eu]
-    np.add.at(rhs, ev[mixed_v], weights[mixed_v] * f[eu[mixed_v]])
-    return rhs[free_idx]
+    def __init__(self, g: Graph, free_mask: np.ndarray):
+        eu, ev, _ = g.edges
+        self._eu, self._ev, self._n = eu, ev, g.n
+        self.free_idx = np.nonzero(free_mask)[0]
+        nf = len(self.free_idx)
+        pos = np.full(g.n, -1, dtype=np.int64)
+        pos[self.free_idx] = np.arange(nf)
+        # the upper triangle U comes in edge order, which is CSR order; its
+        # CSC copy is the lower triangle L, with U's entry numbers as values
+        both = np.nonzero(free_mask[eu] & free_mask[ev])[0]
+        ur, uc = pos[eu[both]], pos[ev[both]]
+        uptr = np.concatenate([[0], np.cumsum(np.bincount(ur, minlength=nf))])
+        low = sp.csr_matrix((np.arange(len(both)), uc, uptr), shape=(nf, nf)).tocsc()
+        lptr = low.indptr.astype(np.int64)
+        # row i of the block is L's row i, the diagonal, then U's row i
+        indptr = uptr + lptr + np.arange(nf + 1)
+        self._diag_slot = indptr[:-1] + np.diff(lptr)
+        up_slot = self._diag_slot[ur] + 1 + np.arange(len(both)) - uptr[ur]
+        low_row = np.repeat(np.arange(nf), np.diff(lptr))
+        low_slot = indptr[low_row] + np.arange(len(both)) - lptr[low_row]
+        self._slot_edge = np.zeros(indptr[-1], dtype=np.int64)
+        self._slot_edge[up_slot] = both
+        self._slot_edge[low_slot] = both[low.data]
+        indices = np.empty(indptr[-1], dtype=np.intc)
+        indices[up_slot] = uc
+        indices[low_slot] = low.indices
+        indices[self._diag_slot] = np.arange(nf)
+        self._a = sp.csr_matrix((np.zeros(indptr[-1]), indices, indptr.astype(np.intc)),
+                                shape=(nf, nf))
+
+    def vertex_sums(self, at_u: np.ndarray, at_v: np.ndarray) -> np.ndarray:
+        """Per free vertex, the sum of ``at_u`` over edges where it is u and
+        of ``at_v`` over edges where it is v, in the order of an edge-by-edge
+        accumulation (u ends first)."""
+        return np.bincount(np.concatenate([self._eu, self._ev]),
+                           weights=np.concatenate([at_u, at_v]),
+                           minlength=self._n)[self.free_idx]
+
+    def matrix(self, w: np.ndarray) -> sp.csr_matrix:
+        """The block for edge weights ``w``; it replaces the previous one's values."""
+        data = -w[self._slot_edge]
+        data[self._diag_slot] = self.vertex_sums(w, w)
+        self._a.data = data
+        return self._a
+
+    def divergence(self, flow: np.ndarray) -> np.ndarray:
+        """Net outflow at each free vertex of the edge values ``flow`` (u -> v)."""
+        return self.vertex_sums(flow, -flow)
 
 
 def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     if a.shape[0] <= DIRECT_SOLVE_LIMIT:
-        return spla.spsolve(a.tocsc(), b)
+        # a is symmetric: its transpose is a CSC view of the same arrays
+        return spla.spsolve(a.T, b)
     d = a.diagonal()
     m = sp.diags(1.0 / np.where(d > 0, d, 1.0))
     x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=50000, M=m)
@@ -188,23 +234,18 @@ def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_p2(tg: TerminalGraph, t: float, cfg: SolverConfig) -> Potential:
-    """Direct sparse symmetric solve of the Dirichlet Laplacian system."""
+def _solve_p2(tg: TerminalGraph, t: float, lap: _FreeLaplacian) -> np.ndarray:
+    """Values of the p=2 potential: one sparse symmetric Dirichlet solve."""
     g = tg.graph
     f = np.zeros(g.n)
     f[tg.source] = t
-    free_mask = np.ones(g.n, dtype=bool)
-    free_mask[[tg.source, tg.ground]] = False
-    free_idx = np.nonzero(free_mask)[0]
-    if len(free_idx):
-        w = g.edges[2].astype(float)
-        a_ff = _laplacian_blocks(g, w, free_idx)
-        b = _rhs_from_clamped(g, w, free_idx, f, free_mask)
-        f[free_idx] = _solve_spd(a_ff, b)
-    energy = p_energy(g, f, 2.0)
-    residual = _true_residual(g, f, 2.0, free_idx)
-    return Potential(values=f, p=2.0, source_value=t, energy=energy,
-                     residual=residual, iterations=1, problem=tg)
+    if len(lap.free_idx):
+        eu, ev, em = g.edges
+        w = em.astype(float)
+        # f is zero on the free vertices, so b = -L_fc f_c sums clamped values
+        b = lap.vertex_sums(w * f[ev], w * f[eu])
+        f[lap.free_idx] = _solve_spd(lap.matrix(w), b)
+    return f
 
 
 def _true_residual(g: Graph, f: np.ndarray, p: float, free_idx: np.ndarray) -> float:
@@ -217,13 +258,29 @@ def _reg_energy(delta: np.ndarray, em: np.ndarray, p: float, eps: float) -> floa
     return float(np.sum(em * (delta * delta + eps * eps) ** (p / 2.0)))
 
 
+def _reg_gradient(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarray,
+                  lap: _FreeLaplacian):
+    """Edge differences, delta^2 + eps^2, and the free gradient of the regularized energy."""
+    eu, ev, _ = g.edges
+    delta = f[eu] - f[ev]
+    d2e2 = delta * delta + eps * eps
+    return delta, d2e2, lap.divergence(emf * p * delta * d2e2 ** ((p - 2.0) / 2.0))
+
+
+def _newton_weights(emf: np.ndarray, p: float, eps: float, delta: np.ndarray,
+                    d2e2: np.ndarray) -> np.ndarray:
+    """Edge weights of the regularized energy's Hessian."""
+    return emf * p * d2e2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * delta * delta + eps * eps)
+
+
 def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0,
                     cfg: Optional[SolverConfig] = None) -> Potential:
     """Minimize the p-energy over functions equal to t on source, 0 on ground.
 
     Returns the unique minimizer; it is p-harmonic on the free vertices up
     to ``cfg.tol`` times the capacity scale.  Raises NonConvergence with the
-    iteration count and residual if the Newton loop stalls.
+    iteration count, the residual and the per-stage step counts if the
+    Newton loop stalls.
     """
     if p <= 1:
         raise BadArguments("p must be > 1")
@@ -232,25 +289,33 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0,
     cfg = cfg or SolverConfig()
     _check_terminals(tg)
     g = tg.graph
-
-    if p == 2.0 and not cfg.force_newton:
-        pot = _solve_p2(tg, t, cfg)
-        scale = max(pot.energy / t, 1e-12)
-        if pot.residual > cfg.tol * scale * 10:
-            raise NonConvergence(1, pot.residual, "direct p=2 solve left a large residual")
-        return pot
-
     free_mask = np.ones(g.n, dtype=bool)
     free_mask[[tg.source, tg.ground]] = False
     free_idx = np.nonzero(free_mask)[0]
-    f = _initial_values(tg, p, t, cfg)
+
+    if p == 2.0 and not cfg.force_newton:
+        # the pattern is dropped before the residual pass, which peaks in memory
+        f = _solve_p2(tg, t, _FreeLaplacian(g, free_mask))
+        energy = p_energy(g, f, 2.0)
+        residual = _true_residual(g, f, 2.0, free_idx)
+        scale = max(energy / t, 1e-12)
+        if residual > cfg.tol * scale * 10:
+            raise NonConvergence(1, residual, "direct p=2 solve left a large residual")
+        return Potential(values=f, p=2.0, source_value=t, energy=energy,
+                         residual=residual, iterations=1, problem=tg)
+
+    lap = _FreeLaplacian(g, free_mask)
+    f = _initial_values(tg, t, cfg, lap)
     emf = g.edges[2].astype(float)
     iterations = 0
+    stages: list[tuple[str, int, int]] = []
 
     if len(free_idx):
         for eps in cfg.eps_schedule:
-            iterations = _newton_at_eps(g, f, p, eps, emf, free_mask, free_idx,
-                                        cfg, iterations)
+            before = iterations
+            iterations, backtracks = _newton_at_eps(g, f, p, eps, emf, lap, cfg,
+                                                    iterations)
+            stages.append((f"{eps:.0e}", iterations - before, backtracks))
             if iterations >= cfg.max_iter:
                 break
             scale = max(p_energy(g, f, p) / t, 1e-12)
@@ -263,31 +328,31 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0,
     if residual > cfg.tol * scale and len(free_idx):
         # near the optimum the energy decrease per step falls below float64
         # resolution, so polish with Newton steps accepted on residual decrease
-        iterations, residual = _polish_residual(g, f, p, cfg.eps_schedule[-1],
-                                                emf, free_idx, cfg, iterations,
-                                                cfg.tol * scale)
+        before = iterations
+        iterations, residual, backtracks = _polish_residual(
+            g, f, p, cfg.eps_schedule[-1], emf, lap, cfg, iterations, cfg.tol * scale)
+        stages.append(("polish", iterations - before, backtracks))
         energy = p_energy(g, f, p)
         scale = max(energy / t, 1e-12)
         if residual > cfg.tol * scale:
-            raise NonConvergence(iterations, residual)
+            raise NonConvergence(iterations, residual, stages=tuple(stages))
     return Potential(values=f, p=p, source_value=t, energy=energy,
                      residual=residual, iterations=iterations, problem=tg)
 
 
 def _polish_residual(g: Graph, f: np.ndarray, p: float, eps: float,
-                     emf: np.ndarray, free_idx: np.ndarray, cfg: SolverConfig,
-                     iterations: int, target: float) -> tuple[int, float]:
+                     emf: np.ndarray, lap: _FreeLaplacian, cfg: SolverConfig,
+                     iterations: int, target: float) -> tuple[int, float, int]:
     eu, ev, _ = g.edges
+    free_idx = lap.free_idx
     residual = _true_residual(g, f, p, free_idx)
+    backtracks = 0
     while iterations < cfg.max_iter and residual > target:
         grad = p * p_laplacian(g, f, p)[free_idx]
         delta = f[eu] - f[ev]
-        d2e2 = delta * delta + eps * eps
-        hw = emf * p * d2e2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * delta * delta
-                                                    + eps * eps)
-        a_ff = _laplacian_blocks(g, hw, free_idx)
+        hw = _newton_weights(emf, p, eps, delta, delta * delta + eps * eps)
         try:
-            d = _solve_spd(a_ff, -grad)
+            d = _solve_spd(lap.matrix(hw), -grad)
         except NonConvergence:
             break
         if not np.all(np.isfinite(d)):
@@ -305,32 +370,32 @@ def _polish_residual(g: Graph, f: np.ndarray, p: float, eps: float,
                 improved = True
                 break
             alpha *= 0.5
+            backtracks += 1
         if not improved:
             break
-    return iterations, residual
+    return iterations, residual, backtracks
 
 
 def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarray,
-                   free_mask: np.ndarray, free_idx: np.ndarray, cfg: SolverConfig,
-                   iterations: int, rounds: int = 80) -> int:
-    """Damped Newton on the eps-regularized energy; mutates f in place."""
+                   lap: _FreeLaplacian, cfg: SolverConfig, iterations: int,
+                   rounds: int = 80) -> tuple[int, int]:
+    """Damped Newton on the eps-regularized energy; mutates f in place.
+
+    Returns the running iteration count and the number of rejected trial
+    steps in this stage.
+    """
     eu, ev, _ = g.edges
+    free_idx = lap.free_idx
+    backtracks = 0
     for _ in range(rounds):
         if iterations >= cfg.max_iter:
             break
-        delta = f[eu] - f[ev]
-        d2e2 = delta * delta + eps * eps
-        grad_edge = emf * p * delta * d2e2 ** ((p - 2.0) / 2.0)
-        grad = np.zeros(g.n)
-        np.add.at(grad, eu, grad_edge)
-        np.add.at(grad, ev, -grad_edge)
-        gfree = grad[free_idx]
-        gnorm = float(np.abs(gfree).max()) if len(gfree) else 0.0
+        delta, d2e2, gfree = _reg_gradient(g, f, p, eps, emf, lap)
+        gnorm = float(np.abs(gfree).max())
         e0 = _reg_energy(delta, emf, p, eps)
         if gnorm <= 1e-14 * max(1.0, e0):
             break
-        hw_newton = emf * p * d2e2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * delta * delta
-                                                           + eps * eps)
+        hw_newton = _newton_weights(emf, p, eps, delta, d2e2)
         if p < 2.0 and gnorm > 1e-2 * (1.0 + e0):
             # far from the optimum the reweighted quadratic majorant
             # (u^(p/2) concave in u = delta^2) guarantees descent; switch to
@@ -340,21 +405,35 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
             weight_choices = (hw_newton,)
         moved = False
         for hw in weight_choices:
-            a_ff = _laplacian_blocks(g, hw, free_idx)
+            newton = hw is hw_newton
             try:
-                d = _solve_spd(a_ff, -gfree)
+                d = _solve_spd(lap.matrix(hw), -gfree)
             except NonConvergence:
                 d = -gfree / max(hw.max(), 1e-30)
+                newton = False
             slope = float(gfree @ d)
             if slope >= 0 or not np.all(np.isfinite(d)):
                 d = -gfree
                 slope = float(gfree @ d)
+                newton = False
             # cap the step so a near-singular model cannot strand the line search
             step_cap = 10.0 * max(1.0, float(np.abs(f).max()))
             dmax = float(np.abs(d).max())
             if dmax > step_cap:
                 d *= step_cap / dmax
                 slope *= step_cap / dmax
+            if newton and -slope <= NEWTON_DECREMENT_FLOOR * max(1.0, e0):
+                # the predicted decrease is below the energy's float64
+                # resolution, where Armijo cannot rank steps: take the full
+                # step if it shrinks the gradient, else end the stage
+                trial = f.copy()
+                trial[free_idx] += d
+                if float(np.abs(_reg_gradient(g, trial, p, eps, emf, lap)[2]).max()) < gnorm:
+                    f[:] = trial
+                    moved = True
+                else:
+                    backtracks += 1
+                break
             alpha = 1.0
             for _bt in range(cfg.max_backtracks):
                 trial = f.copy()
@@ -365,12 +444,13 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
                     moved = True
                     break
                 alpha *= 0.5
+                backtracks += 1
             if moved:
                 break
         iterations += 1
         if not moved:
             break
-    return iterations
+    return iterations, backtracks
 
 
 def p_resistance(tg: TerminalGraph, p: float, cfg: Optional[SolverConfig] = None) -> FlowResult:
@@ -417,29 +497,39 @@ def max_resistance(g: Graph, p: float, transitive: bool = False,
     """Maximum p-resistance between two vertices, with an argmax pair.
 
     With ``transitive`` one endpoint is fixed at vertex 0, which is exact on
-    vertex-transitive graphs and halves (here: linearizes) the work.
+    vertex-transitive graphs and halves (here: linearizes) the work.  At
+    p=2 every resistance comes from one dense Cholesky inverse, and the
+    pair returned is the first, in scan order, within 1e-12 (relative) of
+    the maximum.
     """
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
     if p == 2.0:
         if g.n > p2_cap:
             raise SizeCapExceeded(f"{g.n} vertices exceeds p=2 cap {p2_cap}")
-        lap = np.zeros((g.n, g.n))
+        # M = (L + J/n)^-1 = L^+ + J/n on a connected graph, and the J/n
+        # terms cancel in R(u, v) = M_uu + M_vv - 2 M_uv
         eu, ev, em = g.edges
-        for u, v, m in zip(eu, ev, em):
-            lap[u, u] += m
-            lap[v, v] += m
-            lap[u, v] -= m
-            lap[v, u] -= m
-        lp = np.linalg.pinv(lap, hermitian=True)
-        d = np.diag(lp)
-        r = d[:, None] + d[None, :] - 2 * lp
+        lap = np.full((g.n, g.n), 1.0 / g.n)
+        lap[eu, ev] -= em
+        lap[ev, eu] -= em
+        lap[np.diag_indices(g.n)] += g.degree
+        try:
+            m = sla.cho_solve(sla.cho_factor(lap, overwrite_a=True), np.eye(g.n),
+                              overwrite_b=True)
+        except np.linalg.LinAlgError as exc:
+            raise DisconnectedTerminals("graph is not connected") from exc
+        d = np.diag(m)
         if transitive:
-            v = int(np.argmax(r[0, 1:])) + 1
-            return float(r[0, v]), (0, v)
-        iu = np.triu_indices(g.n, k=1)
-        k = int(np.argmax(r[iu]))
-        return float(r[iu][k]), (int(iu[0][k]), int(iu[1][k]))
+            r = (d[0] + d - 2 * m[0])[1:]
+            pairs = (np.zeros(g.n - 1, dtype=np.int64), np.arange(1, g.n))
+        else:
+            pairs = np.triu_indices(g.n, k=1)
+            r = (d[:, None] + d[None, :] - 2 * m)[pairs]
+        # the first pair within rounding of the maximum, so that symmetric
+        # ties do not pick a pair by the factorization's last bits
+        k = int(np.argmax(r >= r.max() * (1 - 1e-12)))
+        return float(r[k]), (int(pairs[0][k]), int(pairs[1][k]))
     if g.n > pair_cap:
         raise SizeCapExceeded(f"{g.n} vertices exceeds cap {pair_cap} for p={p}")
     best, best_pair = -1.0, (0, 1)

@@ -44,9 +44,18 @@ class DisconnectedTerminals(VtresError):
 
 
 class NonConvergence(VtresError):
-    def __init__(self, iterations: int, residual: float, message: str = ""):
+    """A solve that stopped short of its tolerance.
+
+    ``stages`` lists, for a general-p Newton solve, one (stage, Newton
+    steps, rejected trial steps) triple per eps stage run, then "polish";
+    it is empty for other solves.
+    """
+
+    def __init__(self, iterations: int, residual: float, message: str = "",
+                 stages: tuple[tuple[str, int, int], ...] = ()):
         self.iterations = iterations
         self.residual = residual
+        self.stages = stages
         super().__init__(
             message or f"solver did not converge after {iterations} iterations "
                        f"(residual {residual:.3e})"

@@ -350,17 +350,17 @@ def validate_graph(g: Graph) -> None:
 
 
 def bfs_layers(g: Graph, sources: Iterable[int],
-               banned_edges: Optional[set[tuple[int, int]]] = None) -> np.ndarray:
+               banned_edges: Optional[np.ndarray] = None) -> np.ndarray:
     """Distances from a source set; -1 marks unreachable vertices.
 
-    ``banned_edges`` is a set of normalized (min, max) pairs treated as
-    deleted, used by cutset-separation checks.
+    ``banned_edges`` is a (k, 2) array of normalized (min, max) pairs
+    treated as deleted, used by cutset-separation checks.
     """
     dist = np.full(g.n, -1, dtype=np.int64)
     frontier = np.unique(np.fromiter(sources, dtype=np.int64))
     blocked = None
-    if banned_edges and g.nbr.size:
-        pairs = np.array(list(banned_edges), dtype=np.int64).reshape(-1, 2)
+    if banned_edges is not None and len(banned_edges) and g.nbr.size:
+        pairs = np.asarray(banned_edges, dtype=np.int64).reshape(-1, 2)
         # slot keys u*n+v ascend: rows ascend and each row's neighbours are sorted
         keys = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.nbr
         q = np.concatenate([pairs @ [g.n, 1], pairs @ [1, g.n]])

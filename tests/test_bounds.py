@@ -47,7 +47,7 @@ from vtres.errors import (
     ProfileUnavailable,
     SizeCapExceeded,
 )
-from vtres.graphs import from_edge_list
+from vtres.graphs import bfs_layers, from_edge_list
 
 from conftest import random_small_spec, series_graph
 
@@ -113,6 +113,130 @@ def test_cutset_validation_rejects_nonseparating():
                        source=fam.source, ground=fam.ground)
     with pytest.raises(InvalidCutsets):
         validate_cutsets(bad)
+
+
+def _ring_family(cutsets):
+    b = build_ball(spec_cycle(12), 4)
+    fam = sphere_cutsets(b, 3)
+    return fam, CutsetFamily(cutsets=cutsets(fam.cutsets), sizes=fam.sizes,
+                             graph=fam.graph, source=fam.source, ground=fam.ground)
+
+
+def test_cutset_validation_rejects_missing_edge():
+    # vertices 0 and 5 of the ring ball are not adjacent
+    _, bad = _ring_family(lambda cs: (cs[0] + ((0, 5, 1),),) + cs[1:])
+    with pytest.raises(InvalidCutsets, match="not present"):
+        validate_cutsets(bad)
+
+
+def test_cutset_validation_rejects_multiplicity_mismatch():
+    def bump(cs):
+        u, v, m = cs[1][0]
+        return (cs[0], ((u, v, m + 1),) + cs[1][1:]) + cs[2:]
+    _, bad = _ring_family(bump)
+    with pytest.raises(InvalidCutsets, match="multiplicity mismatch"):
+        validate_cutsets(bad)
+
+
+def test_cutset_validation_rejects_repeat_inside_cutset():
+    _, bad = _ring_family(lambda cs: (cs[0], cs[1] + cs[1][:1]) + cs[2:])
+    with pytest.raises(InvalidCutsets, match="repeated inside a cutset"):
+        validate_cutsets(bad)
+
+
+def _validate_cutsets_loop(family):
+    """Edge-by-edge reference for validate_cutsets: its message, or None."""
+    seen = set()
+    eu, ev, em = family.graph.edges
+    adj = {(int(u), int(v)): int(m) for u, v, m in zip(eu, ev, em)}
+    for cutset in family.cutsets:
+        pairs = set()
+        for u, v, m in cutset:
+            key = (min(u, v), max(u, v))
+            if key not in adj:
+                return f"edge {key} not present in the graph"
+            if m != adj[key]:
+                return f"edge {key} multiplicity mismatch"
+            if key in pairs:
+                return f"edge {key} repeated inside a cutset"
+            pairs.add(key)
+        if pairs & seen:
+            return "cutsets are not pairwise disjoint"
+        seen |= pairs
+        dist = bfs_layers(family.graph, family.source,
+                          banned_edges=np.array(sorted(pairs)).reshape(-1, 2))
+        if any(dist[g] >= 0 for g in family.ground):
+            return "a cutset fails to separate source from ground"
+    return None
+
+
+def test_validate_cutsets_matches_loop_reference():
+    b = build_ball(spec_lattice(2), 5)
+    fam = sphere_cutsets(b, 4)
+    eu, ev, em = b.base.edges
+    rng = np.random.Generator(np.random.Philox(key=[33, 0]))
+    seen_kinds = set()
+    for trial in range(120):
+        cs = [list(c) for c in fam.cutsets]
+        for _ in range(int(rng.integers(0, 3))):
+            i = int(rng.integers(0, len(cs)))
+            j = int(rng.integers(0, len(cs[i])))
+            u, v, m = cs[i][j]
+            kind = int(rng.integers(0, 7))
+            if kind == 0:      # an edge of the graph that is not in any cutset
+                k = int(rng.integers(0, len(eu)))
+                cs[i].append((int(eu[k]), int(ev[k]), int(em[k])))
+            elif kind == 1:    # a pair that is not an edge
+                cs[i].insert(j, (u, u + 1000, 1))
+            elif kind == 2:
+                cs[i][j] = (u, v, m + 1)
+            elif kind == 3:
+                cs[i].append(cs[i][j])
+            elif kind == 4:    # the same edge in two cutsets
+                cs[(i + 1) % len(cs)].append((v, u, m))
+            elif kind == 5:
+                del cs[i][j]
+            else:              # reversed orientation is the same edge
+                cs[i][j] = (v, u, m)
+        bad = CutsetFamily(cutsets=tuple(tuple(c) for c in cs), sizes=fam.sizes,
+                           graph=fam.graph, source=fam.source, ground=fam.ground)
+        want = _validate_cutsets_loop(bad)
+        seen_kinds.add(want and want.rsplit(") ", 1)[-1])
+        if want is None:
+            validate_cutsets(bad)
+        else:
+            with pytest.raises(InvalidCutsets) as info:
+                validate_cutsets(bad)
+            assert str(info.value) == want, trial
+    assert len(seen_kinds) == 6
+
+
+def _sphere_cutsets_loop(ball, r):
+    """Vertex-by-vertex reference for sphere_cutsets' edge lists."""
+    out = []
+    for i in range(r):
+        edges = []
+        for u in ball.sphere_ids(i):
+            nb, mu = ball.base.neighbors(int(u))
+            up = ball.layer[nb] == i + 1
+            edges += [(int(u), int(v), int(m)) for v, m in zip(nb[up], mu[up])]
+        out.append(tuple(edges))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (spec_cycle(12), 4), (spec_lattice(2), 6), (spec_lattice(3), 3),
+    (spec_torus(5, 6), 4), (spec_z_times_torus(3), 5), (spec_cyclic_chords(15, 3), 3),
+])
+def test_sphere_cutsets_match_loop_reference(spec, radius):
+    b = build_ball(spec, radius)
+    r = min(radius, b.radius)
+    fam = sphere_cutsets(b, r)
+    ref = _sphere_cutsets_loop(b, r)
+    assert fam.cutsets == ref
+    assert fam.sizes == tuple(float(sum(m for _, _, m in c)) for c in ref)
+    assert fam.ground == tuple(int(v) for v in b.sphere_ids(r))
+    assert all(type(x) is int for c in fam.cutsets for e in c for x in e)
 
 
 def test_nash_williams_random_instances():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from vtres import (
 from vtres.errors import (
     DimensionMismatch,
     DisconnectedTerminals,
+    NonConvergence,
     SizeCapExceeded,
 )
 from vtres.graphs import from_edge_list
@@ -247,3 +250,63 @@ def test_stokes_identity_random(seed, p):
     size = int(rng.integers(1, b.base.n - 1))
     ids = rng.choice(b.base.n, size=size, replace=False)
     assert stokes_check(b.base, f, p, ids) <= 1e-9
+
+
+# R_p(x <-> S(x, r+1)) on Z^2 with box generators, recorded with the solver
+# that preceded the gradient-judged stop rule
+Z2_SEED_RESISTANCE = {
+    (1.2, 10): 0.12502773547195076,
+    (1.5, 10): 0.13291682831126544,
+    (1.5, 20): 0.13335079411038703,
+    (3.0, 10): 1.9861235965268444,
+    (3.0, 20): 3.986569161477556,
+}
+
+
+@pytest.mark.parametrize("p,r", sorted(Z2_SEED_RESISTANCE))
+def test_z2_newton_budget_and_seed_values(p, r):
+    # once the predicted decrease is below float64 resolution the stage ends
+    # on the gradient instead of running out its rounds: 10-26 steps here,
+    # 10-249 before; p=1.2 only has to converge
+    ball = build_ball(spec_lattice(2), r + 1)
+    flow = p_resistance(dirichlet_problem(ball, r, "sphere"), p)
+    want = Z2_SEED_RESISTANCE[p, r]
+    assert abs(flow.resistance - want) <= 1e-9 * want
+    if p != 1.2:
+        assert flow.potential.iterations <= 40
+
+
+def test_nonconvergence_carries_stage_counts():
+    ball = build_ball(spec_lattice(2), 11)
+    with pytest.raises(NonConvergence) as info:
+        p_resistance(dirichlet_problem(ball, 10, "sphere"), 1.5,
+                     SolverConfig(max_iter=6))
+    err = info.value
+    assert err.iterations == 6
+    assert [s for s, _, _ in err.stages] == ["1e-02", "polish"]
+    assert sum(n for _, n, _ in err.stages) == err.iterations
+    assert all(b >= 0 for _, _, b in err.stages)
+
+
+def _box_torus_fourier_resistance(dims):
+    """R_2(0, v) for every v of the box-generated torus, from its spectrum."""
+    offsets = [s for s in itertools.product((-1, 0, 1), repeat=len(dims)) if any(s)]
+    k = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
+    lam = sum(1.0 - np.cos(2 * np.pi * sum(ki * si / n for ki, si, n in zip(k, s, dims)))
+              for s in offsets)
+    inv = np.zeros_like(lam)
+    inv[lam > 1e-12] = 1.0 / lam[lam > 1e-12]
+    green = np.fft.ifftn(inv).real
+    return 2.0 * (green.flat[0] - green)
+
+
+@pytest.mark.parametrize("dims", [(12, 12), (6, 8)])
+@pytest.mark.parametrize("transitive", [False, True])
+def test_max_resistance_p2_matches_fourier(dims, transitive):
+    g = build_cayley_graph(spec_torus(*dims))
+    fourier = _box_torus_fourier_resistance(dims)
+    value, (u, v) = max_resistance(g, 2.0, transitive=transitive)
+    assert abs(value - fourier.max()) <= 1e-10
+    # vertex ids are lexicographic ranks, so R(u, v) = R(0, v - u mod dims)
+    shift = np.mod(np.array(np.unravel_index(v, dims)) - np.unravel_index(u, dims), dims)
+    assert abs(fourier[tuple(shift)] - fourier.max()) <= 1e-10

@@ -223,3 +223,23 @@ def test_cli_repro_var_converse(tmp_path):
                 "--n", "4", "--r", "8,12", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "var_converse.csv").exists()
+
+
+def test_cli_nonconvergence_reports_stage_counts(monkeypatch, capsys, tmp_path):
+    import vtres.manifest
+    from vtres.cli import main
+    from vtres.errors import NonConvergence
+
+    def stalled(*args, **kwargs):
+        raise NonConvergence(9, 1e-3, stages=(("1e-02", 5, 2), ("polish", 4, 7)))
+
+    monkeypatch.setattr(vtres.manifest, "p_resistance", stalled)
+    rc = main(["resist", "--family", "explicit", "--factors", "inf,inf",
+               "--generators", "box", "--p", "1.5", "--r", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err[:2] == ["error.type = NonConvergence",
+                       "error.message = solver did not converge after 9 iterations "
+                       "(residual 1.000e-03)"]
+    assert err[2:] == ["error.iterations = 9",
+                       "error.stage_iterations = 1e-02:5:2, polish:4:7"]
