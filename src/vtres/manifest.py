@@ -283,6 +283,8 @@ def _run_resistance(man: ExperimentManifest, size_cap: int):
 def _run_escape(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     rs = sorted(set(int(r) for r in man.params["r"]))
+    if not rs or rs[0] < 1:
+        raise BadArguments("escape radii must be >= 1")
     trials = int(man.params["trials"])
     seed = int(man.params["seed"])
     ball = build_ball(spec, max(rs), size_cap)

@@ -8,6 +8,12 @@ counter-based RNG, so runs are bit-reproducible across platforms.  Trials
 are split into fixed-size chunks with per-chunk derived keys; chunks are
 reduced in index order, which keeps results deterministic no matter how the
 chunks might be scheduled.
+
+Stream contract, which every seeded table depends on: within a chunk, each
+step draws one uniform u per live walk, in walk order (finished walks drop
+out, the rest keep their order), and a walk at v moves to slot floor(u*deg(v))
+of v's neighbour row, which lists each neighbour ``mult`` times in CSR order.
+All three estimators run the one kernel ``_walk``.
 """
 
 from __future__ import annotations
@@ -52,28 +58,65 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chunk]))
 
 
-def _neighbor_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Padded neighbour table with rows repeated by multiplicity.
+def _walk(g: Graph, start: int, score: np.ndarray, stop: np.ndarray, trials: int,
+          seed: int, step_cap: float = math.inf) -> tuple[np.ndarray, int]:
+    """Run ``trials`` walks from ``start`` until each steps onto a ``stop``
+    vertex or back onto ``start``.
 
-    Row v lists each neighbour of v ``mult`` times, so a uniform slot choice
-    is a multiplicity-weighted uniform step.
+    Returns ``(counts, censored)``: ``counts[k]`` walks ended with k as the
+    largest nonnegative ``score`` of a vertex they stepped onto, and
+    ``censored`` walks were still running after ``step_cap`` steps.
+
+    A walk's state is the first slot ``v*W`` of its vertex's row in the
+    flattened neighbour table of width W.  Per-slot copies of the target's
+    row start, score and stop flag make a step three gathers.  The degree is a
+    scalar when every vertex a walk can step from has the same one (always so
+    on a ball, whose walks stop before the boundary), else it is per walk.
     """
     deg = g.degree
-    width = int(deg.max()) if g.n else 0
+    if deg[start] == 0:
+        raise BadArguments(f"start vertex {start} has no neighbours")
+    width = int(deg.max())
     if g.n * width > _TABLE_CELL_CAP:
         raise BadArguments("graph too large for the walk neighbour table")
-    table = np.zeros((g.n, width), dtype=np.int64)
+    nxt = np.zeros(g.n * width, dtype=np.int64)
     rows = np.repeat(np.arange(g.n), deg)
     rank = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
-    table[rows, rank] = np.repeat(g.nbr, g.mult)
-    return table, deg.astype(np.int64)
-
-
-def _chunk_sizes(trials: int) -> list[int]:
-    sizes = [CHUNK] * (trials // CHUNK)
-    if trials % CHUNK:
-        sizes.append(trials % CHUNK)
-    return sizes
+    nxt[rows * width + rank] = np.repeat(g.nbr, g.mult)
+    top = int(score.max())
+    score_e = score.astype(np.min_scalar_type(top))[nxt]
+    stop_e = stop[nxt] | (nxt == start)
+    movable = deg[~stop | (np.arange(g.n) == start)]
+    regular = movable.min() == movable.max()
+    deg_e = None if regular else deg[nxt]
+    nxt *= width
+    counts = np.zeros(top + 1, dtype=np.int64)
+    censored = 0
+    for chunk, first in enumerate(range(0, trials, CHUNK)):
+        rng = _chunk_rng(seed, chunk)
+        s = np.full(min(CHUNK, trials - first), start * width, dtype=np.int64)
+        best = np.zeros(s.size, dtype=score_e.dtype)
+        d = deg[start] if regular else np.full(s.size, deg[start])
+        steps = 0
+        while s.size and steps < step_cap:
+            u = rng.random(s.size)
+            u *= d
+            e = u.astype(np.int64)
+            e += s
+            s = nxt[e]
+            np.maximum(best, score_e[e], out=best)
+            done = stop_e[e]
+            if not regular:
+                d = deg_e[e]
+            steps += 1
+            if np.count_nonzero(done):
+                counts += np.bincount(best[done], minlength=top + 1)
+                keep = ~done
+                s, best = s[keep], best[keep]
+                if not regular:
+                    d = d[keep]
+        censored += s.size
+    return counts, censored
 
 
 def simulate_escape(ball: BallGraph, r: int, trials: int, seed: int) -> EscapeEstimate:
@@ -82,28 +125,12 @@ def simulate_escape(ball: BallGraph, r: int, trials: int, seed: int) -> EscapeEs
     Walks live on the ball graph; since they are absorbed on layer r, they
     only ever step from vertices whose full ambient neighbourhood the ball
     contains, so the estimate is exact for the ambient graph.  Every walk
-    terminates, hence censored = 0.
+    terminates, hence censored = 0.  The walks and the result are those of
+    ``escape_profile(ball, r, trials, seed)[-1]``.
     """
-    if trials < 1:
-        raise BadArguments("trials must be >= 1")
     if r < 1:
         raise BadArguments("escape radius must be >= 1")
-    if ball.radius < r:
-        raise RadiusTooSmall(f"need ball radius >= {r}, have {ball.radius}")
-    table, deg = _neighbor_table(ball.base)
-    layer = ball.layer
-    center = ball.center
-    hits = 0
-    for chunk, size in enumerate(_chunk_sizes(trials)):
-        rng = _chunk_rng(seed, chunk)
-        pos = np.full(size, center, dtype=np.int64)
-        while len(pos):
-            slot = (rng.random(len(pos)) * deg[pos]).astype(np.int64)
-            pos = table[pos, slot]
-            escaped = layer[pos] >= r
-            hits += int(escaped.sum())
-            pos = pos[~escaped & (pos != center)]
-    return _estimate(hits, trials, seed)
+    return escape_profile(ball, r, trials, seed)[-1]
 
 
 def escape_profile(ball: BallGraph, r_max: int, trials: int, seed: int) -> list[EscapeEstimate]:
@@ -120,24 +147,10 @@ def escape_profile(ball: BallGraph, r_max: int, trials: int, seed: int) -> list[
         raise BadArguments("r_max must be >= 1")
     if ball.radius < r_max:
         raise RadiusTooSmall(f"need ball radius >= {r_max}, have {ball.radius}")
-    table, deg = _neighbor_table(ball.base)
-    layer = ball.layer
-    center = ball.center
-    reach_counts = np.zeros(r_max + 1, dtype=np.int64)  # index by max layer reached
-    for chunk, size in enumerate(_chunk_sizes(trials)):
-        rng = _chunk_rng(seed, chunk)
-        pos = np.full(size, center, dtype=np.int64)
-        maxlayer = np.zeros(size, dtype=np.int64)
-        while len(pos):
-            slot = (rng.random(len(pos)) * deg[pos]).astype(np.int64)
-            pos = table[pos, slot]
-            np.maximum(maxlayer, layer[pos], out=maxlayer)
-            done = (layer[pos] >= r_max) | (pos == center)
-            if done.any():
-                np.add.at(reach_counts, maxlayer[done], 1)
-                pos, maxlayer = pos[~done], maxlayer[~done]
+    counts, _ = _walk(ball.base, ball.center, np.minimum(ball.layer, r_max),
+                      ball.layer >= r_max, trials, seed)
     # walks with max layer >= r escaped S(x, r)
-    tail = np.cumsum(reach_counts[::-1])[::-1]
+    tail = np.cumsum(counts[::-1])[::-1]
     return [_estimate(int(tail[r]), trials, seed) for r in range(1, r_max + 1)]
 
 
@@ -175,22 +188,8 @@ def hit_before_return(g: Graph, x: int, Y, trials: int, seed: int,
         step_cap = 100 * g.n * g.n
     in_y = np.zeros(g.n, dtype=bool)
     in_y[y_ids] = True
-    table, deg = _neighbor_table(g)
-    hits = 0
-    censored = 0
-    for chunk, size in enumerate(_chunk_sizes(trials)):
-        rng = _chunk_rng(seed, chunk)
-        pos = np.full(size, x, dtype=np.int64)
-        for _step in range(step_cap):
-            if not len(pos):
-                break
-            slot = (rng.random(len(pos)) * deg[pos]).astype(np.int64)
-            pos = table[pos, slot]
-            hit = in_y[pos]
-            hits += int(hit.sum())
-            pos = pos[~hit & (pos != x)]
-        censored += len(pos)
+    counts, censored = _walk(g, x, in_y, in_y, trials, seed, step_cap)
     if censored:
         warnings.warn(f"{censored} walks exceeded the step cap and were censored",
                       stacklevel=2)
-    return _estimate(hits, trials - censored, seed, censored=censored)
+    return _estimate(int(counts[1]), trials - censored, seed, censored=censored)

@@ -176,6 +176,19 @@ def test_cli_escape_and_status(tmp_path):
     assert (out / "escape.csv").exists()
 
 
+def test_escape_rejects_radius_below_one(tmp_path):
+    proc = _cli("escape", "--family", "torus_product", "--factors", "20",
+                "--generators", "box", "--r", "0,3", "--trials", "100",
+                "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert "error.type = BadArguments" in proc.stderr
+    assert "status = PASS" not in proc.stdout
+    man = ExperimentManifest("escape", spec_cycle(20),
+                             {"r": [-2, 3], "trials": 100, "seed": 0}, "e", "csv")
+    with pytest.raises(BadArguments):
+        run(man, base_dir=str(tmp_path))
+
+
 def test_cli_emit_manifest_round_trip(tmp_path):
     proc = _cli("escape", "--family", "torus_product", "--factors", "12",
                 "--generators", "box", "--r", "1,2", "--trials", "100",

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from vtres import (
@@ -7,10 +8,14 @@ from vtres import (
     hit_before_return,
     simulate_escape,
     spec_cycle,
+    spec_cyclic_chords,
     spec_lattice,
     spec_line,
+    spec_z_times_torus,
 )
 from vtres.errors import BadArguments, RadiusTooSmall
+from vtres.graphs import from_edge_list
+from vtres.walks import CHUNK, _estimate
 
 from conftest import complete_graph
 
@@ -125,3 +130,129 @@ def test_escape_identity_z3():
     truth = escape_via_resistance(b, 8)
     est = simulate_escape(b, 8, trials=50_000, seed=13)
     assert abs(est.p_hat - truth) <= 4 * est.stderr
+
+
+# --- reference: the per-estimator loops that preceded the shared kernel ---
+
+def _ref_table(g):
+    deg = g.degree
+    table = np.zeros((g.n, int(deg.max())), dtype=np.int64)
+    rows = np.repeat(np.arange(g.n), deg)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    table[rows, rank] = np.repeat(g.nbr, g.mult)
+    return table, deg.astype(np.int64)
+
+
+def _ref_chunks(trials, seed):
+    for chunk, first in enumerate(range(0, trials, CHUNK)):
+        rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chunk]))
+        yield rng, min(CHUNK, trials - first)
+
+
+def _ref_simulate_escape(ball, r, trials, seed):
+    table, deg = _ref_table(ball.base)
+    hits = 0
+    for rng, size in _ref_chunks(trials, seed):
+        pos = np.full(size, ball.center, dtype=np.int64)
+        while len(pos):
+            slot = (rng.random(len(pos)) * deg[pos]).astype(np.int64)
+            pos = table[pos, slot]
+            escaped = ball.layer[pos] >= r
+            hits += int(escaped.sum())
+            pos = pos[~escaped & (pos != ball.center)]
+    return _estimate(hits, trials, seed)
+
+
+def _ref_escape_profile(ball, r_max, trials, seed):
+    table, deg = _ref_table(ball.base)
+    reach_counts = np.zeros(r_max + 1, dtype=np.int64)
+    for rng, size in _ref_chunks(trials, seed):
+        pos = np.full(size, ball.center, dtype=np.int64)
+        maxlayer = np.zeros(size, dtype=np.int64)
+        while len(pos):
+            slot = (rng.random(len(pos)) * deg[pos]).astype(np.int64)
+            pos = table[pos, slot]
+            np.maximum(maxlayer, ball.layer[pos], out=maxlayer)
+            done = (ball.layer[pos] >= r_max) | (pos == ball.center)
+            if done.any():
+                np.add.at(reach_counts, maxlayer[done], 1)
+                pos, maxlayer = pos[~done], maxlayer[~done]
+    tail = np.cumsum(reach_counts[::-1])[::-1]
+    return [_estimate(int(tail[r]), trials, seed) for r in range(1, r_max + 1)]
+
+
+def _ref_hit_before_return(g, x, Y, trials, seed, step_cap):
+    in_y = np.zeros(g.n, dtype=bool)
+    in_y[list(Y)] = True
+    table, deg = _ref_table(g)
+    hits = censored = 0
+    for rng, size in _ref_chunks(trials, seed):
+        pos = np.full(size, x, dtype=np.int64)
+        for _step in range(step_cap):
+            if not len(pos):
+                break
+            slot = (rng.random(len(pos)) * deg[pos]).astype(np.int64)
+            pos = table[pos, slot]
+            hit = in_y[pos]
+            hits += int(hit.sum())
+            pos = pos[~hit & (pos != x)]
+        censored += len(pos)
+    return _estimate(hits, trials - censored, seed, censored=censored)
+
+
+@pytest.mark.parametrize("spec, radius, r, trials, seed", [
+    (spec_lattice(2), 6, 6, 40_000, 21),
+    (spec_lattice(2), 9, 5, 20_000, 22),          # ball wider than r
+    (spec_lattice(3), 5, 5, 20_000, 23),
+    (spec_cycle(20), 7, 7, 20_000, 24),
+    (spec_cyclic_chords(24, 2), 5, 4, 20_000, 25),
+    (spec_z_times_torus(5, 5), 6, 6, 20_000, 26),
+    (spec_line(), 130, 130, 2_000, 27),           # scores past int8
+])
+def test_escape_matches_loop_reference(spec, radius, r, trials, seed):
+    b = build_ball(spec, radius)
+    assert escape_profile(b, r, trials, seed) == _ref_escape_profile(b, r, trials, seed)
+    assert simulate_escape(b, r, trials, seed) == _ref_simulate_escape(b, r, trials, seed)
+
+
+def _irregular_graph():
+    # degrees 3, 4, 4, 5, 2, with multiplicities above one
+    return from_edge_list(5, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 4, 1),
+                              (0, 4, 1), (1, 3, 1)])
+
+
+@pytest.mark.parametrize("case, x, Y, step_cap", [
+    ("c8", 0, [4], 100 * 64),
+    ("c8", 0, [4], 2),
+    ("c8", 3, [0, 5], 100 * 64),
+    ("k4", 0, [1], 100 * 16),
+    ("irregular", 0, [3], 100 * 25),
+    ("irregular", 4, [1, 2], 3),
+])
+def test_hit_before_return_matches_loop_reference(c8, case, x, Y, step_cap):
+    g = {"c8": c8, "k4": complete_graph(4), "irregular": _irregular_graph()}[case]
+    want = _ref_hit_before_return(g, x, Y, 30_000, 31, step_cap)
+    if want.censored:
+        with pytest.warns(UserWarning):
+            got = hit_before_return(g, x, Y, 30_000, 31, step_cap=step_cap)
+    else:
+        got = hit_before_return(g, x, Y, 30_000, 31, step_cap=step_cap)
+    assert got == want
+
+
+def test_escape_profile_stream_is_pinned():
+    # hit counts recorded with the per-estimator loops; any change to the
+    # draw order or the slot rule of the walk stream changes them
+    prof = escape_profile(build_ball(spec_lattice(2), 8), 8, 50_000, 3)
+    assert [round(e.p_hat * e.trials) for e in prof] == [
+        50000, 39863, 35232, 32493, 30676, 29240, 28174, 27256]
+    prof = escape_profile(build_ball(spec_line(), 130), 130, 20_000, 4)
+    hits = [round(e.p_hat * e.trials) for e in prof]
+    assert hits[:5] == [20000, 10043, 6675, 5023, 4025]
+    assert hits[125:] == [167, 165, 165, 165, 163]
+
+
+def test_hit_before_return_rejects_isolated_start():
+    g = from_edge_list(4, [(0, 1, 1), (1, 3, 1)])
+    with pytest.raises(BadArguments):
+        hit_before_return(g, 2, [3], 1000, 1)
