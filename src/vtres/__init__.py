@@ -19,6 +19,7 @@ from .energy import (
     FlowResult,
     Potential,
     SolverConfig,
+    cayley_resistances,
     max_resistance,
     p_energy,
     p_laplacian,
@@ -31,6 +32,7 @@ from .errors import VtresError
 from .graphs import (
     INFINITE,
     BallGraph,
+    CayleyGraph,
     Graph,
     GraphSpec,
     GrowthProfile,

@@ -23,7 +23,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import NonConvergence, VtresError
+from .errors import BadArguments, NonConvergence, VtresError
 from .graphs import DEFAULT_SIZE_CAP, GraphSpec
 from .manifest import ExperimentManifest, emit_manifest, parse_manifest, run
 from .textspec import generators_from_value, parse_graphspec
@@ -42,18 +42,20 @@ def _env_default(name: str, fallback):
 
 def _parse_int_list(text: str) -> list[int]:
     out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ":" in part:
-            a, b = part.split(":")
-            out.extend(range(int(a), int(b) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            a, colon, b = part.partition(":")
+            out.extend(range(int(a), int(b if colon else a) + 1))
+    except ValueError:
+        raise BadArguments(f"expected integers or a:b ranges, got {text!r}") from None
     return out
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise BadArguments(f"expected a comma list of numbers, got {text!r}") from None
 
 
 def _spec_from_args(args) -> GraphSpec:
@@ -62,8 +64,11 @@ def _spec_from_args(args) -> GraphSpec:
             return parse_graphspec(fh.read())
     if not (args.family and args.factors and args.generators):
         raise VtresError("give --spec FILE or all of --family/--factors/--generators")
-    factors = tuple(None if f.strip() == "inf" else int(f)
-                    for f in args.factors.split(","))
+    try:
+        factors = tuple(None if f.strip() == "inf" else int(f)
+                        for f in args.factors.split(","))
+    except ValueError:
+        raise BadArguments(f"expected moduli or 'inf', got {args.factors!r}") from None
     gens = generators_from_value(args.generators, len(factors))
     return GraphSpec(family=args.family, factors=factors, generators=gens,
                      radius=args.radius)
@@ -119,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(r)
     r.add_argument("--p", required=True, help="comma list of exponents")
     r.add_argument("--r", help="comma list or a:b range of radii (ball mode)")
-    r.add_argument("--no-transitive", action="store_true",
-                   help="search all vertex pairs instead of fixing one endpoint")
 
     e = sp.add_parser("escape", parents=[common],
                       help="Monte Carlo escape probabilities")
@@ -191,8 +194,6 @@ def _manifest_from_args(args) -> ExperimentManifest:
         params: dict = {"p": _parse_float_list(args.p)}
         if args.r:
             params["r"] = _parse_int_list(args.r)
-        if args.no_transitive:
-            params["transitive"] = 0
         return ExperimentManifest("resistance", _spec_from_args(args), params, out, fmt)
     if args.command == "escape":
         params = {"r": _parse_int_list(args.r), "trials": args.trials,

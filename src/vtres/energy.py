@@ -33,11 +33,12 @@ final residual test rejects.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -48,7 +49,7 @@ from .errors import (
     NonConvergence,
     SizeCapExceeded,
 )
-from .graphs import Graph, TerminalGraph, bfs_layers, collapse_terminals
+from .graphs import CayleyGraph, Graph, TerminalGraph, bfs_layers, collapse_terminals
 
 DIRECT_SOLVE_LIMIT = 6000  # above this, p=2 falls back to preconditioned CG
 # relative float64 resolution of the regularized energy: a Newton step whose
@@ -87,15 +88,13 @@ def p_laplacian(g: Graph, f: np.ndarray, p: float) -> np.ndarray:
 def stokes_check(g: Graph, f: np.ndarray, p: float, A) -> float:
     """|sum_A Delta_p f  -  sum over boundary edges of the outward p-current|."""
     f = np.asarray(f, dtype=float)
-    ids = sorted(set(int(a) for a in A))
-    lhs = float(p_laplacian(g, f, p)[ids].sum())
     in_a = np.zeros(g.n, dtype=bool)
-    in_a[ids] = True
-    rhs = 0.0
-    for u in ids:
-        nb, mu = g.neighbors(u)
-        outside = ~in_a[nb]
-        rhs += float(np.sum(mu[outside] * signed_power(f[u] - f[nb[outside]], p - 1)))
+    in_a[np.asarray(list(A), dtype=np.int64)] = True
+    lhs = float(p_laplacian(g, f, p)[in_a].sum())
+    eu, ev, em = g.edges
+    # +1 on edges leaving A at u, -1 on edges leaving it at v, 0 on the rest
+    outward = in_a[eu].astype(np.int64) - in_a[ev]
+    rhs = float(np.sum(outward * em * signed_power(f[eu] - f[ev], p - 1)))
     return abs(lhs - rhs)
 
 
@@ -491,50 +490,51 @@ def pair_resistance(g: Graph, u: int, v: int, p: float,
     return p_resistance(tg, p, cfg)
 
 
-def max_resistance(g: Graph, p: float, transitive: bool = False,
-                   pair_cap: int = 200, p2_cap: int = 2000,
+def cayley_resistances(g: CayleyGraph) -> np.ndarray:
+    """R_2(0, v) for every vertex v of a finite abelian Cayley graph.
+
+    Character k is a Laplacian eigenvector with eigenvalue lambda(k) =
+    sum over s in S of 2 sin^2(pi theta), theta = sum_i k_i s_i / n_i, taken
+    exactly over lcm(n_i) and folded into [-1/2, 1/2] so that the small
+    eigenvalues keep full precision (1 - cos would lose about 1e-4 at the
+    maximum of a 5M-cycle).  With lambda(0) = inf and G = ifftn(1/lambda),
+    R_2(0, v) = 2 (G(0) - G(v)).
+    """
+    den = math.lcm(*g.dims)
+    k = np.ix_(*[np.arange(n, dtype=np.int64) for n in g.dims])
+    lam = np.zeros(g.dims)
+    for s in g.offsets:
+        num = sum(ki * si % n * (den // n) for ki, si, n in zip(k, s, g.dims)) % den
+        num[2 * num > den] -= den
+        lam += 2.0 * np.sin(np.pi * num / den) ** 2
+    lam.flat[0] = np.inf
+    green = np.fft.ifftn(1.0 / lam).real.reshape(-1)
+    return 2.0 * (green[0] - green)
+
+
+def max_resistance(g: Graph, p: float, pair_cap: int = 200,
                    cfg: Optional[SolverConfig] = None) -> tuple[float, tuple[int, int]]:
     """Maximum p-resistance between two vertices, with an argmax pair.
 
-    With ``transitive`` one endpoint is fixed at vertex 0, which is exact on
-    vertex-transitive graphs and halves (here: linearizes) the work.  At
-    p=2 every resistance comes from one dense Cholesky inverse, and the
-    pair returned is the first, in scan order, within 1e-12 (relative) of
-    the maximum.
+    On a ``CayleyGraph`` at p=2 every R_2(0, v) comes from the spectrum
+    (``cayley_resistances``), and the pair is (0, v) for the first v within
+    1e-12 (relative) of the maximum.  At other p a ``CayleyGraph``, being
+    vertex-transitive, needs pair solves from vertex 0 only, and any other
+    ``Graph`` one per vertex pair; both take at most ``pair_cap`` vertices
+    and keep the first pair that beats all earlier ones by over 1e-15.
     """
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
-    if p == 2.0:
-        if g.n > p2_cap:
-            raise SizeCapExceeded(f"{g.n} vertices exceeds p=2 cap {p2_cap}")
-        # M = (L + J/n)^-1 = L^+ + J/n on a connected graph, and the J/n
-        # terms cancel in R(u, v) = M_uu + M_vv - 2 M_uv
-        eu, ev, em = g.edges
-        lap = np.full((g.n, g.n), 1.0 / g.n)
-        lap[eu, ev] -= em
-        lap[ev, eu] -= em
-        lap[np.diag_indices(g.n)] += g.degree
-        try:
-            m = sla.cho_solve(sla.cho_factor(lap, overwrite_a=True), np.eye(g.n),
-                              overwrite_b=True)
-        except np.linalg.LinAlgError as exc:
-            raise DisconnectedTerminals("graph is not connected") from exc
-        d = np.diag(m)
-        if transitive:
-            r = (d[0] + d - 2 * m[0])[1:]
-            pairs = (np.zeros(g.n - 1, dtype=np.int64), np.arange(1, g.n))
-        else:
-            pairs = np.triu_indices(g.n, k=1)
-            r = (d[:, None] + d[None, :] - 2 * m)[pairs]
-        # the first pair within rounding of the maximum, so that symmetric
-        # ties do not pick a pair by the factorization's last bits
-        k = int(np.argmax(r >= r.max() * (1 - 1e-12)))
-        return float(r[k]), (int(pairs[0][k]), int(pairs[1][k]))
+    cayley = isinstance(g, CayleyGraph)
+    if cayley and p == 2.0:
+        r = cayley_resistances(g)
+        v = int(np.argmax(r >= r.max() * (1 - 1e-12)))
+        return float(r[v]), (0, v)
     if g.n > pair_cap:
         raise SizeCapExceeded(f"{g.n} vertices exceeds cap {pair_cap} for p={p}")
     best, best_pair = -1.0, (0, 1)
-    pairs = (((0, v) for v in range(1, g.n)) if transitive
-             else ((u, v) for u in range(g.n) for v in range(u + 1, g.n)))
+    pairs = (((0, v) for v in range(1, g.n)) if cayley
+             else itertools.combinations(range(g.n), 2))
     for u, v in pairs:
         r = pair_resistance(g, u, v, p, cfg).resistance
         if r > best + 1e-15:

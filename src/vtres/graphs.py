@@ -19,13 +19,15 @@ collapsing is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     BadArguments,
@@ -112,10 +114,6 @@ def _canonical(offset: Sequence[int], factors: Sequence[Optional[int]]) -> tuple
     return tuple(x if m is None else x % m for x, m in zip(offset, factors))
 
 
-def _negate(offset: Sequence[int], factors: Sequence[Optional[int]]) -> tuple[int, ...]:
-    return tuple(-x if m is None else (-x) % m for x, m in zip(offset, factors))
-
-
 def spec_offsets(spec: GraphSpec) -> tuple[tuple[int, ...], ...]:
     """Canonical sorted generating set of ``spec`` as group-element offsets.
 
@@ -133,19 +131,13 @@ def spec_offsets(spec: GraphSpec) -> tuple[tuple[int, ...], ...]:
             if any(i < 0 or i >= d for i in idxs):
                 raise BadArguments(f"box atom index out of range: {atom}")
             ranges = [(-1, 0, 1) if i in idxs else (0,) for i in range(d)]
-            stack = [()]
-            for r in ranges:
-                stack = [t + (v,) for t in stack for v in r]
-            offs.update(_canonical(t, factors) for t in stack)
+            offs.update(_canonical(t, factors) for t in itertools.product(*ranges))
         elif kind == "full":
             i = atom[1]
             if i < 0 or i >= d or factors[i] is None:
                 raise BadArguments(f"full atom needs a finite factor index: {atom}")
-            base = [0] * d
-            for v in range(1, factors[i]):
-                t = list(base)
-                t[i] = v
-                offs.add(tuple(t))
+            offs.update(tuple(v if j == i else 0 for j in range(d))
+                        for v in range(1, factors[i]))
         elif kind == "chords":
             k = atom[1]
             if d != 1 or factors[0] is None:
@@ -162,10 +154,7 @@ def spec_offsets(spec: GraphSpec) -> tuple[tuple[int, ...], ...]:
                 raise BadArguments(f"boxfull atom has bad box indices: {atom}")
             ranges = [(-1, 0, 1) if i in idxs else (0,) for i in range(d)]
             ranges[f] = tuple(range(factors[f]))
-            stack = [()]
-            for r in ranges:
-                stack = [t + (v,) for t in stack for v in r]
-            offs.update(_canonical(t, factors) for t in stack)
+            offs.update(_canonical(t, factors) for t in itertools.product(*ranges))
         elif kind == "explicit":
             for t in atom[1]:
                 if len(t) != d:
@@ -175,7 +164,7 @@ def spec_offsets(spec: GraphSpec) -> tuple[tuple[int, ...], ...]:
             raise BadArguments(f"unknown generator atom {atom!r}")
     offs.discard(tuple(0 for _ in range(d)))
     for t in offs:
-        if _negate(t, factors) not in offs:
+        if _canonical(tuple(-x for x in t), factors) not in offs:
             raise BadArguments(f"generating set is not symmetric: missing -{t}")
     return tuple(sorted(offs))
 
@@ -385,7 +374,16 @@ def bfs_layers(g: Graph, sources: Iterable[int],
 # Cayley graph and ball construction
 # ---------------------------------------------------------------------------
 
-def build_cayley_graph(spec: GraphSpec, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+@dataclass(frozen=True, eq=False)
+class CayleyGraph(Graph):
+    """Finite Cayley graph of the group Z_{dims[0]} x ... with generating set
+    ``offsets``; vertex v is the group element of C-order rank v in ``dims``."""
+
+    dims: tuple[int, ...]
+    offsets: tuple[tuple[int, ...], ...]
+
+
+def build_cayley_graph(spec: GraphSpec, size_cap: int = DEFAULT_SIZE_CAP) -> CayleyGraph:
     """Finite Cayley graph of ``spec``; vertex ids are lexicographic tuple ranks."""
     if not spec.is_finite:
         raise InfiniteFactorPresent("build_cayley_graph needs all factors finite")
@@ -395,15 +393,19 @@ def build_cayley_graph(spec: GraphSpec, size_cap: int = DEFAULT_SIZE_CAP) -> Gra
         raise SizeCapExceeded(f"{n} vertices exceeds cap {size_cap}")
     offsets = spec_offsets(spec)
     deg = len(offsets)
-    coords = np.stack(np.unravel_index(np.arange(n), dims), axis=1)
+    coords = np.unravel_index(np.arange(n), dims)
     nbrs = np.empty((n, deg), dtype=np.int64)
     for j, s in enumerate(offsets):
-        shifted = (coords + np.asarray(s, dtype=np.int64)) % np.asarray(dims, dtype=np.int64)
-        nbrs[:, j] = np.ravel_multi_index(tuple(shifted.T), dims)
+        nbrs[:, j] = np.ravel_multi_index([c + x for c, x in zip(coords, s)], dims, mode="wrap")
     nbrs.sort(axis=1)
     indptr = np.arange(0, (n + 1) * deg, deg, dtype=np.int64)
-    g = Graph(n, indptr, nbrs.reshape(-1).copy(), np.ones(n * deg, dtype=np.int64))
-    if int((bfs_layers(g, [0]) >= 0).sum()) != n:
+    g = CayleyGraph(n, indptr, nbrs.reshape(-1), np.ones(n * deg, dtype=np.int64),
+                    dims, offsets)
+    # one pass in C where a BFS takes diameter-many rounds (half a million on
+    # a 10^6-cycle); S = -S, so the strong components are the connected ones,
+    # and float64 data spares csgraph a copy
+    adj = sp.csr_matrix((np.ones(n * deg), g.nbr, g.indptr), shape=(n, n))
+    if sp.csgraph.connected_components(adj, connection="strong", return_labels=False) != 1:
         raise DisconnectedGeneratingSet(f"generators do not generate the group: {spec}")
     return g
 
@@ -578,23 +580,15 @@ def boundary(g: Graph, A: Iterable[int]) -> BoundaryInfo:
 # Two-terminal problems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TerminalGraph:
-    """A Graph with a designated source and ground vertex."""
+    """A Graph with a designated source and ground vertex; the label is not
+    part of its identity."""
 
     graph: Graph
     source: int
     ground: int
-    label: str = ""
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TerminalGraph):
-            return NotImplemented
-        return (self.graph == other.graph and self.source == other.source
-                and self.ground == other.ground)
-
-    def __hash__(self):
-        return hash((self.graph, self.source, self.ground))
+    label: str = field(default="", compare=False)
 
 
 def dirichlet_problem(ball: BallGraph, r: int, mode: str = "sphere") -> TerminalGraph:

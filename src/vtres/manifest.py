@@ -47,7 +47,7 @@ EXPERIMENTS = ("resistance", "escape", "growth", "isoperimetry", "sandwich",
 # experiment -> {param: (type, required)}; unknown keys are rejected
 _PARAM_SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
     "resistance": {"p": ("float_list", True), "r": ("int_list", False),
-                   "transitive": ("int", False), "dump_potential": ("int", False)},
+                   "dump_potential": ("int", False)},
     "escape": {"r": ("int_list", True), "trials": ("int", True), "seed": ("int", True)},
     "growth": {},
     "isoperimetry": {"max_n": ("int", False)},
@@ -106,7 +106,7 @@ def _check_type(key: str, value, typ: str) -> None:
 
 
 _PARAM_ORDER = ("p", "r", "r_min", "r_max", "n", "n2", "n3", "nlin", "d", "k",
-                "eps", "trials", "seed", "max_n", "transitive", "dump_potential")
+                "eps", "trials", "seed", "max_n", "dump_potential")
 
 
 def manifest_items(man: ExperimentManifest) -> list[tuple[str, object]]:
@@ -254,11 +254,12 @@ def flow_items(flow) -> list[tuple[str, object]]:
 def _run_resistance(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     ps = [float(p) for p in man.params["p"]]
-    reports: list = []
     extra_docs: list[tuple[str, str]] = []
     dump = bool(man.params.get("dump_potential", 0))
     if "r" in man.params:
         rs = sorted(set(int(r) for r in man.params["r"]))
+        if not rs:
+            raise BadArguments("resistance radii list is empty")
         ball = build_ball(spec, max(rs) + 1, size_cap)
         rows = []
         for p in ps:
@@ -271,13 +272,12 @@ def _run_resistance(man: ExperimentManifest, size_cap: int):
         table = Table("resistance", ["p", "r", "beta_r", "resistance"], rows)
     else:
         g = build_cayley_graph(spec, size_cap)
-        transitive = bool(man.params.get("transitive", 1))
         rows = []
         for p in ps:
-            value, (u, v) = max_resistance(g, p, transitive=transitive)
+            value, (u, v) = max_resistance(g, p)
             rows.append((p, value, u, v))
         table = Table("resistance", ["p", "max_resistance", "argmax_u", "argmax_v"], rows)
-    return [table], reports, {}, extra_docs
+    return [table], [], {}, extra_docs
 
 
 def _run_escape(man: ExperimentManifest, size_cap: int):
@@ -459,8 +459,8 @@ def _run_var_converse(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     n = int(man.params["n"])
     rs = sorted(set(int(r) for r in man.params["r"]))
-    if rs[0] <= n:
-        raise BadArguments("need every r > n")
+    if not rs or rs[0] <= n:
+        raise BadArguments("need a nonempty list of radii, every r > n")
     ball = build_ball(spec, max(rs), size_cap)
     deg = spec.ambient_degree()
     beta_n = ball.beta(n)

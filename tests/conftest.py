@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,18 @@ def random_small_spec(rng: np.random.Generator) -> GraphSpec:
         k = int(rng.integers(2, max(3, (n - 1) // 2)))
         return spec_cyclic_chords(n, min(k, (n - 1) // 2))
     return spec_z_times_torus(int(rng.integers(2, 5)))
+
+
+def box_torus_fourier_resistance(dims):
+    """R_2(0, v) for every v of the box-generated torus, from its spectrum."""
+    offsets = [s for s in itertools.product((-1, 0, 1), repeat=len(dims)) if any(s)]
+    k = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
+    lam = sum(1.0 - np.cos(2 * np.pi * sum(ki * si / n for ki, si, n in zip(k, s, dims)))
+              for s in offsets)
+    inv = np.zeros_like(lam)
+    inv[lam > 1e-12] = 1.0 / lam[lam > 1e-12]
+    green = np.fft.ifftn(inv).real
+    return 2.0 * (green.flat[0] - green)
 
 
 @pytest.fixture(scope="session")

@@ -300,7 +300,7 @@ def test_chord_family_resistance_formula_tracks_exact():
         ratios = []
         for n in (12, 16, 20):
             g = build_cayley_graph(spec_cyclic_chords(n, 3))
-            exact, _ = max_resistance(g, p, transitive=True)
+            exact, _ = max_resistance(g, p)
             formula = 1 / 3 + n ** (p - 1) / 3 ** (p + 1)
             ratios.append(exact / formula)
         assert max(ratios) / min(ratios) < 1.5

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +7,7 @@ from vtres import (
     SolverConfig,
     build_ball,
     build_cayley_graph,
+    cayley_resistances,
     collapse_terminals,
     dirichlet_problem,
     max_resistance,
@@ -17,6 +16,9 @@ from vtres import (
     p_resistance,
     pair_resistance,
     solve_potential,
+    spec_cycle,
+    spec_cyclic_chords,
+    spec_explicit,
     spec_lattice,
     spec_torus,
     stokes_check,
@@ -27,9 +29,15 @@ from vtres.errors import (
     NonConvergence,
     SizeCapExceeded,
 )
-from vtres.graphs import from_edge_list
+from vtres.graphs import Graph, from_edge_list
 
-from conftest import complete_graph, parallel_problem, series_graph, series_problem
+from conftest import (
+    box_torus_fourier_resistance,
+    complete_graph,
+    parallel_problem,
+    series_graph,
+    series_problem,
+)
 
 P_GRID = (1.5, 2.0, 2.5, 3.0, 4.0)
 
@@ -219,18 +227,58 @@ def test_single_edge_max_resistance_any_p():
 
 
 def test_max_resistance_transitive_matches_full(c8):
-    full = max_resistance(c8, 2.0)
-    fast = max_resistance(c8, 2.0, transitive=True)
+    # c8 takes the spectral path, its plain-Graph copy the all-pairs search
+    fast = max_resistance(c8, 2.0)
+    full = max_resistance(Graph(c8.n, c8.indptr, c8.nbr, c8.mult), 2.0)
     assert abs(full[0] - fast[0]) <= 1e-10
     assert abs(full[0] - 2.0) <= 1e-9
+    assert fast[1] == (0, 4) and full[1] == (0, 4)
 
 
 def test_max_resistance_caps():
     g = build_cayley_graph(spec_torus(4, 4))
     with pytest.raises(SizeCapExceeded):
-        max_resistance(g, 2.0, p2_cap=10)
-    with pytest.raises(SizeCapExceeded):
         max_resistance(g, 3.0, pair_cap=10)
+
+
+def _stokes_loop_reference(g, f, p, A):
+    """stokes_check as a vertex-by-vertex loop over the boundary of A."""
+    f = np.asarray(f, dtype=float)
+    ids = sorted(set(int(a) for a in A))
+    lhs = float(p_laplacian(g, f, p)[ids].sum())
+    in_a = np.zeros(g.n, dtype=bool)
+    in_a[ids] = True
+    rhs = 0.0
+    for u in ids:
+        nb, mu = g.neighbors(u)
+        outside = ~in_a[nb]
+        rhs += float(np.sum(mu[outside] * np.sign(f[u] - f[nb[outside]])
+                            * np.abs(f[u] - f[nb[outside]]) ** (p - 1)))
+    return abs(lhs - rhs)
+
+
+STOKES_GRAPHS = {
+    "z2_ball": build_ball(spec_lattice(2), 5).base,
+    "multiplicity": from_edge_list(7, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (3, 0, 1),
+                                       (1, 4, 4), (4, 5, 1), (5, 6, 2), (6, 2, 1),
+                                       (0, 5, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOKES_GRAPHS))
+@pytest.mark.parametrize("seed", range(8))
+def test_stokes_matches_loop_reference(name, seed):
+    # the identity holds for every f, so both sides must vanish; an inward
+    # orientation, a dropped multiplicity or an interior edge breaks it
+    g = STOKES_GRAPHS[name]
+    rng = np.random.Generator(np.random.Philox(key=[seed, 4]))
+    p = float(rng.uniform(1.1, 5.0))
+    f = 3.0 * rng.standard_normal(g.n)
+    ids = rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=True)
+    scale = float(np.sum(g.edges[2] * np.abs(f[g.edges[0]] - f[g.edges[1]]) ** (p - 1)))
+    fast = stokes_check(g, f, p, ids)
+    ref = _stokes_loop_reference(g, f, p, ids)
+    assert fast <= 1e-12 * scale and ref <= 1e-12 * scale
 
 
 def test_stokes_exact_cases(c8):
@@ -288,25 +336,51 @@ def test_nonconvergence_carries_stage_counts():
     assert all(b >= 0 for _, _, b in err.stages)
 
 
-def _box_torus_fourier_resistance(dims):
-    """R_2(0, v) for every v of the box-generated torus, from its spectrum."""
-    offsets = [s for s in itertools.product((-1, 0, 1), repeat=len(dims)) if any(s)]
-    k = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
-    lam = sum(1.0 - np.cos(2 * np.pi * sum(ki * si / n for ki, si, n in zip(k, s, dims)))
-              for s in offsets)
-    inv = np.zeros_like(lam)
-    inv[lam > 1e-12] = 1.0 / lam[lam > 1e-12]
-    green = np.fft.ifftn(inv).real
-    return 2.0 * (green.flat[0] - green)
-
-
 @pytest.mark.parametrize("dims", [(12, 12), (6, 8)])
-@pytest.mark.parametrize("transitive", [False, True])
-def test_max_resistance_p2_matches_fourier(dims, transitive):
+def test_max_resistance_p2_matches_fourier(dims):
     g = build_cayley_graph(spec_torus(*dims))
-    fourier = _box_torus_fourier_resistance(dims)
-    value, (u, v) = max_resistance(g, 2.0, transitive=transitive)
+    fourier = box_torus_fourier_resistance(dims)
+    value, (u, v) = max_resistance(g, 2.0)
     assert abs(value - fourier.max()) <= 1e-10
     # vertex ids are lexicographic ranks, so R(u, v) = R(0, v - u mod dims)
     shift = np.mod(np.array(np.unravel_index(v, dims)) - np.unravel_index(u, dims), dims)
     assert abs(fourier[tuple(shift)] - fourier.max()) <= 1e-10
+
+
+SPECTRAL_ORACLE_SPECS = {
+    "torus12x12": spec_torus(12, 12),
+    "torus6x8x3_full": spec_torus(6, 8, 3, full_last=True),
+    "c20_chords3": spec_cyclic_chords(20, 3),
+    "z2xz3": spec_torus(2, 3),
+    "z6xz4_explicit": spec_explicit((6, 4), [(1, 0), (5, 0), (0, 1), (0, 3),
+                                             (2, 2), (4, 2), (3, 1), (3, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_ORACLE_SPECS))
+def test_cayley_resistances_match_pair_solves(name):
+    g = build_cayley_graph(SPECTRAL_ORACLE_SPECS[name])
+    spectral = cayley_resistances(g)
+    sparse = [pair_resistance(g, 0, v, 2.0).resistance for v in range(1, g.n)]
+    assert spectral[0] == 0.0
+    np.testing.assert_allclose(spectral[1:], sparse, rtol=1e-10, atol=0)
+
+
+def test_million_cycle_max_resistance():
+    # R_2(0, v) = v (n - v) / n on C_n, so the maximum is n/4 at v = n/2.
+    # 1 - cos in place of 2 sin^2 is off by about 3e-5 relative here, and
+    # phases left unfolded in [0, 1) by about 3e-11
+    n = 1_000_000
+    value, pair = max_resistance(build_cayley_graph(spec_cycle(n)), 2.0)
+    assert abs(value - n / 4) <= 1e-11 * (n / 4)
+    assert pair == (0, n // 2)
+
+
+def test_max_resistance_ties_pick_first_vertex():
+    # C9 is farthest at 4 and 5; the 6x8x3 torus at (3,4,1) and (3,4,2)
+    c9 = build_cayley_graph(spec_cycle(9))
+    assert max_resistance(c9, 2.0)[1] == (0, 4)
+    assert max_resistance(Graph(c9.n, c9.indptr, c9.nbr, c9.mult), 2.0)[1] == (0, 4)
+    assert max_resistance(c9, 3.0)[1] == (0, 4)
+    torus = build_cayley_graph(spec_torus(6, 8, 3, full_last=True))
+    assert max_resistance(torus, 2.0)[1] == (0, 85)

@@ -17,6 +17,8 @@ from vtres import (
 from vtres.errors import BadArguments, MissingParam
 from vtres.manifest import Table, emit
 
+from conftest import box_torus_fourier_resistance
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -51,7 +53,7 @@ def test_every_schema_param_serializes():
 def test_round_trip_with_every_param():
     man = ExperimentManifest(
         "resistance", spec_lattice(2),
-        {"p": [2.0, 3.5], "r": [2, 4], "transitive": 0, "dump_potential": 1},
+        {"p": [2.0, 3.5], "r": [2, 4], "dump_potential": 1},
         "arts", "structured-text")
     assert parse_manifest(emit_manifest(man)) == man
 
@@ -256,3 +258,49 @@ def test_cli_nonconvergence_reports_stage_counts(monkeypatch, capsys, tmp_path):
                        "(residual 1.000e-03)"]
     assert err[2:] == ["error.iterations = 9",
                        "error.stage_iterations = 1e-02:5:2, polish:4:7"]
+
+
+def test_cli_malformed_lists_are_bad_arguments(capsys, tmp_path):
+    from vtres.cli import main
+    torus = ("--family", "torus_product", "--generators", "box")
+    for args in (("resist", *torus, "--factors", "8", "--p", "2,x"),
+                 ("resist", *torus, "--factors", "8,x", "--p", "2"),
+                 ("escape", *torus, "--factors", "8", "--r", "1:2:3"),
+                 ("repro", "var-converse", "--family", "z_times_torus",
+                  "--factors", "inf,3,3", "--generators", "box", "--n", "4", "--r", "")):
+        assert main([*args, "--out", str(tmp_path)]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error.type = BadArguments"), (args, err)
+
+
+def test_empty_radius_lists_are_bad_arguments(tmp_path):
+    for experiment, params in (("resistance", {"p": [2.0], "r": []}),
+                               ("var_converse", {"n": 4, "r": []})):
+        man = ExperimentManifest(experiment, spec_z_times_torus(3, 3), params, "e", "csv")
+        with pytest.raises(BadArguments):
+            run(man, base_dir=str(tmp_path))
+
+
+def test_manifest_transitive_key_is_not_consumed(tmp_path):
+    man = ExperimentManifest("resistance", spec_cycle(8), {"p": [2.0]}, "o", "csv")
+    path = tmp_path / "m.txt"
+    path.write_text(emit_manifest(man) + "params.transitive = 0\n")
+    proc = _cli("run", str(path), cwd=str(tmp_path))
+    assert proc.returncode == 2
+    assert "error.type = BadArguments" in proc.stderr
+    assert "'transitive' is not consumed" in proc.stderr
+
+
+def test_cli_resist_torus_50x50_matches_fourier(tmp_path):
+    # 2,500 vertices, past the cap of the dense inverse this path replaced
+    out = tmp_path / "t"
+    proc = _cli("resist", "--family", "torus_product", "--factors", "50,50",
+                "--generators", "box", "--p", "2", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    header, row = _read(out / "resistance.csv").decode().splitlines()[-2:]
+    rec = dict(zip(header.split(","), row.split(",")))
+    fourier = box_torus_fourier_resistance((50, 50))
+    value, v = float(rec["max_resistance"]), int(rec["argmax_v"])
+    assert abs(value - fourier.max()) <= 1e-9 * fourier.max()
+    assert int(rec["argmax_u"]) == 0
+    assert abs(fourier.flat[v] - fourier.max()) <= 1e-9 * fourier.max()
