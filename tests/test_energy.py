@@ -337,8 +337,13 @@ def test_nonconvergence_carries_stage_counts():
 
 
 @pytest.mark.parametrize("dims", [(12, 12), (6, 8)])
-def test_max_resistance_p2_matches_fourier(dims):
+@pytest.mark.parametrize("transitive", [False, True])
+def test_max_resistance_p2_matches_fourier(dims, transitive):
+    # the CayleyGraph takes the spectral path, its plain-Graph copy, which
+    # carries no transitivity, the all-pairs search
     g = build_cayley_graph(spec_torus(*dims))
+    if not transitive:
+        g = Graph(g.n, g.indptr, g.nbr, g.mult)
     fourier = box_torus_fourier_resistance(dims)
     value, (u, v) = max_resistance(g, 2.0)
     assert abs(value - fourier.max()) <= 1e-10
