@@ -19,6 +19,8 @@ from .energy import (
     FlowResult,
     Potential,
     SolverConfig,
+    box_ball_resistance,
+    box_ball_separable,
     cayley_resistances,
     max_resistance,
     p_energy,

@@ -351,9 +351,11 @@ def _blocks_cycle_arcs(g: Graph, u: int, v: int, total: int, nmax: int,
 
 
 def _blocks_from_profile(xi_of: Callable[[int], float], total: int, nmax: int,
-                         p: float) -> list[float]:
+                         p: float, first: int = 0) -> list[float]:
+    """Block maxima from a boundary profile; blocks below ``first`` stay 0.0
+    and are never evaluated."""
     maxima = [0.0] * (nmax + 1)
-    for n in range(nmax + 1):
+    for n in range(first, nmax + 1):
         lo = total / 2 ** (n + 1)
         hi = total / 2 ** n
         a_lo = int(math.floor(lo)) + 1
@@ -447,7 +449,9 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive",
                                                        total, nmax, p, None)
             else:
                 xi_of = boundary_profile or _csc_profile_fn_graph(g)
-                maxima = _blocks_from_profile(xi_of, total, nmax, p)
+                # block 0 holds sets beyond half the graph, which the
+                # profile does not reach and the pair form drops
+                maxima = _blocks_from_profile(xi_of, total, nmax, p, first=1)
             all_maxima.extend(maxima[1:])  # the pair form sums blocks from n = 1
         value = (base + sum(all_maxima)) ** (p - 1.0)
         return BkBound(value, base, tuple(all_maxima))

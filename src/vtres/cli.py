@@ -5,9 +5,9 @@ invocation corresponds to a manifest file that reproduces it; with
 ``--emit-manifest`` that file is printed instead of running.  ``run``
 executes a manifest file directly.
 
-Global flags: --seed, --out, --format, --threads, --size-cap.  Environment
-variables with the VTRES_ prefix (VTRES_SEED, VTRES_OUT, VTRES_FORMAT,
-VTRES_THREADS, VTRES_SIZE_CAP) supply defaults for the matching flags.
+Global flags: --seed, --out, --format, --size-cap.  Environment variables
+with the VTRES_ prefix (VTRES_SEED, VTRES_OUT, VTRES_FORMAT, VTRES_SIZE_CAP)
+supply defaults for the matching flags.
 
 Errors go to stderr as ``error.type`` and ``error.message`` lines.  A
 NonConvergence adds ``error.iterations`` and, for a general-p Newton solve,
@@ -32,11 +32,15 @@ ENV_PREFIX = "VTRES_"
 
 
 def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+    var = ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
     if isinstance(fallback, int):
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise BadArguments(f"{var} must be an integer, got {raw!r}") from None
     return raw
 
 
@@ -88,7 +92,6 @@ _GLOBAL_DEFAULTS = {
     "seed": ("seed", 0),
     "out": ("out", "out"),
     "format": ("format", "csv"),
-    "threads": ("threads", 1),
     "size_cap": ("size_cap", DEFAULT_SIZE_CAP),
     "emit_manifest": (None, False),
 }
@@ -102,8 +105,6 @@ def _global_flags() -> argparse.ArgumentParser:
     p.add_argument("--out", default=argparse.SUPPRESS)
     p.add_argument("--format", default=argparse.SUPPRESS,
                    choices=("csv", "structured-text", "plotdata"))
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   help="accepted for interface compatibility; runs are sequential")
     p.add_argument("--size-cap", type=int, default=argparse.SUPPRESS)
     p.add_argument("--emit-manifest", action="store_true", default=argparse.SUPPRESS,
                    help="print the manifest instead of running it")
@@ -169,12 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _fill_global_defaults(args: argparse.Namespace) -> argparse.Namespace:
+def _fill_global_defaults(args: argparse.Namespace) -> None:
     for attr, (env_name, fallback) in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, attr):
             value = _env_default(env_name, fallback) if env_name else fallback
             setattr(args, attr, value)
-    return args
 
 
 def _manifest_from_args(args) -> ExperimentManifest:
@@ -226,8 +226,9 @@ def _manifest_from_args(args) -> ExperimentManifest:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _fill_global_defaults(build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
     try:
+        _fill_global_defaults(args)
         if args.command == "run":
             with open(args.manifest) as fh:
                 man = parse_manifest(fh.read())

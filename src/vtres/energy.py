@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,12 +50,21 @@ from .errors import (
     NonConvergence,
     SizeCapExceeded,
 )
-from .graphs import CayleyGraph, Graph, TerminalGraph, bfs_layers, collapse_terminals
+from .graphs import (
+    BallGraph,
+    CayleyGraph,
+    Graph,
+    TerminalGraph,
+    bfs_layers,
+    collapse_terminals,
+    spec_offsets,
+)
 
 DIRECT_SOLVE_LIMIT = 6000  # above this, p=2 falls back to preconditioned CG
 # relative float64 resolution of the regularized energy: a Newton step whose
 # predicted decrease is below this times max(1, E) is judged by its gradient
 NEWTON_DECREMENT_FLOOR = 1e-13
+MODE_BLOCK = 1 << 20  # eigenvalues per block of the box-ball mode sum
 
 
 def signed_power(x: np.ndarray | float, q: float):
@@ -512,16 +522,139 @@ def cayley_resistances(g: CayleyGraph) -> np.ndarray:
     return 2.0 * (green[0] - green)
 
 
+def _box_axes(offsets, factors, r: int) -> Optional[tuple[list[int], list[int]]]:
+    """Interval and cyclic coordinates of the box ball B(r), or None.
+
+    An interval coordinate is a Z factor, or a finite one of modulus 2r + 2
+    (B(r) misses only its antipodal slab); it needs every offset component
+    in {-1, 0, 1} and S closed under negating that coordinate alone.  Every
+    other finite factor is cyclic, which only a full cover of it by B(r)
+    makes separable (``box_ball_separable`` checks that).
+    """
+    rows = np.array(offsets, dtype=np.int64).reshape(len(offsets), len(factors))
+    interval, cyclic = [], []
+    for j, n in enumerate(factors):
+        col = rows[:, j]
+        if n is not None:
+            col = np.where(2 * col > n, col - n, col)  # signed representatives
+        if (n is None or n == 2 * r + 2) and np.all(np.abs(col) <= 1):
+            rows[:, j] = col
+            interval.append(j)
+        elif n is None:
+            return None
+        else:
+            cyclic.append(j)
+    members = set(map(tuple, rows.tolist()))
+    for i in interval:
+        if {t[:i] + (-t[i],) + t[i + 1:] for t in members} != members:
+            return None
+    return interval, cyclic
+
+
+def box_ball_separable(ball: BallGraph, r: int) -> bool:
+    """Whether ``dirichlet_problem(ball, r)`` is diagonal in sines x characters.
+
+    True when the generating set is a box along the interval coordinates
+    (see ``_box_axes``), there is at least one of them, and beta(r) =
+    (2r+1)^z * prod of the cyclic moduli, so that B(r) is the product of
+    [-r, r]^z and the fully covered cyclic factors.
+    """
+    if not 0 <= r < ball.radius:
+        return False
+    axes = _box_axes(spec_offsets(ball.spec), ball.spec.factors, r)
+    if axes is None or not axes[0]:
+        return False
+    interval, cyclic = axes
+    return ball.beta(r) == (2 * r + 1) ** len(interval) * math.prod(
+        ball.spec.factors[j] for j in cyclic)
+
+
+def box_ball_resistance(offsets, factors, r: int) -> float:
+    """R_2(0 <-> S(r+1)) = G_D(0, 0) on a separable box ball, as a mode sum.
+
+    On B(r) = [-r, r]^z x prod_C Z_n the Dirichlet Laplacian has the
+    eigenvectors sin(k pi (x + r + 1)/(2r + 2)) along each interval
+    coordinate times characters e^(2 pi i m x / n) along the cyclic ones,
+    with eigenvalue mu = sum over s in S of 1 - prod_i cos(theta_i) cos(phi),
+    theta_i = pi k_i/(2r + 2) over the interval coordinates that s moves
+    and phi = 2 pi sum_j m_j s_j / n_j.  Even k vanish at the centre, so
+    G_D(0, 0) = (r + 1)^-z / prod n * sum over odd k and all m of 1/mu.
+    Each 1 - prod(1 - x) is the telescoping sum of x_j prod_{l<j} (1 - x_l)
+    over x = 2 sin^2(theta/2) and 2 sin^2(phi/2), positive term by term on
+    the small modes; 1 - cos, or 3^d - prod(1 + 2 cos), loses about eps r^2
+    relative in the smallest one.  The caller vouches that B(r) is that
+    product (``box_ball_separable``).
+    """
+    axes = _box_axes(offsets, factors, r)
+    if axes is None or not axes[0]:
+        raise BadArguments("generating set is not a box along an interval coordinate")
+    interval, cyclic = axes
+    z, moduli = len(interval), [factors[j] for j in cyclic]
+    grid = np.ix_(*[np.arange(r + 1)] * z, *[np.arange(n) for n in moduli])
+    half = 2.0 * np.sin(np.pi * (2 * np.arange(r + 1) + 1) / (4 * r + 4)) ** 2
+    sines = [half[k] for k in grid[:z]]
+    # offsets that move the same interval coordinates and make the same
+    # cyclic step share a term of mu
+    groups = Counter((tuple(i for i, j in enumerate(interval) if s[j]),
+                      tuple(s[j] for j in cyclic)) for s in offsets)
+    den = math.lcm(*moduli)
+    phases = {}
+    for _, step in groups:
+        if any(step):
+            num = sum(m * s % n * (den // n) for m, s, n in zip(grid[z:], step, moduli)) % den
+            num[2 * num > den] -= den
+            phases[step] = 2.0 * np.sin(np.pi * num / den) ** 2
+    # blocks along the first sine axis bound the memory at any r
+    rows = max(1, MODE_BLOCK // ((r + 1) ** (z - 1) * math.prod(moduli)))
+    total = 0.0
+    for lo in range(0, r + 1, rows):
+        block = [sines[0][lo:lo + rows], *sines[1:]]
+        mu = np.zeros([len(block[0])] + [r + 1] * (z - 1) + moduli)
+        for (moved, step), count in groups.items():
+            xs = [block[i] for i in moved]
+            if any(step):
+                xs.append(phases[step])
+            term, keep = 0.0, 1.0
+            for x in xs:
+                term, keep = term + keep * x, keep * (1.0 - x)
+            mu += count * term
+        total += float(np.sum(1.0 / mu))
+    return total / ((r + 1) ** z * math.prod(moduli))
+
+
+def _pair_resistances_p2(g: Graph) -> np.ndarray:
+    """R_2(u, v) for every pair u < v, in ``itertools.combinations`` order.
+
+    With G the inverse of the Laplacian grounded at vertex 0 (one LU
+    factorisation; row and column 0 of G are zero),
+    R_2(u, v) = G_uu + G_vv - 2 G_uv.
+    """
+    if np.any(bfs_layers(g, [0]) < 0):
+        raise DisconnectedTerminals("graph is not connected")
+    eu, ev, em = g.edges
+    lap = np.zeros((g.n, g.n))
+    lap[eu, ev] = lap[ev, eu] = -em
+    lap[np.diag_indices(g.n)] = g.degree
+    green = np.zeros((g.n, g.n))
+    green[1:, 1:] = np.linalg.inv(lap[1:, 1:])
+    u, v = np.triu_indices(g.n, 1)
+    diag = np.diag(green)
+    return diag[u] + diag[v] - 2.0 * green[u, v]
+
+
 def max_resistance(g: Graph, p: float, pair_cap: int = 200,
                    cfg: Optional[SolverConfig] = None) -> tuple[float, tuple[int, int]]:
     """Maximum p-resistance between two vertices, with an argmax pair.
 
     On a ``CayleyGraph`` at p=2 every R_2(0, v) comes from the spectrum
     (``cayley_resistances``), and the pair is (0, v) for the first v within
-    1e-12 (relative) of the maximum.  At other p a ``CayleyGraph``, being
-    vertex-transitive, needs pair solves from vertex 0 only, and any other
-    ``Graph`` one per vertex pair; both take at most ``pair_cap`` vertices
-    and keep the first pair that beats all earlier ones by over 1e-15.
+    1e-12 (relative) of the maximum.  Any other ``Graph`` at p=2 reads every
+    pair off one grounded Green matrix (``_pair_resistances_p2``).  At other
+    p a ``CayleyGraph``, being vertex-transitive, needs pair solves from
+    vertex 0 only, and any other ``Graph`` one per vertex pair; ``cfg``
+    configures those solves.  All but the spectral path take at most
+    ``pair_cap`` vertices and keep the first pair that beats all earlier
+    ones by over 1e-15.
     """
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
@@ -532,11 +665,14 @@ def max_resistance(g: Graph, p: float, pair_cap: int = 200,
         return float(r[v]), (0, v)
     if g.n > pair_cap:
         raise SizeCapExceeded(f"{g.n} vertices exceeds cap {pair_cap} for p={p}")
+    pairs = ([(0, v) for v in range(1, g.n)] if cayley
+             else list(itertools.combinations(range(g.n), 2)))
+    if p == 2.0:
+        values = _pair_resistances_p2(g).tolist()
+    else:
+        values = (pair_resistance(g, u, v, p, cfg).resistance for u, v in pairs)
     best, best_pair = -1.0, (0, 1)
-    pairs = (((0, v) for v in range(1, g.n)) if cayley
-             else itertools.combinations(range(g.n), 2))
-    for u, v in pairs:
-        r = pair_resistance(g, u, v, p, cfg).resistance
+    for pair, r in zip(pairs, values):
         if r > best + 1e-15:
-            best, best_pair = r, (u, v)
+            best, best_pair = r, pair
     return best, best_pair

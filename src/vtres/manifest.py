@@ -16,16 +16,18 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import bounds as bnd
-from .energy import p_resistance, max_resistance
+from .energy import box_ball_resistance, box_ball_separable, max_resistance, p_resistance
 from .errors import BadArguments, IoError, MissingParam
 from .graphs import (
     DEFAULT_SIZE_CAP,
+    BallGraph,
     GraphSpec,
     annulus_problem,
     build_ball,
     build_cayley_graph,
     dirichlet_problem,
     growth_profile,
+    spec_offsets,
     spec_torus,
 )
 from .isoperimetry import exact_profile, verify_csc, verify_cyclic_edge_iso
@@ -251,6 +253,14 @@ def flow_items(flow) -> list[tuple[str, object]]:
     return items
 
 
+def _sphere_resistance(ball: BallGraph, r: int, p: float) -> float:
+    """R_p(x <-> S(x, r+1)): the mode sum on a separable box ball at p=2,
+    otherwise a solve of the Dirichlet problem."""
+    if p == 2.0 and box_ball_separable(ball, r):
+        return box_ball_resistance(spec_offsets(ball.spec), ball.spec.factors, r)
+    return p_resistance(dirichlet_problem(ball, r, "sphere"), p).resistance
+
+
 def _run_resistance(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     ps = [float(p) for p in man.params["p"]]
@@ -264,11 +274,14 @@ def _run_resistance(man: ExperimentManifest, size_cap: int):
         rows = []
         for p in ps:
             for r in rs:
-                flow = p_resistance(dirichlet_problem(ball, r, "sphere"), p)
-                rows.append((p, r, ball.beta(r), flow.resistance))
                 if dump:
+                    flow = p_resistance(dirichlet_problem(ball, r, "sphere"), p)
+                    value = flow.resistance
                     name = f"potential_p{p:g}_r{r}".replace(".", "_")
                     extra_docs.append((name, emit_document(flow_items(flow))))
+                else:
+                    value = _sphere_resistance(ball, r, p)
+                rows.append((p, r, ball.beta(r), value))
         table = Table("resistance", ["p", "r", "beta_r", "resistance"], rows)
     else:
         g = build_cayley_graph(spec, size_cap)
@@ -344,7 +357,7 @@ def _run_sandwich(man: ExperimentManifest, size_cap: int):
         computed_list, upper_list, lower_list, r_list = [], [], [], []
         for r in range(r_min, r_max + 1):
             beta_r = ball.beta(r)
-            flow = p_resistance(dirichlet_problem(ball, r, "sphere"), p)
+            computed = _sphere_resistance(ball, r, p)
             if p == 2.0:
                 lower = bnd.theorem_rhs("T1_8_lower",
                                         {"r": r, "beta_r": beta_r, "deg": deg})
@@ -355,10 +368,10 @@ def _run_sandwich(man: ExperimentManifest, size_cap: int):
                 lower = bnd.theorem_rhs("T1_10_lower", base)
                 which = "T1_10_upper_int" if p == int(p) else "T1_10_upper_nonint"
                 upper = bnd.theorem_rhs(which, base)
-            rows.append((p, r, beta_r, lower, flow.resistance, upper,
-                         lower / flow.resistance, flow.resistance / upper))
+            rows.append((p, r, beta_r, lower, computed, upper,
+                         lower / computed, computed / upper))
             r_list.append(r)
-            computed_list.append(flow.resistance)
+            computed_list.append(computed)
             lower_list.append(lower)
             upper_list.append(upper)
         key = "p" + f"{p:g}".replace(".", "_")
@@ -410,7 +423,7 @@ def _run_table1(man: ExperimentManifest, size_cap: int):
         ball = build_ball(spec, half, size_cap)
         family = bnd.sphere_cutsets(ball, half)
         nw = bnd.nash_williams_bound(family, p)
-        exact = p_resistance(dirichlet_problem(ball, half - 1, "sphere"), p).resistance
+        exact = _sphere_resistance(ball, half - 1, p)
         if d == int(p):
             regime, regime_value = "log_n", math.log(n)
         elif d > p:

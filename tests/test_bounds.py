@@ -366,6 +366,16 @@ def test_bk_pair_on_cycle():
     assert 1.0 <= ratio <= 10.0
 
 
+def test_bk_pair_profile_on_finite_torus():
+    # block 0 (sets beyond half the torus) lies past the profile and the pair
+    # form drops it, so it must not be evaluated
+    g = build_cayley_graph(spec_torus(12, 12))
+    tg = collapse_terminals(g, [0], [78])
+    bound = bk_upper_bound(tg, 2.0, "profile")
+    assert bound.value >= pair_resistance(g, 0, 78, 2.0).resistance
+    assert len(bound.block_maxima) == 8 and all(m > 0 for m in bound.block_maxima)
+
+
 def test_bk_single_edge():
     tg = collapse_terminals(series_graph(1), [0], [1])
     bound = bk_upper_bound(tg, 2.0, "exhaustive")

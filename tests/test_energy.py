@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from vtres import (
     SolverConfig,
+    box_ball_resistance,
+    box_ball_separable,
     build_ball,
     build_cayley_graph,
     cayley_resistances,
@@ -21,15 +23,17 @@ from vtres import (
     spec_explicit,
     spec_lattice,
     spec_torus,
+    spec_z_times_torus,
     stokes_check,
 )
 from vtres.errors import (
+    BadArguments,
     DimensionMismatch,
     DisconnectedTerminals,
     NonConvergence,
     SizeCapExceeded,
 )
-from vtres.graphs import Graph, from_edge_list
+from vtres.graphs import Graph, from_edge_list, spec_fibered_torus, spec_offsets
 
 from conftest import (
     box_torus_fourier_resistance,
@@ -235,6 +239,30 @@ def test_max_resistance_transitive_matches_full(c8):
     assert fast[1] == (0, 4) and full[1] == (0, 4)
 
 
+def test_max_resistance_p2_green_matches_pair_solves():
+    # a multigraph: a 10-cycle with random chords and multiplicities; the
+    # pair-solve search is the reference for value and argmax pair
+    rng = np.random.default_rng(11)
+    edges = [(i, (i + 1) % 10, int(rng.integers(1, 4))) for i in range(10)]
+    edges += [(int(u), int(v), int(rng.integers(1, 4)))
+              for u, v in rng.integers(0, 10, size=(6, 2)) if u != v]
+    g = from_edge_list(10, edges)
+    best, best_pair = -1.0, None
+    for u in range(10):
+        for v in range(u + 1, 10):
+            r = pair_resistance(g, u, v, 2.0).resistance
+            if r > best + 1e-15:
+                best, best_pair = r, (u, v)
+    value, pair = max_resistance(g, 2.0)
+    assert abs(value - best) <= 1e-12 * best
+    assert pair == best_pair
+
+
+def test_max_resistance_disconnected_raises():
+    with pytest.raises(DisconnectedTerminals):
+        max_resistance(from_edge_list(4, [(0, 1, 1), (2, 3, 1)]), 2.0)
+
+
 def test_max_resistance_caps():
     g = build_cayley_graph(spec_torus(4, 4))
     with pytest.raises(SizeCapExceeded):
@@ -389,3 +417,67 @@ def test_max_resistance_ties_pick_first_vertex():
     assert max_resistance(c9, 3.0)[1] == (0, 4)
     torus = build_cayley_graph(spec_torus(6, 8, 3, full_last=True))
     assert max_resistance(torus, 2.0)[1] == (0, 85)
+
+
+# spec, radii whose Dirichlet problems are diagonal in sines x characters:
+# Z^d cubes, Z x C5 x C5 once B(r) covers the C5 factors, torus balls
+# B(n/2 - 1) missing only the antipodal slab, and a product fiber
+SEPARABLE_BALLS = {
+    "z2": (spec_lattice(2), (1, 3, 10, 20)),
+    "z3": (spec_lattice(3), (1, 3, 8, 12)),
+    "z_c5_c5": (spec_z_times_torus(5, 5), (2, 6)),
+    "torus16x16": (spec_torus(16, 16), (7,)),
+    "fibered8x3": (spec_fibered_torus(8, 3), (3,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABLE_BALLS))
+def test_box_ball_mode_sum_matches_sparse_solve(name):
+    spec, radii = SEPARABLE_BALLS[name]
+    ball = build_ball(spec, max(radii) + 1)
+    for r in radii:
+        assert box_ball_separable(ball, r), r
+        exact = p_resistance(dirichlet_problem(ball, r, "sphere"), 2.0).resistance
+        modes = box_ball_resistance(spec_offsets(spec), spec.factors, r)
+        assert abs(modes - exact) <= 1e-10 * exact, r
+
+
+KNIGHT = [(a, b) for a in (-2, -1, 1, 2) for b in (-2, -1, 1, 2) if abs(a) != abs(b)]
+# spec, radii at which dirichlet_problem is not separable: C5 not yet covered
+# at r=1, a union (not product) fiber, chords, steps of length 2, and a
+# Z x C3 set whose B(2) is the product Z-interval x C3 but whose steps
+# (1, 1), (-1, 2) are not closed under negating the Z coordinate alone
+NON_SEPARABLE_BALLS = {
+    "z_c3_skew": (spec_explicit((None, 3), [(1, 0), (-1, 0), (1, 1), (-1, 2),
+                                            (0, 1), (0, 2)]), (2,)),
+    "z_c5_c5_r1": (spec_z_times_torus(5, 5), (1,)),
+    "torus6x8x3_full": (spec_torus(6, 8, 3, full_last=True), (0, 1, 2, 3)),
+    "c20_chords3": (spec_cyclic_chords(20, 3), (1, 2)),
+    "z2_knight": (spec_explicit((None, None), KNIGHT), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SEPARABLE_BALLS))
+def test_non_box_balls_are_not_separable(name):
+    spec, radii = NON_SEPARABLE_BALLS[name]
+    ball = build_ball(spec, max(radii) + 1)
+    assert not any(box_ball_separable(ball, r) for r in radii)
+
+
+def test_box_ball_separable_needs_the_sphere_in_the_ball():
+    ball = build_ball(spec_lattice(2), 4)
+    assert box_ball_separable(ball, 3)
+    assert not box_ball_separable(ball, 4)  # dirichlet_problem needs radius r + 1
+
+
+def test_box_ball_mode_sum_on_a_million_line():
+    # B(r) of Z is two chains of r + 1 unit edges in parallel: R = (r + 1)/2.
+    # mu = 2 * 2 sin^2(theta/2); 2 (1 - cos theta) is off by about 1.2e-5 here
+    r = 10 ** 6
+    value = box_ball_resistance(((-1,), (1,)), (None,), r)
+    assert abs(value - (r + 1) / 2) <= 1e-12 * (r + 1) / 2
+
+
+def test_box_ball_mode_sum_rejects_non_box_offsets():
+    with pytest.raises(BadArguments):
+        box_ball_resistance(tuple(KNIGHT), (None, None), 3)

@@ -11,6 +11,7 @@ from vtres import (
     run,
     spec_cycle,
     spec_cyclic_chords,
+    spec_explicit,
     spec_lattice,
     spec_z_times_torus,
 )
@@ -222,6 +223,22 @@ def test_cli_env_override(tmp_path):
     assert (out / "growth.txt").exists()
 
 
+def test_cli_malformed_env_value_is_bad_arguments(tmp_path):
+    proc = _cli("growth", "--family", "torus_product", "--factors", "8",
+                "--generators", "box", "--radius", "2", "--out", str(tmp_path / "g"),
+                env_extra={"VTRES_SEED": "x"})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error.type = BadArguments"), proc.stderr
+    assert "VTRES_SEED" in proc.stderr
+
+
+def test_cli_threads_flag_is_gone(tmp_path):
+    proc = _cli("growth", "--family", "torus_product", "--factors", "8", "--generators",
+                "box", "--radius", "2", "--threads", "2", "--out", str(tmp_path / "g"))
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --threads 2" in proc.stderr
+
+
 def test_cli_verify_subcommand(tmp_path):
     out = tmp_path / "v"
     proc = _cli("verify", "--family", "explicit", "--factors", "inf,inf",
@@ -304,3 +321,27 @@ def test_cli_resist_torus_50x50_matches_fourier(tmp_path):
     assert abs(value - fourier.max()) <= 1e-9 * fourier.max()
     assert int(rec["argmax_u"]) == 0
     assert abs(fourier.flat[v] - fourier.max()) <= 1e-9 * fourier.max()
+
+
+def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch):
+    # the runners reach the solver through vtres.manifest's names, so
+    # wrapping them there sees every solve the mode sum does not replace
+    import vtres.manifest as manifest
+    solved = []
+    real = manifest.p_resistance
+    monkeypatch.setattr(manifest, "p_resistance",
+                        lambda tg, p: solved.append(p) or real(tg, p))
+    z2 = spec_lattice(2)
+    knight = spec_explicit((None, None), [(a, b) for a in (-2, -1, 1, 2)
+                                          for b in (-2, -1, 1, 2) if abs(a) != abs(b)])
+    cases = [("sandwich", z2, {"p": [2.0], "r_min": 1, "r_max": 4}, []),
+             ("resistance", z2, {"p": [2.0], "r": [3, 5]}, []),
+             ("resistance", z2, {"p": [2.0, 3.0], "r": [3]}, [3.0]),
+             ("resistance", z2, {"p": [2.0], "r": [3], "dump_potential": 1}, [2.0]),
+             ("resistance", knight, {"p": [2.0], "r": [2]}, [2.0]),
+             ("table1", None, {"n2": [8], "n3": [], "nlin": [8]}, [2.0])]
+    for i, (experiment, spec, params, want) in enumerate(cases):
+        solved.clear()
+        run(ExperimentManifest(experiment, spec, params, f"o{i}", "csv"),
+            base_dir=str(tmp_path))
+        assert solved == want, (experiment, params)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vtres import (
+    box_ball_resistance,
     build_ball,
     escape_profile,
     escape_via_resistance,
@@ -14,7 +15,7 @@ from vtres import (
     spec_z_times_torus,
 )
 from vtres.errors import BadArguments, RadiusTooSmall
-from vtres.graphs import from_edge_list
+from vtres.graphs import from_edge_list, spec_offsets
 from vtres.walks import CHUNK, _estimate
 
 from conftest import complete_graph
@@ -129,6 +130,14 @@ def test_escape_identity_z3():
     b = build_ball(spec_lattice(3), 8)
     truth = escape_via_resistance(b, 8)
     est = simulate_escape(b, 8, trials=50_000, seed=13)
+    assert abs(est.p_hat - truth) <= 4 * est.stderr
+
+
+def test_escape_identity_mode_sum_z2_r64():
+    # P[0 -> S(64)] = 1/(deg R_2(0 <-> S(64))), and that R_2 is the mode sum on B(63)
+    spec = spec_lattice(2)
+    truth = 1.0 / (8 * box_ball_resistance(spec_offsets(spec), spec.factors, 63))
+    est = simulate_escape(build_ball(spec, 64), 64, trials=60_000, seed=64)
     assert abs(est.p_hat - truth) <= 4 * est.stderr
 
 
