@@ -64,7 +64,6 @@ DIRECT_SOLVE_LIMIT = 6000  # above this, p=2 falls back to preconditioned CG
 # relative float64 resolution of the regularized energy: a Newton step whose
 # predicted decrease is below this times max(1, E) is judged by its gradient
 NEWTON_DECREMENT_FLOOR = 1e-13
-MODE_BLOCK = 1 << 20  # eigenvalues per block of the box-ball mode sum
 
 
 def signed_power(x: np.ndarray | float, q: float):
@@ -551,25 +550,29 @@ def _box_axes(offsets, factors, r: int) -> Optional[tuple[list[int], list[int]]]
     return interval, cyclic
 
 
-def box_ball_separable(ball: BallGraph, r: int) -> bool:
-    """Whether ``dirichlet_problem(ball, r)`` is diagonal in sines x characters.
+def box_ball_separable(ball: BallGraph, r: int) -> Optional[tuple[list[int], list[int]]]:
+    """The interval and cyclic coordinates of B(r) when
+    ``dirichlet_problem(ball, r)`` is diagonal in sines x characters, else None.
 
-    True when the generating set is a box along the interval coordinates
-    (see ``_box_axes``), there is at least one of them, and beta(r) =
-    (2r+1)^z * prod of the cyclic moduli, so that B(r) is the product of
-    [-r, r]^z and the fully covered cyclic factors.
+    That holds when the generating set is a box along the interval
+    coordinates (see ``_box_axes``), there is at least one of them, and
+    beta(r) = (2r+1)^z * prod of the cyclic moduli, so that B(r) is the
+    product of [-r, r]^z and the fully covered cyclic factors.
     """
     if not 0 <= r < ball.radius:
-        return False
+        return None
     axes = _box_axes(spec_offsets(ball.spec), ball.spec.factors, r)
     if axes is None or not axes[0]:
-        return False
+        return None
     interval, cyclic = axes
-    return ball.beta(r) == (2 * r + 1) ** len(interval) * math.prod(
-        ball.spec.factors[j] for j in cyclic)
+    if ball.beta(r) != (2 * r + 1) ** len(interval) * math.prod(
+            ball.spec.factors[j] for j in cyclic):
+        return None
+    return axes
 
 
-def box_ball_resistance(offsets, factors, r: int) -> float:
+def box_ball_resistance(offsets, factors, r: int,
+                        axes: Optional[tuple[list[int], list[int]]] = None) -> float:
     """R_2(0 <-> S(r+1)) = G_D(0, 0) on a separable box ball, as a mode sum.
 
     On B(r) = [-r, r]^z x prod_C Z_n the Dirichlet Laplacian has the
@@ -583,11 +586,13 @@ def box_ball_resistance(offsets, factors, r: int) -> float:
     over x = 2 sin^2(theta/2) and 2 sin^2(phi/2), positive term by term on
     the small modes; 1 - cos, or 3^d - prod(1 + 2 cos), loses about eps r^2
     relative in the smallest one.  The caller vouches that B(r) is that
-    product (``box_ball_separable``).
+    product; ``axes`` are the coordinates ``box_ball_separable`` returned,
+    found from the offsets when not given.
     """
-    axes = _box_axes(offsets, factors, r)
-    if axes is None or not axes[0]:
-        raise BadArguments("generating set is not a box along an interval coordinate")
+    if axes is None:
+        axes = _box_axes(offsets, factors, r)
+        if axes is None or not axes[0]:
+            raise BadArguments("generating set is not a box along an interval coordinate")
     interval, cyclic = axes
     z, moduli = len(interval), [factors[j] for j in cyclic]
     grid = np.ix_(*[np.arange(r + 1)] * z, *[np.arange(n) for n in moduli])
@@ -604,22 +609,16 @@ def box_ball_resistance(offsets, factors, r: int) -> float:
             num = sum(m * s % n * (den // n) for m, s, n in zip(grid[z:], step, moduli)) % den
             num[2 * num > den] -= den
             phases[step] = 2.0 * np.sin(np.pi * num / den) ** 2
-    # blocks along the first sine axis bound the memory at any r
-    rows = max(1, MODE_BLOCK // ((r + 1) ** (z - 1) * math.prod(moduli)))
-    total = 0.0
-    for lo in range(0, r + 1, rows):
-        block = [sines[0][lo:lo + rows], *sines[1:]]
-        mu = np.zeros([len(block[0])] + [r + 1] * (z - 1) + moduli)
-        for (moved, step), count in groups.items():
-            xs = [block[i] for i in moved]
-            if any(step):
-                xs.append(phases[step])
-            term, keep = 0.0, 1.0
-            for x in xs:
-                term, keep = term + keep * x, keep * (1.0 - x)
-            mu += count * term
-        total += float(np.sum(1.0 / mu))
-    return total / ((r + 1) ** z * math.prod(moduli))
+    mu = np.zeros([r + 1] * z + moduli)
+    for (moved, step), count in groups.items():
+        xs = [sines[i] for i in moved]
+        if any(step):
+            xs.append(phases[step])
+        term, keep = 0.0, 1.0
+        for x in xs:
+            term, keep = term + keep * x, keep * (1.0 - x)
+        mu += count * term
+    return float(np.sum(1.0 / mu)) / ((r + 1) ** z * math.prod(moduli))
 
 
 def _pair_resistances_p2(g: Graph) -> np.ndarray:

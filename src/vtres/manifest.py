@@ -256,8 +256,9 @@ def flow_items(flow) -> list[tuple[str, object]]:
 def _sphere_resistance(ball: BallGraph, r: int, p: float) -> float:
     """R_p(x <-> S(x, r+1)): the mode sum on a separable box ball at p=2,
     otherwise a solve of the Dirichlet problem."""
-    if p == 2.0 and box_ball_separable(ball, r):
-        return box_ball_resistance(spec_offsets(ball.spec), ball.spec.factors, r)
+    axes = box_ball_separable(ball, r) if p == 2.0 else None
+    if axes:
+        return box_ball_resistance(spec_offsets(ball.spec), ball.spec.factors, r, axes)
     return p_resistance(dirichlet_problem(ball, r, "sphere"), p).resistance
 
 
