@@ -18,7 +18,6 @@ from .bounds import (
 from .energy import (
     FlowResult,
     Potential,
-    SolverConfig,
     box_ball_resistance,
     box_ball_separable,
     cayley_resistances,

@@ -101,14 +101,23 @@ class CutsetFamily:
 
 
 def validate_cutsets(family: CutsetFamily) -> None:
-    """Raise InvalidCutsets unless each cutset is a set of graph edges with
-    their multiplicities, the cutsets are pairwise disjoint, and each one
+    """Raise InvalidCutsets unless source and ground are disjoint nonempty
+    sets of vertices, each cutset is a set of graph edges with their
+    multiplicities, the cutsets are pairwise disjoint, and each one
     separates source from ground.
 
     Faults are reported in the order of an edge-by-edge scan: cutset by
     cutset, and within a cutset the edge checks first, in edge order.
     """
     g, n, cutsets = family.graph, family.graph.n, family.cutsets
+    source = np.asarray(family.source, dtype=np.int64)
+    ground = np.asarray(family.ground, dtype=np.int64)
+    if not source.size or not ground.size:
+        raise InvalidCutsets("source and ground must be nonempty")
+    if np.any((source < 0) | (source >= n)) or np.any((ground < 0) | (ground >= n)):
+        raise InvalidCutsets(f"source or ground vertex out of range [0, {n})")
+    if np.intersect1d(source, ground).size:
+        raise InvalidCutsets("source and ground overlap")
     eu, ev, em = g.edges
     lengths = [len(c) for c in cutsets]
     flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(cutsets)),
@@ -132,10 +141,9 @@ def validate_cutsets(family: CutsetFamily) -> None:
     edge_fault = ~present | mismatch | (again & same)
     faulty = np.nonzero(edge_fault | again)[0]
     bad = int(cid[faulty[0]]) if len(faulty) else len(cutsets)
-    ground = np.asarray(family.ground, dtype=np.int64)
     start = 0
     for k in range(bad):
-        dist = bfs_layers(g, family.source, banned_edges=pairs[start:start + lengths[k]])
+        dist = bfs_layers(g, source, banned_edges=pairs[start:start + lengths[k]])
         if np.any(dist[ground] >= 0):
             raise InvalidCutsets("a cutset fails to separate source from ground")
         start += lengths[k]

@@ -6,10 +6,18 @@ t on the source and 0 on the ground yields the p-potential; its energy is
 the p-capacity and the reciprocal the p-resistance.
 
 The p=2 problem is a sparse symmetric linear solve.  For general p > 1 we
-run damped Newton on the free values with iteratively reweighted quadratic
-models; the edge weight |f(x)-f(y)|^(p-2) is regularized as
-(delta^2 + eps^2)^((p-2)/2) with eps continued from 1e-2 down to 1e-10,
-since the weight is singular at delta=0 for p < 2 and degenerate for p > 2.
+run damped Newton on the free values, starting from the p=2 potential, with
+iteratively reweighted quadratic models; the edge weight |f(x)-f(y)|^(p-2)
+is regularized as (delta^2 + eps^2)^((p-2)/2) with eps continued from 1e-2
+down to 1e-10, since the weight is singular at delta=0 for p < 2 and
+degenerate for p > 2.
+
+The solver takes no options: its settings are the module constants below,
+read at call time.  A potential is accepted when max |Delta_p f| over the
+free vertices is at most TOL times the capacity scale E/t.  Newton takes at
+most MAX_NEWTON_STEPS steps in all, over the eps stages of EPS_SCHEDULE (at
+most 80 each) and the polish; its line search halves the step up to 40
+times until the Armijo test with constant ARMIJO_C1 holds.
 
 Each eps stage ends when the regularized gradient vanishes or when a Newton
 step stops helping.  Near the optimum the decrease -g.d that the Newton
@@ -64,6 +72,10 @@ DIRECT_SOLVE_LIMIT = 6000  # above this, p=2 falls back to preconditioned CG
 # relative float64 resolution of the regularized energy: a Newton step whose
 # predicted decrease is below this times max(1, E) is judged by its gradient
 NEWTON_DECREMENT_FLOOR = 1e-13
+TOL = 1e-10  # residual target: max |Delta_p f| <= TOL * scale
+MAX_NEWTON_STEPS = 500  # over all eps stages and the polish
+EPS_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+ARMIJO_C1 = 1e-4
 
 
 def signed_power(x: np.ndarray | float, q: float):
@@ -112,18 +124,6 @@ def stokes_check(g: Graph, f: np.ndarray, p: float, A) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-10                 # residual target: max |Delta_p f| <= tol * scale
-    max_iter: int = 500
-    eps_schedule: tuple[float, ...] = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
-    armijo_c1: float = 1e-4
-    max_backtracks: int = 40
-    init: str = "p2"                   # p2 | zeros | flat | random
-    seed: int = 0
-    force_newton: bool = False         # run the general-p path even at p=2
-
-
-@dataclass(frozen=True)
 class Potential:
     values: np.ndarray
     p: float
@@ -143,6 +143,11 @@ class FlowResult:
 
 
 def _check_terminals(tg: TerminalGraph) -> None:
+    n = tg.graph.n
+    if not (0 <= tg.source < n and 0 <= tg.ground < n):
+        raise BadArguments(f"terminals ({tg.source}, {tg.ground}) must lie in [0, {n})")
+    if tg.source == tg.ground:
+        raise BadArguments("source and ground must differ")
     dist = bfs_layers(tg.graph, [tg.source])
     if dist[tg.ground] < 0:
         raise DisconnectedTerminals("ground is not reachable from source")
@@ -150,24 +155,6 @@ def _check_terminals(tg: TerminalGraph) -> None:
         # free component attached to neither terminal: energy is translation
         # invariant there and the minimizer is not unique
         raise DisconnectedTerminals("problem graph is not connected")
-
-
-def _initial_values(tg: TerminalGraph, t: float, cfg: SolverConfig,
-                    lap: _FreeLaplacian) -> np.ndarray:
-    f = np.zeros(tg.graph.n)
-    f[tg.source] = t
-    if cfg.init == "zeros":
-        return f
-    if cfg.init == "flat":
-        f[lap.free_idx] = t / 2.0
-        return f
-    if cfg.init == "random":
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed & (2**64 - 1), 0]))
-        f[lap.free_idx] = t * rng.random(len(lap.free_idx))
-        return f
-    if cfg.init == "p2":
-        return _solve_p2(tg, t, lap)
-    raise BadArguments(f"unknown init {cfg.init!r}")
 
 
 class _FreeLaplacian:
@@ -281,12 +268,11 @@ def _newton_weights(emf: np.ndarray, p: float, eps: float, delta: np.ndarray,
     return emf * p * d2e2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * delta * delta + eps * eps)
 
 
-def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0,
-                    cfg: Optional[SolverConfig] = None) -> Potential:
+def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
     """Minimize the p-energy over functions equal to t on source, 0 on ground.
 
     Returns the unique minimizer; it is p-harmonic on the free vertices up
-    to ``cfg.tol`` times the capacity scale.  Raises NonConvergence with the
+    to ``TOL`` times the capacity scale.  Raises NonConvergence with the
     iteration count, the residual and the per-stage step counts if the
     Newton loop stalls.
     """
@@ -294,68 +280,66 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0,
         raise BadArguments("p must be > 1")
     if t <= 0:
         raise BadArguments("t must be positive")
-    cfg = cfg or SolverConfig()
     _check_terminals(tg)
     g = tg.graph
     free_mask = np.ones(g.n, dtype=bool)
     free_mask[[tg.source, tg.ground]] = False
     free_idx = np.nonzero(free_mask)[0]
 
-    if p == 2.0 and not cfg.force_newton:
+    if p == 2.0:
         # the pattern is dropped before the residual pass, which peaks in memory
         f = _solve_p2(tg, t, _FreeLaplacian(g, free_mask))
         energy = p_energy(g, f, 2.0)
         residual = _true_residual(g, f, 2.0, free_idx)
         scale = max(energy / t, 1e-12)
-        if residual > cfg.tol * scale * 10:
+        if residual > TOL * scale * 10:
             raise NonConvergence(1, residual, "direct p=2 solve left a large residual")
         return Potential(values=f, p=2.0, source_value=t, energy=energy,
                          residual=residual, iterations=1, problem=tg)
 
     lap = _FreeLaplacian(g, free_mask)
-    f = _initial_values(tg, t, cfg, lap)
+    f = _solve_p2(tg, t, lap)
     emf = g.edges[2].astype(float)
     iterations = 0
     stages: list[tuple[str, int, int]] = []
 
     if len(free_idx):
-        for eps in cfg.eps_schedule:
+        for eps in EPS_SCHEDULE:
             before = iterations
-            iterations, backtracks = _newton_at_eps(g, f, p, eps, emf, lap, cfg,
-                                                    iterations)
+            iterations, backtracks = _newton_at_eps(g, f, p, eps, emf, lap, iterations)
             stages.append((f"{eps:.0e}", iterations - before, backtracks))
-            if iterations >= cfg.max_iter:
+            if iterations >= MAX_NEWTON_STEPS:
                 break
             scale = max(p_energy(g, f, p) / t, 1e-12)
-            if _true_residual(g, f, p, free_idx) <= 0.1 * cfg.tol * scale:
+            if _true_residual(g, f, p, free_idx) <= 0.1 * TOL * scale:
                 break
 
     energy = p_energy(g, f, p)
     scale = max(energy / t, 1e-12)
     residual = _true_residual(g, f, p, free_idx)
-    if residual > cfg.tol * scale and len(free_idx):
+    if residual > TOL * scale and len(free_idx):
         # near the optimum the energy decrease per step falls below float64
         # resolution, so polish with Newton steps accepted on residual decrease
         before = iterations
         iterations, residual, backtracks = _polish_residual(
-            g, f, p, cfg.eps_schedule[-1], emf, lap, cfg, iterations, cfg.tol * scale)
+            g, f, p, EPS_SCHEDULE[-1], emf, lap, iterations, TOL * scale)
         stages.append(("polish", iterations - before, backtracks))
         energy = p_energy(g, f, p)
         scale = max(energy / t, 1e-12)
-        if residual > cfg.tol * scale:
+        if residual > TOL * scale:
             raise NonConvergence(iterations, residual, stages=tuple(stages))
     return Potential(values=f, p=p, source_value=t, energy=energy,
                      residual=residual, iterations=iterations, problem=tg)
 
 
 def _polish_residual(g: Graph, f: np.ndarray, p: float, eps: float,
-                     emf: np.ndarray, lap: _FreeLaplacian, cfg: SolverConfig,
-                     iterations: int, target: float) -> tuple[int, float, int]:
+                     emf: np.ndarray, lap: _FreeLaplacian, iterations: int,
+                     target: float) -> tuple[int, float, int]:
     eu, ev, _ = g.edges
     free_idx = lap.free_idx
     residual = _true_residual(g, f, p, free_idx)
     backtracks = 0
-    while iterations < cfg.max_iter and residual > target:
+    while iterations < MAX_NEWTON_STEPS and residual > target:
         grad = p * p_laplacian(g, f, p)[free_idx]
         delta = f[eu] - f[ev]
         hw = _newton_weights(emf, p, eps, delta, delta * delta + eps * eps)
@@ -385,8 +369,7 @@ def _polish_residual(g: Graph, f: np.ndarray, p: float, eps: float,
 
 
 def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarray,
-                   lap: _FreeLaplacian, cfg: SolverConfig, iterations: int,
-                   rounds: int = 80) -> tuple[int, int]:
+                   lap: _FreeLaplacian, iterations: int) -> tuple[int, int]:
     """Damped Newton on the eps-regularized energy; mutates f in place.
 
     Returns the running iteration count and the number of rejected trial
@@ -395,8 +378,8 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
     eu, ev, _ = g.edges
     free_idx = lap.free_idx
     backtracks = 0
-    for _ in range(rounds):
-        if iterations >= cfg.max_iter:
+    for _ in range(80):
+        if iterations >= MAX_NEWTON_STEPS:
             break
         delta, d2e2, gfree = _reg_gradient(g, f, p, eps, emf, lap)
         gnorm = float(np.abs(gfree).max())
@@ -443,11 +426,11 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
                     backtracks += 1
                 break
             alpha = 1.0
-            for _bt in range(cfg.max_backtracks):
+            for _bt in range(40):
                 trial = f.copy()
                 trial[free_idx] += alpha * d
                 e1 = _reg_energy(trial[eu] - trial[ev], emf, p, eps)
-                if e1 <= e0 + cfg.armijo_c1 * alpha * slope:
+                if e1 <= e0 + ARMIJO_C1 * alpha * slope:
                     f[:] = trial
                     moved = True
                     break
@@ -461,42 +444,35 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
     return iterations, backtracks
 
 
-def p_resistance(tg: TerminalGraph, p: float, cfg: Optional[SolverConfig] = None) -> FlowResult:
+def p_resistance(tg: TerminalGraph, p: float) -> FlowResult:
     """Resistance, capacity and total current of the unit p-potential.
 
     capacity = E_p(f) for the unit potential f, the total current is the
     outward current through the source's edges, and resistance = 1/capacity.
-    The rescaling identity (current-normalized potential has R_p = t^(p-1)
-    = E_p^(p-1)) is verified internally.
+    Capacity and current must agree: |capacity - current| divided by the
+    smaller of the two above 1e-6 raises NonConvergence.  The rescaling
+    identity (the current-normalized potential has R_p = t^(p-1) =
+    E_p^(p-1)) says the same thing and needs no check of its own.
     """
-    pot = solve_potential(tg, p, t=1.0, cfg=cfg)
+    pot = solve_potential(tg, p, t=1.0)
     g = tg.graph
     capacity = pot.energy
     nb, mu = g.neighbors(tg.source)
     total_current = float(np.sum(mu * signed_power(1.0 - pot.values[nb], p - 1.0)))
     if total_current <= 0:
         raise NonConvergence(pot.iterations, pot.residual, "nonpositive total current")
-    rel = abs(capacity - total_current) / max(capacity, 1e-300)
+    rel = abs(capacity - total_current) / min(capacity, total_current)
     if rel > 1e-6:
         raise NonConvergence(pot.iterations, pot.residual,
                              f"capacity/current mismatch: {rel:.2e}")
-    resistance = 1.0 / capacity
-    # Rescale so the current is 1: then R_p = t^(p-1) = E_p(f)^(p-1).
-    lam = total_current ** (-1.0 / (p - 1.0))
-    t2 = lam * 1.0
-    e2 = lam ** p * capacity
-    if abs(resistance - t2 ** (p - 1.0)) > 1e-6 * resistance or abs(e2 - t2) > 1e-6 * t2:
-        raise NonConvergence(pot.iterations, pot.residual,
-                             "current-normalized identity failed")
-    return FlowResult(resistance=resistance, capacity=capacity,
+    return FlowResult(resistance=1.0 / capacity, capacity=capacity,
                       total_current=total_current, potential=pot)
 
 
-def pair_resistance(g: Graph, u: int, v: int, p: float,
-                    cfg: Optional[SolverConfig] = None) -> FlowResult:
+def pair_resistance(g: Graph, u: int, v: int, p: float) -> FlowResult:
     """R_p between two single vertices of a finite graph."""
     tg = collapse_terminals(g, [u], [v], label=f"pair({u},{v})")
-    return p_resistance(tg, p, cfg)
+    return p_resistance(tg, p)
 
 
 def cayley_resistances(g: CayleyGraph) -> np.ndarray:
@@ -641,8 +617,7 @@ def _pair_resistances_p2(g: Graph) -> np.ndarray:
     return diag[u] + diag[v] - 2.0 * green[u, v]
 
 
-def max_resistance(g: Graph, p: float, pair_cap: int = 200,
-                   cfg: Optional[SolverConfig] = None) -> tuple[float, tuple[int, int]]:
+def max_resistance(g: Graph, p: float, pair_cap: int = 200) -> tuple[float, tuple[int, int]]:
     """Maximum p-resistance between two vertices, with an argmax pair.
 
     On a ``CayleyGraph`` at p=2 every R_2(0, v) comes from the spectrum
@@ -650,10 +625,9 @@ def max_resistance(g: Graph, p: float, pair_cap: int = 200,
     1e-12 (relative) of the maximum.  Any other ``Graph`` at p=2 reads every
     pair off one grounded Green matrix (``_pair_resistances_p2``).  At other
     p a ``CayleyGraph``, being vertex-transitive, needs pair solves from
-    vertex 0 only, and any other ``Graph`` one per vertex pair; ``cfg``
-    configures those solves.  All but the spectral path take at most
-    ``pair_cap`` vertices and keep the first pair that beats all earlier
-    ones by over 1e-15.
+    vertex 0 only, and any other ``Graph`` one per vertex pair.  All but the
+    spectral path take at most ``pair_cap`` vertices and keep the first pair
+    that beats all earlier ones by over 1e-15.
     """
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
@@ -669,7 +643,7 @@ def max_resistance(g: Graph, p: float, pair_cap: int = 200,
     if p == 2.0:
         values = _pair_resistances_p2(g).tolist()
     else:
-        values = (pair_resistance(g, u, v, p, cfg).resistance for u, v in pairs)
+        values = (pair_resistance(g, u, v, p).resistance for u, v in pairs)
     best, best_pair = -1.0, (0, 1)
     for pair, r in zip(pairs, values):
         if r > best + 1e-15:

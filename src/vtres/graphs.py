@@ -591,16 +591,13 @@ class TerminalGraph:
     label: str = field(default="", compare=False)
 
 
-def dirichlet_problem(ball: BallGraph, r: int, mode: str = "sphere") -> TerminalGraph:
+def dirichlet_problem(ball: BallGraph, r: int) -> TerminalGraph:
     """Two-terminal network for R_p(x <-> S(x, r+1)) = R_p(x <-> complement of B(x, r)).
 
-    ``mode`` selects the construction route: "sphere" grounds the collapsed
-    sphere S(x, r+1), "complement" grounds everything outside B(x, r).  The
-    layer invariant makes the two produce identical graphs, which the tests
-    assert as equality of outputs.
+    Every vertex outside B(x, r) collapses to the ground; the layer
+    invariant (no edge of B(x, r) jumps past S(x, r+1)) is checked, so that
+    the ground is exactly the collapsed sphere.
     """
-    if mode not in ("sphere", "complement"):
-        raise BadArguments(f"unknown mode {mode!r}")
     if r < 0:
         raise BadArguments("r must be >= 0")
     if ball.radius < r + 1:
@@ -611,14 +608,14 @@ def dirichlet_problem(ball: BallGraph, r: int, mode: str = "sphere") -> Terminal
     slots = int(base.indptr[m])
     u = np.repeat(np.arange(m), np.diff(base.indptr[:m + 1]))
     v = base.nbr[:slots]
-    if mode == "sphere" and np.any(ball.layer[v[v >= m]] != r + 1):
+    if np.any(ball.layer[v[v >= m]] != r + 1):
         raise BadArguments("layer invariant violated: edge jumps a sphere")
     # every vertex outside B(x, r) becomes the ground vertex m
     v = np.minimum(v, ground)
     keep = u < v
     g = from_edge_list(m + 1, np.stack([u[keep], v[keep], base.mult[:slots][keep]], axis=1))
     return TerminalGraph(g, source=ball.center, ground=ground,
-                         label=f"dirichlet(r={r}, mode={mode})")
+                         label=f"dirichlet(r={r})")
 
 
 def collapse_terminals(g: Graph, source: Iterable[int], ground: Iterable[int],

@@ -101,7 +101,6 @@ def _check_type(key: str, value, typ: str) -> None:
         "int_list": lambda v: isinstance(v, list) and all(isinstance(x, int) for x in v),
         "float_list": lambda v: isinstance(v, list)
                                 and all(isinstance(x, (int, float)) for x in v),
-        "str": lambda v: isinstance(v, str),
     }[typ]
     if not ok(value):
         raise BadArguments(f"parameter {key!r} must have type {typ}")
@@ -259,7 +258,7 @@ def _sphere_resistance(ball: BallGraph, r: int, p: float) -> float:
     axes = box_ball_separable(ball, r) if p == 2.0 else None
     if axes:
         return box_ball_resistance(spec_offsets(ball.spec), ball.spec.factors, r, axes)
-    return p_resistance(dirichlet_problem(ball, r, "sphere"), p).resistance
+    return p_resistance(dirichlet_problem(ball, r), p).resistance
 
 
 def _run_resistance(man: ExperimentManifest, size_cap: int):
@@ -276,7 +275,7 @@ def _run_resistance(man: ExperimentManifest, size_cap: int):
         for p in ps:
             for r in rs:
                 if dump:
-                    flow = p_resistance(dirichlet_problem(ball, r, "sphere"), p)
+                    flow = p_resistance(dirichlet_problem(ball, r), p)
                     value = flow.resistance
                     name = f"potential_p{p:g}_r{r}".replace(".", "_")
                     extra_docs.append((name, emit_document(flow_items(flow))))
@@ -308,7 +307,7 @@ def _run_escape(man: ExperimentManifest, size_cap: int):
              prof[r - 1].stderr, seed) for r in rs]
     table = Table("escape", ["spec_hash", "r", "trials", "p_hat", "stderr", "seed"],
                   rows, meta={"rng": RNG_NAME})
-    return [table], [], {}
+    return [table], [], {}, []
 
 
 def _run_growth(man: ExperimentManifest, size_cap: int):
@@ -320,7 +319,7 @@ def _run_growth(man: ExperimentManifest, size_cap: int):
     rows = [(r, gp.beta[r], gp.sigma[r]) for r in range(gp.radius + 1)]
     meta = {"degree": gp.degree,
             "diameter": gp.diameter if gp.diameter is not None else "none"}
-    return [Table("growth", ["r", "beta", "sigma"], rows, meta)], [], {}
+    return [Table("growth", ["r", "beta", "sigma"], rows, meta)], [], {}, []
 
 
 def _run_isoperimetry(man: ExperimentManifest, size_cap: int):
@@ -341,7 +340,7 @@ def _run_isoperimetry(man: ExperimentManifest, size_cap: int):
         reports.append(verify_cyclic_edge_iso(spec.factors[0], chord_width,
                                               max_n=max_n))
     tables.append(_report_table("csc", reports, ("size", "n", "k")))
-    return tables, reports, {}
+    return tables, reports, {}, []
 
 
 def _run_sandwich(man: ExperimentManifest, size_cap: int):
@@ -391,7 +390,7 @@ def _run_sandwich(man: ExperimentManifest, size_cap: int):
     table = Table("sandwich", ["p", "r", "beta_r", "lower_rhs", "computed",
                                "upper_rhs", "lower_over_computed",
                                "computed_over_upper"], rows)
-    return [table], [], metrics
+    return [table], [], metrics, []
 
 
 def _table1_row_specs(man: ExperimentManifest):
@@ -442,7 +441,7 @@ def _run_table1(man: ExperimentManifest, size_cap: int):
     table = Table("table1", ["p", "d", "k", "n", "deg", "nw_bound", "exact",
                              "nw_over_exact", "regime", "regime_value",
                              "nw_over_regime"], rows)
-    return [table], reports, metrics
+    return [table], reports, metrics, []
 
 
 def _run_sharpness_nw(man: ExperimentManifest, size_cap: int):
@@ -466,7 +465,7 @@ def _run_sharpness_nw(man: ExperimentManifest, size_cap: int):
                 rows.append((p, d, k, n, measured, formula, measured / formula))
     table = Table("sharpness_nw", ["p", "d", "k", "n", "nw_measured",
                                    "nw_formula", "measured_over_formula"], rows)
-    return [table], [], {}
+    return [table], [], {}, []
 
 
 def _run_var_converse(man: ExperimentManifest, size_cap: int):
@@ -490,9 +489,10 @@ def _run_var_converse(man: ExperimentManifest, size_cap: int):
     metrics = {"log_regime_spread": max(regime) / min(regime)}
     table = Table("var_converse", ["n", "r", "beta_n", "computed", "rhs",
                                    "computed_over_rhs", "computed_over_log"], rows)
-    return [table], [], metrics
+    return [table], [], metrics, []
 
 
+# each runner returns (tables, reports, metrics, extra documents)
 _RUNNERS: dict[str, Callable] = {
     "resistance": _run_resistance,
     "escape": _run_escape,
@@ -513,9 +513,7 @@ def run(man: ExperimentManifest, base_dir: Optional[str] = None,
     converged; 1 means some report FAILed.  Validation and convergence
     errors raise and are turned into exit code 2 by the CLI.
     """
-    out = _RUNNERS[man.experiment](man, size_cap)
-    tables, reports, metrics = out[:3]
-    extra_docs = out[3] if len(out) > 3 else []
+    tables, reports, metrics, extra_docs = _RUNNERS[man.experiment](man, size_cap)
     man_hash = manifest_hash(man)
     out_dir = os.path.join(base_dir, man.out_path) if base_dir else man.out_path
     files = emit(tables, man.out_format, out_dir, man_hash)

@@ -160,7 +160,7 @@ def escape_via_resistance(ball: BallGraph, r: int) -> float:
         raise BadArguments("escape radius must be >= 1")
     if ball.radius < r:
         raise RadiusTooSmall(f"need ball radius >= {r}, have {ball.radius}")
-    problem = dirichlet_problem(ball, r - 1, mode="sphere")
+    problem = dirichlet_problem(ball, r - 1)
     flow = p_resistance(problem, 2.0)
     deg = ball.spec.ambient_degree()
     return 1.0 / (deg * flow.resistance)

@@ -118,14 +118,14 @@ def test_criterion_04_nash_williams():
             continue  # ball saturated before r: no sphere to cut
         p = float(P_GRID[int(rng.integers(0, len(P_GRID)))])
         nw = nash_williams_bound(sphere_cutsets(ball, r), p)
-        exact = p_resistance(dirichlet_problem(ball, r - 1, "sphere"), p).resistance
+        exact = p_resistance(dirichlet_problem(ball, r - 1), p).resistance
         assert nw <= exact * (1 + 1e-9)
         checked += 1
     for n in (8, 12, 20):
         ball = build_ball(spec_cycle(n), n // 2)
         for r in range(2, n // 2 + 1):
             nw = nash_williams_bound(sphere_cutsets(ball, r), 2.0)
-            exact = p_resistance(dirichlet_problem(ball, r - 1, "sphere"),
+            exact = p_resistance(dirichlet_problem(ball, r - 1),
                                  2.0).resistance
             assert abs(nw - exact) <= 1e-9
     _report(4, time.perf_counter() - t0, 60.0,
@@ -175,7 +175,7 @@ def test_criterion_07_sandwich_scaling():
     computed, lowers, uppers = [], [], []
     for r in rs:
         beta_r = ball.beta(r)
-        flow = p_resistance(dirichlet_problem(ball, r, "sphere"), 2.0)
+        flow = p_resistance(dirichlet_problem(ball, r), 2.0)
         computed.append(flow.resistance)
         lowers.append(theorem_rhs("T1_8_lower", {"r": r, "beta_r": beta_r, "deg": deg}))
         uppers.append(theorem_rhs("T1_8_upper", {"r": r, "beta_r": beta_r, "deg": deg}))
@@ -189,9 +189,9 @@ def test_criterion_07_sandwich_scaling():
     slope_u = loglog_slope([math.log(r) for r in rs], uppers)
 
     ball12 = build_ball(spec_lattice(3), 13)
-    r12 = p_resistance(dirichlet_problem(ball12, 12, "sphere"), 2.0).resistance
+    r12 = p_resistance(dirichlet_problem(ball12, 12), 2.0).resistance
     ball24 = build_ball(spec_lattice(3), 25)
-    r24 = p_resistance(dirichlet_problem(ball24, 24, "sphere"), 2.0).resistance
+    r24 = p_resistance(dirichlet_problem(ball24, 24), 2.0).resistance
     assert r24 / r12 <= 1.25
     _report(7, time.perf_counter() - t0, 300.0,
             f"Z2 sandwich holds, log-regime spread {spread:.2f} <= 2 "

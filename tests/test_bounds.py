@@ -61,7 +61,7 @@ def test_sphere_cutsets_on_cycle_equal_exact():
     fam = sphere_cutsets(b, 3)
     assert fam.sizes == (2.0, 2.0, 2.0)
     nw = nash_williams_bound(fam, 2.0)
-    exact = p_resistance(dirichlet_problem(b, 2, "sphere"), 2.0).resistance
+    exact = p_resistance(dirichlet_problem(b, 2), 2.0).resistance
     assert abs(nw - 1.5) < 1e-12
     assert abs(nw - exact) < 1e-9
 
@@ -78,7 +78,7 @@ def test_nash_williams_below_exact_z2():
     fam = sphere_cutsets(b, 5)
     for p in (1.5, 2.0, 2.5, 3.0, 4.0):
         nw = nash_williams_bound(fam, p)
-        exact = p_resistance(dirichlet_problem(b, 4, "sphere"), p).resistance
+        exact = p_resistance(dirichlet_problem(b, 4), p).resistance
         assert nw <= exact * (1 + 1e-9)
 
 
@@ -113,6 +113,21 @@ def test_cutset_validation_rejects_nonseparating():
                        source=fam.source, ground=fam.ground)
     with pytest.raises(InvalidCutsets):
         validate_cutsets(bad)
+
+
+def test_cutset_validation_rejects_bad_terminals():
+    # a family with an empty or wrapped ground separates nothing, yet its
+    # cutsets would still sum to a bound
+    fam = sphere_cutsets(build_ball(spec_lattice(2), 3), 3)
+    n = fam.graph.n
+    for source, ground in (((0,), ()), ((), fam.ground), ((0,), (-1,)),
+                           ((-1,), fam.ground), ((0,), (n,)), ((0,), (0,))):
+        bad = CutsetFamily(cutsets=fam.cutsets, sizes=fam.sizes, graph=fam.graph,
+                           source=source, ground=ground)
+        with pytest.raises(InvalidCutsets):
+            validate_cutsets(bad)
+        with pytest.raises(InvalidCutsets):
+            nash_williams_bound(bad, 2.0)
 
 
 def _ring_family(cutsets):
@@ -250,7 +265,7 @@ def test_nash_williams_random_instances():
         fam = sphere_cutsets(ball, r)
         p = float(rng.choice([1.5, 2.0, 2.5, 3.0, 4.0]))
         nw = nash_williams_bound(fam, p)
-        exact = p_resistance(dirichlet_problem(ball, r - 1, "sphere"), p).resistance
+        exact = p_resistance(dirichlet_problem(ball, r - 1), p).resistance
         assert nw <= exact * (1 + 1e-9)
 
 
@@ -398,7 +413,7 @@ def test_bk_pair_exhaustive_matches_cycle_shortcut():
 def test_bk_ball_profile_strategy():
     ball = build_ball(spec_lattice(2), 9)
     bound = bk_upper_bound((ball, 4), 2.0, "profile")
-    exact = p_resistance(dirichlet_problem(ball, 4, "sphere"), 2.0).resistance
+    exact = p_resistance(dirichlet_problem(ball, 4), 2.0).resistance
     assert bound.value >= exact  # the profile route only weakens the bound
     ratio = bound.value / exact
     assert ratio < 1e5
@@ -409,7 +424,7 @@ def test_bk_ball_profile_ratio_bounded_across_radii():
     ratios = []
     for r in (2, 4, 8):
         bound = bk_upper_bound((ball, r), 2.0, "profile")
-        exact = p_resistance(dirichlet_problem(ball, r, "sphere"), 2.0).resistance
+        exact = p_resistance(dirichlet_problem(ball, r), 2.0).resistance
         ratios.append(bound.value / exact)
     assert max(ratios) / min(ratios) < 3.0
 
@@ -417,7 +432,7 @@ def test_bk_ball_profile_ratio_bounded_across_radii():
 def test_bk_ball_exhaustive_small():
     ball = build_ball(spec_cycle(12), 3)
     bound = bk_upper_bound((ball, 2), 2.0, "exhaustive")
-    exact = p_resistance(dirichlet_problem(ball, 2, "sphere"), 2.0).resistance
+    exact = p_resistance(dirichlet_problem(ball, 2), 2.0).resistance
     assert bound.value >= exact
 
 
@@ -575,8 +590,8 @@ def test_resistance_superadditive_across_spheres():
     # R(x <-> S(r)) >= R(x <-> S(n)) + R(S(n) <-> S(r))
     from vtres.graphs import annulus_problem
     ball = build_ball(spec_lattice(2), 8)
-    whole = p_resistance(dirichlet_problem(ball, 7, "sphere"), 2.0).resistance
-    inner = p_resistance(dirichlet_problem(ball, 3, "sphere"), 2.0).resistance
+    whole = p_resistance(dirichlet_problem(ball, 7), 2.0).resistance
+    inner = p_resistance(dirichlet_problem(ball, 3), 2.0).resistance
     ring = p_resistance(annulus_problem(ball, 4, 8), 2.0).resistance
     assert whole >= inner + ring - 1e-12
 

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtres import (
-    SolverConfig,
     box_ball_resistance,
     box_ball_separable,
     build_ball,
@@ -26,6 +27,7 @@ from vtres import (
     spec_z_times_torus,
     stokes_check,
 )
+from vtres import energy
 from vtres.errors import (
     BadArguments,
     DimensionMismatch,
@@ -33,7 +35,13 @@ from vtres.errors import (
     NonConvergence,
     SizeCapExceeded,
 )
-from vtres.graphs import Graph, from_edge_list, spec_fibered_torus, spec_offsets
+from vtres.graphs import (
+    Graph,
+    TerminalGraph,
+    from_edge_list,
+    spec_fibered_torus,
+    spec_offsets,
+)
 
 from conftest import (
     box_torus_fourier_resistance,
@@ -162,30 +170,12 @@ def test_maximum_principle_and_terminal_values():
         assert pot.values[pot.problem.ground] == 0.0
 
 
-def test_solver_uniqueness_across_initializations():
-    b = build_ball(spec_lattice(2), 4)
-    tg = dirichlet_problem(b, 3)
-    for p in (1.5, 2.5, 4.0):
-        sols = [solve_potential(tg, p, cfg=SolverConfig(init=init, seed=11)).values
-                for init in ("p2", "zeros", "flat", "random")]
-        for other in sols[1:]:
-            assert np.max(np.abs(sols[0] - other)) <= 1e-8
-
-
 def test_duality_swap_terminals():
     g = build_cayley_graph(spec_torus(3, 4))
     for p in (1.5, 2.0, 3.0):
         r_uv = pair_resistance(g, 0, 7, p).resistance
         r_vu = pair_resistance(g, 7, 0, p).resistance
         assert abs(r_uv - r_vu) <= 1e-10 * max(r_uv, 1.0)
-
-
-def test_p2_direct_matches_newton():
-    b = build_ball(spec_lattice(2), 4)
-    tg = dirichlet_problem(b, 3)
-    direct = solve_potential(tg, 2.0)
-    newton = solve_potential(tg, 2.0, cfg=SolverConfig(force_newton=True))
-    assert np.max(np.abs(direct.values - newton.values)) <= 1e-8
 
 
 def test_monotonicity_in_terminal_sets():
@@ -215,6 +205,37 @@ def test_disconnected_terminals_raises():
     g = from_edge_list(4, [(0, 1, 1), (2, 3, 1)])
     with pytest.raises(DisconnectedTerminals):
         solve_potential(collapse_terminals(g, [0], [2]), 2.0)
+
+
+@pytest.mark.parametrize("source,ground", [(0, 0), (-1, 3), (0, 4), (0, -1)])
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_bad_terminals_raise_bad_arguments(source, ground, p):
+    # numpy would read ground = -1 as vertex 3 and answer R = 3 quietly
+    tg = TerminalGraph(series_graph(3), source=source, ground=ground)
+    with pytest.raises(BadArguments):
+        solve_potential(tg, p)
+    with pytest.raises(BadArguments):
+        p_resistance(tg, p)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_capacity_current_check_is_two_sided(monkeypatch, p):
+    # the folded check compares capacity and current relative to the
+    # smaller one, whichever side the energy errs on
+    real = energy.solve_potential
+    tg, want = series_problem(3), 3.0 ** (p - 1)
+    for factor, raises in ((1 + 2e-6, True), (1 - 2e-6, True),
+                           (1 + 5e-7, False), (1 - 5e-7, False)):
+        def scaled(*args, **kwargs):
+            pot = real(*args, **kwargs)
+            return dataclasses.replace(pot, energy=pot.energy * factor)
+
+        monkeypatch.setattr(energy, "solve_potential", scaled)
+        if raises:
+            with pytest.raises(NonConvergence, match="capacity/current mismatch"):
+                p_resistance(tg, p)
+        else:
+            assert abs(p_resistance(tg, p).resistance - want) <= 1e-6 * want
 
 
 def test_k4_max_resistance():
@@ -345,18 +366,18 @@ def test_z2_newton_budget_and_seed_values(p, r):
     # on the gradient instead of running out its rounds: 10-26 steps here,
     # 10-249 before; p=1.2 only has to converge
     ball = build_ball(spec_lattice(2), r + 1)
-    flow = p_resistance(dirichlet_problem(ball, r, "sphere"), p)
+    flow = p_resistance(dirichlet_problem(ball, r), p)
     want = Z2_SEED_RESISTANCE[p, r]
     assert abs(flow.resistance - want) <= 1e-9 * want
     if p != 1.2:
         assert flow.potential.iterations <= 40
 
 
-def test_nonconvergence_carries_stage_counts():
+def test_nonconvergence_carries_stage_counts(monkeypatch):
+    monkeypatch.setattr(energy, "MAX_NEWTON_STEPS", 6)
     ball = build_ball(spec_lattice(2), 11)
     with pytest.raises(NonConvergence) as info:
-        p_resistance(dirichlet_problem(ball, 10, "sphere"), 1.5,
-                     SolverConfig(max_iter=6))
+        p_resistance(dirichlet_problem(ball, 10), 1.5)
     err = info.value
     assert err.iterations == 6
     assert [s for s, _, _ in err.stages] == ["1e-02", "polish"]
@@ -437,7 +458,7 @@ def test_box_ball_mode_sum_matches_sparse_solve(name):
     ball = build_ball(spec, max(radii) + 1)
     for r in radii:
         assert box_ball_separable(ball, r), r
-        exact = p_resistance(dirichlet_problem(ball, r, "sphere"), 2.0).resistance
+        exact = p_resistance(dirichlet_problem(ball, r), 2.0).resistance
         modes = box_ball_resistance(spec_offsets(spec), spec.factors, r)
         assert abs(modes - exact) <= 1e-10 * exact, r
 

@@ -298,18 +298,9 @@ def test_boundary_sandwich_random_sets(seed):
     assert info.vertex_size <= info.edge_size <= g.max_degree * info.vertex_size
 
 
-def test_dirichlet_modes_identical():
-    for spec, radius, r in ((spec_cycle(8), 4, 2), (spec_lattice(2), 4, 2),
-                            (spec_z_times_torus(3), 5, 3),
-                            (spec_fibered_torus(8, 3), 4, 2),
-                            (spec_torus(6, 6, 2, full_last=True), 4, 2)):
-        b = build_ball(spec, radius)
-        assert dirichlet_problem(b, r, "sphere") == dirichlet_problem(b, r, "complement")
-
-
 def test_dirichlet_cycle_example():
     b = build_ball(spec_cycle(8), 4)
-    tg = dirichlet_problem(b, 2, "sphere")
+    tg = dirichlet_problem(b, 2)
     assert tg.graph.n == b.beta(2) + 1
     assert int(tg.graph.degree[tg.ground]) == 2
 
@@ -323,7 +314,7 @@ def test_dirichlet_line_example():
 
 def test_dirichlet_ground_multiplicity_matches_edge_count(z2_ball_r5):
     r = 2
-    tg = dirichlet_problem(z2_ball_r5, r, "sphere")
+    tg = dirichlet_problem(z2_ball_r5, r)
     crossing = 0
     for u in range(z2_ball_r5.beta(r)):
         nb, mu = z2_ball_r5.base.neighbors(u)

@@ -345,3 +345,20 @@ def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch
         run(ExperimentManifest(experiment, spec, params, f"o{i}", "csv"),
             base_dir=str(tmp_path))
         assert solved == want, (experiment, params)
+
+
+def test_benchmark_hooks_exist():
+    # perfbench/tracer.py wraps functions by module attribute name; a rename
+    # it does not follow would leave a traced benchmark run incorrect.
+    # install patches modules, so it runs in its own interpreter.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    script = ("import tracer\n"
+              "t = tracer.Tracer()\n"
+              "tracer.install(t)\n"
+              "print(repr(t.missing))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, os.path.join(root, "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
