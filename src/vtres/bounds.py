@@ -5,10 +5,15 @@ right-hand sides.
 Implied multiplicative constants are never folded in: every evaluator
 returns the formula value at constant 1, and BoundReport records the
 empirical ratio so that sweeps can assert boundedness instead.
+
+The exhaustive j-quantity bound counts boundaries with
+``graphs.boundary_sizes`` and evaluates j once per distinct (size, vertex
+boundary, edge boundary); on a simple cycle it needs no sets at all.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,8 +39,13 @@ from .graphs import (
     TerminalGraph,
     bfs_layers,
     boundary,
+    boundary_sizes,
+    connected_supersets,
     graph_growth_profile,
     growth_profile,
+    mask_members,
+    neighbor_masks,
+    prefix_subgraph,
 )
 
 BK_EXHAUSTIVE_CAP = 20
@@ -161,11 +171,14 @@ def validate_cutsets(family: CutsetFamily) -> None:
 
 
 def nash_williams_bound(family: CutsetFamily, p: float, validate: bool = True) -> float:
-    """(sum_i |Pi_i|^(-1/(p-1)))^(p-1), a lower bound for R_p(source <-> ground)."""
+    """(sum_i |Pi_i|^(-1/(p-1)))^(p-1), a lower bound for R_p(source <-> ground).
+
+    ``validate=False`` skips the per-cutset checks, never the terminal ones.
+    """
     if p <= 1:
         raise BadArguments("p must be > 1")
-    if validate:
-        validate_cutsets(family)
+    # without cutsets only the terminal checks remain
+    validate_cutsets(family if validate else dataclasses.replace(family, cutsets=()))
     q = 1.0 / (p - 1.0)
     return float(sum(s ** (-q) for s in family.sizes) ** (p - 1.0))
 
@@ -242,14 +255,19 @@ def j_quantity(g: Graph, A, p: float, ambient_degree: Optional[int] = None) -> f
     if p <= 1:
         raise BadArguments("p must be > 1")
     info = boundary(g, A)
-    if info.vertex_size == 0 or info.edge_size == 0:
-        raise EmptyBoundary("set has empty boundary")
     deg = ambient_degree if ambient_degree is not None else g.max_degree
-    a = len(set(int(x) for x in A))
+    return _j_value(len(set(int(x) for x in A)), info.vertex_size, info.edge_size, p, deg)
+
+
+def _j_value(a: int, vb: int, eb: int, p: float, deg: int) -> float:
+    """j of an a-set with boundary sizes vb, eb.  Takes Python numbers: numpy's
+    power can differ from ``**`` in the last ulp."""
+    if vb == 0 or eb == 0:
+        raise EmptyBoundary("set has empty boundary")
     q1 = p / (p - 1.0)
     q2 = 1.0 / (p - 1.0)
-    vterm = a / info.vertex_size ** q1 + 1.0 / info.vertex_size ** q2
-    eterm = deg * a / info.edge_size ** q1 + 1.0 / info.edge_size ** q2
+    vterm = a / vb ** q1 + 1.0 / vb ** q2
+    eterm = deg * a / eb ** q1 + 1.0 / eb ** q2
     return float(min(vterm, eterm))
 
 
@@ -263,37 +281,6 @@ def j_upper_from_profile(a: int, xi: float, p: float) -> float:
         raise BadArguments("boundary lower bound must be positive")
     c = max(1.0, xi / a)
     return (1.0 + c) * a / xi ** (p / (p - 1.0))
-
-
-def connected_supersets(nbr_masks: list[int], root: int, allowed: int):
-    """Yield every connected vertex set (as a bitmask) containing root.
-
-    Rooted variant of the exclusive-neighbourhood enumeration: each set is
-    produced exactly once.
-    """
-    root_bit = 1 << root
-    if not (allowed & root_bit):
-        return
-
-    def rec(s: int, ns: int, ext: int):
-        yield s
-        while ext:
-            w_bit = ext & -ext
-            ext &= ext - 1
-            w = w_bit.bit_length() - 1
-            grown = nbr_masks[w] & allowed & ~s & ~ns & ~ext
-            yield from rec(s | w_bit, ns | nbr_masks[w], ext | grown)
-
-    yield from rec(root_bit, nbr_masks[root], nbr_masks[root] & allowed & ~root_bit)
-
-
-def _bit_ids(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def _is_simple_cycle(g: Graph) -> bool:
@@ -312,49 +299,33 @@ def _dyadic_block(total: int, a: int) -> int:
     return int(math.floor(math.log2(total / a)))
 
 
-def _blocks_exhaustive_rooted(measure_graph: Graph, nbr_masks: list[int], root: int,
-                              allowed: int, total: int, nmax: int, p: float,
-                              ambient_degree: Optional[int]) -> list[float]:
+def _blocks_exhaustive_rooted(g: Graph, root: int, allowed: int, total: int,
+                              nmax: int, p: float, deg: int) -> list[float]:
+    """Block maxima of j over the connected sets in ``allowed`` (a mask below
+    total) that contain root; j depends on a set only through its size and
+    boundary sizes, so it is evaluated once per distinct triple."""
+    triples = set()
+    sets = connected_supersets(neighbor_masks(g, total), root, allowed)
+    for member in mask_members(sets, g.n):
+        vb, eb = boundary_sizes(g, member)
+        triples.update(zip(member.sum(axis=1).tolist(), vb.tolist(), eb.tolist()))
     maxima = [0.0] * (nmax + 1)
-    for s in connected_supersets(nbr_masks, root, allowed):
-        a = s.bit_count()
-        if a > total:
-            continue
+    for a, vb, eb in triples:
         n = _dyadic_block(total, a)
-        if n < 0 or n > nmax:
-            continue
-        j = j_quantity(measure_graph, _bit_ids(s), p, ambient_degree=ambient_degree)
-        if j > maxima[n]:
-            maxima[n] = j
+        if n <= nmax:
+            maxima[n] = max(maxima[n], _j_value(a, vb, eb, p, deg))
     return maxima
 
 
-def _blocks_cycle_arcs(g: Graph, u: int, v: int, total: int, nmax: int,
-                       p: float) -> list[float]:
-    """On a cycle every connected proper subset is an arc; enumerate them."""
-    order = [u]
-    prev = -1
-    while len(order) < g.n:
-        nb, _ = g.neighbors(order[-1])
-        nxt = int(nb[0]) if int(nb[0]) != prev else int(nb[1])
-        prev = order[-1]
-        order.append(nxt)
-    pos_v = order.index(v)
-    n_ = g.n
+def _blocks_cycle_arcs(total: int, nmax: int, p: float) -> list[float]:
+    """On a simple cycle the connected proper subsets are arcs; one of a <= n-2
+    vertices has vertex and edge boundary 2, and j grows with a, so a block's
+    maximum is j at its largest arc."""
     maxima = [0.0] * (nmax + 1)
-    for size in range(1, n_ - 1):
-        n = _dyadic_block(total, size)
-        if n < 0 or n > nmax:
-            continue
-        for start in range(-size + 1, 1):
-            idxs = [(start + k) % n_ for k in range(size)]
-            if pos_v in [i % n_ for i in range(start, start + size)]:
-                continue
-            arc = [order[i] for i in idxs]
-            j = j_quantity(g, arc, p)
-            if j > maxima[n]:
-                maxima[n] = j
-            break  # arcs of equal size share boundary sizes on a cycle
+    for a in range(1, total - 1):
+        n = _dyadic_block(total, a)
+        if n <= nmax:
+            maxima[n] = _j_value(a, 2, 2, p, 2)
     return maxima
 
 
@@ -420,11 +391,10 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive",
             if total > BK_EXHAUSTIVE_CAP:
                 raise SizeCapExceeded(
                     f"exhaustive strategy capped at {BK_EXHAUSTIVE_CAP} vertices")
-            allowed = (1 << total) - 1
-            nbr_masks = _masks_prefix(ball.base, total)
-            maxima = _blocks_exhaustive_rooted(ball.base, nbr_masks, ball.center,
-                                               allowed, total, nmax, p,
-                                               ambient_degree=deg_u)
+            # subsets of B(x, r) have their boundaries in B(x, r+1)
+            maxima = _blocks_exhaustive_rooted(
+                prefix_subgraph(ball.base, ball.beta(r + 1)), ball.center,
+                (1 << total) - 1, total, nmax, p, deg_u)
         else:
             xi_of = boundary_profile or _csc_profile_fn(ball, total)
             maxima = _blocks_from_profile(xi_of, total, nmax, p)
@@ -446,15 +416,14 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive",
                 continue
             if strategy == "exhaustive":
                 if _is_simple_cycle(g):
-                    maxima = _blocks_cycle_arcs(g, root, other, total, nmax, p)
+                    maxima = _blocks_cycle_arcs(total, nmax, p)
                 elif total > BK_EXHAUSTIVE_CAP:
                     raise SizeCapExceeded(
                         f"exhaustive strategy capped at {BK_EXHAUSTIVE_CAP} vertices")
                 else:
                     allowed = ((1 << total) - 1) & ~(1 << other)
-                    nbr_masks = _masks_prefix(g, total)
-                    maxima = _blocks_exhaustive_rooted(g, nbr_masks, root, allowed,
-                                                       total, nmax, p, None)
+                    maxima = _blocks_exhaustive_rooted(g, root, allowed, total, nmax,
+                                                       p, g.max_degree)
             else:
                 xi_of = boundary_profile or _csc_profile_fn_graph(g)
                 # block 0 holds sets beyond half the graph, which the
@@ -465,16 +434,6 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive",
         return BkBound(value, base, tuple(all_maxima))
 
     raise BadArguments("problem must be (BallGraph, r) or a TerminalGraph")
-
-
-def _masks_prefix(g: Graph, m: int) -> list[int]:
-    """Bitmask of the neighbours below m of each vertex 0..m-1, as Python ints."""
-    rows = np.repeat(np.arange(m), np.diff(g.indptr[:m + 1]))
-    nbr = g.nbr[:g.indptr[m]]
-    keep = nbr < m
-    masks = np.zeros(m, dtype=object)
-    np.bitwise_or.at(masks, rows[keep], np.left_shift(1, nbr[keep].astype(object)))
-    return masks.tolist()
 
 
 def _csc_profile_fn(ball: BallGraph, total: int) -> Callable[[int], float]:

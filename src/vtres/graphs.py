@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -553,6 +553,10 @@ def graph_growth_profile(g: Graph, center: int = 0) -> GrowthProfile:
 # Boundaries
 # ---------------------------------------------------------------------------
 
+MASK_BITS = 62  # widest graph whose vertex sets fit an int64 bitmask, bit v = vertex v
+MASK_BLOCK = 4096  # bitmask sets per boundary_sizes call
+
+
 class BoundaryInfo(NamedTuple):
     vertex_size: int
     edge_size: int
@@ -574,6 +578,60 @@ def boundary(g: Graph, A: Iterable[int]) -> BoundaryInfo:
     pos = pos[~in_a[g.nbr[pos]]]
     bset = np.unique(g.nbr[pos])
     return BoundaryInfo(bset.size, int(g.mult[pos].sum()), tuple(bset.tolist()))
+
+
+def boundary_sizes(g: Graph, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex and (multiplicity-weighted) edge boundary sizes of the k sets of
+    a (k, n) boolean membership matrix, in O(k n) memory.
+
+    P = member . W, with W the weighted adjacency, is the edge weight from
+    each set to each vertex; outside the set, the columns with P > 0 are
+    the vertex boundary and the sum of P is the edge boundary.
+    """
+    adj = sp.csr_matrix((g.mult, g.nbr, g.indptr), shape=(g.n, g.n))
+    # W is symmetric, so P^T = W . member^T
+    outside = np.where(member, 0, (adj @ member.T.astype(np.int64)).T)
+    return (outside > 0).sum(axis=1), outside.sum(axis=1)
+
+
+def neighbor_masks(g: Graph, m: int) -> list[int]:
+    """Bitmask of the neighbours below m of each vertex 0..m-1, as Python ints."""
+    rows = np.repeat(np.arange(m), np.diff(g.indptr[:m + 1]))
+    nbr = g.nbr[:g.indptr[m]]
+    keep = nbr < m
+    masks = np.zeros(m, dtype=object)
+    np.bitwise_or.at(masks, rows[keep], np.left_shift(1, nbr[keep].astype(object)))
+    return masks.tolist()
+
+
+def connected_supersets(nbr_masks: list[int], root: int, allowed: int):
+    """Yield every connected vertex set (as a bitmask) containing root.
+
+    Rooted variant of the exclusive-neighbourhood enumeration: each set is
+    produced exactly once.
+    """
+    root_bit = 1 << root
+    if not (allowed & root_bit):
+        return
+
+    def rec(s: int, ns: int, ext: int):
+        yield s
+        while ext:
+            w_bit = ext & -ext
+            ext &= ext - 1
+            w = w_bit.bit_length() - 1
+            grown = nbr_masks[w] & allowed & ~s & ~ns & ~ext
+            yield from rec(s | w_bit, ns | nbr_masks[w], ext | grown)
+
+    yield from rec(root_bit, nbr_masks[root], nbr_masks[root] & allowed & ~root_bit)
+
+
+def mask_members(masks: Iterable[int], n: int) -> Iterator[np.ndarray]:
+    """Membership matrices of bitmask vertex sets, MASK_BLOCK sets at a time."""
+    it = iter(masks)
+    bits = np.arange(n, dtype=np.int64)
+    while (block := np.fromiter(itertools.islice(it, MASK_BLOCK), dtype=np.int64)).size:
+        yield (block[:, None] >> bits) & 1 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +718,7 @@ def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
     if ball.radius < r:
         raise RadiusTooSmall(f"need ball radius >= {r}, have {ball.radius}")
     m = ball.beta(r)
-    sub = _prefix_subgraph(ball.base, m)
+    sub = prefix_subgraph(ball.base, m)
     return collapse_terminals(
         sub,
         source=range(ball.beta(n - 1), ball.beta(n)),
@@ -669,7 +727,7 @@ def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
     )
 
 
-def _prefix_subgraph(g: Graph, m: int) -> Graph:
+def prefix_subgraph(g: Graph, m: int) -> Graph:
     """Induced subgraph on vertices 0..m-1 (valid because balls are id prefixes)."""
     edges = np.stack(g.edges, axis=1)
     return from_edge_list(m, edges[edges[:, 1] < m])  # u < v, so both ends are < m

@@ -5,6 +5,8 @@ Profiles are exhaustive minima of the vertex/edge boundary per set size,
 with witnesses; theorem checks compare measured boundaries of candidate
 sets inside a ball against the formula right-hand sides at implied
 constant 1, leaving boundedness of the ratios to sweep-level assertions.
+Both count boundaries with ``graphs.boundary_sizes``, many sets per call;
+profiles hold sets as int64 bitmasks, so they stop at 62 vertices.
 """
 
 from __future__ import annotations
@@ -15,22 +17,19 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import (
-    BoundReport,
-    _masks_prefix,
-    connected_supersets,
-    b_exponent,
-    csc_bound,
-    make_report,
-)
+from .bounds import BoundReport, b_exponent, csc_bound, make_report
 from .errors import BadArguments, SizeCapExceeded
 from .graphs import (
+    MASK_BITS,
     BallGraph,
     Graph,
-    boundary,
+    boundary_sizes,
     build_cayley_graph,
+    connected_supersets,
     graph_growth_profile,
     growth_profile,
+    mask_members,
+    neighbor_masks,
     spec_cyclic_chords,
 )
 
@@ -53,24 +52,12 @@ class IsoProfile:
     mode: str
 
 
-def _mask_boundaries(g: Graph, masks: list[int], s: int, simple: bool) -> tuple[int, int]:
-    outside = ~s
-    union = 0
-    eb = 0
-    m = s
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m &= m - 1
-        union |= masks[v]
-        if simple:
-            eb += (masks[v] & outside).bit_count()
-        else:
-            nb, mu = g.neighbors(v)
-            for w, k in zip(nb, mu):
-                if not (s >> int(w)) & 1:
-                    eb += int(k)
-    return (union & outside).bit_count(), eb
+def _least_per_size(size: np.ndarray, bound: np.ndarray, rank: np.ndarray) -> list[int]:
+    """Row of each size's least boundary, ties going to the greatest rank."""
+    order = np.lexsort((-rank, bound, size))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = size[order[1:]] != size[order[:-1]]
+    return order[first].tolist()
 
 
 def exact_profile(g: Graph, mode: str = "all_sets",
@@ -78,7 +65,10 @@ def exact_profile(g: Graph, mode: str = "all_sets",
     """Exhaustive minimum boundaries per set size, with witnesses.
 
     ``all_sets`` scans every proper subset; ``connected_sets`` restricts to
-    connected ones.  Ties break to the lexicographically least witness.
+    connected ones.  Sets are int64 bitmasks, so no cap admits a graph of
+    more than MASK_BITS vertices.  Ties break to the lexicographically least
+    witness: the set whose membership vector, read from vertex 0, is the
+    greatest.
     """
     if mode not in ("all_sets", "connected_sets"):
         raise BadArguments(f"unknown mode {mode!r}")
@@ -86,35 +76,31 @@ def exact_profile(g: Graph, mode: str = "all_sets",
                                            else CONNECTED_SETS_CAP)
     if g.n > cap:
         raise SizeCapExceeded(f"{g.n} vertices exceeds profile cap {cap}")
-    masks = _masks_prefix(g, g.n)
-    simple = bool(np.all(g.mult == 1))
-    best: dict[int, list] = {}
-
-    def consider(s: int):
-        size = s.bit_count()
-        vb, eb = _mask_boundaries(g, masks, s, simple)
-        ids = tuple(v for v in range(g.n) if (s >> v) & 1)
-        entry = best.get(size)
-        if entry is None:
-            best[size] = [vb, eb, ids, ids]
-            return
-        if vb < entry[0] or (vb == entry[0] and ids < entry[2]):
-            entry[0], entry[2] = vb, ids
-        if eb < entry[1] or (eb == entry[1] and ids < entry[3]):
-            entry[1], entry[3] = eb, ids
-
+    if g.n > MASK_BITS:
+        raise SizeCapExceeded(f"{g.n} vertices exceeds the {MASK_BITS}-bit set masks")
+    full = (1 << g.n) - 1
     if mode == "all_sets":
-        for s in range(1, (1 << g.n) - 1):
-            consider(s)
+        sets = range(1, full)
     else:
-        full = (1 << g.n) - 1
-        for root in range(g.n):
-            above = full & ~((1 << root) - 1)
-            for s in connected_supersets(masks, root, above):
-                if s != full:
-                    consider(s)
-
-    by_size = {size: ProfileEntry(e[0], e[1], e[2], e[3]) for size, e in sorted(best.items())}
+        masks = neighbor_masks(g, g.n)
+        sets = (s for root in range(g.n)
+                for s in connected_supersets(masks, root, full & ~((1 << root) - 1))
+                if s != full)
+    # a membership vector read from vertex 0 as a binary number
+    weights = np.left_shift(1, np.arange(g.n - 1, -1, -1, dtype=np.int64))
+    best: tuple[dict, dict] = ({}, {})  # size -> (boundary, witness), vertex and edge
+    for member in mask_members(sets, g.n):
+        size = member.sum(axis=1)
+        rank = member @ weights
+        for found, bound in zip(best, boundary_sizes(g, member)):
+            for i in _least_per_size(size, bound, rank):
+                m = int(size[i])
+                key = (int(bound[i]), tuple(np.flatnonzero(member[i]).tolist()))
+                if m not in found or key < found[m]:
+                    found[m] = key
+    vbest, ebest = best
+    by_size = {m: ProfileEntry(vbest[m][0], ebest[m][0], vbest[m][1], ebest[m][1])
+               for m in sorted(vbest)}
     lo, hi = (min(by_size), max(by_size)) if by_size else (0, 0)
     return IsoProfile(by_size=by_size, exhaustive=True, size_range=(lo, hi), mode=mode)
 
@@ -209,14 +195,7 @@ def _candidate_sets(ball: BallGraph, rho: int, smax: int, seed: int,
             target = int(rng.integers(lo, hi + 1))
             out.append(_random_connected(ball, m, target, rng))
         lo *= 10
-    # dedupe, preserving deterministic order
-    seen = set()
-    uniq = []
-    for ids in out:
-        if ids not in seen:
-            seen.add(ids)
-            uniq.append(ids)
-    return uniq
+    return list(dict.fromkeys(out))  # dedupe, preserving deterministic order
 
 
 def _random_connected(ball: BallGraph, m: int, target: int,
@@ -267,10 +246,12 @@ def check_iso_theorems(ball: BallGraph, which: str, seed: int = 0,
     rhs, check, base_params = _iso_rhs(which, rho, beta_r, beta_1, q_abs, q_rel)
     if rhs is None:
         return []
+    sets = _candidate_sets(ball, rho, smax, seed, exhaustive_cap, samples_per_decade)
+    member = np.zeros((len(sets), ball.base.n), dtype=bool)
+    member[np.repeat(np.arange(len(sets)), [len(ids) for ids in sets]),
+           np.concatenate(sets)] = True
     reports = []
-    for ids in _candidate_sets(ball, rho, smax, seed, exhaustive_cap,
-                               samples_per_decade):
-        vb = boundary(ball.base, ids).vertex_size
+    for ids, vb in zip(sets, boundary_sizes(ball.base, member)[0].tolist()):
         params = dict(base_params)
         params["size"] = len(ids)
         reports.append(make_report(which, computed=float(vb),
@@ -330,12 +311,9 @@ def _iso_converse_report(ball: BallGraph, rho: int, beta_r: int,
     """Largest q whose sphere-boundary hypothesis holds, and the implied
     growth constant."""
     q_star = math.inf
-    half = beta_r / 2.0
-    for n in range(1, rho + 1):
-        beta_n = ball.beta(n)
-        if beta_n > half:
-            break
-        vb = boundary(ball.base, range(beta_n)).vertex_size
+    betas = [b for b in map(ball.beta, range(1, rho + 1)) if b <= beta_r / 2.0]
+    member = np.arange(ball.base.n) < np.array(betas, dtype=np.int64)[:, None]
+    for beta_n, vb in zip(betas, boundary_sizes(ball.base, member)[0].tolist()):
         ratio = math.log(vb) / math.log(beta_n)
         if ratio < 1:
             q_star = min(q_star, 1.0 / (1.0 - ratio))

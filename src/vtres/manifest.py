@@ -330,8 +330,7 @@ def _run_isoperimetry(man: ExperimentManifest, size_cap: int):
     rows = []
     for size, entry in profile.by_size.items():
         mask = sum(1 << v for v in entry.witness)
-        rows.append((size, entry.min_vertex, entry.min_edge,
-                     f"{mask:x}" if g.n <= 64 else ""))
+        rows.append((size, entry.min_vertex, entry.min_edge, f"{mask:x}"))
     tables = [Table("profile", ["size", "min_vertex_boundary", "min_edge_boundary",
                                 "witness_mask"], rows)]
     reports = verify_csc(g, max_n=max_n)

@@ -23,6 +23,7 @@ from vtres import (
     sphere_cutsets,
     spec_cycle,
     spec_cyclic_chords,
+    spec_explicit,
     spec_lattice,
     spec_line,
     spec_torus,
@@ -30,6 +31,7 @@ from vtres import (
     theorem_rhs,
 )
 from vtres.bounds import (
+    BkBound,
     CutsetFamily,
     alpha_exponent,
     b_exponent,
@@ -47,7 +49,7 @@ from vtres.errors import (
     ProfileUnavailable,
     SizeCapExceeded,
 )
-from vtres.graphs import bfs_layers, from_edge_list
+from vtres.graphs import bfs_layers, connected_supersets, from_edge_list
 
 from conftest import random_small_spec, series_graph
 
@@ -128,6 +130,23 @@ def test_cutset_validation_rejects_bad_terminals():
             validate_cutsets(bad)
         with pytest.raises(InvalidCutsets):
             nash_williams_bound(bad, 2.0)
+
+
+def test_nash_williams_checks_terminals_without_validate():
+    # validate=False skips only the per-cutset checks: an empty or
+    # out-of-range terminal set still fails
+    fam = sphere_cutsets(build_ball(spec_lattice(2), 3), 3)
+    for source, ground in (((0,), ()), ((0,), (-1,)), ((0,), (0,))):
+        bad = CutsetFamily(cutsets=fam.cutsets, sizes=fam.sizes, graph=fam.graph,
+                           source=source, ground=ground)
+        with pytest.raises(InvalidCutsets):
+            nash_williams_bound(bad, 2.0, validate=False)
+    overlap = CutsetFamily(cutsets=fam.cutsets + fam.cutsets[:1],
+                           sizes=fam.sizes + fam.sizes[:1], graph=fam.graph,
+                           source=fam.source, ground=fam.ground)
+    assert nash_williams_bound(overlap, 2.0, validate=False) > 0
+    with pytest.raises(InvalidCutsets):
+        nash_williams_bound(overlap, 2.0)
 
 
 def _ring_family(cutsets):
@@ -442,6 +461,103 @@ def test_bk_caps_and_profile_errors():
         bk_upper_bound((ball, 4), 2.0, "exhaustive")
     with pytest.raises(ProfileUnavailable):
         bk_upper_bound((ball, 4), 2.0, "profile")  # profile range too short
+
+
+def _reference_rooted(g, root, allowed, total, nmax, p, deg):
+    """Block maxima of j over connected sets containing root, set by set."""
+    masks = [sum(1 << int(w) for w in g.neighbors(v)[0] if w < total)
+             for v in range(total)]
+    maxima = [0.0] * (nmax + 1)
+    for s in connected_supersets(masks, root, allowed):
+        n = int(math.floor(math.log2(total / s.bit_count())))
+        if 0 <= n <= nmax:
+            ids = [v for v in range(total) if (s >> v) & 1]
+            maxima[n] = max(maxima[n], j_quantity(g, ids, p, ambient_degree=deg))
+    return maxima
+
+
+def _reference_arcs(g, u, v, nmax, p):
+    """Block maxima of j over the arcs through u that avoid v, walking the cycle."""
+    order, prev = [u], -1
+    while len(order) < g.n:
+        nb = [int(w) for w in g.neighbors(order[-1])[0]]
+        nxt = nb[0] if nb[0] != prev else nb[1]
+        prev = order[-1]
+        order.append(nxt)
+    pos_v = order.index(v)
+    maxima = [0.0] * (nmax + 1)
+    for size in range(1, g.n - 1):
+        n = int(math.floor(math.log2(g.n / size)))
+        if not 0 <= n <= nmax:
+            continue
+        start = next(st for st in range(-size + 1, 1)
+                     if pos_v not in [(st + k) % g.n for k in range(size)])
+        arc = [order[(start + k) % g.n] for k in range(size)]
+        maxima[n] = max(maxima[n], j_quantity(g, arc, p))
+    return maxima
+
+
+def _bk_reference(problem, p):
+    if isinstance(problem, tuple):
+        ball, r = problem
+        total, deg = ball.beta(r), ball.spec.ambient_degree()
+        nmax = int(math.floor(math.log2(total / deg)))
+        base = deg ** (-1.0 / (p - 1.0))
+        maxima = _reference_rooted(ball.base, 0, (1 << total) - 1, total, nmax, p, deg)
+        return BkBound((base + sum(maxima)) ** (p - 1.0), base, tuple(maxima))
+    g, u, v = problem.graph, problem.source, problem.ground
+    cycle = bool(np.all(g.degree == 2) and np.all(g.mult == 1))
+    total = g.n
+    base = int(g.degree[u]) ** (-1.0 / (p - 1.0)) + int(g.degree[v]) ** (-1.0 / (p - 1.0))
+    out = []
+    for root, other in ((u, v), (v, u)):
+        nmax = min(int(math.floor(math.log2(total / int(g.degree[root])))),
+                   int(math.floor(math.log2(total))))
+        if nmax < 1:
+            continue
+        if cycle:
+            maxima = _reference_arcs(g, root, other, nmax, p)
+        else:
+            maxima = _reference_rooted(g, root, ((1 << total) - 1) & ~(1 << other),
+                                       total, nmax, p, None)
+        out.extend(maxima[1:])
+    return BkBound((base + sum(out)) ** (p - 1.0), base, tuple(out))
+
+
+def _bk_reference_cases():
+    z2_axes = spec_explicit((None, None), [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    # B(x, 2) of Z^6 has 85 vertices: boundaries reach past a 62-bit mask
+    z6_axes = spec_explicit((None,) * 6, [tuple(s * (i == j) for j in range(6))
+                                          for i in range(6) for s in (1, -1)])
+    torus_axes = spec_explicit((3, 3), [(1, 0), (2, 0), (0, 1), (0, 2)])
+    multi = from_edge_list(8, [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 4, 1), (4, 5, 1),
+                               (5, 6, 2), (6, 7, 1), (7, 0, 1), (1, 5, 1), (2, 6, 1)])
+    dense_c8 = from_edge_list(8, [(u, v, 1) for u in range(8) for v in range(u + 1, 8)
+                                  if (u - v) % 8 in (1, 7)])
+
+    def pair(g, u, v):
+        return collapse_terminals(g, [u], [v])
+
+    return {
+        "z2-axes-r1": (build_ball(z2_axes, 2), 1),
+        "z2-axes-r2": (build_ball(z2_axes, 3), 2),
+        "z2-box-r1": (build_ball(spec_lattice(2), 2), 1),
+        "z6-axes-r1": (build_ball(z6_axes, 2), 1),
+        "c12-ball-r2": (build_ball(spec_cycle(12), 3), 2),
+        "c8-pair": pair(build_cayley_graph(spec_cycle(8)), 0, 4),
+        "c12-pair": pair(build_cayley_graph(spec_cycle(12)), 0, 6),
+        "c30-pair": pair(build_cayley_graph(spec_cycle(30)), 0, 15),
+        "dense-c8-pair": pair(dense_c8, 0, 4),
+        "torus3x3-pair": pair(build_cayley_graph(torus_axes), 0, 4),
+        "multigraph-pair": pair(multi, 0, 4),
+    }
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", sorted(_bk_reference_cases()))
+def test_bk_exhaustive_matches_set_by_set_reference(case, p):
+    problem = _bk_reference_cases()[case]
+    assert bk_upper_bound(problem, p, "exhaustive") == _bk_reference(problem, p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from vtres import (
     verify_cyclic_edge_iso,
 )
 from vtres.errors import BadArguments, SizeCapExceeded
+from vtres.graphs import from_edge_list
 from vtres.isoperimetry import ISO_THEOREMS
 
 from conftest import complete_graph
@@ -62,6 +63,33 @@ def test_profile_matches_bruteforce_on_cycle():
         assert prof.by_size[size].min_edge == best_e
 
 
+def _connected(g, ids):
+    inside, seen, stack = set(ids), {ids[0]}, [ids[0]]
+    while stack:
+        for w in g.neighbors(stack.pop())[0].tolist():
+            if w in inside and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(ids)
+
+
+@pytest.mark.parametrize("mode", ["all_sets", "connected_sets"])
+def test_profile_matches_bruteforce_on_multigraph(mode):
+    # multiplicities weight the edge boundary; combinations come in
+    # lexicographic order, so min() keeps the least witness among ties
+    g = from_edge_list(7, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 4, 1), (4, 5, 2),
+                           (5, 6, 1), (6, 0, 3), (0, 3, 1), (2, 5, 2), (1, 4, 1)])
+    prof = exact_profile(g, mode)
+    for size in range(1, 7):
+        sets = [c for c in itertools.combinations(range(7), size)
+                if mode == "all_sets" or _connected(g, c)]
+        info = {c: boundary(g, c) for c in sets}
+        best_v = min(sets, key=lambda c: info[c].vertex_size)
+        best_e = min(sets, key=lambda c: info[c].edge_size)
+        assert prof.by_size[size] == (info[best_v].vertex_size, info[best_e].edge_size,
+                                      best_v, best_e)
+
+
 def test_witness_tie_break_is_lexicographic():
     prof = exact_profile(build_cayley_graph(spec_cycle(6)))
     assert prof.by_size[2].witness == (0, 1)
@@ -81,6 +109,10 @@ def test_profile_size_cap():
     with pytest.raises(SizeCapExceeded):
         exact_profile(g, "all_sets")  # default cap is 14
     exact_profile(g, "all_sets", max_n=16)
+    # sets are int64 bitmasks, so no cap lets a 63-cycle through
+    for mode in ("all_sets", "connected_sets"):
+        with pytest.raises(SizeCapExceeded):
+            exact_profile(build_cayley_graph(spec_cycle(63)), mode, max_n=100)
 
 
 def test_recentred_witness_gives_same_minima():

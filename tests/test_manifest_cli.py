@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,12 +24,13 @@ from conftest import box_torus_fourier_resistance
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def _cli(*args, cwd=None, env_extra=None):
+def _cli(*args, cwd=None, env_extra=None, timeout=None):
     env = dict(os.environ, PYTHONPATH=SRC)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "vtres", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          timeout=timeout)
 
 
 def _read(path):
@@ -123,6 +125,32 @@ def test_run_isoperimetry_status(tmp_path):
     assert any(r.quantity == "cyclic_edge_isoperimetry" for r in result.reports)
     summary = _read(result.files[-1]).decode()
     assert "status = PASS" in summary
+
+
+@pytest.mark.parametrize("spec_args,digests", [
+    (("--family", "cyclic_chords", "--factors", "14", "--generators", "chords:3"),
+     {"profile.csv": "b2a4d6d200791093e7dba133403c62b95c7c935245572e9c28dfa4d9e6147474",
+      "csc.csv": "4a033f9cd9eb7001b8386c483adbbb0bc41904b8fbd4f890df063049aa19ec95"}),
+    (("--family", "torus_product", "--factors", "4,4", "--generators", "box",
+      "--max-n", "16"),
+     {"profile.csv": "6c37041ab142e2a7b84839bfed68cbee143df51e3eebb7a4cfea6f1c48682378",
+      "csc.csv": "aa0367629769f12c4a050d64ac2e579bc98d03476ee9980f25df2abe3d7ed729"}),
+])
+def test_cli_iso_tables_are_golden(tmp_path, spec_args, digests):
+    # pins minima and witness masks byte for byte; the out path is part of
+    # the manifest, whose hash heads every table
+    proc = _cli("iso", *spec_args, "--out", "iso", cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    for name, digest in digests.items():
+        assert hashlib.sha256(_read(tmp_path / "iso" / name)).hexdigest() == digest, name
+
+
+def test_cli_iso_rejects_graphs_wider_than_a_mask(tmp_path):
+    proc = _cli("iso", "--family", "torus_product", "--factors", "64",
+                "--generators", "box", "--max-n", "100", "--out", str(tmp_path / "i"),
+                timeout=60)
+    assert proc.returncode == 2
+    assert "error.type = SizeCapExceeded" in proc.stderr
 
 
 def test_run_sandwich_metrics(tmp_path):
