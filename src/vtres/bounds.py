@@ -14,6 +14,7 @@ boundary, edge boundary); on a simple cycle it needs no sets at all.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -369,6 +370,10 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive",
     bound on the vertex boundary) when given, otherwise the growth-based
     bound.  The caller pairs the result with a measured resistance and
     reports the empirical ratio.
+
+    Both forms are a list of roots (root, degree, allowed mask) and a first
+    block: the ball form sums its one root's blocks from n = 0, the pair
+    form each terminal's blocks from n = 1.
     """
     if p <= 1:
         raise BadArguments("p must be > 1")
@@ -382,76 +387,56 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive",
         if ball.beta(r + 1) == ball.beta(r):
             raise BadArguments("B(x,r) already covers the graph, its boundary is empty")
         total = ball.beta(r)
-        deg_u = ball.spec.ambient_degree()
-        nmax = int(math.floor(math.log2(total / deg_u))) if total >= deg_u else -1
-        base = deg_u ** (-1.0 / (p - 1.0))
-        if nmax < 0:
-            return BkBound((base) ** (p - 1.0), base, ())
-        if strategy == "exhaustive":
-            if total > BK_EXHAUSTIVE_CAP:
-                raise SizeCapExceeded(
-                    f"exhaustive strategy capped at {BK_EXHAUSTIVE_CAP} vertices")
-            # subsets of B(x, r) have their boundaries in B(x, r+1)
-            maxima = _blocks_exhaustive_rooted(
-                prefix_subgraph(ball.base, ball.beta(r + 1)), ball.center,
-                (1 << total) - 1, total, nmax, p, deg_u)
-        else:
-            xi_of = boundary_profile or _csc_profile_fn(ball, total)
-            maxima = _blocks_from_profile(xi_of, total, nmax, p)
-        value = (base + sum(maxima)) ** (p - 1.0)
-        return BkBound(value, base, tuple(maxima))
+        deg = ball.spec.ambient_degree()
+        roots = [(ball.center, deg, (1 << total) - 1)]
+        first, j_deg, cycle = 0, deg, False
+        # subsets of B(x, r) have their boundaries in B(x, r+1)
+        subgraph = lambda: prefix_subgraph(ball.base, ball.beta(r + 1))
 
-    if isinstance(problem, TerminalGraph):
-        g = problem.graph
-        u, v = problem.source, problem.ground
+        def growth() -> GrowthProfile:
+            profile = growth_profile(ball)
+            if profile.beta[-1] < 2 * total:
+                raise ProfileUnavailable(
+                    f"growth profile reaches {profile.beta[-1]}, need {2 * total}")
+            ambient = ball.spec.ambient_size()
+            if ambient is not None and 2 * total > ambient:
+                raise ProfileUnavailable("sets may exceed half the ambient graph")
+            return profile
+    elif isinstance(problem, TerminalGraph):
+        g, u, v = problem.graph, problem.source, problem.ground
         total = g.n
-        deg_u = int(g.degree[u])
-        deg_v = int(g.degree[v])
-        base = deg_u ** (-1.0 / (p - 1.0)) + deg_v ** (-1.0 / (p - 1.0))
-        all_maxima: list[float] = []
-        for root, other, deg_root in ((u, v, deg_u), (v, u, deg_v)):
-            nmax = int(math.floor(math.log2(total / deg_root))) if total >= deg_root else -1
-            nmax = min(nmax, _dyadic_block(total, 1))
-            if nmax < 1:
-                continue
-            if strategy == "exhaustive":
-                if _is_simple_cycle(g):
-                    maxima = _blocks_cycle_arcs(total, nmax, p)
-                elif total > BK_EXHAUSTIVE_CAP:
-                    raise SizeCapExceeded(
-                        f"exhaustive strategy capped at {BK_EXHAUSTIVE_CAP} vertices")
-                else:
-                    allowed = ((1 << total) - 1) & ~(1 << other)
-                    maxima = _blocks_exhaustive_rooted(g, root, allowed, total, nmax,
-                                                       p, g.max_degree)
-            else:
-                xi_of = boundary_profile or _csc_profile_fn_graph(g)
-                # block 0 holds sets beyond half the graph, which the
-                # profile does not reach and the pair form drops
-                maxima = _blocks_from_profile(xi_of, total, nmax, p, first=1)
-            all_maxima.extend(maxima[1:])  # the pair form sums blocks from n = 1
-        value = (base + sum(all_maxima)) ** (p - 1.0)
-        return BkBound(value, base, tuple(all_maxima))
+        full = (1 << total) - 1
+        roots = [(u, int(g.degree[u]), full & ~(1 << v)),
+                 (v, int(g.degree[v]), full & ~(1 << u))]
+        # block 0 holds sets beyond half the graph, which the profile does
+        # not reach and the pair form drops; csc_bound rejects larger sizes
+        first, j_deg = 1, g.max_degree
+        cycle = strategy == "exhaustive" and _is_simple_cycle(g)
+        subgraph = lambda: g
+        growth = lambda: graph_growth_profile(g)
+    else:
+        raise BadArguments("problem must be (BallGraph, r) or a TerminalGraph")
 
-    raise BadArguments("problem must be (BallGraph, r) or a TerminalGraph")
-
-
-def _csc_profile_fn(ball: BallGraph, total: int) -> Callable[[int], float]:
-    profile = growth_profile(ball)
-    if profile.beta[-1] < 2 * total:
-        raise ProfileUnavailable(
-            f"growth profile reaches {profile.beta[-1]}, need {2 * total}")
-    ambient = ball.spec.ambient_size()
-    if ambient is not None and 2 * total > ambient:
-        raise ProfileUnavailable("sets may exceed half the ambient graph")
-    return lambda a: csc_bound(profile, a)
-
-
-def _csc_profile_fn_graph(g: Graph) -> Callable[[int], float]:
-    # Blocks in the two-terminal form start at n = 1, so only sizes up to
-    # n/2 are ever queried; csc_bound rejects anything larger.
-    profile = graph_growth_profile(g)
-    return lambda a: csc_bound(profile, a)
+    base = sum(deg_root ** (-1.0 / (p - 1.0)) for _, deg_root, _ in roots)
+    block_maxima: list[float] = []
+    xi_of = boundary_profile
+    for root, deg_root, allowed in roots:
+        nmax = _dyadic_block(total, deg_root) if total >= deg_root else -1
+        if nmax < first:
+            continue
+        if strategy == "profile":
+            xi_of = xi_of or functools.partial(csc_bound, growth())
+            maxima = _blocks_from_profile(xi_of, total, nmax, p, first)
+        elif cycle:
+            maxima = _blocks_cycle_arcs(total, nmax, p)
+        elif total > BK_EXHAUSTIVE_CAP:
+            raise SizeCapExceeded(f"exhaustive strategy capped at {BK_EXHAUSTIVE_CAP} vertices")
+        else:
+            maxima = _blocks_exhaustive_rooted(subgraph(), root, allowed, total, nmax,
+                                               p, j_deg)
+        block_maxima.extend(maxima[first:])
+    value = (base + sum(block_maxima)) ** (p - 1.0)
+    return BkBound(value, base, tuple(block_maxima))
 
 
 # ---------------------------------------------------------------------------

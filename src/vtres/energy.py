@@ -475,23 +475,31 @@ def pair_resistance(g: Graph, u: int, v: int, p: float) -> FlowResult:
     return p_resistance(tg, p)
 
 
+def _half_angle(k, step, moduli) -> np.ndarray:
+    """2 sin^2(pi theta) for the characters k, theta = sum_i k_i s_i / n_i.
+
+    theta is summed exactly over lcm(n_i) and folded into [-1/2, 1/2], so
+    the small values keep full precision (1 - cos would lose about 1e-4 at
+    the smallest eigenvalue of a 5M-cycle).
+    """
+    den = math.lcm(*moduli)
+    num = sum(ki * si % n * (den // n) for ki, si, n in zip(k, step, moduli)) % den
+    num[2 * num > den] -= den
+    return 2.0 * np.sin(np.pi * num / den) ** 2
+
+
 def cayley_resistances(g: CayleyGraph) -> np.ndarray:
     """R_2(0, v) for every vertex v of a finite abelian Cayley graph.
 
     Character k is a Laplacian eigenvector with eigenvalue lambda(k) =
-    sum over s in S of 2 sin^2(pi theta), theta = sum_i k_i s_i / n_i, taken
-    exactly over lcm(n_i) and folded into [-1/2, 1/2] so that the small
-    eigenvalues keep full precision (1 - cos would lose about 1e-4 at the
-    maximum of a 5M-cycle).  With lambda(0) = inf and G = ifftn(1/lambda),
+    sum over s in S of 2 sin^2(pi theta), theta = sum_i k_i s_i / n_i (see
+    ``_half_angle``).  With lambda(0) = inf and G = ifftn(1/lambda),
     R_2(0, v) = 2 (G(0) - G(v)).
     """
-    den = math.lcm(*g.dims)
     k = np.ix_(*[np.arange(n, dtype=np.int64) for n in g.dims])
     lam = np.zeros(g.dims)
     for s in g.offsets:
-        num = sum(ki * si % n * (den // n) for ki, si, n in zip(k, s, g.dims)) % den
-        num[2 * num > den] -= den
-        lam += 2.0 * np.sin(np.pi * num / den) ** 2
+        lam += _half_angle(k, s, g.dims)
     lam.flat[0] = np.inf
     green = np.fft.ifftn(1.0 / lam).real.reshape(-1)
     return 2.0 * (green[0] - green)
@@ -578,13 +586,7 @@ def box_ball_resistance(offsets, factors, r: int,
     # cyclic step share a term of mu
     groups = Counter((tuple(i for i, j in enumerate(interval) if s[j]),
                       tuple(s[j] for j in cyclic)) for s in offsets)
-    den = math.lcm(*moduli)
-    phases = {}
-    for _, step in groups:
-        if any(step):
-            num = sum(m * s % n * (den // n) for m, s, n in zip(grid[z:], step, moduli)) % den
-            num[2 * num > den] -= den
-            phases[step] = 2.0 * np.sin(np.pi * num / den) ** 2
+    phases = {step: _half_angle(grid[z:], step, moduli) for _, step in groups if any(step)}
     mu = np.zeros([r + 1] * z + moduli)
     for (moved, step), count in groups.items():
         xs = [sines[i] for i in moved]

@@ -2,11 +2,13 @@
 isoperimetric theorems.
 
 Profiles are exhaustive minima of the vertex/edge boundary per set size,
-with witnesses; theorem checks compare measured boundaries of candidate
-sets inside a ball against the formula right-hand sides at implied
-constant 1, leaving boundedness of the ratios to sweep-level assertions.
-Both count boundaries with ``graphs.boundary_sizes``, many sets per call;
-profiles hold sets as int64 bitmasks, so they stop at 62 vertices.
+with witnesses; the exhaustive checks read a profile the caller computed,
+so one graph's subsets are enumerated once.  Theorem checks compare
+measured boundaries of candidate sets inside a ball against the formula
+right-hand sides at implied constant 1, leaving boundedness of the ratios
+to sweep-level assertions.  Profiles and theorem checks count boundaries
+with ``graphs.boundary_sizes``, many sets per call; profiles hold sets as
+int64 bitmasks, so they stop at 62 vertices.
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ from .graphs import (
     BallGraph,
     Graph,
     boundary_sizes,
-    build_cayley_graph,
     connected_supersets,
     graph_growth_profile,
     growth_profile,
     mask_members,
     neighbor_masks,
-    spec_cyclic_chords,
 )
 
 ALL_SETS_CAP = 14
@@ -47,7 +47,6 @@ class ProfileEntry(NamedTuple):
 @dataclass(frozen=True)
 class IsoProfile:
     by_size: dict[int, ProfileEntry]
-    exhaustive: bool
     size_range: tuple[int, int]
     mode: str
 
@@ -102,16 +101,16 @@ def exact_profile(g: Graph, mode: str = "all_sets",
     by_size = {m: ProfileEntry(vbest[m][0], ebest[m][0], vbest[m][1], ebest[m][1])
                for m in sorted(vbest)}
     lo, hi = (min(by_size), max(by_size)) if by_size else (0, 0)
-    return IsoProfile(by_size=by_size, exhaustive=True, size_range=(lo, hi), mode=mode)
+    return IsoProfile(by_size=by_size, size_range=(lo, hi), mode=mode)
 
 
-def verify_csc(g: Graph, max_n: int = 16) -> list[BoundReport]:
+def verify_csc(g: Graph, profile: IsoProfile) -> list[BoundReport]:
     """Exhaustive check of the growth-based vertex-boundary lower bound.
 
-    One PASS/FAIL report per set size up to half the graph; the constant 12
-    is explicit, so these are genuine inequalities.
+    ``profile`` is g's ``all_sets`` profile.  One PASS/FAIL report per set
+    size up to half the graph; the constant 12 is explicit, so these are
+    genuine inequalities.
     """
-    profile = exact_profile(g, "all_sets", max_n=max_n)
     growth = graph_growth_profile(g)
     reports = []
     for m in range(1, g.n // 2 + 1):
@@ -126,18 +125,15 @@ def verify_csc(g: Graph, max_n: int = 16) -> list[BoundReport]:
     return reports
 
 
-def verify_cyclic_edge_iso(n: int, k: int, max_n: int = 16) -> BoundReport:
+def verify_cyclic_edge_iso(profile: IsoProfile, n: int, k: int) -> BoundReport:
     """Exhaustive edge-isoperimetry check for the chord graph on n vertices.
 
-    Minimum |edge boundary| over k <= |A| <= n-k is compared against
-    k^2/4 - 1 (an explicit inequality, PASS/FAIL).
+    ``profile`` is the ``all_sets`` profile of that graph.  Minimum |edge
+    boundary| over k <= |A| <= n-k is compared against k^2/4 - 1 (an
+    explicit inequality, PASS/FAIL).
     """
-    if n > max_n:
-        raise SizeCapExceeded(f"exhaustive check capped at {max_n} vertices")
     if not 1 <= k < n / 2:
         raise BadArguments("need 1 <= k < n/2")
-    g = build_cayley_graph(spec_cyclic_chords(n, k))
-    profile = exact_profile(g, "all_sets", max_n=max_n)
     best = math.inf
     witness: tuple[int, ...] = ()
     for m in range(k, n - k + 1):

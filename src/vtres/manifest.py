@@ -27,6 +27,7 @@ from .graphs import (
     build_cayley_graph,
     dirichlet_problem,
     growth_profile,
+    spec_cyclic_chords,
     spec_offsets,
     spec_torus,
 )
@@ -333,11 +334,14 @@ def _run_isoperimetry(man: ExperimentManifest, size_cap: int):
         rows.append((size, entry.min_vertex, entry.min_edge, f"{mask:x}"))
     tables = [Table("profile", ["size", "min_vertex_boundary", "min_edge_boundary",
                                 "witness_mask"], rows)]
-    reports = verify_csc(g, max_n=max_n)
-    chord_width = next((a[1] for a in spec.generators if a[0] == "chords"), None)
-    if chord_width is not None and 1 <= chord_width < spec.factors[0] / 2:
-        reports.append(verify_cyclic_edge_iso(spec.factors[0], chord_width,
-                                              max_n=max_n))
+    reports = verify_csc(g, profile)
+    # the chord lemma applies only when the generators are exactly one
+    # chord set, not a chord atom among others
+    n = spec.factors[0]
+    k = next((a[1] for a in spec.generators if a[0] == "chords"), None)
+    if (k is not None and 1 <= k < n / 2
+            and g.offsets == spec_offsets(spec_cyclic_chords(n, k))):
+        reports.append(verify_cyclic_edge_iso(profile, n, k))
     tables.append(_report_table("csc", reports, ("size", "n", "k")))
     return tables, reports, {}, []
 

@@ -21,6 +21,7 @@ from vtres import (
     build_cayley_graph,
     dirichlet_problem,
     escape_via_resistance,
+    exact_profile,
     exponent_functions,
     loglog_slope,
     nash_williams_bound,
@@ -149,7 +150,7 @@ def test_criterion_05_csc_exhaustive():
     for spec in _csc_suite():
         g = build_cayley_graph(spec)
         assert g.n <= 14
-        reports = verify_csc(g, max_n=14)
+        reports = verify_csc(g, exact_profile(g, max_n=14))
         assert all(r.status == "PASS" for r in reports), spec
         graphs += 1
     _report(5, time.perf_counter() - t0, 120.0,
@@ -161,7 +162,8 @@ def test_criterion_06_cyclic_edge_lemma():
     pairs = [(n, k) for n in range(5, 15) for k in range(2, (n + 1) // 2)
              if k < n / 2]
     for n, k in pairs:
-        report = verify_cyclic_edge_iso(n, k, max_n=14)
+        profile = exact_profile(build_cayley_graph(spec_cyclic_chords(n, k)), max_n=14)
+        report = verify_cyclic_edge_iso(profile, n, k)
         assert report.status == "PASS", (n, k)
     _report(6, time.perf_counter() - t0, 120.0,
             f"edge bound k^2/4-1 exhaustively on {len(pairs)} chord graphs")

@@ -463,6 +463,15 @@ def test_bk_caps_and_profile_errors():
         bk_upper_bound((ball, 4), 2.0, "profile")  # profile range too short
 
 
+def test_bk_profile_takes_the_callers_profile():
+    # a caller's boundary profile stands in for the growth profile, which
+    # this ball is too small to give
+    ball = build_ball(spec_lattice(2), 5)
+    bound = bk_upper_bound((ball, 4), 2.0, "profile", boundary_profile=lambda a: 4.0)
+    # j at xi = 4 is a/8 for every a >= 4, so each block peaks at its largest a
+    assert bound == BkBound(19.0, 0.125, (81 / 8, 5.0, 2.5, 1.25))
+
+
 def _reference_rooted(g, root, allowed, total, nmax, p, deg):
     """Block maxima of j over connected sets containing root, set by set."""
     masks = [sum(1 << int(w) for w in g.neighbors(v)[0] if w < total)
@@ -558,6 +567,68 @@ def _bk_reference_cases():
 def test_bk_exhaustive_matches_set_by_set_reference(case, p):
     problem = _bk_reference_cases()[case]
     assert bk_upper_bound(problem, p, "exhaustive") == _bk_reference(problem, p)
+
+
+# Profile-strategy bounds recorded from the two-branch implementation that
+# the per-root loop replaced.  Balls are built to radius 2r: at radius r+1
+# the growth profile is too short for the csc bound.
+_BK_PROFILE_GOLDEN = {
+    ("z2-r4", 1.5): BkBound(43.94362210613003, 0.015625, (
+        256.98988697204044, 353.89439999999996, 552.1420118343195, 768.0)),
+    ("z2-r4", 2.0): BkBound(751.4393714821763, 0.125, (
+        175.609756097561, 184.31999999999996, 199.3846153846154, 192.0)),
+    ("z2-r4", 3.0): BkBound(255667.83220875968, 0.3535533905932738, (
+        156.44576916147204, 133.02150202128976, 119.8152423846495, 96.0)),
+    ("z2-r8", 1.5): BkBound(50.5258562717229, 0.015625, (
+        119.82991676575506, 164.07031141868515, 256.98988697204044,
+        353.89439999999996, 552.1420118343195, 1105.9199999999998)),
+    ("z2-r8", 2.0): BkBound(1116.7456595146307, 0.125, (
+        160.88275862068966, 166.0235294117647, 175.609756097561,
+        184.31999999999996, 199.3846153846154, 230.39999999999998)),
+    ("z2-r8", 3.0): BkBound(817339.6072081216, 0.3535533905932738, (
+        212.30039237781355, 176.9691738568478, 156.44576916147204,
+        133.02150202128976, 119.8152423846495, 105.16273104099189)),
+    ("z3-r3", 1.5): BkBound(10.036367548547442, 0.0014792899408284023, (
+        7.4764737696051915, 12.616549486208763, 23.510204081632654, 57.12396694214877)),
+    ("z3-r3", 2.0): BkBound(150.4751876030946, 0.038461538461538464, (
+        26.790697674418603, 30.139534883720934, 41.142857142857146, 52.36363636363637)),
+    ("z3-r3", 3.0): BkBound(40826.261573849704, 0.19611613513818404, (
+        50.71397220435593, 46.583758023885395, 54.42688411332872, 50.13436491524098)),
+    ("torus12-pair", 1.5): BkBound(67.36411394513193, 0.03125, (
+        256.98988697204044, 353.89439999999996, 552.1420118343195, 1105.9199999999998,
+        256.98988697204044, 353.89439999999996, 552.1420118343195, 1105.9199999999998)),
+    ("torus12-pair", 2.0): BkBound(1579.6787429643528, 0.25, (
+        175.609756097561, 184.31999999999996, 199.3846153846154, 230.39999999999998,
+        175.609756097561, 184.31999999999996, 199.3846153846154, 230.39999999999998)),
+    ("torus12-pair", 3.0): BkBound(1060071.209684846, 0.7071067811865476, (
+        156.44576916147204, 133.02150202128976, 119.8152423846495, 105.16273104099189,
+        156.44576916147204, 133.02150202128976, 119.8152423846495, 105.16273104099189)),
+    ("c30-pair", 1.5): BkBound(415.692795222626, 0.5, (
+        51840.000000000015, 24192.000000000007, 10368.000000000002,
+        51840.000000000015, 24192.000000000007, 10368.000000000002)),
+    ("c30-pair", 2.0): BkBound(14401.0, 1.0, (4320.0, 2016.0, 864.0, 4320.0, 2016.0, 864.0)),
+    ("c30-pair", 3.0): BkBound(17291759.55076536, 1.4142135623730951, (
+        1247.0765814495917, 581.9690713431428, 249.41531628991837,
+        1247.0765814495917, 581.9690713431428, 249.41531628991837)),
+}
+
+
+def _bk_profile_problem(case):
+    if case == "z2-r4":
+        return build_ball(spec_lattice(2), 8), 4
+    if case == "z2-r8":
+        return build_ball(spec_lattice(2), 16), 8
+    if case == "z3-r3":
+        return build_ball(spec_lattice(3), 4), 3
+    if case == "torus12-pair":
+        return collapse_terminals(build_cayley_graph(spec_torus(12, 12)), [0], [78])
+    return collapse_terminals(build_cayley_graph(spec_cycle(30)), [0], [15])
+
+
+@pytest.mark.parametrize("case,p", sorted(_BK_PROFILE_GOLDEN))
+def test_bk_profile_matches_golden(case, p):
+    bound = bk_upper_bound(_bk_profile_problem(case), p, "profile")
+    assert bound == _BK_PROFILE_GOLDEN[case, p]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ def test_cycle_profile_all_arcs():
     for m in range(1, 5):
         assert prof.by_size[m].min_vertex == 2
         assert prof.by_size[m].min_edge == 2
-    assert prof.exhaustive
     assert prof.size_range == (1, 5)
 
 
@@ -128,27 +127,33 @@ def test_recentred_witness_gives_same_minima():
     (spec_cycle(12), 14), (spec_torus(4, 4), 16), (spec_torus(2, 2), 14),
 ])
 def test_verify_csc_passes(spec, max_n):
-    reports = verify_csc(build_cayley_graph(spec), max_n=max_n)
+    g = build_cayley_graph(spec)
+    reports = verify_csc(g, exact_profile(g, max_n=max_n))
     assert reports and all(r.status == "PASS" for r in reports)
 
 
 def test_verify_csc_two_vertex_graph():
-    reports = verify_csc(build_cayley_graph(spec_cycle(2)))
+    g = build_cayley_graph(spec_cycle(2))
+    reports = verify_csc(g, exact_profile(g))
     assert all(r.status == "PASS" for r in reports)
+
+
+def _chord_profile(n, k):
+    return exact_profile(build_cayley_graph(spec_cyclic_chords(n, k)))
 
 
 @pytest.mark.parametrize("n,k", [(10, 4), (8, 2), (12, 5)])
 def test_cyclic_edge_lemma(n, k):
-    report = verify_cyclic_edge_iso(n, k)
+    report = verify_cyclic_edge_iso(_chord_profile(n, k), n, k)
     assert report.status == "PASS"
     assert report.bound == k * k / 4 - 1
 
 
 def test_cyclic_edge_lemma_guards():
-    with pytest.raises(SizeCapExceeded):
-        verify_cyclic_edge_iso(20, 4)
+    with pytest.raises(SizeCapExceeded):  # raised by the profile
+        verify_cyclic_edge_iso(_chord_profile(20, 4), 20, 4)
     with pytest.raises(BadArguments):
-        verify_cyclic_edge_iso(10, 5)
+        verify_cyclic_edge_iso(_chord_profile(10, 5), 10, 5)
 
 
 def test_iso_theorem_checks_on_z2_ball():

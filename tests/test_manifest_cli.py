@@ -145,6 +145,19 @@ def test_cli_iso_tables_are_golden(tmp_path, spec_args, digests):
         assert hashlib.sha256(_read(tmp_path / "iso" / name)).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize("generators,has_row", [
+    ("chords:3", True), ("chords:3+full:0", False), ("chords:2+chords:3", False),
+])
+def test_cli_iso_chord_lemma_only_on_pure_chord_graphs(tmp_path, generators, has_row):
+    # chords:3+full:0 generates K12 and chords:2+chords:3 the width-3 graph;
+    # a k=2 or k=3 lemma row would describe a graph that was never profiled
+    proc = _cli("iso", "--family", "cyclic_chords", "--factors", "12",
+                "--generators", generators, "--out", str(tmp_path / "i"))
+    assert proc.returncode == 0, proc.stderr
+    csc = _read(tmp_path / "i" / "csc.csv").decode()
+    assert ("cyclic_edge_isoperimetry" in csc) == has_row
+
+
 def test_cli_iso_rejects_graphs_wider_than_a_mask(tmp_path):
     proc = _cli("iso", "--family", "torus_product", "--factors", "64",
                 "--generators", "box", "--max-n", "100", "--out", str(tmp_path / "i"),
