@@ -66,6 +66,7 @@ from .graphs import (
     bfs_layers,
     collapse_terminals,
     spec_offsets,
+    stabilizer_orbits,
 )
 
 DIRECT_SOLVE_LIMIT = 6000  # above this, p=2 falls back to preconditioned CG
@@ -626,10 +627,15 @@ def max_resistance(g: Graph, p: float, pair_cap: int = 200) -> tuple[float, tupl
     (``cayley_resistances``), and the pair is (0, v) for the first v within
     1e-12 (relative) of the maximum.  Any other ``Graph`` at p=2 reads every
     pair off one grounded Green matrix (``_pair_resistances_p2``).  At other
-    p a ``CayleyGraph``, being vertex-transitive, needs pair solves from
-    vertex 0 only, and any other ``Graph`` one per vertex pair.  All but the
-    spectral path take at most ``pair_cap`` vertices and keep the first pair
-    that beats all earlier ones by over 1e-15.
+    p a ``CayleyGraph``, being vertex-transitive, needs pairs (0, v) only,
+    and an automorphism fixing 0 gives every v of an orbit of
+    ``stabilizer_orbits`` the same R_p(0, v).  So one pair solve per orbit,
+    at its smallest vertex, gives every vertex its value.  Any other
+    ``Graph`` gets one pair solve per vertex pair.  All but the spectral
+    path take at most ``pair_cap`` vertices (counted as vertices, not
+    orbits) and scan the pairs in order, keeping the first that beats all
+    earlier ones by over 1e-15; on a ``CayleyGraph`` that is (0, v) for the
+    smallest vertex v of the maximal orbit.
     """
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
@@ -640,12 +646,15 @@ def max_resistance(g: Graph, p: float, pair_cap: int = 200) -> tuple[float, tupl
         return float(r[v]), (0, v)
     if g.n > pair_cap:
         raise SizeCapExceeded(f"{g.n} vertices exceeds cap {pair_cap} for p={p}")
-    pairs = ([(0, v) for v in range(1, g.n)] if cayley
-             else list(itertools.combinations(range(g.n), 2)))
-    if p == 2.0:
-        values = _pair_resistances_p2(g).tolist()
+    if cayley:
+        rep = stabilizer_orbits(g).tolist()
+        pairs = [(0, v) for v in range(1, g.n)]
+        by_rep = {v: pair_resistance(g, 0, v, p).resistance for _, v in pairs if rep[v] == v}
+        values = [by_rep[rep[v]] for _, v in pairs]
     else:
-        values = (pair_resistance(g, u, v, p).resistance for u, v in pairs)
+        pairs = list(itertools.combinations(range(g.n), 2))
+        values = (_pair_resistances_p2(g).tolist() if p == 2.0
+                  else (pair_resistance(g, u, v, p).resistance for u, v in pairs))
     best, best_pair = -1.0, (0, 1)
     for pair, r in zip(pairs, values):
         if r > best + 1e-15:

@@ -410,6 +410,49 @@ def build_cayley_graph(spec: GraphSpec, size_cap: int = DEFAULT_SIZE_CAP) -> Cay
     return g
 
 
+def _stabilizer_maps(g: CayleyGraph) -> list[np.ndarray]:
+    """Automorphisms of ``g`` fixing vertex 0, each as the image of every vertex.
+
+    The candidates are -id, the negation of one coordinate, and the swap of
+    two coordinates of equal modulus; each is a group automorphism fixing 0,
+    so it is a graph automorphism exactly when it maps the offset set onto
+    itself modulo ``dims``.  Those that do are kept.
+    """
+    d = len(g.dims)
+    flips = [[-1] * d] + [[-1 if j == i else 1 for j in range(d)] for i in range(d)]
+    candidates = [(list(range(d)), sign) for sign in flips]
+    for i, j in itertools.combinations(range(d), 2):
+        if g.dims[i] == g.dims[j]:
+            perm = list(range(d))
+            perm[i], perm[j] = j, i
+            candidates.append((perm, [1] * d))
+    offsets = set(g.offsets)
+    coords = np.unravel_index(np.arange(g.n), g.dims)
+    maps = []
+    for perm, sign in candidates:
+        image = {_canonical([sign[k] * s[perm[k]] for k in range(d)], g.dims) for s in g.offsets}
+        if image == offsets:
+            maps.append(np.ravel_multi_index([sign[k] * coords[perm[k]] for k in range(d)],
+                                             g.dims, mode="wrap"))
+    return maps
+
+
+def stabilizer_orbits(g: CayleyGraph) -> np.ndarray:
+    """The smallest vertex id in each vertex's orbit under ``_stabilizer_maps``.
+
+    The orbits are the connected components of the graph joining every
+    vertex to its image under each map, so the group those maps generate
+    is never enumerated (d! 2^d elements for the hyperoctahedral one).  A
+    subgroup of the true stabilizer only makes the orbits finer.
+    """
+    maps = _stabilizer_maps(g)  # never empty: S = -S, so -id is kept
+    src = np.tile(np.arange(g.n), len(maps))
+    links = sp.csr_matrix((np.ones(src.size), (src, np.concatenate(maps))), shape=(g.n, g.n))
+    _, labels = sp.csgraph.connected_components(links, connection="weak")
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
 @dataclass(frozen=True, eq=False)
 class BallGraph:
     """Induced subgraph on the metric ball B(x, radius) of ``spec``'s graph.

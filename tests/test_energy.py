@@ -47,6 +47,7 @@ from conftest import (
     box_torus_fourier_resistance,
     complete_graph,
     parallel_problem,
+    random_small_spec,
     series_graph,
     series_problem,
 )
@@ -438,6 +439,57 @@ def test_max_resistance_ties_pick_first_vertex():
     assert max_resistance(c9, 3.0)[1] == (0, 4)
     torus = build_cayley_graph(spec_torus(6, 8, 3, full_last=True))
     assert max_resistance(torus, 2.0)[1] == (0, 85)
+    assert max_resistance(torus, 3.0)[1] == (0, 85)
+
+
+def _max_resistance_reference(g, p):
+    """One pair solve for every (0, v), scanned with max_resistance's tie rule."""
+    best, best_pair = -1.0, None
+    for v in range(1, g.n):
+        r = pair_resistance(g, 0, v, p).resistance
+        if r > best + 1e-15:
+            best, best_pair = r, (0, v)
+    return best, best_pair
+
+
+def _finite_small_specs(seed, count):
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    specs = []
+    while len(specs) < count:
+        spec = random_small_spec(rng)
+        if spec.is_finite:
+            specs.append(spec)
+    return specs
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_max_resistance_orbits_match_full_scan(p):
+    specs = _finite_small_specs(29, 16) + [
+        spec_cyclic_chords(20, 3), spec_torus(5, 7), spec_torus(6, 8, 3, full_last=True),
+        spec_explicit((6, 6), [(1, 0), (5, 0), (0, 1), (0, 5), (1, 2), (5, 4)])]
+    for spec in specs:
+        g = build_cayley_graph(spec)
+        want, want_pair = _max_resistance_reference(g, p)
+        value, pair = max_resistance(g, p)
+        assert pair == want_pair, spec
+        assert abs(value - want) <= 1e-12 * want, spec
+
+
+def test_max_resistance_solves_one_pair_per_orbit(monkeypatch):
+    calls = []
+
+    def counting(g, u, v, p):
+        calls.append((u, v))
+        return pair_resistance(g, u, v, p)
+
+    monkeypatch.setattr(energy, "pair_resistance", counting)
+    value, pair = max_resistance(build_cayley_graph(spec_torus(10, 10)), 3.0)
+    assert len(calls) == 20
+    assert pair == (0, 55) and abs(value - 2.108017860221567) <= 1e-12 * value
+    calls.clear()
+    c9 = build_cayley_graph(spec_cycle(9))
+    max_resistance(Graph(c9.n, c9.indptr, c9.nbr, c9.mult), 3.0)
+    assert len(calls) == 36
 
 
 # spec, radii whose Dirichlet problems are diagonal in sines x characters:

@@ -34,8 +34,10 @@ from vtres.graphs import (
     annulus_problem,
     bfs_layers,
     collapse_terminals,
+    _stabilizer_maps,
     spec_fibered_torus,
     spec_offsets,
+    stabilizer_orbits,
     validate_graph,
 )
 
@@ -361,3 +363,42 @@ def test_generator_atoms_validate():
         spec_offsets(GraphSpec("explicit", (4,), (("full", 3),)))
     with pytest.raises(BadArguments):
         GraphSpec("explicit", (4, 4), (("chords", 2),))
+
+
+# spec, orbit count of the stabilizer of vertex 0 (vertex 0 included): the
+# dihedral group on the square tori (0 <= a <= b <= n/2), negations on 5x7
+# and 6x8x3, -id on the chord graph and on a skew set that no coordinate
+# negation or swap preserves
+STABILIZER_SPECS = {
+    "torus10x10": (spec_torus(10, 10), 21),
+    "torus12x12": (spec_torus(12, 12), 28),
+    "c20_chords3": (spec_cyclic_chords(20, 3), 11),
+    "torus5x7": (spec_torus(5, 7), 12),
+    "torus4x4x4": (spec_torus(4, 4, 4), 10),
+    "torus6x8x3_full": (spec_torus(6, 8, 3, full_last=True), 40),
+    "z6xz6_skew": (spec_explicit((6, 6), [(1, 0), (5, 0), (0, 1), (0, 5), (1, 2), (5, 4)]), 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STABILIZER_SPECS))
+def test_stabilizer_orbits(name):
+    spec, count = STABILIZER_SPECS[name]
+    g = build_cayley_graph(spec)
+    rep = stabilizer_orbits(g)
+    assert len(np.unique(rep)) == count
+    assert rep[0] == 0 and np.all(rep <= np.arange(g.n)) and np.array_equal(rep[rep], rep)
+    dist = bfs_layers(g, [0])
+    assert np.array_equal(dist, dist[rep])
+
+
+@pytest.mark.parametrize("name", sorted(STABILIZER_SPECS))
+def test_stabilizer_maps_are_automorphisms(name):
+    g = build_cayley_graph(STABILIZER_SPECS[name][0])
+    nbr = g.nbr.reshape(g.n, -1)
+    maps = _stabilizer_maps(g)
+    assert maps
+    for m in maps:
+        assert m[0] == 0 and np.array_equal(np.sort(m), np.arange(g.n))
+        assert np.array_equal(np.sort(m[nbr], axis=1), nbr[m])
+    if name == "z6xz6_skew":
+        assert len(maps) == 1

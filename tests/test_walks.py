@@ -6,12 +6,15 @@ from vtres import (
     build_ball,
     escape_profile,
     escape_via_resistance,
+    build_cayley_graph,
     hit_before_return,
+    max_resistance,
     simulate_escape,
     spec_cycle,
     spec_cyclic_chords,
     spec_lattice,
     spec_line,
+    spec_torus,
     spec_z_times_torus,
 )
 from vtres.errors import BadArguments, RadiusTooSmall
@@ -96,6 +99,24 @@ def test_hit_before_return_neighbors_certain(c8):
 def test_hit_before_return_antipode(c8):
     est = hit_before_return(c8, 0, [4], trials=100_000, seed=6)
     assert abs(est.p_hat - 0.25) <= 4 * est.stderr
+
+
+WALK_ORACLE_SPECS = {
+    "torus12x12": (spec_torus(12, 12), 41),
+    "c60_chords3": (spec_cyclic_chords(60, 3), 42),
+    "torus6x8x3_full": (spec_torus(6, 8, 3, full_last=True), 43),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_ORACLE_SPECS))
+def test_hit_before_return_matches_resistance(name):
+    # on a Cayley graph P_0(hit v before returning to 0) = 1 / (deg R_2(0, v))
+    spec, seed = WALK_ORACLE_SPECS[name]
+    g = build_cayley_graph(spec)
+    r, (_, v) = max_resistance(g, 2.0)
+    est = hit_before_return(g, 0, [v], trials=50_000, seed=seed)
+    assert est.censored == 0
+    assert abs(est.p_hat - 1.0 / (g.max_degree * r)) <= 4 * est.stderr
 
 
 def test_hit_before_return_censoring(c8):
