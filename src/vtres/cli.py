@@ -12,8 +12,8 @@ supply defaults for the matching flags.
 Errors go to stderr as ``error.type`` and ``error.message`` lines.  A
 NonConvergence adds ``error.iterations`` and, for a general-p Newton solve,
 ``error.stage_iterations``: one ``stage:steps:rejected`` entry per eps
-stage (named by its eps) and for the final "polish" stage, where
-``rejected`` counts the trial steps the stage turned down.
+stage run (named by its eps), where ``rejected`` counts the trial steps
+the stage turned down.
 """
 
 from __future__ import annotations

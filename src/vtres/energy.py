@@ -13,11 +13,22 @@ down to 1e-10, since the weight is singular at delta=0 for p < 2 and
 degenerate for p > 2.
 
 The solver takes no options: its settings are the module constants below,
-read at call time.  A potential is accepted when max |Delta_p f| over the
-free vertices is at most TOL times the capacity scale E/t.  Newton takes at
-most MAX_NEWTON_STEPS steps in all, over the eps stages of EPS_SCHEDULE (at
-most 80 each) and the polish; its line search halves the step up to 40
-times until the Armijo test with constant ARMIJO_C1 holds.
+read at call time.  Newton takes at most MAX_NEWTON_STEPS steps in all,
+over the eps stages of EPS_SCHEDULE (at most 80 each); its line search
+halves the step up to 40 times until the Armijo test with constant
+ARMIJO_C1 holds.  The stages stop early once max |Delta_p f| over the free
+vertices is at most 0.1 * TOL times the capacity scale E/t.
+
+A Newton solve is accepted on one test, a bracket on R_p.  The iterate f,
+with source value t, gives R_lo = t^p / E_p(f).  Its p-current
+m |df|^(p-2) df, projected to zero divergence on the free vertices and
+scaled to a unit flow theta, gives R_hi = (sum m^(1-q) |theta|^q)^(p-1)
+with q = p/(p-1).  The solve is accepted when |R_hi - R_lo| <= GAP_TOL *
+R_lo; the test is two-sided, since a bracket inverted beyond rounding means
+a wrong energy.  The residual is kept as a diagnostic only: at p < 2 the
+rounding of differences that are exactly zero across symmetric vertex pairs
+leaves it near 1e-2 on a solve whose bracket is tight.  A p=2 solve is one
+linear solve, accepted when its residual is at most 10 * TOL * E/t.
 
 Each eps stage ends when the regularized gradient vanishes or when a Newton
 step stops helping.  Near the optimum the decrease -g.d that the Newton
@@ -34,9 +45,10 @@ gather and one bincount.  Systems of up to DIRECT_SOLVE_LIMIT
 unknowns go to SuperLU with its default ordering and partial pivoting,
 larger ones to Jacobi-preconditioned CG.  SuperLU's symmetric mode is
 faster, but its rounding turns differences that are exactly zero across
-symmetric vertex pairs into ~1e-16, and for p < 2 the residual term
-|delta|^(p-1) of such a pair is then about 6e-4 at p = 1.2, which the
-final residual test rejects.
+symmetric vertex pairs into ~1e-16; for p < 2 the residual term
+|delta|^(p-1) of such a pair is then about 6e-4 at p = 1.2, and since the
+early exit of the eps stages is a residual test, the mode can change where
+the stages stop.
 """
 
 from __future__ import annotations
@@ -73,8 +85,11 @@ DIRECT_SOLVE_LIMIT = 6000  # above this, p=2 falls back to preconditioned CG
 # relative float64 resolution of the regularized energy: a Newton step whose
 # predicted decrease is below this times max(1, E) is judged by its gradient
 NEWTON_DECREMENT_FLOOR = 1e-13
-TOL = 1e-10  # residual target: max |Delta_p f| <= TOL * scale
-MAX_NEWTON_STEPS = 500  # over all eps stages and the polish
+# residual scale, times E/t: Newton stages stop early at 0.1 * TOL, and a
+# p=2 solve is accepted up to 10 * TOL
+TOL = 1e-10
+GAP_TOL = 1e-8  # accepted relative width of a Newton solve's R_p bracket
+MAX_NEWTON_STEPS = 500  # over all eps stages
 EPS_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 ARMIJO_C1 = 1e-4
 
@@ -272,10 +287,11 @@ def _newton_weights(emf: np.ndarray, p: float, eps: float, delta: np.ndarray,
 def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
     """Minimize the p-energy over functions equal to t on source, 0 on ground.
 
-    Returns the unique minimizer; it is p-harmonic on the free vertices up
-    to ``TOL`` times the capacity scale.  Raises NonConvergence with the
-    iteration count, the residual and the per-stage step counts if the
-    Newton loop stalls.
+    Returns the unique minimizer: at p=2 p-harmonic on the free vertices up
+    to ``10 * TOL`` times the capacity scale, at other p with an R_p
+    bracket no wider than ``GAP_TOL`` relative.  Raises NonConvergence
+    with the iteration count, the residual and the per-stage step counts
+    if the Newton loop stops short of that bracket.
     """
     if p <= 1:
         raise BadArguments("p must be > 1")
@@ -316,57 +332,34 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
                 break
 
     energy = p_energy(g, f, p)
-    scale = max(energy / t, 1e-12)
+    r_lo, r_hi = t ** p / energy, _flow_bound(g, f, p, tg.source, emf, lap)
     residual = _true_residual(g, f, p, free_idx)
-    if residual > TOL * scale and len(free_idx):
-        # near the optimum the energy decrease per step falls below float64
-        # resolution, so polish with Newton steps accepted on residual decrease
-        before = iterations
-        iterations, residual, backtracks = _polish_residual(
-            g, f, p, EPS_SCHEDULE[-1], emf, lap, iterations, TOL * scale)
-        stages.append(("polish", iterations - before, backtracks))
-        energy = p_energy(g, f, p)
-        scale = max(energy / t, 1e-12)
-        if residual > TOL * scale:
-            raise NonConvergence(iterations, residual, stages=tuple(stages))
+    if not abs(r_hi - r_lo) <= GAP_TOL * r_lo:
+        raise NonConvergence(iterations, residual,
+                             f"R_p bracket [{r_lo!r}, {r_hi!r}] is wider than "
+                             f"{GAP_TOL:.0e} relative", stages=tuple(stages))
     return Potential(values=f, p=p, source_value=t, energy=energy,
                      residual=residual, iterations=iterations, problem=tg)
 
 
-def _polish_residual(g: Graph, f: np.ndarray, p: float, eps: float,
-                     emf: np.ndarray, lap: _FreeLaplacian, iterations: int,
-                     target: float) -> tuple[int, float, int]:
+def _flow_bound(g: Graph, f: np.ndarray, p: float, source: int, emf: np.ndarray,
+                lap: _FreeLaplacian) -> float:
+    """Upper bound on R_p from the p-current of f made a unit flow.
+
+    The current m |df|^(p-2) df is projected to zero divergence on the free
+    vertices with one unweighted solve and divided by its net outflow at
+    the source; any unit flow theta gives
+    R_p <= (sum m^(1-q) |theta|^q)^(p-1) with q = p/(p-1).
+    """
     eu, ev, _ = g.edges
-    free_idx = lap.free_idx
-    residual = _true_residual(g, f, p, free_idx)
-    backtracks = 0
-    while iterations < MAX_NEWTON_STEPS and residual > target:
-        grad = p * p_laplacian(g, f, p)[free_idx]
-        delta = f[eu] - f[ev]
-        hw = _newton_weights(emf, p, eps, delta, delta * delta + eps * eps)
-        try:
-            d = _solve_spd(lap.matrix(hw), -grad)
-        except NonConvergence:
-            break
-        if not np.all(np.isfinite(d)):
-            break
-        iterations += 1
-        alpha = 1.0
-        improved = False
-        for _bt in range(10):
-            trial = f.copy()
-            trial[free_idx] += alpha * d
-            r1 = _true_residual(g, trial, p, free_idx)
-            if r1 < residual:
-                f[:] = trial
-                residual = r1
-                improved = True
-                break
-            alpha *= 0.5
-            backtracks += 1
-        if not improved:
-            break
-    return iterations, residual, backtracks
+    theta = emf * signed_power(f[eu] - f[ev], p - 1.0)
+    if len(lap.free_idx):
+        phi = np.zeros(g.n)
+        phi[lap.free_idx] = _solve_spd(lap.matrix(emf), lap.divergence(theta))
+        theta = theta - emf * (phi[eu] - phi[ev])
+    out = theta[eu == source].sum() - theta[ev == source].sum()
+    q = p / (p - 1.0)
+    return float(np.sum(emf ** (1.0 - q) * np.abs(theta / out) ** q) ** (p - 1.0))
 
 
 def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarray,
@@ -450,22 +443,14 @@ def p_resistance(tg: TerminalGraph, p: float) -> FlowResult:
 
     capacity = E_p(f) for the unit potential f, the total current is the
     outward current through the source's edges, and resistance = 1/capacity.
-    Capacity and current must agree: |capacity - current| divided by the
-    smaller of the two above 1e-6 raises NonConvergence.  The rescaling
-    identity (the current-normalized potential has R_p = t^(p-1) =
-    E_p^(p-1)) says the same thing and needs no check of its own.
+    The solve's acceptance test already certifies the capacity, so the
+    current is reported, not checked.
     """
     pot = solve_potential(tg, p, t=1.0)
     g = tg.graph
     capacity = pot.energy
     nb, mu = g.neighbors(tg.source)
     total_current = float(np.sum(mu * signed_power(1.0 - pot.values[nb], p - 1.0)))
-    if total_current <= 0:
-        raise NonConvergence(pot.iterations, pot.residual, "nonpositive total current")
-    rel = abs(capacity - total_current) / min(capacity, total_current)
-    if rel > 1e-6:
-        raise NonConvergence(pot.iterations, pot.residual,
-                             f"capacity/current mismatch: {rel:.2e}")
     return FlowResult(resistance=1.0 / capacity, capacity=capacity,
                       total_current=total_current, potential=pot)
 

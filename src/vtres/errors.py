@@ -47,8 +47,8 @@ class NonConvergence(VtresError):
     """A solve that stopped short of its tolerance.
 
     ``stages`` lists, for a general-p Newton solve, one (stage, Newton
-    steps, rejected trial steps) triple per eps stage run, then "polish";
-    it is empty for other solves.
+    steps, rejected trial steps) triple per eps stage run; it is empty for
+    other solves.
     """
 
     def __init__(self, iterations: int, residual: float, message: str = "",

@@ -516,8 +516,9 @@ def run(man: ExperimentManifest, base_dir: Optional[str] = None,
     converged; 1 means some report FAILed.  Validation and convergence
     errors raise and are turned into exit code 2 by the CLI.
     """
-    tables, reports, metrics, extra_docs = _RUNNERS[man.experiment](man, size_cap)
+    # hashing validates the manifest's values, so a bad one fails before the run
     man_hash = manifest_hash(man)
+    tables, reports, metrics, extra_docs = _RUNNERS[man.experiment](man, size_cap)
     out_dir = os.path.join(base_dir, man.out_path) if base_dir else man.out_path
     files = emit(tables, man.out_format, out_dir, man_hash)
     for name, body in extra_docs:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +12,7 @@ from vtres import (
     collapse_terminals,
     dirichlet_problem,
     max_resistance,
+    nash_williams_bound,
     p_energy,
     p_laplacian,
     p_resistance,
@@ -25,6 +24,7 @@ from vtres import (
     spec_lattice,
     spec_torus,
     spec_z_times_torus,
+    sphere_cutsets,
     stokes_check,
 )
 from vtres import energy
@@ -219,24 +219,45 @@ def test_bad_terminals_raise_bad_arguments(source, ground, p):
         p_resistance(tg, p)
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_capacity_current_check_is_two_sided(monkeypatch, p):
-    # the folded check compares capacity and current relative to the
-    # smaller one, whichever side the energy errs on
-    real = energy.solve_potential
-    tg, want = series_problem(3), 3.0 ** (p - 1)
-    for factor, raises in ((1 + 2e-6, True), (1 - 2e-6, True),
-                           (1 + 5e-7, False), (1 - 5e-7, False)):
-        def scaled(*args, **kwargs):
-            pot = real(*args, **kwargs)
-            return dataclasses.replace(pot, energy=pot.energy * factor)
-
-        monkeypatch.setattr(energy, "solve_potential", scaled)
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_bracket_check_is_two_sided(monkeypatch, p):
+    # an energy off either way by twice the gap tolerance opens or inverts
+    # the R_p bracket; half the tolerance passes
+    real = energy.p_energy
+    tg = dirichlet_problem(build_ball(spec_lattice(2), 4), 3)
+    want = p_resistance(tg, p).resistance
+    for factor, raises in ((1 + 2e-8, True), (1 - 2e-8, True),
+                           (1 + 5e-9, False), (1 - 5e-9, False)):
+        monkeypatch.setattr(energy, "p_energy",
+                            lambda *args: real(*args) * factor)
         if raises:
-            with pytest.raises(NonConvergence, match="capacity/current mismatch"):
+            with pytest.raises(NonConvergence, match="R_p bracket"):
                 p_resistance(tg, p)
         else:
-            assert abs(p_resistance(tg, p).resistance - want) <= 1e-6 * want
+            assert abs(p_resistance(tg, p).resistance - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+@pytest.mark.parametrize("t", [1.0, 2.0])
+@pytest.mark.parametrize("tg,exact", [
+    (series_problem(3), lambda p: 3.0 ** (p - 1)),
+    (series_problem(5), lambda p: 5.0 ** (p - 1)),
+    (parallel_problem(1), lambda p: 1.0),
+    (parallel_problem(4), lambda p: 0.25),
+], ids=["series3", "series5", "parallel1", "parallel4"])
+def test_bracket_contains_exact_resistance(monkeypatch, tg, exact, t, p):
+    bounds = []
+    real = energy._flow_bound
+
+    def recorded(*args):
+        bounds.append(real(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(energy, "_flow_bound", recorded)
+    pot = solve_potential(tg, p, t)
+    r_lo, r_hi, want = t ** p / pot.energy, bounds[0], exact(p)
+    assert r_lo <= want * (1 + 1e-14) and r_hi >= want * (1 - 1e-14)
+    assert r_hi - r_lo <= energy.GAP_TOL * r_lo
 
 
 def test_k4_max_resistance():
@@ -381,9 +402,23 @@ def test_nonconvergence_carries_stage_counts(monkeypatch):
         p_resistance(dirichlet_problem(ball, 10), 1.5)
     err = info.value
     assert err.iterations == 6
-    assert [s for s, _, _ in err.stages] == ["1e-02", "polish"]
+    assert [s for s, _, _ in err.stages] == ["1e-02"]
     assert sum(n for _, n, _ in err.stages) == err.iterations
     assert all(b >= 0 for _, _, b in err.stages)
+
+
+@pytest.mark.parametrize("r", [5, 10, 20])
+def test_z2_balls_converge_above_nash_williams(r):
+    # these p converge above the cutset bound; p=1.1 stalls with an R_p
+    # bracket wider than GAP_TOL, and says so
+    ball = build_ball(spec_lattice(2), r + 1)
+    tg, cutsets = dirichlet_problem(ball, r), sphere_cutsets(ball, r + 1)
+    for p in (1.2, 1.3, 1.5, 1.8, 2.5, 3.0, 4.0, 6.0):
+        resistance = p_resistance(tg, p).resistance
+        assert resistance >= nash_williams_bound(cutsets, p)
+    if r == 10:
+        with pytest.raises(NonConvergence, match="R_p bracket"):
+            p_resistance(tg, 1.1)
 
 
 @pytest.mark.parametrize("dims", [(12, 12), (6, 8)])

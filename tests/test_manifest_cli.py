@@ -304,7 +304,7 @@ def test_cli_nonconvergence_reports_stage_counts(monkeypatch, capsys, tmp_path):
     from vtres.errors import NonConvergence
 
     def stalled(*args, **kwargs):
-        raise NonConvergence(9, 1e-3, stages=(("1e-02", 5, 2), ("polish", 4, 7)))
+        raise NonConvergence(9, 1e-3, stages=(("1e-02", 5, 2), ("1e-04", 4, 7)))
 
     monkeypatch.setattr(vtres.manifest, "p_resistance", stalled)
     rc = main(["resist", "--family", "explicit", "--factors", "inf,inf",
@@ -315,7 +315,24 @@ def test_cli_nonconvergence_reports_stage_counts(monkeypatch, capsys, tmp_path):
                        "error.message = solver did not converge after 9 iterations "
                        "(residual 1.000e-03)"]
     assert err[2:] == ["error.iterations = 9",
-                       "error.stage_iterations = 1e-02:5:2, polish:4:7"]
+                       "error.stage_iterations = 1e-02:5:2, 1e-04:4:7"]
+
+
+def test_cli_bad_out_fails_before_the_run(monkeypatch, capsys, tmp_path):
+    import vtres.manifest
+    from vtres.cli import main
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the runner ran before --out was checked")
+
+    monkeypatch.setitem(vtres.manifest._RUNNERS, "resistance", unreachable)
+    rc = main(["resist", "--family", "explicit", "--factors", "inf,inf",
+               "--generators", "box", "--p", "1.5", "--r", "2",
+               "--out", str(tmp_path / "a,b")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err[0] == "error.type = BadArguments"
+    assert not (tmp_path / "a,b").exists()
 
 
 def test_cli_malformed_lists_are_bad_arguments(capsys, tmp_path):
