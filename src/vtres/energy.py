@@ -38,6 +38,13 @@ tell a good step from a bad one.  There the full Newton step is taken and
 judged by the max-norm of the regularized gradient: kept if the norm fell,
 otherwise the stage ends.
 
+Symmetric problems are shrunk before they get here.  ``max_resistance`` on
+a Cayley graph solves one pair per orbit of vertex 0's stabilizer, and the
+experiments solve each sphere resistance R_p(x <-> S(x, r+1)) on
+``graphs.quotient_problem`` of its Dirichlet problem, about 1/8 of the
+unknowns on Z^2.  Both are exact, and the R_p bracket of a quotient solve
+certifies the original R_p (see ``graphs``).
+
 The CSR pattern of the free/free block of the weighted Laplacian is built
 once per solve, with the edge of every off-diagonal slot and the slot of
 every diagonal entry recorded; each Newton step fills the values with one
@@ -616,11 +623,12 @@ def max_resistance(g: Graph, p: float, pair_cap: int = 200) -> tuple[float, tupl
     and an automorphism fixing 0 gives every v of an orbit of
     ``stabilizer_orbits`` the same R_p(0, v).  So one pair solve per orbit,
     at its smallest vertex, gives every vertex its value.  Any other
-    ``Graph`` gets one pair solve per vertex pair.  All but the spectral
-    path take at most ``pair_cap`` vertices (counted as vertices, not
-    orbits) and scan the pairs in order, keeping the first that beats all
-    earlier ones by over 1e-15; on a ``CayleyGraph`` that is (0, v) for the
-    smallest vertex v of the maximal orbit.
+    ``Graph`` gets one pair solve per vertex pair.  The ``CayleyGraph``
+    path takes at most ``pair_cap`` pair solves, that is orbits other than
+    {0}; any other non-spectral path at most ``pair_cap`` vertices.  Both
+    scan the pairs in order, keeping the first that beats all earlier ones
+    by over 1e-15; on a ``CayleyGraph`` that is (0, v) for the smallest
+    vertex v of the maximal orbit.
     """
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
@@ -629,14 +637,17 @@ def max_resistance(g: Graph, p: float, pair_cap: int = 200) -> tuple[float, tupl
         r = cayley_resistances(g)
         v = int(np.argmax(r >= r.max() * (1 - 1e-12)))
         return float(r[v]), (0, v)
-    if g.n > pair_cap:
-        raise SizeCapExceeded(f"{g.n} vertices exceeds cap {pair_cap} for p={p}")
     if cayley:
         rep = stabilizer_orbits(g).tolist()
+        solves = sum(rep[v] == v for v in range(1, g.n))
+        if solves > pair_cap:
+            raise SizeCapExceeded(f"{solves} pair solves exceed cap {pair_cap} for p={p}")
         pairs = [(0, v) for v in range(1, g.n)]
         by_rep = {v: pair_resistance(g, 0, v, p).resistance for _, v in pairs if rep[v] == v}
         values = [by_rep[rep[v]] for _, v in pairs]
     else:
+        if g.n > pair_cap:
+            raise SizeCapExceeded(f"{g.n} vertices exceeds cap {pair_cap} for p={p}")
         pairs = list(itertools.combinations(range(g.n), 2))
         values = (_pair_resistances_p2(g).tolist() if p == 2.0
                   else (pair_resistance(g, u, v, p).resistance for u, v in pairs))

@@ -15,6 +15,16 @@ radius + 1 steps from the origin.  Key order is then lexicographic tuple
 order, and a sorted key array with ``searchsorted`` is the vertex index.
 Adjacency is stored CSR-style with integer multiplicities so that terminal
 collapsing is exact.
+
+The signed coordinate permutations that fix vertex 0 and preserve the
+generating set act on finite Cayley graphs and on balls alike
+(``stabilizer_orbits``).  ``quotient_problem`` merges the orbits of a
+two-terminal problem into single vertices with summed multiplicities.  Its
+R_p is the original's: the p-energy is strictly convex, so its minimizer is
+constant on orbits, and a unit flow on the quotient, spread evenly over
+the edges each quotient edge merges, is a unit flow of the same cost on the
+original, since every vertex of an orbit sees the same edges.  The
+experiments solve their sphere resistances on that quotient.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import scipy.sparse as sp
 
 from .errors import (
     BadArguments,
+    DimensionMismatch,
     DisconnectedGeneratingSet,
     EmptySet,
     FullSet,
@@ -321,23 +332,6 @@ def from_edge_list(n: int, edges: Sequence[Sequence[int]] | np.ndarray) -> Graph
     return Graph(n, indptr, key % n, np.add.reduceat(em, np.flatnonzero(first)))
 
 
-def validate_graph(g: Graph) -> None:
-    """Check symmetry, positive multiplicities, and the no-self-loop rule."""
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    if np.any(rows == g.nbr):
-        raise BadArguments("graph has a self-loop")
-    if np.any(g.mult <= 0):
-        raise BadArguments("graph has a non-positive multiplicity")
-    # symmetric iff the (u, v, m) slots sorted equal the (v, u, m) slots sorted
-    fwd = np.lexsort((g.mult, g.nbr, rows))
-    bwd = np.lexsort((g.mult, rows, g.nbr))
-    bad = ((rows[fwd] != g.nbr[bwd]) | (g.nbr[fwd] != rows[bwd])
-           | (g.mult[fwd] != g.mult[bwd]))
-    if bad.any():
-        i = fwd[np.argmax(bad)]
-        raise BadArguments(f"asymmetric adjacency at ({rows[i]},{g.nbr[i]})")
-
-
 def bfs_layers(g: Graph, sources: Iterable[int],
                banned_edges: Optional[np.ndarray] = None) -> np.ndarray:
     """Distances from a source set; -1 marks unreachable vertices.
@@ -410,44 +404,83 @@ def build_cayley_graph(spec: GraphSpec, size_cap: int = DEFAULT_SIZE_CAP) -> Cay
     return g
 
 
-def _stabilizer_maps(g: CayleyGraph) -> list[np.ndarray]:
-    """Automorphisms of ``g`` fixing vertex 0, each as the image of every vertex.
+def _symmetry_candidates(offsets: Sequence[tuple[int, ...]],
+                         moduli: Sequence[Optional[int]]) -> list[tuple[list[int], list[int]]]:
+    """Signed coordinate permutations x -> (sign[k] x[perm[k]])_k that map
+    the offset set onto itself modulo ``moduli`` (None for a Z factor).
 
     The candidates are -id, the negation of one coordinate, and the swap of
-    two coordinates of equal modulus; each is a group automorphism fixing 0,
-    so it is a graph automorphism exactly when it maps the offset set onto
-    itself modulo ``dims``.  Those that do are kept.
+    two coordinates of equal modulus.  Each is a group automorphism fixing
+    0, so it is a graph automorphism exactly when it preserves the offsets.
     """
-    d = len(g.dims)
+    d = len(moduli)
     flips = [[-1] * d] + [[-1 if j == i else 1 for j in range(d)] for i in range(d)]
     candidates = [(list(range(d)), sign) for sign in flips]
     for i, j in itertools.combinations(range(d), 2):
-        if g.dims[i] == g.dims[j]:
+        if moduli[i] == moduli[j]:
             perm = list(range(d))
             perm[i], perm[j] = j, i
             candidates.append((perm, [1] * d))
-    offsets = set(g.offsets)
-    coords = np.unravel_index(np.arange(g.n), g.dims)
+    offsets = set(offsets)
+    return [(perm, sign) for perm, sign in candidates
+            if {_canonical([sign[k] * s[perm[k]] for k in range(d)], moduli)
+                for s in offsets} == offsets]
+
+
+def _stabilizer_maps(g: CayleyGraph | BallGraph) -> list[np.ndarray]:
+    """Automorphisms of ``g`` fixing vertex 0, each as the image of every vertex.
+
+    The maps are ``_symmetry_candidates`` applied to the group element of
+    every vertex, finite coordinates taken mod their modulus.  Image ids are
+    found by key lookup; an automorphism fixing 0 preserves distance to 0,
+    so it maps a ball onto itself, and an image outside ``g`` is a bug.
+    """
+    if isinstance(g, BallGraph):
+        moduli, offsets, coords = g.spec.factors, spec_offsets(g.spec), g.coords
+    else:
+        moduli, offsets = g.dims, g.offsets
+        coords = np.stack(np.unravel_index(np.arange(g.n), g.dims), axis=1)
+    finite = np.array([m is not None for m in moduli])
+    mod = np.array([m or 1 for m in moduli], dtype=np.int64)
+    # mixed-radix keys over the box the coordinates span; -1 marks a row outside it
+    lo = np.where(finite, 0, coords.min(axis=0))
+    width = np.where(finite, mod, coords.max(axis=0) - lo + 1)
+    strides = np.ones(len(moduli), dtype=np.int64)
+    strides[:-1] = np.cumprod(width[::-1])[::-1][1:]
+
+    def keys(rows: np.ndarray) -> np.ndarray:
+        inside = np.all((rows >= lo) & (rows < lo + width), axis=1)
+        return np.where(inside, (rows - lo) @ strides, -1)
+
+    own = keys(coords)
+    order = np.argsort(own)
+    sorted_keys = own[order]
     maps = []
-    for perm, sign in candidates:
-        image = {_canonical([sign[k] * s[perm[k]] for k in range(d)], g.dims) for s in g.offsets}
-        if image == offsets:
-            maps.append(np.ravel_multi_index([sign[k] * coords[perm[k]] for k in range(d)],
-                                             g.dims, mode="wrap"))
+    for perm, sign in _symmetry_candidates(offsets, moduli):
+        image = coords[:, perm] * sign
+        q = keys(np.where(finite, image % mod, image))
+        pos = np.minimum(np.searchsorted(sorted_keys, q), len(q) - 1)
+        if not np.array_equal(sorted_keys[pos], q):
+            raise RuntimeError(f"stabilizer map (perm={perm}, sign={sign}) "
+                               f"sends a vertex outside the graph")
+        maps.append(order[pos])
     return maps
 
 
-def stabilizer_orbits(g: CayleyGraph) -> np.ndarray:
+def stabilizer_orbits(g: CayleyGraph | BallGraph) -> np.ndarray:
     """The smallest vertex id in each vertex's orbit under ``_stabilizer_maps``.
 
     The orbits are the connected components of the graph joining every
     vertex to its image under each map, so the group those maps generate
     is never enumerated (d! 2^d elements for the hyperoctahedral one).  A
-    subgroup of the true stabilizer only makes the orbits finer.
+    subgroup of the true stabilizer only makes the orbits finer.  On a ball
+    every map preserves the layers, so the orbits of B(R) restricted to
+    B(r) are the orbits of B(r).
     """
     maps = _stabilizer_maps(g)  # never empty: S = -S, so -id is kept
-    src = np.tile(np.arange(g.n), len(maps))
-    links = sp.csr_matrix((np.ones(src.size), (src, np.concatenate(maps))), shape=(g.n, g.n))
+    n = len(maps[0])
+    src = np.tile(np.arange(n), len(maps))
+    links = sp.csr_matrix((np.ones(src.size), (src, np.concatenate(maps))), shape=(n, n))
     _, labels = sp.csgraph.connected_components(links, connection="weak")
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     return first[inverse]
@@ -478,6 +511,11 @@ class BallGraph:
 
     def sphere_ids(self, r: int) -> np.ndarray:
         return np.arange(self.beta(r - 1), self.beta(r), dtype=np.int64)
+
+    @cached_property
+    def orbits(self) -> np.ndarray:
+        """``stabilizer_orbits`` of the ball, computed once per ball."""
+        return stabilizer_orbits(self)
 
 
 def build_ball(spec: GraphSpec, radius: int, size_cap: int = DEFAULT_SIZE_CAP) -> BallGraph:
@@ -717,6 +755,31 @@ def dirichlet_problem(ball: BallGraph, r: int) -> TerminalGraph:
     g = from_edge_list(m + 1, np.stack([u[keep], v[keep], base.mult[:slots][keep]], axis=1))
     return TerminalGraph(g, source=ball.center, ground=ground,
                          label=f"dirichlet(r={r})")
+
+
+def quotient_problem(tg: TerminalGraph, rep: np.ndarray) -> TerminalGraph:
+    """Merge each vertex class of ``rep`` (one label per vertex of ``tg``)
+    into one vertex, numbered in label order.
+
+    Edges between two classes sum their multiplicities and edges inside a
+    class are dropped.  When the classes are the orbits of automorphisms
+    fixing both terminals, the quotient has the same R_p: the p-energy is
+    strictly convex, so its minimizer is constant on orbits, and on such
+    functions the two energies agree term by term.  Source and ground must
+    be classes of their own.
+    """
+    rep = np.asarray(rep)
+    if rep.shape != (tg.graph.n,):
+        raise DimensionMismatch(f"expected {tg.graph.n} orbit labels, got shape {rep.shape}")
+    _, index, sizes = np.unique(rep, return_inverse=True, return_counts=True)
+    if sizes[index[tg.source]] != 1 or sizes[index[tg.ground]] != 1:
+        raise BadArguments("source and ground must be orbits of their own")
+    eu, ev, em = tg.graph.edges
+    a, b = index[eu], index[ev]
+    keep = a != b
+    g = from_edge_list(sizes.size, np.stack([a[keep], b[keep], em[keep]], axis=1))
+    return TerminalGraph(g, source=int(index[tg.source]), ground=int(index[tg.ground]),
+                         label=f"{tg.label}/orbits")
 
 
 def collapse_terminals(g: Graph, source: Iterable[int], ground: Iterable[int],

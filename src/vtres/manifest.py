@@ -27,6 +27,7 @@ from .graphs import (
     build_cayley_graph,
     dirichlet_problem,
     growth_profile,
+    quotient_problem,
     spec_cyclic_chords,
     spec_offsets,
     spec_torus,
@@ -255,11 +256,16 @@ def flow_items(flow) -> list[tuple[str, object]]:
 
 def _sphere_resistance(ball: BallGraph, r: int, p: float) -> float:
     """R_p(x <-> S(x, r+1)): the mode sum on a separable box ball at p=2,
-    otherwise a solve of the Dirichlet problem."""
+    otherwise a solve of the Dirichlet problem's quotient by the orbits of
+    vertex 0's stabilizer, which has the same R_p."""
     axes = box_ball_separable(ball, r) if p == 2.0 else None
     if axes:
         return box_ball_resistance(spec_offsets(ball.spec), ball.spec.factors, r, axes)
-    return p_resistance(dirichlet_problem(ball, r), p).resistance
+    m = ball.beta(r)
+    # the maps keep layers, so B(r)'s orbits are the ball's cut to B(r); the
+    # ground m is an orbit of its own
+    rep = np.append(ball.orbits[:m], m)
+    return p_resistance(quotient_problem(dirichlet_problem(ball, r), rep), p).resistance
 
 
 def _run_resistance(man: ExperimentManifest, size_cap: int):

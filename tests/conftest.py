@@ -14,7 +14,25 @@ from vtres import (
     spec_torus,
     spec_z_times_torus,
 )
-from vtres.graphs import from_edge_list
+from vtres.errors import BadArguments
+from vtres.graphs import Graph, from_edge_list
+
+
+def validate_graph(g: Graph) -> None:
+    """Check symmetry, positive multiplicities, and the no-self-loop rule."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    if np.any(rows == g.nbr):
+        raise BadArguments("graph has a self-loop")
+    if np.any(g.mult <= 0):
+        raise BadArguments("graph has a non-positive multiplicity")
+    # symmetric iff the (u, v, m) slots sorted equal the (v, u, m) slots sorted
+    fwd = np.lexsort((g.mult, g.nbr, rows))
+    bwd = np.lexsort((g.mult, rows, g.nbr))
+    bad = ((rows[fwd] != g.nbr[bwd]) | (g.nbr[fwd] != rows[bwd])
+           | (g.mult[fwd] != g.mult[bwd]))
+    if bad.any():
+        i = fwd[np.argmax(bad)]
+        raise BadArguments(f"asymmetric adjacency at ({rows[i]},{g.nbr[i]})")
 
 
 def series_graph(m):

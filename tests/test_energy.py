@@ -39,6 +39,7 @@ from vtres.graphs import (
     Graph,
     TerminalGraph,
     from_edge_list,
+    quotient_problem,
     spec_fibered_torus,
     spec_offsets,
 )
@@ -306,10 +307,25 @@ def test_max_resistance_disconnected_raises():
         max_resistance(from_edge_list(4, [(0, 1, 1), (2, 3, 1)]), 2.0)
 
 
-def test_max_resistance_caps():
-    g = build_cayley_graph(spec_torus(4, 4))
-    with pytest.raises(SizeCapExceeded):
-        max_resistance(g, 3.0, pair_cap=10)
+def test_max_resistance_caps(monkeypatch):
+    # the 15x15 torus has 36 orbits under vertex 0's stabilizer, so 35 pair
+    # solves; the cap counts those on a CayleyGraph and vertices elsewhere
+    calls = []
+
+    def counting(g, u, v, p):
+        calls.append((u, v))
+        return pair_resistance(g, u, v, p)
+
+    monkeypatch.setattr(energy, "pair_resistance", counting)
+    g = build_cayley_graph(spec_torus(15, 15))
+    with pytest.raises(SizeCapExceeded, match="35 pair solves exceed cap 34"):
+        max_resistance(g, 3.0, pair_cap=34)
+    assert calls == []
+    max_resistance(g, 3.0)
+    assert len(calls) == 35
+    t4 = build_cayley_graph(spec_torus(4, 4))
+    with pytest.raises(SizeCapExceeded, match="16 vertices exceeds cap 10"):
+        max_resistance(Graph(t4.n, t4.indptr, t4.nbr, t4.mult), 3.0, pair_cap=10)
 
 
 def _stokes_loop_reference(g, f, p, A):
@@ -589,3 +605,56 @@ def test_box_ball_mode_sum_on_a_million_line():
 def test_box_ball_mode_sum_rejects_non_box_offsets():
     with pytest.raises(BadArguments):
         box_ball_resistance(tuple(KNIGHT), (None, None), 3)
+
+
+SKEW = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+# spec, radius of the Dirichlet problem: box lattices, a product with two
+# finite factors, the knight set, and a skew set on which only -id and the
+# coordinate swap preserve S
+QUOTIENT_BALLS = {
+    "z2": (spec_lattice(2), 6),
+    "z3": (spec_lattice(3), 3),
+    "z_c5_c5": (spec_z_times_torus(5, 5), 2),
+    "z2_knight": (spec_explicit((None, None), KNIGHT), 2),
+    "z2_skew": (spec_explicit((None, None), SKEW), 5),
+}
+
+
+def _quotient_cases():
+    rng = np.random.Generator(np.random.Philox(key=[47, 0]))
+    cases = list(QUOTIENT_BALLS.values())
+    while len(cases) < len(QUOTIENT_BALLS) + 12:
+        spec = random_small_spec(rng)
+        # 1 <= r and a nonempty sphere S(r + 1), which a finite graph can run out of
+        top = int(build_ball(spec, 6).layer.max())
+        if top >= 2:
+            cases.append((spec, int(rng.integers(1, top))))
+    return cases
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_quotient_and_full_dirichlet_solves_agree(p):
+    for spec, r in _quotient_cases():
+        ball = build_ball(spec, r + 1)
+        tg = dirichlet_problem(ball, r)
+        q = quotient_problem(tg, np.append(ball.orbits[:ball.beta(r)], ball.beta(r)))
+        assert q.graph.n == len(np.unique(ball.orbits[:ball.beta(r)])) + 1
+        full = p_resistance(tg, p).resistance
+        assert abs(p_resistance(q, p).resistance - full) <= 1e-10 * full, (spec, r)
+
+
+def test_quotient_problem_merges_orbits_of_a_path():
+    # source 2 and ground {0, 4} on the path 0-1-2-3-4: two parallel chains
+    # of two edges, R_p = 2^(p-2); the reflection fixing 2 merges 1 and 3
+    tg = collapse_terminals(series_graph(4), [2], [0, 4])
+    rep = np.array([0, 0, 1, 2])  # free 1 and 3 are renumbered 0 and 1
+    q = quotient_problem(tg, rep)
+    assert q.graph.n == 3 and (q.source, q.ground) == (1, 2)
+    assert np.stack(q.graph.edges, axis=1).tolist() == [[0, 1, 2], [0, 2, 2]]
+    for p in (1.5, 3.0):
+        assert p_resistance(q, p).resistance == pytest.approx(2.0 ** (p - 2), rel=1e-12)
+        assert p_resistance(tg, p).resistance == pytest.approx(2.0 ** (p - 2), rel=1e-12)
+    with pytest.raises(BadArguments):
+        quotient_problem(tg, np.zeros(tg.graph.n, dtype=np.int64))
+    with pytest.raises(DimensionMismatch):
+        quotient_problem(tg, rep[:-1])

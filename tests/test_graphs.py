@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,8 +39,9 @@ from vtres.graphs import (
     spec_fibered_torus,
     spec_offsets,
     stabilizer_orbits,
-    validate_graph,
 )
+
+from conftest import validate_graph
 
 
 def _digest(*arrays) -> str:
@@ -402,3 +404,42 @@ def test_stabilizer_maps_are_automorphisms(name):
         assert np.array_equal(np.sort(m[nbr], axis=1), nbr[m])
     if name == "z6xz6_skew":
         assert len(maps) == 1
+
+
+KNIGHT = [(a, b) for a in (-2, -1, 1, 2) for b in (-2, -1, 1, 2) if abs(a) != abs(b)]
+# spec, ball radius, number of kept maps: -id, the coordinate negations and
+# the equal-modulus swaps that preserve S
+BALL_SYMMETRY_SPECS = {
+    "z2": (spec_lattice(2), 7, 4),
+    "z3": (spec_lattice(3), 4, 7),
+    "z_c5_c5": (spec_z_times_torus(5, 5), 3, 5),
+    "z2_knight": (spec_explicit((None, None), KNIGHT), 3, 4),
+    "z2_skew": (spec_explicit((None, None), [(1, 0), (-1, 0), (0, 1), (0, -1),
+                                             (1, 1), (-1, -1)]), 6, 2),
+    "torus6x6": (spec_torus(6, 6), 4, 4),
+    "c20_chords3": (spec_cyclic_chords(20, 3), 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_SYMMETRY_SPECS))
+def test_ball_stabilizer_maps_are_automorphisms(name):
+    spec, radius, count = BALL_SYMMETRY_SPECS[name]
+    ball = build_ball(spec, radius)
+    g = ball.base
+    adj = sp.csr_matrix((g.mult, g.nbr, g.indptr), shape=(g.n, g.n))
+    maps = _stabilizer_maps(ball)
+    assert len(maps) == count
+    for m in maps:
+        assert m[0] == 0 and np.array_equal(np.sort(m), np.arange(g.n))
+        assert np.array_equal(ball.layer[m], ball.layer)
+        # (m A m^T)[i, j] = A[m[i], m[j]]: neighbour rows go onto neighbour rows
+        assert (adj[m][:, m] != adj).nnz == 0
+        assert np.array_equal(ball.exit_degree[m], ball.exit_degree)
+
+
+@pytest.mark.parametrize("d,radius,count", [(2, 20, 231), (3, 24, 2925)])
+def test_ball_orbit_counts(d, radius, count):
+    # the hyperoctahedral group's orbits on [-r, r]^d: r >= x_1 >= ... >= x_d >= 0
+    rep = stabilizer_orbits(build_ball(spec_lattice(d), radius))
+    assert len(np.unique(rep)) == count
+    assert rep[0] == 0 and np.all(rep <= np.arange(rep.size)) and np.array_equal(rep[rep], rep)

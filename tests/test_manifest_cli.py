@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from vtres import (
     ExperimentManifest,
+    build_ball,
     emit_manifest,
     parse_manifest,
     run,
@@ -17,6 +19,7 @@ from vtres import (
     spec_z_times_torus,
 )
 from vtres.errors import BadArguments, MissingParam
+from vtres.graphs import stabilizer_orbits
 from vtres.manifest import Table, emit
 
 from conftest import box_torus_fourier_resistance
@@ -403,6 +406,26 @@ def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch
         run(ExperimentManifest(experiment, spec, params, f"o{i}", "csv"),
             base_dir=str(tmp_path))
         assert solved == want, (experiment, params)
+
+
+def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch):
+    # the problem handed to the solver has one vertex per orbit of B(r),
+    # counted on a ball of radius r, plus the ground
+    import vtres.manifest as manifest
+    sizes = []
+    real = manifest.p_resistance
+    monkeypatch.setattr(manifest, "p_resistance",
+                        lambda tg, p: sizes.append(tg.graph.n) or real(tg, p))
+    knight = spec_explicit((None, None), [(a, b) for a in (-2, -1, 1, 2)
+                                          for b in (-2, -1, 1, 2) if abs(a) != abs(b)])
+    for spec, p in [(spec_lattice(2), 3.0), (knight, 2.0), (spec_z_times_torus(5, 5), 1.5)]:
+        ball = build_ball(spec, 6)
+        for r in (1, 2, 5):
+            sizes.clear()
+            manifest._sphere_resistance(ball, r, p)
+            assert sizes == [len(np.unique(stabilizer_orbits(build_ball(spec, r)))) + 1]
+            if spec == spec_lattice(2):
+                assert sizes == [(r + 1) * (r + 2) // 2 + 1]
 
 
 def test_benchmark_hooks_exist():
