@@ -357,19 +357,17 @@ def _blocks_from_profile(xi_of: Callable[[int], float], total: int, nmax: int,
     return maxima
 
 
-def bk_upper_bound(problem, p: float, strategy: str = "exhaustive",
-                   boundary_profile: Optional[Callable[[int], float]] = None) -> BkBound:
+def bk_upper_bound(problem, p: float, strategy: str = "exhaustive") -> BkBound:
     """Right-hand side (implied constant 1) of the connected-set resistance
     upper bound.
 
     ``problem`` is either a (BallGraph, r) pair, bounding
     R_p(x <-> S(x, r+1)) through subsets of B(x, r), or a TerminalGraph with
     singleton terminals in a finite graph.  ``strategy`` selects exhaustive
-    connected-subset enumeration (small graphs; arcs on cycles) or a
-    minimum-boundary profile source: ``boundary_profile`` (size -> lower
-    bound on the vertex boundary) when given, otherwise the growth-based
-    bound.  The caller pairs the result with a measured resistance and
-    reports the empirical ratio.
+    connected-subset enumeration (small graphs; arcs on cycles) or the
+    growth-based lower bound on the vertex boundary of a set of each size
+    (``csc_bound``).  The caller pairs the result with a measured
+    resistance and reports the empirical ratio.
 
     Both forms are a list of roots (root, degree, allowed mask) and a first
     block: the ball form sums its one root's blocks from n = 0, the pair
@@ -419,13 +417,12 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive",
 
     base = sum(deg_root ** (-1.0 / (p - 1.0)) for _, deg_root, _ in roots)
     block_maxima: list[float] = []
-    xi_of = boundary_profile
+    xi_of = functools.partial(csc_bound, growth()) if strategy == "profile" else None
     for root, deg_root, allowed in roots:
         nmax = _dyadic_block(total, deg_root) if total >= deg_root else -1
         if nmax < first:
             continue
         if strategy == "profile":
-            xi_of = xi_of or functools.partial(csc_bound, growth())
             maxima = _blocks_from_profile(xi_of, total, nmax, p, first)
         elif cycle:
             maxima = _blocks_cycle_arcs(total, nmax, p)

@@ -40,10 +40,11 @@ otherwise the stage ends.
 
 Symmetric problems are shrunk before they get here.  ``max_resistance`` on
 a Cayley graph solves one pair per orbit of vertex 0's stabilizer, and the
-experiments solve each sphere resistance R_p(x <-> S(x, r+1)) on
-``graphs.quotient_problem`` of its Dirichlet problem, about 1/8 of the
-unknowns on Z^2.  Both are exact, and the R_p bracket of a quotient solve
-certifies the original R_p (see ``graphs``).
+experiments solve their sphere and annulus resistances on
+``graphs.quotient_problem`` of the ball's problem, about 1/8 of the unknowns
+on Z^2.  Both are exact.  A quotient solve's R_p bracket certifies the
+original R_p, since a unit flow on the quotient, spread evenly over the
+edges each quotient edge merges, is one of the same cost on the original.
 
 The CSR pattern of the free/free block of the weighted Laplacian is built
 once per solve, with the edge of every off-diagonal slot and the slot of

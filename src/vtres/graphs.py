@@ -16,15 +16,11 @@ order, and a sorted key array with ``searchsorted`` is the vertex index.
 Adjacency is stored CSR-style with integer multiplicities so that terminal
 collapsing is exact.
 
-The signed coordinate permutations that fix vertex 0 and preserve the
-generating set act on finite Cayley graphs and on balls alike
-(``stabilizer_orbits``).  ``quotient_problem`` merges the orbits of a
-two-terminal problem into single vertices with summed multiplicities.  Its
-R_p is the original's: the p-energy is strictly convex, so its minimizer is
-constant on orbits, and a unit flow on the quotient, spread evenly over
-the edges each quotient edge merges, is a unit flow of the same cost on the
-original, since every vertex of an orbit sees the same edges.  The
-experiments solve their sphere resistances on that quotient.
+Every two-terminal problem, and ``prefix_subgraph``, is one contraction
+(``_contract``) of a label per vertex.  ``quotient_problem`` labels the orbits
+of the signed coordinate permutations that fix vertex 0 and preserve the
+generating set (``stabilizer_orbits``).  They keep layers, so they fix every
+sphere: the experiments solve sphere and annulus resistances on the quotient.
 """
 
 from __future__ import annotations
@@ -730,6 +726,19 @@ class TerminalGraph:
     label: str = field(default="", compare=False)
 
 
+def _contract(g: Graph, label: np.ndarray, k: int, rows: int) -> Graph:
+    """The graph on labels 0..k-1 that ``label`` makes of ``g``: edges map to
+    their ends' labels (-1 drops a vertex), vanish inside a label or at a
+    dropped end, and merge.  Only the CSR rows below ``rows`` are read; the
+    labels cover every id they reach, and edges between later ids must vanish."""
+    u = np.repeat(np.arange(rows), np.diff(g.indptr[:rows + 1]))
+    v = g.nbr[:len(u)]
+    once = u < v  # each edge from its smaller end
+    a, b = label[u[once]], label[v[once]]
+    keep = (a != b) & (a >= 0) & (b >= 0)
+    return from_edge_list(k, np.stack([a[keep], b[keep], g.mult[:len(u)][once][keep]], axis=1))
+
+
 def dirichlet_problem(ball: BallGraph, r: int) -> TerminalGraph:
     """Two-terminal network for R_p(x <-> S(x, r+1)) = R_p(x <-> complement of B(x, r)).
 
@@ -742,31 +751,24 @@ def dirichlet_problem(ball: BallGraph, r: int) -> TerminalGraph:
     if ball.radius < r + 1:
         raise RadiusTooSmall(f"need ball radius >= {r + 1}, have {ball.radius}")
     m = ball.beta(r)
-    ground = m
-    base = ball.base
-    slots = int(base.indptr[m])
-    u = np.repeat(np.arange(m), np.diff(base.indptr[:m + 1]))
-    v = base.nbr[:slots]
+    v = ball.base.nbr[:ball.base.indptr[m]]
     if np.any(ball.layer[v[v >= m]] != r + 1):
         raise BadArguments("layer invariant violated: edge jumps a sphere")
-    # every vertex outside B(x, r) becomes the ground vertex m
-    v = np.minimum(v, ground)
-    keep = u < v
-    g = from_edge_list(m + 1, np.stack([u[keep], v[keep], base.mult[:slots][keep]], axis=1))
-    return TerminalGraph(g, source=ball.center, ground=ground,
-                         label=f"dirichlet(r={r})")
+    # B(x, r) keeps its ids and S(x, r+1) becomes the ground vertex m
+    label = np.minimum(np.arange(ball.beta(r + 1)), m)
+    return TerminalGraph(_contract(ball.base, label, m + 1, m), source=ball.center,
+                         ground=m, label=f"dirichlet(r={r})")
 
 
 def quotient_problem(tg: TerminalGraph, rep: np.ndarray) -> TerminalGraph:
     """Merge each vertex class of ``rep`` (one label per vertex of ``tg``)
-    into one vertex, numbered in label order.
+    into one vertex, numbered in label order; source and ground must be
+    classes of their own.
 
-    Edges between two classes sum their multiplicities and edges inside a
-    class are dropped.  When the classes are the orbits of automorphisms
-    fixing both terminals, the quotient has the same R_p: the p-energy is
-    strictly convex, so its minimizer is constant on orbits, and on such
-    functions the two energies agree term by term.  Source and ground must
-    be classes of their own.
+    When the classes are the orbits of automorphisms fixing both terminals,
+    the quotient has the same R_p: the p-energy is strictly convex, so its
+    minimizer is constant on orbits, and on such functions the two energies
+    agree term by term.
     """
     rep = np.asarray(rep)
     if rep.shape != (tg.graph.n,):
@@ -774,11 +776,8 @@ def quotient_problem(tg: TerminalGraph, rep: np.ndarray) -> TerminalGraph:
     _, index, sizes = np.unique(rep, return_inverse=True, return_counts=True)
     if sizes[index[tg.source]] != 1 or sizes[index[tg.ground]] != 1:
         raise BadArguments("source and ground must be orbits of their own")
-    eu, ev, em = tg.graph.edges
-    a, b = index[eu], index[ev]
-    keep = a != b
-    g = from_edge_list(sizes.size, np.stack([a[keep], b[keep], em[keep]], axis=1))
-    return TerminalGraph(g, source=int(index[tg.source]), ground=int(index[tg.ground]),
+    return TerminalGraph(_contract(tg.graph, index, sizes.size, tg.graph.n),
+                         source=int(index[tg.source]), ground=int(index[tg.ground]),
                          label=f"{tg.label}/orbits")
 
 
@@ -800,16 +799,10 @@ def collapse_terminals(g: Graph, source: Iterable[int], ground: Iterable[int],
         raise BadArguments("terminal vertex out of range")
     free = np.ones(g.n, dtype=bool)
     free[src] = free[gnd] = False
-    s_id = int(free.sum())
-    g_id = s_id + 1
+    f = int(free.sum())
     remap = np.cumsum(free) - 1
-    remap[src] = s_id
-    remap[gnd] = g_id
-    eu, ev, em = g.edges
-    a, b = remap[eu], remap[ev]
-    keep = a != b
-    ng = from_edge_list(g_id + 1, np.stack([a[keep], b[keep], em[keep]], axis=1))
-    return TerminalGraph(ng, source=s_id, ground=g_id, label=label)
+    remap[src], remap[gnd] = f, f + 1
+    return TerminalGraph(_contract(g, remap, f + 2, g.n), source=f, ground=f + 1, label=label)
 
 
 def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
@@ -817,23 +810,28 @@ def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
 
     Vertices strictly inside B(x, n-1) stay free; they attach only to the
     source sphere, take the source value in the minimizer, and contribute
-    zero energy, so the collapsed problem is exact.
+    zero energy, so the collapsed problem is exact.  The numbering is
+    ``collapse_terminals``' on B(x, r): the free vertices, B(x, n-1) and
+    B(x, r-1) less S(x, n), keep their order as 0..f-1, S(x, n) is the
+    source f and S(x, r) the ground f+1.
     """
     if not (0 < n < r):
         raise BadArguments("need 0 < n < r")
     if ball.radius < r:
         raise RadiusTooSmall(f"need ball radius >= {r}, have {ball.radius}")
-    m = ball.beta(r)
-    sub = prefix_subgraph(ball.base, m)
-    return collapse_terminals(
-        sub,
-        source=range(ball.beta(n - 1), ball.beta(n)),
-        ground=range(ball.beta(r - 1), m),
-        label=f"annulus(n={n}, r={r})",
-    )
+    inner, b_n, outer, m = ball.beta(n - 1), ball.beta(n), ball.beta(r - 1), ball.beta(r)
+    if outer == m:  # S(x, n) is empty only if S(x, r) is
+        raise EmptySet(f"sphere S(x, {r}) is empty")
+    f = inner + outer - b_n
+    label = np.concatenate([np.arange(inner), np.full(b_n - inner, f),
+                            np.arange(inner, f), np.full(m - outer, f + 1)])
+    # every edge leaving B(x, r-1) ends in S(x, r), so its rows hold all kept edges
+    return TerminalGraph(_contract(ball.base, label, f + 2, outer), source=f,
+                         ground=f + 1, label=f"annulus(n={n}, r={r})")
 
 
 def prefix_subgraph(g: Graph, m: int) -> Graph:
     """Induced subgraph on vertices 0..m-1 (valid because balls are id prefixes)."""
-    edges = np.stack(g.edges, axis=1)
-    return from_edge_list(m, edges[edges[:, 1] < m])  # u < v, so both ends are < m
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[:m] = np.arange(m)
+    return _contract(g, label, m, m)

@@ -489,7 +489,11 @@ def _run_var_converse(man: ExperimentManifest, size_cap: int):
     rows = []
     regime = []
     for r in rs:
-        computed = p_resistance(annulus_problem(ball, n, r), 2.0).resistance
+        # free vertices keep their orbits; each sphere is a class past all orbits
+        free = np.r_[0:ball.beta(n - 1), beta_n:ball.beta(r - 1)]
+        rep = np.append(ball.orbits[free], [ball.base.n, ball.base.n + 1])
+        tg = quotient_problem(annulus_problem(ball, n, r), rep)
+        computed = p_resistance(tg, 2.0).resistance
         rhs = bnd.theorem_rhs("T_var_converse",
                               {"n": n, "r": r, "beta_n": beta_n, "deg": deg})
         v = computed / math.log(r / n)

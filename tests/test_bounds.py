@@ -463,15 +463,6 @@ def test_bk_caps_and_profile_errors():
         bk_upper_bound((ball, 4), 2.0, "profile")  # profile range too short
 
 
-def test_bk_profile_takes_the_callers_profile():
-    # a caller's boundary profile stands in for the growth profile, which
-    # this ball is too small to give
-    ball = build_ball(spec_lattice(2), 5)
-    bound = bk_upper_bound((ball, 4), 2.0, "profile", boundary_profile=lambda a: 4.0)
-    # j at xi = 4 is a/8 for every a >= 4, so each block peaks at its largest a
-    assert bound == BkBound(19.0, 0.125, (81 / 8, 5.0, 2.5, 1.25))
-
-
 def _reference_rooted(g, root, allowed, total, nmax, p, deg):
     """Block maxima of j over connected sets containing root, set by set."""
     masks = [sum(1 << int(w) for w in g.neighbors(v)[0] if w < total)

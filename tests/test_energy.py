@@ -38,6 +38,7 @@ from vtres.errors import (
 from vtres.graphs import (
     Graph,
     TerminalGraph,
+    annulus_problem,
     from_edge_list,
     quotient_problem,
     spec_fibered_torus,
@@ -632,6 +633,15 @@ def _quotient_cases():
     return cases
 
 
+# spec, n, r of an annulus problem R_p(S(n) <-> S(r)); the maps keep
+# layers, so they fix both spheres
+QUOTIENT_ANNULI = {
+    "z2": (spec_lattice(2), 2, 6),
+    "z_c5_c5": (spec_z_times_torus(5, 5), 1, 4),
+    "z2_knight": (spec_explicit((None, None), KNIGHT), 1, 3),
+}
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_quotient_and_full_dirichlet_solves_agree(p):
     for spec, r in _quotient_cases():
@@ -641,6 +651,16 @@ def test_quotient_and_full_dirichlet_solves_agree(p):
         assert q.graph.n == len(np.unique(ball.orbits[:ball.beta(r)])) + 1
         full = p_resistance(tg, p).resistance
         assert abs(p_resistance(q, p).resistance - full) <= 1e-10 * full, (spec, r)
+    for spec, n, r in QUOTIENT_ANNULI.values():
+        ball = build_ball(spec, r)
+        tg = annulus_problem(ball, n, r)
+        # the free vertices are B(r) less both spheres, in id order; the
+        # spheres are classes of their own
+        free = np.flatnonzero(~np.isin(ball.layer[:ball.beta(r)], (n, r)))
+        q = quotient_problem(tg, np.append(ball.orbits[free], [-2, -1]))
+        assert q.graph.n == len(np.unique(ball.orbits[free])) + 2 < tg.graph.n
+        full = p_resistance(tg, p).resistance
+        assert abs(p_resistance(q, p).resistance - full) <= 1e-10 * full, (spec, n, r)
 
 
 def test_quotient_problem_merges_orbits_of_a_path():

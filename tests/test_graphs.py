@@ -36,6 +36,8 @@ from vtres.graphs import (
     bfs_layers,
     collapse_terminals,
     _stabilizer_maps,
+    prefix_subgraph,
+    quotient_problem,
     spec_fibered_torus,
     spec_offsets,
     stabilizer_orbits,
@@ -78,17 +80,26 @@ def test_golden_ball_identity(spec, radius, expected):
 def test_golden_problem_identity():
     torus = build_cayley_graph(spec_torus(6, 5))
     mixed = build_cayley_graph(spec_torus(4, 4, 3, full_last=True))
+    ball = build_ball(spec_z_times_torus(5, 5), 5)
+    m = ball.beta(4)
+    ball3 = build_ball(spec_lattice(3), 6)
+    prefix = prefix_subgraph(ball3.base, ball3.beta(4))
     got = {
         "dirichlet": _terminal_digest(dirichlet_problem(build_ball(spec_lattice(3), 8), 6)),
         "annulus": _terminal_digest(annulus_problem(build_ball(spec_lattice(2), 16), 3, 10)),
         "collapse": _terminal_digest(collapse_terminals(torus, [0, 7], [15, 20, 29])),
         "cayley": _digest(mixed.indptr, mixed.nbr, mixed.mult),
+        "quotient": _terminal_digest(
+            quotient_problem(dirichlet_problem(ball, 4), np.append(ball.orbits[:m], m))),
+        "prefix": _digest(prefix.indptr, prefix.nbr, prefix.mult, [prefix.n]),
     }
     assert got == {
         "dirichlet": "a3836343a21867d0c32dfac736243c3a8c74a760a0f0a27ecee677b09714378e",
         "annulus": "39e3a9ec9416b34b935845656a06a3d936a306358f9f0583320baad234025c37",
         "collapse": "bba51937d8507ecbbdb2a432847d34d4a5305cb046b8ff3d2823f256be3c7778",
         "cayley": "b20d98fafd741643744b1e672199375349eea60a7c28c4f082b172ec59ff701b",
+        "quotient": "ca4f8c0c1af98d041c39ab4965b9aaa829b4f52871950b2681a2ad058da5fc42",
+        "prefix": "3f697f07126fd43bcc2ca1e6b91a9b0cd6c9f11fd38eaad0fd01f273142255ff",
     }
 
 
@@ -339,6 +350,12 @@ def test_dirichlet_radius_too_small():
     b = build_ball(spec_cycle(8), 2)
     with pytest.raises(RadiusTooSmall):
         dirichlet_problem(b, 2)
+
+
+def test_annulus_with_an_empty_outer_sphere_is_an_empty_set():
+    # C6 ends at layer 3, so S(4) is empty although the ball has radius 5
+    with pytest.raises(EmptySet):
+        annulus_problem(build_ball(spec_cycle(6), 5), 1, 4)
 
 
 def test_growth_profile_internal_consistency():

@@ -408,9 +408,10 @@ def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch
         assert solved == want, (experiment, params)
 
 
-def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch):
+def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch, tmp_path):
     # the problem handed to the solver has one vertex per orbit of B(r),
-    # counted on a ball of radius r, plus the ground
+    # counted on a ball of radius r, plus the ground; var-converse's annulus
+    # has one per orbit of B(r) less S(n) and S(r), plus the two terminals
     import vtres.manifest as manifest
     sizes = []
     real = manifest.p_resistance
@@ -426,6 +427,18 @@ def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch):
             assert sizes == [len(np.unique(stabilizer_orbits(build_ball(spec, r)))) + 1]
             if spec == spec_lattice(2):
                 assert sizes == [(r + 1) * (r + 2) // 2 + 1]
+        n, rs = 2, [4, 6]
+        sizes.clear()
+        run(ExperimentManifest("var_converse", spec, {"n": n, "r": rs}, "v", "csv"),
+            base_dir=str(tmp_path))
+        expected = []
+        for r in rs:
+            small = build_ball(spec, r)
+            free = ~np.isin(small.layer, (n, r))
+            expected.append(len(np.unique(stabilizer_orbits(small)[free])) + 2)
+        assert sizes == expected
+        if spec == spec_lattice(2):
+            assert sizes == [r * (r + 1) // 2 - n + 1 for r in rs]
 
 
 def test_benchmark_hooks_exist():
