@@ -46,6 +46,13 @@ on Z^2.  Both are exact.  A quotient solve's R_p bracket certifies the
 original R_p, since a unit flow on the quotient, spread evenly over the
 edges each quotient edge merges, is one of the same cost on the original.
 
+A p=2 sphere resistance R_2(0 <-> S(r+1)) on a box ball needs neither a
+solve nor a ball.  ``box_ball_separable`` decides from the spec and r alone
+whether B(r) is an interval cube times fully covered cyclic factors, and
+``box_ball_resistance`` sums the Dirichlet Green's function over sine x
+character modes, one interval coordinate in closed form, refusing more
+than ``size_cap`` terms before it allocates them.
+
 The CSR pattern of the free/free block of the weighted Laplacian is built
 once per solve, with the edge of every off-diagonal slot and the slot of
 every diagonal entry recorded; each Newton step fills the values with one
@@ -61,11 +68,12 @@ the stages stop.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,9 +87,10 @@ from .errors import (
     SizeCapExceeded,
 )
 from .graphs import (
-    BallGraph,
+    DEFAULT_SIZE_CAP,
     CayleyGraph,
     Graph,
+    GraphSpec,
     TerminalGraph,
     bfs_layers,
     collapse_terminals,
@@ -100,6 +109,7 @@ GAP_TOL = 1e-8  # accepted relative width of a Newton solve's R_p bracket
 MAX_NEWTON_STEPS = 500  # over all eps stages
 EPS_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 ARMIJO_C1 = 1e-4
+SLAB_TERMS = 1 << 18  # outer modes per numpy pass of box_ball_resistance
 
 
 def signed_power(x: np.ndarray | float, q: float):
@@ -499,58 +509,95 @@ def cayley_resistances(g: CayleyGraph) -> np.ndarray:
     return 2.0 * (green[0] - green)
 
 
-def _box_axes(offsets, factors, r: int) -> Optional[tuple[list[int], list[int]]]:
-    """Interval and cyclic coordinates of the box ball B(r), or None.
+class BoxAxes(NamedTuple):
+    """The coordinates of a box ball B(r) and its volume."""
+    interval: list[int]
+    cyclic: list[int]
+    beta: int  # (2r+1)^|interval| * prod of the cyclic moduli
 
-    An interval coordinate is a Z factor, or a finite one of modulus 2r + 2
-    (B(r) misses only its antipodal slab); it needs every offset component
-    in {-1, 0, 1} and S closed under negating that coordinate alone.  Every
-    other finite factor is cyclic, which only a full cover of it by B(r)
-    makes separable (``box_ball_separable`` checks that).
+
+def _box_axes(offsets, factors, r: int) -> Optional[BoxAxes]:
+    """Interval and cyclic coordinates of B(r) when S is a box along the
+    interval ones, else None; ``beta`` is B(r)'s volume once B_C(r) covers
+    the cyclic factors.
+
+    An interval coordinate is a Z factor, or a finite one of modulus at
+    least 2r + 2, along which B(r) does not wrap, with every signed offset
+    component in {-1, 0, 1}.  The other coordinates are cyclic; they may not
+    include a Z factor.  The box condition is S u {0} = {-1, 0, 1}^D x A_C
+    as sets, with A_C the projection of S u {0} on the cyclic coordinates D
+    leaves out.
     """
     rows = np.array(offsets, dtype=np.int64).reshape(len(offsets), len(factors))
-    interval, cyclic = [], []
     for j, n in enumerate(factors):
-        col = rows[:, j]
         if n is not None:
-            col = np.where(2 * col > n, col - n, col)  # signed representatives
-        if (n is None or n == 2 * r + 2) and np.all(np.abs(col) <= 1):
-            rows[:, j] = col
-            interval.append(j)
-        elif n is None:
-            return None
-        else:
-            cyclic.append(j)
-    members = set(map(tuple, rows.tolist()))
-    for i in interval:
-        if {t[:i] + (-t[i],) + t[i + 1:] for t in members} != members:
-            return None
-    return interval, cyclic
+            rows[:, j] = np.where(2 * rows[:, j] > n, rows[:, j] - n, rows[:, j])
+    interval = [j for j, n in enumerate(factors)
+                if (n is None or n >= 2 * r + 2) and np.all(np.abs(rows[:, j]) <= 1)]
+    cyclic = [j for j in range(len(factors)) if j not in interval]
+    if not interval or any(factors[j] is None for j in cyclic):
+        return None
+    members = set(map(tuple, rows.tolist())) | {(0,) * len(factors)}
+    projection = {tuple(t[j] for j in cyclic) for t in members}
+    # S u {0} lies in {-1, 0, 1}^D x A_C, so equal sizes make the sets equal
+    if len(members) != 3 ** len(interval) * len(projection):
+        return None
+    return BoxAxes(interval, cyclic,
+                   (2 * r + 1) ** len(interval) * math.prod(factors[j] for j in cyclic))
 
 
-def box_ball_separable(ball: BallGraph, r: int) -> Optional[tuple[list[int], list[int]]]:
-    """The interval and cyclic coordinates of B(r) when
-    ``dirichlet_problem(ball, r)`` is diagonal in sines x characters, else None.
+@functools.lru_cache(maxsize=64)
+def _cover_radius(steps: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]) -> float:
+    """Least r at which r-fold sums of ``steps`` (0 among them) cover
+    prod Z_n, or inf if they never do: the eccentricity of 0, by BFS."""
+    size = math.prod(moduli)
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    front, count, radius = np.zeros(1, dtype=np.int64), 1, 0
+    while count < size:
+        digits = np.unravel_index(front, moduli)
+        reached = np.unique(np.concatenate([
+            np.ravel_multi_index([(x + s) % n for x, s, n in zip(digits, step, moduli)],
+                                 moduli) for step in steps]))
+        front = reached[~seen[reached]]
+        if not front.size:
+            return math.inf
+        seen[front] = True
+        count, radius = count + front.size, radius + 1
+    return radius
 
-    That holds when the generating set is a box along the interval
-    coordinates (see ``_box_axes``), there is at least one of them, and
-    beta(r) = (2r+1)^z * prod of the cyclic moduli, so that B(r) is the
-    product of [-r, r]^z and the fully covered cyclic factors.
+
+def box_ball_separable(spec: GraphSpec, r: int) -> Optional[BoxAxes]:
+    """The interval and cyclic coordinates of B(r), and its volume beta(r),
+    when the Dirichlet problem of R_2(0 <-> S(r+1)) is diagonal in sines x
+    characters, else None.
+
+    Decided from the spec and r alone.  When S is a box along the interval
+    coordinates D (see ``_box_axes``), S u {0} = {-1, 0, 1}^D x A_C, and the
+    r-fold sumset of a product is the product of the sumsets: B(r) =
+    [-r, r]^D x B_C(r), with B_C(r) the ball of A_C on the cyclic factors.
+    That is separable when B_C(r) covers them, so that
+    beta(r) = (2r+1)^|D| * prod of the cyclic moduli.  A BFS on the cyclic
+    factors alone decides it (25 vertices for Z x C5 x C5, none for Z^d);
+    one on more than ``DEFAULT_SIZE_CAP`` of them is not run and the spec is
+    refused, since its mode sum would pass that cap anyway.
     """
-    if not 0 <= r < ball.radius:
+    if r < 0:
         return None
-    axes = _box_axes(spec_offsets(ball.spec), ball.spec.factors, r)
-    if axes is None or not axes[0]:
+    offsets = spec_offsets(spec)
+    axes = _box_axes(offsets, spec.factors, r)
+    if axes is None:
         return None
-    interval, cyclic = axes
-    if ball.beta(r) != (2 * r + 1) ** len(interval) * math.prod(
-            ball.spec.factors[j] for j in cyclic):
+    moduli = tuple(spec.factors[j] for j in axes.cyclic)
+    if math.prod(moduli) > DEFAULT_SIZE_CAP:
         return None
-    return axes
+    steps = tuple(sorted({tuple(s[j] for j in axes.cyclic) for s in offsets}))
+    return axes if _cover_radius(steps, moduli) <= r else None
 
 
 def box_ball_resistance(offsets, factors, r: int,
-                        axes: Optional[tuple[list[int], list[int]]] = None) -> float:
+                        axes: Optional[BoxAxes] = None,
+                        size_cap: int = DEFAULT_SIZE_CAP) -> float:
     """R_2(0 <-> S(r+1)) = G_D(0, 0) on a separable box ball, as a mode sum.
 
     On B(r) = [-r, r]^z x prod_C Z_n the Dirichlet Laplacian has the
@@ -560,37 +607,73 @@ def box_ball_resistance(offsets, factors, r: int,
     theta_i = pi k_i/(2r + 2) over the interval coordinates that s moves
     and phi = 2 pi sum_j m_j s_j / n_j.  Even k vanish at the centre, so
     G_D(0, 0) = (r + 1)^-z / prod n * sum over odd k and all m of 1/mu.
-    Each 1 - prod(1 - x) is the telescoping sum of x_j prod_{l<j} (1 - x_l)
-    over x = 2 sin^2(theta/2) and 2 sin^2(phi/2), positive term by term on
-    the small modes; 1 - cos, or 3^d - prod(1 + 2 cos), loses about eps r^2
-    relative in the smallest one.  The caller vouches that B(r) is that
-    product; ``axes`` are the coordinates ``box_ball_separable`` returned,
-    found from the offsets when not given.
+
+    The odd modes of the first interval coordinate d are summed in closed
+    form.  S is closed under negating d, so mu = a - 2b cos(theta_d), and
+    (1/(r+1)) sum over odd k_d of 1/mu is the centre value of a 1D Dirichlet
+    Green's function on 2r + 1 points, tanh((r+1) lam) / (2|b| sinh lam)
+    with cosh lam = a/(2|b|); a negative b gives the same sum, as the odd
+    modes are symmetric under k -> 2r + 2 - k.  With delta = a - 2|b| the
+    smaller of mu at theta_d = 0 and pi, lam = 2 asinh(sqrt(delta/(4|b|)))
+    and 2|b| sinh lam = sqrt(delta (delta + 4|b|)) keep full precision.
+    b = 0 gives 1/a, and delta = 0 (z = 1 and the trivial outer character)
+    the limit (r + 1)/(2|b|).  The (r+1)^(z-1) * prod n outer modes are
+    summed in slabs of at most SLAB_TERMS; more than ``size_cap`` of them
+    raise SizeCapExceeded before anything is allocated.
+
+    Each mu is a sum of 1 - prod(1 - x) over x = 2 sin^2(theta/2) and
+    2 sin^2(phi/2), taken as the telescoping sum of x_j prod_{l<j} (1 - x_l),
+    positive term by term on the small modes; 1 - cos, or 3^d -
+    prod(1 + 2 cos), loses about eps r^2 relative in the smallest one, and
+    a naive delta = a - 2|b| 1.5e-14 at r = 200 and 9e-13 at r = 1000 on
+    Z^2.  The caller vouches that B(r) is that product; ``axes`` are the
+    coordinates ``box_ball_separable`` returned, found from the offsets
+    when not given.
     """
     if axes is None:
         axes = _box_axes(offsets, factors, r)
-        if axes is None or not axes[0]:
+        if axes is None:
             raise BadArguments("generating set is not a box along an interval coordinate")
-    interval, cyclic = axes
-    z, moduli = len(interval), [factors[j] for j in cyclic]
-    grid = np.ix_(*[np.arange(r + 1)] * z, *[np.arange(n) for n in moduli])
+    interval, cyclic, _ = axes
+    d, outer = interval[0], interval[1:]
+    moduli = [factors[j] for j in cyclic]
+    shape = [r + 1] * len(outer) + moduli
+    terms = math.prod(shape)
+    if terms > size_cap:
+        raise SizeCapExceeded(f"{terms} modes exceed size cap {size_cap}")
     half = 2.0 * np.sin(np.pi * (2 * np.arange(r + 1) + 1) / (4 * r + 4)) ** 2
-    sines = [half[k] for k in grid[:z]]
-    # offsets that move the same interval coordinates and make the same
-    # cyclic step share a term of mu
-    groups = Counter((tuple(i for i, j in enumerate(interval) if s[j]),
+    # offsets that move the same outer interval coordinates, move d or not,
+    # and make the same cyclic step share a term of mu
+    groups = Counter((tuple(i for i, j in enumerate(outer) if s[j]), s[d] != 0,
                       tuple(s[j] for j in cyclic)) for s in offsets)
-    phases = {step: _half_angle(grid[z:], step, moduli) for _, step in groups if any(step)}
-    mu = np.zeros([r + 1] * z + moduli)
-    for (moved, step), count in groups.items():
-        xs = [sines[i] for i in moved]
-        if any(step):
-            xs.append(phases[step])
-        term, keep = 0.0, 1.0
-        for x in xs:
-            term, keep = term + keep * x, keep * (1.0 - x)
-        mu += count * term
-    return float(np.sum(1.0 / mu)) / ((r + 1) ** z * math.prod(moduli))
+    total = 0.0
+    for lo in range(0, terms, SLAB_TERMS):
+        flat = np.arange(lo, min(terms, lo + SLAB_TERMS))
+        modes = np.unravel_index(flat, shape) if shape else ()
+        sines = [half[k] for k in modes[:len(outer)]]
+        phases = {step: _half_angle(modes[len(outer):], step, moduli)
+                  for _, _, step in groups if any(step)}
+        # mu at theta_d = 0, and b = (sum of the cosine products of the
+        # offsets moving d) / 2; mu at theta_d = pi is mu0 + 4b
+        mu0, b = 0.0, 0.0
+        for (moved, moves_d, step), count in groups.items():
+            xs = [sines[i] for i in moved] + ([phases[step]] if any(step) else [])
+            term, keep = 0.0, 1.0
+            for x in xs:
+                term, keep = term + keep * x, keep * (1.0 - x)
+            mu0 = mu0 + count * term
+            if moves_d:
+                b = b + 0.5 * count * keep
+        ab = np.abs(b)
+        # on a box set mu at theta_d = pi is at least 2 * 3^(z-1) * |A_C|,
+        # so mu0 + 4b loses nothing to cancellation
+        delta = np.where(b > 0, mu0, mu0 + 4.0 * b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = 2.0 * np.arcsinh(np.sqrt(delta / (4.0 * ab)))
+            green = np.tanh((r + 1) * lam) / np.sqrt(delta * (delta + 4.0 * ab))
+            green = np.select([ab == 0, delta == 0], [1.0 / delta, (r + 1) / (2.0 * ab)], green)
+        total += float(np.sum(green))
+    return total / ((r + 1) ** len(outer) * math.prod(moduli))
 
 
 def _pair_resistances_p2(g: Graph) -> np.ndarray:

@@ -8,6 +8,7 @@ byte-identical manifests yield byte-identical artifacts.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -254,18 +255,26 @@ def flow_items(flow) -> list[tuple[str, object]]:
     return items
 
 
-def _sphere_resistance(ball: BallGraph, r: int, p: float) -> float:
-    """R_p(x <-> S(x, r+1)): the mode sum on a separable box ball at p=2,
-    otherwise a solve of the Dirichlet problem's quotient by the orbits of
-    vertex 0's stabilizer, which has the same R_p."""
-    axes = box_ball_separable(ball, r) if p == 2.0 else None
+def _sphere_resistance(spec: GraphSpec, r: int, p: float, ball: Callable[[], BallGraph],
+                       size_cap: int) -> tuple[int, float]:
+    """beta(r) and R_p(x <-> S(x, r+1)).
+
+    At p=2 on a spec that ``box_ball_separable`` accepts both come from the
+    spec and r alone: beta from the box formula, R_2 from the mode sum.
+    Otherwise ``ball()`` gives a ball of radius above r, and R_p is a solve
+    of the Dirichlet problem's quotient by the orbits of vertex 0's
+    stabilizer, which has the same R_p.
+    """
+    axes = box_ball_separable(spec, r) if p == 2.0 else None
     if axes:
-        return box_ball_resistance(spec_offsets(ball.spec), ball.spec.factors, r, axes)
-    m = ball.beta(r)
+        return axes.beta, box_ball_resistance(spec_offsets(spec), spec.factors, r, axes,
+                                              size_cap)
+    b = ball()
+    m = b.beta(r)
     # the maps keep layers, so B(r)'s orbits are the ball's cut to B(r); the
     # ground m is an orbit of its own
-    rep = np.append(ball.orbits[:m], m)
-    return p_resistance(quotient_problem(dirichlet_problem(ball, r), rep), p).resistance
+    rep = np.append(b.orbits[:m], m)
+    return m, p_resistance(quotient_problem(dirichlet_problem(b, r), rep), p).resistance
 
 
 def _run_resistance(man: ExperimentManifest, size_cap: int):
@@ -275,20 +284,22 @@ def _run_resistance(man: ExperimentManifest, size_cap: int):
     dump = bool(man.params.get("dump_potential", 0))
     if "r" in man.params:
         rs = sorted(set(int(r) for r in man.params["r"]))
-        if not rs:
-            raise BadArguments("resistance radii list is empty")
-        ball = build_ball(spec, max(rs) + 1, size_cap)
+        if not rs or rs[0] < 0:
+            raise BadArguments("resistance radii must be a nonempty list of r >= 0")
+        # built on first use: only p != 2, a spec that is not separable, or a
+        # potential dump needs it
+        ball = functools.cache(lambda: build_ball(spec, rs[-1] + 1, size_cap))
         rows = []
         for p in ps:
             for r in rs:
                 if dump:
-                    flow = p_resistance(dirichlet_problem(ball, r), p)
-                    value = flow.resistance
+                    flow = p_resistance(dirichlet_problem(ball(), r), p)
+                    beta, value = ball().beta(r), flow.resistance
                     name = f"potential_p{p:g}_r{r}".replace(".", "_")
                     extra_docs.append((name, emit_document(flow_items(flow))))
                 else:
-                    value = _sphere_resistance(ball, r, p)
-                rows.append((p, r, ball.beta(r), value))
+                    beta, value = _sphere_resistance(spec, r, p, ball, size_cap)
+                rows.append((p, r, beta, value))
         table = Table("resistance", ["p", "r", "beta_r", "resistance"], rows)
     else:
         g = build_cayley_graph(spec, size_cap)
@@ -358,15 +369,14 @@ def _run_sandwich(man: ExperimentManifest, size_cap: int):
     r_min, r_max = int(man.params["r_min"]), int(man.params["r_max"])
     if not 1 <= r_min <= r_max:
         raise BadArguments("need 1 <= r_min <= r_max")
-    ball = build_ball(spec, r_max + 1, size_cap)
+    ball = functools.cache(lambda: build_ball(spec, r_max + 1, size_cap))
     deg = spec.ambient_degree()
     rows = []
     metrics: dict = {}
     for p in ps:
         computed_list, upper_list, lower_list, r_list = [], [], [], []
         for r in range(r_min, r_max + 1):
-            beta_r = ball.beta(r)
-            computed = _sphere_resistance(ball, r, p)
+            beta_r, computed = _sphere_resistance(spec, r, p, ball, size_cap)
             if p == 2.0:
                 lower = bnd.theorem_rhs("T1_8_lower",
                                         {"r": r, "beta_r": beta_r, "deg": deg})
@@ -432,7 +442,7 @@ def _run_table1(man: ExperimentManifest, size_cap: int):
         ball = build_ball(spec, half, size_cap)
         family = bnd.sphere_cutsets(ball, half)
         nw = bnd.nash_williams_bound(family, p)
-        exact = _sphere_resistance(ball, half - 1, p)
+        _, exact = _sphere_resistance(spec, half - 1, p, lambda: ball, size_cap)
         if d == int(p):
             regime, regime_value = "log_n", math.log(n)
         elif d > p:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -544,15 +546,24 @@ def test_max_resistance_solves_one_pair_per_orbit(monkeypatch):
     assert len(calls) == 36
 
 
+# {-1, 0, 1} x {0, +-3} on Z x C10: the C10 steps cover C10 in 5 steps
+Z_C10_STEP3 = spec_explicit((None, 10), [(a, b) for a in (-1, 0, 1) for b in (0, 3, 7)
+                                         if (a, b) != (0, 0)])
 # spec, radii whose Dirichlet problems are diagonal in sines x characters:
-# Z^d cubes, Z x C5 x C5 once B(r) covers the C5 factors, torus balls
-# B(n/2 - 1) missing only the antipodal slab, and a product fiber
+# Z^d cubes, Z x C5 x C5 once B(r) covers the C5 factors, finite factors of
+# modulus at least 2r + 2, along which B(r) does not wrap (Z x C5 x C5 at
+# r=1, Z x C7 x C7, Z x C9 x C9, the torus balls), a product fiber, and
+# Z x C10 with C10 steps +-3 once B(r) covers C10
 SEPARABLE_BALLS = {
     "z2": (spec_lattice(2), (1, 3, 10, 20)),
     "z3": (spec_lattice(3), (1, 3, 8, 12)),
-    "z_c5_c5": (spec_z_times_torus(5, 5), (2, 6)),
+    "z_c5_c5": (spec_z_times_torus(5, 5), (1, 2, 6)),
+    "z_c7_c7": (spec_z_times_torus(7, 7), (2,)),
+    "z_c9_c9": (spec_z_times_torus(9, 9), (2,)),
+    "torus9x9": (spec_torus(9, 9), (3,)),
     "torus16x16": (spec_torus(16, 16), (7,)),
     "fibered8x3": (spec_fibered_torus(8, 3), (3,)),
+    "z_c10_step3": (Z_C10_STEP3, (5, 6)),
 }
 
 
@@ -561,21 +572,22 @@ def test_box_ball_mode_sum_matches_sparse_solve(name):
     spec, radii = SEPARABLE_BALLS[name]
     ball = build_ball(spec, max(radii) + 1)
     for r in radii:
-        assert box_ball_separable(ball, r), r
+        assert box_ball_separable(spec, r), r
         exact = p_resistance(dirichlet_problem(ball, r), 2.0).resistance
         modes = box_ball_resistance(spec_offsets(spec), spec.factors, r)
         assert abs(modes - exact) <= 1e-10 * exact, r
 
 
 KNIGHT = [(a, b) for a in (-2, -1, 1, 2) for b in (-2, -1, 1, 2) if abs(a) != abs(b)]
-# spec, radii at which dirichlet_problem is not separable: C5 not yet covered
-# at r=1, a union (not product) fiber, chords, steps of length 2, and a
-# Z x C3 set whose B(2) is the product Z-interval x C3 but whose steps
-# (1, 1), (-1, 2) are not closed under negating the Z coordinate alone
+# spec, radii at which dirichlet_problem is not separable: a union (not
+# product) fiber, chords, steps of length 2, a Z x C3 set whose B(2) is
+# the product Z-interval x C3 but whose steps (1, 1), (-1, 2) are not
+# closed under negating the Z coordinate alone, and Z x C10 with C10 steps
+# +-3 before B(r) covers C10
 NON_SEPARABLE_BALLS = {
+    "z_c10_step3": (Z_C10_STEP3, (1, 2, 3, 4)),
     "z_c3_skew": (spec_explicit((None, 3), [(1, 0), (-1, 0), (1, 1), (-1, 2),
                                             (0, 1), (0, 2)]), (2,)),
-    "z_c5_c5_r1": (spec_z_times_torus(5, 5), (1,)),
     "torus6x8x3_full": (spec_torus(6, 8, 3, full_last=True), (0, 1, 2, 3)),
     "c20_chords3": (spec_cyclic_chords(20, 3), (1, 2)),
     "z2_knight": (spec_explicit((None, None), KNIGHT), (1, 2)),
@@ -585,14 +597,127 @@ NON_SEPARABLE_BALLS = {
 @pytest.mark.parametrize("name", sorted(NON_SEPARABLE_BALLS))
 def test_non_box_balls_are_not_separable(name):
     spec, radii = NON_SEPARABLE_BALLS[name]
-    ball = build_ball(spec, max(radii) + 1)
-    assert not any(box_ball_separable(ball, r) for r in radii)
+    assert not any(box_ball_separable(spec, r) for r in radii)
 
 
 def test_box_ball_separable_needs_the_sphere_in_the_ball():
-    ball = build_ball(spec_lattice(2), 4)
-    assert box_ball_separable(ball, 3)
-    assert not box_ball_separable(ball, 4)  # dirichlet_problem needs radius r + 1
+    # C8 is an interval coordinate while 8 >= 2r + 2; at r = 4, B(4) is the
+    # whole cycle and S(5) is empty
+    assert box_ball_separable(spec_cycle(8), 3)
+    assert not box_ball_separable(spec_cycle(8), 4)
+    assert not box_ball_separable(spec_lattice(2), -1)
+
+
+def _ball_separable_reference(ball, r):
+    """The ball-based check the spec-level ``box_ball_separable`` replaced,
+    with interval coordinates widened to moduli of at least 2r + 2: every
+    offset component along them in {-1, 0, 1}, S closed under negating any
+    one of them, and beta(r) of the built ball equal to (2r+1)^z * prod of
+    the other moduli."""
+    if not 0 <= r < ball.radius:
+        return None
+    factors = ball.spec.factors
+    rows = np.array(spec_offsets(ball.spec), dtype=np.int64)
+    interval, cyclic = [], []
+    for j, n in enumerate(factors):
+        col = rows[:, j] if n is None else np.where(2 * rows[:, j] > n, rows[:, j] - n,
+                                                     rows[:, j])
+        if (n is None or n >= 2 * r + 2) and np.all(np.abs(col) <= 1):
+            rows[:, j] = col
+            interval.append(j)
+        elif n is None:
+            return None
+        else:
+            cyclic.append(j)
+    members = set(map(tuple, rows.tolist()))
+    for i in interval:
+        if {t[:i] + (-t[i],) + t[i + 1:] for t in members} != members:
+            return None
+    if not interval or ball.beta(r) != (2 * r + 1) ** len(interval) * np.prod(
+            [factors[j] for j in cyclic], dtype=np.int64):
+        return None
+    return interval, cyclic
+
+
+Z_C5_LONG = spec_explicit((None, 5), [(1, 0), (-1, 0), (0, 1), (0, -1),
+                                      (1, 2), (1, -2), (-1, 2), (-1, -2)])
+# (spec, r) that only the ball-based check accepts: B(r) is a product there,
+# but S u {0} is not {-1, 0, 1}^D x A_C.  At r = 0 the torus's factors are
+# all interval coordinates and its C3 steps join the box as a union; Z x C5
+# with steps (+-1, +-2) but not (+-1, +-1) fills Z-interval x C5 from r = 2
+# on (the test checks r <= 5)
+ONLY_BALL_CHECK = {(spec_torus(6, 8, 3, full_last=True), 0),
+                   *((Z_C5_LONG, r) for r in range(2, 6))}
+
+
+def test_spec_and_ball_separability_agree():
+    rng = np.random.Generator(np.random.Philox(key=[53, 0]))
+    specs = [spec for spec, _ in (*SEPARABLE_BALLS.values(), *NON_SEPARABLE_BALLS.values(),
+                                  *QUOTIENT_BALLS.values())]
+    specs += [random_small_spec(rng) for _ in range(20)] + [Z_C5_LONG]
+    only_ball = set()
+    for spec in specs:
+        ball = build_ball(spec, 6)
+        for r in range(6):
+            axes, reference = box_ball_separable(spec, r), _ball_separable_reference(ball, r)
+            if axes:
+                interval, cyclic, beta = axes
+                assert (interval, cyclic) == reference, (spec, r)
+                assert beta == (2 * r + 1) ** len(interval) * int(
+                    np.prod([spec.factors[j] for j in cyclic], dtype=np.int64)), (spec, r)
+                assert build_ball(spec, r + 1).beta(r) == beta, (spec, r)
+            elif reference:
+                only_ball.add((spec, r))
+    assert only_ball == ONLY_BALL_CHECK
+    # those take the quotient solve, which agrees with the full-grid sum
+    ball = build_ball(Z_C5_LONG, 4)
+    for r in (2, 3):
+        tg = dirichlet_problem(ball, r)
+        full = _mode_sum_reference(spec_offsets(Z_C5_LONG), Z_C5_LONG.factors, r, ([0], [1]))
+        assert abs(p_resistance(tg, 2.0).resistance - full) <= 1e-10 * full
+
+
+def _mode_sum_reference(offsets, factors, r, axes):
+    """G_D(0, 0) summed over the full grid of odd sine modes x characters,
+    as ``box_ball_resistance`` did before one coordinate went closed-form."""
+    interval, cyclic = axes[:2]
+    z, moduli = len(interval), [factors[j] for j in cyclic]
+    grid = np.ix_(*[np.arange(r + 1)] * z, *[np.arange(n) for n in moduli])
+    half = 2.0 * np.sin(np.pi * (2 * np.arange(r + 1) + 1) / (4 * r + 4)) ** 2
+    sines = [half[k] for k in grid[:z]]
+    groups = Counter((tuple(i for i, j in enumerate(interval) if s[j]),
+                      tuple(s[j] for j in cyclic)) for s in offsets)
+    mu = np.zeros([r + 1] * z + moduli)
+    for (moved, step), count in groups.items():
+        xs = [sines[i] for i in moved]
+        if any(step):
+            xs.append(energy._half_angle(grid[z:], step, moduli))
+        term, keep = 0.0, 1.0
+        for x in xs:
+            term, keep = term + keep * x, keep * (1.0 - x)
+        mu += count * term
+    return float(np.sum(1.0 / mu)) / ((r + 1) ** z * np.prod(moduli))
+
+
+# spec, radii of the closed form against the full grid: Z x C5 x C5 has
+# modes whose offsets moving the Z coordinate sum to a negative cosine (b < 0)
+CLOSED_FORM_CASES = {
+    "z2": (spec_lattice(2), (3, 10, 1000)),
+    "z3": (spec_lattice(3), (3, 16, 200)),
+    "z_c5_c5": (spec_z_times_torus(5, 5), (2, 3, 6)),
+    "torus16x16": (spec_torus(16, 16), (7,)),
+    "fibered8x3": (spec_fibered_torus(8, 3), (3,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_box_ball_closed_form_matches_full_grid(name):
+    spec, radii = CLOSED_FORM_CASES[name]
+    for r in radii:
+        axes = box_ball_separable(spec, r)
+        want = _mode_sum_reference(spec_offsets(spec), spec.factors, r, axes)
+        value = box_ball_resistance(spec_offsets(spec), spec.factors, r, axes)
+        assert abs(value - want) <= 1e-13 * want, r
 
 
 def test_box_ball_mode_sum_on_a_million_line():
@@ -601,6 +726,19 @@ def test_box_ball_mode_sum_on_a_million_line():
     r = 10 ** 6
     value = box_ball_resistance(((-1,), (1,)), (None,), r)
     assert abs(value - (r + 1) / 2) <= 1e-12 * (r + 1) / 2
+
+
+def test_box_ball_mode_sum_caps_its_terms():
+    # (r+1)^(z-1) * prod n outer modes: 10^12 on Z^3 at r = 10^6, refused
+    # before anything that size is allocated
+    z3 = spec_lattice(3)
+    with pytest.raises(SizeCapExceeded):
+        box_ball_resistance(spec_offsets(z3), z3.factors, 10 ** 6)
+    z_c5_c5 = spec_z_times_torus(5, 5)
+    offsets = spec_offsets(z_c5_c5)
+    with pytest.raises(SizeCapExceeded):
+        box_ball_resistance(offsets, z_c5_c5.factors, 3, size_cap=24)
+    assert box_ball_resistance(offsets, z_c5_c5.factors, 3, size_cap=25) > 0
 
 
 def test_box_ball_mode_sum_rejects_non_box_offsets():

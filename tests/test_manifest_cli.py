@@ -19,7 +19,7 @@ from vtres import (
     spec_z_times_torus,
 )
 from vtres.errors import BadArguments, MissingParam
-from vtres.graphs import stabilizer_orbits
+from vtres.graphs import DEFAULT_SIZE_CAP, stabilizer_orbits
 from vtres.manifest import Table, emit
 
 from conftest import box_torus_fourier_resistance
@@ -385,27 +385,61 @@ def test_cli_resist_torus_50x50_matches_fourier(tmp_path):
 
 
 def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch):
-    # the runners reach the solver through vtres.manifest's names, so
-    # wrapping them there sees every solve the mode sum does not replace
+    # the runners reach the solver and the ball builder through
+    # vtres.manifest's names, so wrapping them there sees every solve the
+    # mode sum does not replace and every ball it does not need
     import vtres.manifest as manifest
-    solved = []
-    real = manifest.p_resistance
+    solved, balls = [], []
+    real, real_ball = manifest.p_resistance, manifest.build_ball
     monkeypatch.setattr(manifest, "p_resistance",
                         lambda tg, p: solved.append(p) or real(tg, p))
-    z2 = spec_lattice(2)
+    monkeypatch.setattr(manifest, "build_ball",
+                        lambda *args: balls.append(args[1]) or real_ball(*args))
+    z2, z3, z_c5_c5 = spec_lattice(2), spec_lattice(3), spec_z_times_torus(5, 5)
     knight = spec_explicit((None, None), [(a, b) for a in (-2, -1, 1, 2)
                                           for b in (-2, -1, 1, 2) if abs(a) != abs(b)])
-    cases = [("sandwich", z2, {"p": [2.0], "r_min": 1, "r_max": 4}, []),
-             ("resistance", z2, {"p": [2.0], "r": [3, 5]}, []),
-             ("resistance", z2, {"p": [2.0, 3.0], "r": [3]}, [3.0]),
-             ("resistance", z2, {"p": [2.0], "r": [3], "dump_potential": 1}, [2.0]),
-             ("resistance", knight, {"p": [2.0], "r": [2]}, [2.0]),
-             ("table1", None, {"n2": [8], "n3": [], "nlin": [8]}, [2.0])]
-    for i, (experiment, spec, params, want) in enumerate(cases):
+    # experiment, spec, params, solved p, ball builds
+    cases = [("sandwich", z2, {"p": [2.0], "r_min": 1, "r_max": 4}, [], 0),
+             ("sandwich", z3, {"p": [2.0], "r_min": 2, "r_max": 5}, [], 0),
+             ("sandwich", z_c5_c5, {"p": [2.0], "r_min": 2, "r_max": 5}, [], 0),
+             ("resistance", z2, {"p": [2.0], "r": [3, 5]}, [], 0),
+             ("resistance", z3, {"p": [2.0], "r": [2, 4]}, [], 0),
+             ("resistance", z_c5_c5, {"p": [2.0], "r": [2, 6]}, [], 0),
+             ("resistance", z2, {"p": [2.0, 3.0], "r": [3]}, [3.0], 1),
+             ("resistance", z2, {"p": [2.0], "r": [3], "dump_potential": 1}, [2.0], 1),
+             ("resistance", knight, {"p": [2.0], "r": [2]}, [2.0], 1),
+             ("table1", None, {"n2": [8], "n3": [], "nlin": [8]}, [2.0], 2)]
+    for i, (experiment, spec, params, want, builds) in enumerate(cases):
         solved.clear()
+        balls.clear()
         run(ExperimentManifest(experiment, spec, params, f"o{i}", "csv"),
             base_dir=str(tmp_path))
         assert solved == want, (experiment, params)
+        assert len(balls) == builds, (experiment, params)
+    # a negative radius is refused before any ball would be built
+    balls.clear()
+    with pytest.raises(BadArguments):
+        run(ExperimentManifest("resistance", z2, {"p": [2.0], "r": [-1, 3]}, "neg", "csv"),
+            base_dir=str(tmp_path))
+    assert balls == []
+
+
+def test_cli_resist_p2_far_past_the_ball_cap(tmp_path):
+    # B(10^5) of Z^2 has 4e10 vertices, far past the default cap of 5M, so
+    # the run succeeds only if it builds no ball: the closed form sums 10^5 + 1
+    # terms.  A size cap below that count is refused.
+    out = tmp_path / "far"
+    z2 = ("--family", "explicit", "--factors", "inf,inf", "--generators", "box")
+    proc = _cli("resist", *z2, "--p", "2", "--r", "100000", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    header, row = _read(out / "resistance.csv").decode().splitlines()[-2:]
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert int(rec["beta_r"]) == 200001 ** 2
+    assert abs(float(rec["resistance"]) - 0.72972) <= 1e-5
+    proc = _cli("resist", *z2, "--p", "2", "--r", "100000", "--size-cap", "100000",
+                "--out", str(tmp_path / "capped"))
+    assert proc.returncode == 2
+    assert "error.type = SizeCapExceeded" in proc.stderr
 
 
 def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch, tmp_path):
@@ -423,7 +457,7 @@ def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch, tmp_path):
         ball = build_ball(spec, 6)
         for r in (1, 2, 5):
             sizes.clear()
-            manifest._sphere_resistance(ball, r, p)
+            manifest._sphere_resistance(spec, r, p, lambda: ball, DEFAULT_SIZE_CAP)
             assert sizes == [len(np.unique(stabilizer_orbits(build_ball(spec, r)))) + 1]
             if spec == spec_lattice(2):
                 assert sizes == [(r + 1) * (r + 2) // 2 + 1]
