@@ -557,7 +557,8 @@ Z_C10_STEP3 = spec_explicit((None, 10), [(a, b) for a in (-1, 0, 1) for b in (0,
 SEPARABLE_BALLS = {
     "z2": (spec_lattice(2), (1, 3, 10, 20)),
     "z3": (spec_lattice(3), (1, 3, 8, 12)),
-    "z_c5_c5": (spec_z_times_torus(5, 5), (1, 2, 6)),
+    "z_c5_c5": (spec_z_times_torus(5, 5), (2, 6)),
+    "z_c5_c5_r1": (spec_z_times_torus(5, 5), (1,)),
     "z_c7_c7": (spec_z_times_torus(7, 7), (2,)),
     "z_c9_c9": (spec_z_times_torus(9, 9), (2,)),
     "torus9x9": (spec_torus(9, 9), (3,)),
