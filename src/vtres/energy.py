@@ -40,11 +40,11 @@ otherwise the stage ends.
 
 Symmetric problems are shrunk before they get here.  ``max_resistance`` on
 a Cayley graph solves one pair per orbit of vertex 0's stabilizer, and the
-experiments solve their sphere and annulus resistances on
-``graphs.quotient_problem`` of the ball's problem, about 1/8 of the unknowns
-on Z^2.  Both are exact.  A quotient solve's R_p bracket certifies the
-original R_p, since a unit flow on the quotient, spread evenly over the
-edges each quotient edge merges, is one of the same cost on the original.
+experiments build their sphere and annulus problems on the ball's orbit
+quotient (``BallGraph.quotient``), about 1/8 of the unknowns on Z^2.  Both
+are exact.  A quotient solve's R_p bracket certifies the original R_p,
+since a unit flow on the quotient, spread evenly over the edges each
+quotient edge merges, is one of the same cost on the original.
 
 A p=2 sphere resistance R_2(0 <-> S(r+1)) on a box ball needs neither a
 solve nor a ball.  ``box_ball_separable`` decides from the spec and r alone
@@ -94,7 +94,6 @@ from .graphs import (
     TerminalGraph,
     bfs_layers,
     collapse_terminals,
-    spec_offsets,
     stabilizer_orbits,
 )
 
@@ -119,8 +118,8 @@ def signed_power(x: np.ndarray | float, q: float):
 
 def p_energy(g: Graph, f: np.ndarray, p: float) -> float:
     """Sum over undirected edges of mult * |f(x)-f(y)|^p."""
-    if p < 1:
-        raise BadArguments("p must be >= 1")
+    if not math.isfinite(p) or p < 1:
+        raise BadArguments(f"p must be finite and >= 1, got {p!r}")
     f = np.asarray(f, dtype=float)
     if f.shape != (g.n,):
         raise DimensionMismatch(f"expected {g.n} vertex values, got shape {f.shape}")
@@ -130,8 +129,8 @@ def p_energy(g: Graph, f: np.ndarray, p: float) -> float:
 
 def p_laplacian(g: Graph, f: np.ndarray, p: float) -> np.ndarray:
     """Delta_p f(x) = sum over neighbours of mult * |f(x)-f(y)|^(p-2) (f(x)-f(y))."""
-    if p <= 1:
-        raise BadArguments("p must be > 1")
+    if not math.isfinite(p) or p <= 1:
+        raise BadArguments(f"p must be finite and > 1, got {p!r}")
     f = np.asarray(f, dtype=float)
     if f.shape != (g.n,):
         raise DimensionMismatch(f"expected {g.n} vertex values, got shape {f.shape}")
@@ -309,10 +308,11 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
     to ``10 * TOL`` times the capacity scale, at other p with an R_p
     bracket no wider than ``GAP_TOL`` relative.  Raises NonConvergence
     with the iteration count, the residual and the per-stage step counts
-    if the Newton loop stops short of that bracket.
+    if the Newton loop stops short of that bracket, or at an energy that
+    is 0 or not finite (at p in the thousands |df|^p underflows).
     """
-    if p <= 1:
-        raise BadArguments("p must be > 1")
+    if not math.isfinite(p) or p <= 1:
+        raise BadArguments(f"p must be finite and > 1, got {p!r}")
     if t <= 0:
         raise BadArguments("t must be positive")
     _check_terminals(tg)
@@ -350,8 +350,11 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
                 break
 
     energy = p_energy(g, f, p)
-    r_lo, r_hi = t ** p / energy, _flow_bound(g, f, p, tg.source, emf, lap)
     residual = _true_residual(g, f, p, free_idx)
+    if not 0 < energy < math.inf:
+        raise NonConvergence(iterations, residual, f"E_p(f) = {energy!r} is not "
+                             f"positive and finite", stages=tuple(stages))
+    r_lo, r_hi = t ** p / energy, _flow_bound(g, f, p, tg.source, emf, lap)
     if not abs(r_hi - r_lo) <= GAP_TOL * r_lo:
         raise NonConvergence(iterations, residual,
                              f"R_p bracket [{r_lo!r}, {r_hi!r}] is wider than "
@@ -584,7 +587,7 @@ def box_ball_separable(spec: GraphSpec, r: int) -> Optional[BoxAxes]:
     """
     if r < 0:
         return None
-    offsets = spec_offsets(spec)
+    offsets = spec.offsets
     axes = _box_axes(offsets, spec.factors, r)
     if axes is None:
         return None

@@ -17,10 +17,11 @@ Adjacency is stored CSR-style with integer multiplicities so that terminal
 collapsing is exact.
 
 Every two-terminal problem, and ``prefix_subgraph``, is one contraction
-(``_contract``) of a label per vertex.  ``quotient_problem`` labels the orbits
-of the signed coordinate permutations that fix vertex 0 and preserve the
-generating set (``stabilizer_orbits``).  They keep layers, so they fix every
-sphere: the experiments solve sphere and annulus resistances on the quotient.
+(``_contract``) of a label per vertex.  ``BallGraph.quotient`` is one more:
+it merges the orbits of the signed coordinate permutations that fix vertex 0
+and preserve the generating set (``stabilizer_orbits``).  They keep layers,
+so the quotient is again layer-sorted and the problem builders run on it
+unchanged: the experiments solve sphere and annulus resistances there.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -37,7 +38,6 @@ import scipy.sparse as sp
 
 from .errors import (
     BadArguments,
-    DimensionMismatch,
     DisconnectedGeneratingSet,
     EmptySet,
     FullSet,
@@ -93,9 +93,13 @@ class GraphSpec:
             if f is not None and f < 2:
                 raise BadArguments(f"finite modulus must be >= 2, got {f}")
         # Eagerly canonicalize so malformed generator atoms fail at build time.
-        offsets = spec_offsets(self)
-        if not offsets:
+        if not self.offsets:
             raise BadArguments("generating set is empty after dropping identity")
+
+    @cached_property
+    def offsets(self) -> tuple[tuple[int, ...], ...]:
+        """``spec_offsets(self)``, canonicalized once per spec."""
+        return spec_offsets(self)
 
     @property
     def dim(self) -> int:
@@ -114,7 +118,7 @@ class GraphSpec:
         return size
 
     def ambient_degree(self) -> int:
-        return len(spec_offsets(self))
+        return len(self.offsets)
 
 
 def _canonical(offset: Sequence[int], factors: Sequence[Optional[int]]) -> tuple[int, ...]:
@@ -381,7 +385,7 @@ def build_cayley_graph(spec: GraphSpec, size_cap: int = DEFAULT_SIZE_CAP) -> Cay
     n = spec.ambient_size()
     if n > size_cap:
         raise SizeCapExceeded(f"{n} vertices exceeds cap {size_cap}")
-    offsets = spec_offsets(spec)
+    offsets = spec.offsets
     deg = len(offsets)
     coords = np.unravel_index(np.arange(n), dims)
     nbrs = np.empty((n, deg), dtype=np.int64)
@@ -432,7 +436,7 @@ def _stabilizer_maps(g: CayleyGraph | BallGraph) -> list[np.ndarray]:
     so it maps a ball onto itself, and an image outside ``g`` is a bug.
     """
     if isinstance(g, BallGraph):
-        moduli, offsets, coords = g.spec.factors, spec_offsets(g.spec), g.coords
+        moduli, offsets, coords = g.spec.factors, g.spec.offsets, g.coords
     else:
         moduli, offsets = g.dims, g.offsets
         coords = np.stack(np.unravel_index(np.arange(g.n), g.dims), axis=1)
@@ -509,16 +513,32 @@ class BallGraph:
         return np.arange(self.beta(r - 1), self.beta(r), dtype=np.int64)
 
     @cached_property
-    def orbits(self) -> np.ndarray:
-        """``stabilizer_orbits`` of the ball, computed once per ball."""
-        return stabilizer_orbits(self)
+    def quotient(self) -> BallGraph:
+        """The ball with each orbit of ``stabilizer_orbits`` merged into one
+        vertex, computed once per ball.
+
+        Orbits are numbered by their least member and take its layer,
+        coordinates and exit degree; edges between orbits sum and edges
+        inside one vanish.  The maps keep layers, so the orbits of every
+        B(r) are an id prefix and ``dirichlet_problem`` and
+        ``annulus_problem`` build the quotient of their problem from it.
+        That has the problem's R_p: the p-energy is strictly convex, so its
+        minimizer is constant on orbits, where the two energies agree term
+        by term.  It is not a ball of the Cayley graph: ``quotient.beta(r)`` counts
+        orbits, and beta(r) and every other volume come from the ball itself.
+        """
+        _, first, index = np.unique(stabilizer_orbits(self), return_index=True,
+                                    return_inverse=True)
+        return replace(self, base=_contract(self.base, index, first.size, self.base.n),
+                       layer=self.layer[first], exit_degree=self.exit_degree[first],
+                       coords=self.coords[first])
 
 
 def build_ball(spec: GraphSpec, radius: int, size_cap: int = DEFAULT_SIZE_CAP) -> BallGraph:
     """BFS ball of ``spec``'s Cayley graph around the identity."""
     if radius < 0:
         raise BadArguments("radius must be >= 0")
-    offsets = np.asarray(spec_offsets(spec), dtype=np.int64)
+    offsets = np.asarray(spec.offsets, dtype=np.int64)
     finite = np.array([m is not None for m in spec.factors])
     # a Z digit spans every coordinate within radius + 1 steps, so that exit
     # neighbours of the top layer get keys of their own instead of aliasing
@@ -758,27 +778,6 @@ def dirichlet_problem(ball: BallGraph, r: int) -> TerminalGraph:
     label = np.minimum(np.arange(ball.beta(r + 1)), m)
     return TerminalGraph(_contract(ball.base, label, m + 1, m), source=ball.center,
                          ground=m, label=f"dirichlet(r={r})")
-
-
-def quotient_problem(tg: TerminalGraph, rep: np.ndarray) -> TerminalGraph:
-    """Merge each vertex class of ``rep`` (one label per vertex of ``tg``)
-    into one vertex, numbered in label order; source and ground must be
-    classes of their own.
-
-    When the classes are the orbits of automorphisms fixing both terminals,
-    the quotient has the same R_p: the p-energy is strictly convex, so its
-    minimizer is constant on orbits, and on such functions the two energies
-    agree term by term.
-    """
-    rep = np.asarray(rep)
-    if rep.shape != (tg.graph.n,):
-        raise DimensionMismatch(f"expected {tg.graph.n} orbit labels, got shape {rep.shape}")
-    _, index, sizes = np.unique(rep, return_inverse=True, return_counts=True)
-    if sizes[index[tg.source]] != 1 or sizes[index[tg.ground]] != 1:
-        raise BadArguments("source and ground must be orbits of their own")
-    return TerminalGraph(_contract(tg.graph, index, sizes.size, tg.graph.n),
-                         source=int(index[tg.source]), ground=int(index[tg.ground]),
-                         label=f"{tg.label}/orbits")
 
 
 def collapse_terminals(g: Graph, source: Iterable[int], ground: Iterable[int],

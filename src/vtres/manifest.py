@@ -28,9 +28,7 @@ from .graphs import (
     build_cayley_graph,
     dirichlet_problem,
     growth_profile,
-    quotient_problem,
     spec_cyclic_chords,
-    spec_offsets,
     spec_torus,
 )
 from .isoperimetry import exact_profile, verify_csc, verify_cyclic_edge_iso
@@ -98,14 +96,11 @@ class ExperimentManifest:
 
 
 def _check_type(key: str, value, typ: str) -> None:
-    ok = {
-        "int": lambda v: isinstance(v, int),
-        "float": lambda v: isinstance(v, (int, float)),
-        "int_list": lambda v: isinstance(v, list) and all(isinstance(x, int) for x in v),
-        "float_list": lambda v: isinstance(v, list)
-                                and all(isinstance(x, (int, float)) for x in v),
-    }[typ]
-    if not ok(value):
+    kinds = int if typ.startswith("int") else (int, float)
+    items = value if typ.endswith("_list") else [value]
+    # bool is an int subclass, but true and false are not numbers
+    if not (isinstance(items, list)
+            and all(isinstance(x, kinds) and not isinstance(x, bool) for x in items)):
         raise BadArguments(f"parameter {key!r} must have type {typ}")
 
 
@@ -261,20 +256,16 @@ def _sphere_resistance(spec: GraphSpec, r: int, p: float, ball: Callable[[], Bal
 
     At p=2 on a spec that ``box_ball_separable`` accepts both come from the
     spec and r alone: beta from the box formula, R_2 from the mode sum.
-    Otherwise ``ball()`` gives a ball of radius above r, and R_p is a solve
-    of the Dirichlet problem's quotient by the orbits of vertex 0's
-    stabilizer, which has the same R_p.
+    Otherwise ``ball()`` gives a ball of radius above r, beta is counted
+    on it, and R_p is a solve of the Dirichlet problem built on its
+    ``quotient`` by the orbits of vertex 0's stabilizer, which has the same
+    R_p.
     """
     axes = box_ball_separable(spec, r) if p == 2.0 else None
     if axes:
-        return axes.beta, box_ball_resistance(spec_offsets(spec), spec.factors, r, axes,
-                                              size_cap)
+        return axes.beta, box_ball_resistance(spec.offsets, spec.factors, r, axes, size_cap)
     b = ball()
-    m = b.beta(r)
-    # the maps keep layers, so B(r)'s orbits are the ball's cut to B(r); the
-    # ground m is an orbit of its own
-    rep = np.append(b.orbits[:m], m)
-    return m, p_resistance(quotient_problem(dirichlet_problem(b, r), rep), p).resistance
+    return b.beta(r), p_resistance(dirichlet_problem(b.quotient, r), p).resistance
 
 
 def _run_resistance(man: ExperimentManifest, size_cap: int):
@@ -357,7 +348,7 @@ def _run_isoperimetry(man: ExperimentManifest, size_cap: int):
     n = spec.factors[0]
     k = next((a[1] for a in spec.generators if a[0] == "chords"), None)
     if (k is not None and 1 <= k < n / 2
-            and g.offsets == spec_offsets(spec_cyclic_chords(n, k))):
+            and g.offsets == spec_cyclic_chords(n, k).offsets):
         reports.append(verify_cyclic_edge_iso(profile, n, k))
     tables.append(_report_table("csc", reports, ("size", "n", "k")))
     return tables, reports, {}, []
@@ -499,11 +490,7 @@ def _run_var_converse(man: ExperimentManifest, size_cap: int):
     rows = []
     regime = []
     for r in rs:
-        # free vertices keep their orbits; each sphere is a class past all orbits
-        free = np.r_[0:ball.beta(n - 1), beta_n:ball.beta(r - 1)]
-        rep = np.append(ball.orbits[free], [ball.base.n, ball.base.n + 1])
-        tg = quotient_problem(annulus_problem(ball, n, r), rep)
-        computed = p_resistance(tg, 2.0).resistance
+        computed = p_resistance(annulus_problem(ball.quotient, n, r), 2.0).resistance
         rhs = bnd.theorem_rhs("T_var_converse",
                               {"n": n, "r": r, "beta_n": beta_n, "deg": deg})
         v = computed / math.log(r / n)

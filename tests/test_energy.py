@@ -1,3 +1,5 @@
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -29,11 +31,12 @@ from vtres import (
     sphere_cutsets,
     stokes_check,
 )
-from vtres import energy
+from vtres import energy, graphs
 from vtres.errors import (
     BadArguments,
     DimensionMismatch,
     DisconnectedTerminals,
+    EmptySet,
     NonConvergence,
     SizeCapExceeded,
 )
@@ -42,9 +45,9 @@ from vtres.graphs import (
     TerminalGraph,
     annulus_problem,
     from_edge_list,
-    quotient_problem,
     spec_fibered_torus,
     spec_offsets,
+    stabilizer_orbits,
 )
 
 from conftest import (
@@ -82,6 +85,22 @@ def test_energy_counts_multiplicity():
 def test_energy_dimension_mismatch(c8):
     with pytest.raises(DimensionMismatch):
         p_energy(c8, np.zeros(5), 2.0)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_non_finite_p_is_bad_arguments(c8, p):
+    f = np.linspace(0.0, 1.0, 8)
+    for call in (lambda: p_energy(c8, f, p), lambda: p_laplacian(c8, f, p),
+                 lambda: solve_potential(series_problem(3), p)):
+        with pytest.raises(BadArguments):
+            call()
+
+
+def test_zero_energy_is_nonconvergence():
+    # every |df|^p of the iterate underflows at p = 5000; R_p is never divided out
+    with pytest.raises(NonConvergence) as err:
+        solve_potential(series_problem(3), 5000.0)
+    assert "E_p(f) = 0.0" in str(err.value) and err.value.stages
 
 
 def test_laplacian_linear_function_is_harmonic():
@@ -786,34 +805,60 @@ def test_quotient_and_full_dirichlet_solves_agree(p):
     for spec, r in _quotient_cases():
         ball = build_ball(spec, r + 1)
         tg = dirichlet_problem(ball, r)
-        q = quotient_problem(tg, np.append(ball.orbits[:ball.beta(r)], ball.beta(r)))
-        assert q.graph.n == len(np.unique(ball.orbits[:ball.beta(r)])) + 1
+        q = dirichlet_problem(ball.quotient, r)
+        assert q.graph.n == len(np.unique(stabilizer_orbits(ball)[:ball.beta(r)])) + 1
         full = p_resistance(tg, p).resistance
         assert abs(p_resistance(q, p).resistance - full) <= 1e-10 * full, (spec, r)
     for spec, n, r in QUOTIENT_ANNULI.values():
         ball = build_ball(spec, r)
         tg = annulus_problem(ball, n, r)
-        # the free vertices are B(r) less both spheres, in id order; the
-        # spheres are classes of their own
-        free = np.flatnonzero(~np.isin(ball.layer[:ball.beta(r)], (n, r)))
-        q = quotient_problem(tg, np.append(ball.orbits[free], [-2, -1]))
-        assert q.graph.n == len(np.unique(ball.orbits[free])) + 2 < tg.graph.n
+        q = annulus_problem(ball.quotient, n, r)
+        # the free vertices are B(r) less both spheres
+        free = ~np.isin(ball.layer, (n, r))
+        assert q.graph.n == len(np.unique(stabilizer_orbits(ball)[free])) + 2 < tg.graph.n
         full = p_resistance(tg, p).resistance
         assert abs(p_resistance(q, p).resistance - full) <= 1e-10 * full, (spec, n, r)
 
 
-def test_quotient_problem_merges_orbits_of_a_path():
-    # source 2 and ground {0, 4} on the path 0-1-2-3-4: two parallel chains
-    # of two edges, R_p = 2^(p-2); the reflection fixing 2 merges 1 and 3
-    tg = collapse_terminals(series_graph(4), [2], [0, 4])
-    rep = np.array([0, 0, 1, 2])  # free 1 and 3 are renumbered 0 and 1
-    q = quotient_problem(tg, rep)
-    assert q.graph.n == 3 and (q.source, q.ground) == (1, 2)
-    assert np.stack(q.graph.edges, axis=1).tolist() == [[0, 1, 2], [0, 2, 2]]
-    for p in (1.5, 3.0):
-        assert p_resistance(q, p).resistance == pytest.approx(2.0 ** (p - 2), rel=1e-12)
-        assert p_resistance(tg, p).resistance == pytest.approx(2.0 ** (p - 2), rel=1e-12)
-    with pytest.raises(BadArguments):
-        quotient_problem(tg, np.zeros(tg.graph.n, dtype=np.int64))
-    with pytest.raises(DimensionMismatch):
-        quotient_problem(tg, rep[:-1])
+def _quotient_problem_reference(tg, rep):
+    """The orbit contraction of a built problem that ``BallGraph.quotient``
+    replaced: each class of ``rep`` (one label per vertex of ``tg``) becomes
+    one vertex, numbered in label order."""
+    _, index, sizes = np.unique(rep, return_inverse=True, return_counts=True)
+    assert sizes[index[tg.source]] == sizes[index[tg.ground]] == 1
+    return TerminalGraph(graphs._contract(tg.graph, index, sizes.size, tg.graph.n),
+                         source=int(index[tg.source]), ground=int(index[tg.ground]))
+
+
+def _problem_bits(tg):
+    g = tg.graph
+    return (g.n, tg.source, tg.ground,
+            *((a.dtype.str, a.tobytes()) for a in (g.indptr, g.nbr, g.mult)))
+
+
+Z2_C4 = spec_explicit((None, None, 4),
+                      [s for s in itertools.product((-1, 0, 1), repeat=3) if any(s)])
+
+
+def test_quotient_ball_problems_match_contracted_problems():
+    # every problem built on the quotient ball is, bit for bit, the same
+    # problem built on the ball and then contracted by its orbits
+    specs = [spec for spec, _ in QUOTIENT_BALLS.values()] + [Z2_C4]
+    specs += [spec for spec, _ in _quotient_cases()[len(QUOTIENT_BALLS):]]
+    for spec in specs:
+        ball = build_ball(spec, 7)
+        rep = stabilizer_orbits(ball)
+        for r in range(7):
+            m = ball.beta(r)
+            want = _quotient_problem_reference(dirichlet_problem(ball, r), np.append(rep[:m], m))
+            assert _problem_bits(dirichlet_problem(ball.quotient, r)) == _problem_bits(want)
+        for n, r in itertools.combinations(range(1, 8), 2):
+            if ball.beta(r) == ball.beta(r - 1):
+                with pytest.raises(EmptySet):
+                    annulus_problem(ball.quotient, n, r)
+                continue
+            # free vertices keep their orbits; each sphere is a class past all orbits
+            free = np.r_[0:ball.beta(n - 1), ball.beta(n):ball.beta(r - 1)]
+            want = _quotient_problem_reference(
+                annulus_problem(ball, n, r), np.append(rep[free], [ball.base.n, ball.base.n + 1]))
+            assert _problem_bits(annulus_problem(ball.quotient, n, r)) == _problem_bits(want)

@@ -37,7 +37,6 @@ from vtres.graphs import (
     collapse_terminals,
     _stabilizer_maps,
     prefix_subgraph,
-    quotient_problem,
     spec_fibered_torus,
     spec_offsets,
     stabilizer_orbits,
@@ -81,7 +80,6 @@ def test_golden_problem_identity():
     torus = build_cayley_graph(spec_torus(6, 5))
     mixed = build_cayley_graph(spec_torus(4, 4, 3, full_last=True))
     ball = build_ball(spec_z_times_torus(5, 5), 5)
-    m = ball.beta(4)
     ball3 = build_ball(spec_lattice(3), 6)
     prefix = prefix_subgraph(ball3.base, ball3.beta(4))
     got = {
@@ -89,8 +87,7 @@ def test_golden_problem_identity():
         "annulus": _terminal_digest(annulus_problem(build_ball(spec_lattice(2), 16), 3, 10)),
         "collapse": _terminal_digest(collapse_terminals(torus, [0, 7], [15, 20, 29])),
         "cayley": _digest(mixed.indptr, mixed.nbr, mixed.mult),
-        "quotient": _terminal_digest(
-            quotient_problem(dirichlet_problem(ball, 4), np.append(ball.orbits[:m], m))),
+        "quotient": _terminal_digest(dirichlet_problem(ball.quotient, 4)),
         "prefix": _digest(prefix.indptr, prefix.nbr, prefix.mult, [prefix.n]),
     }
     assert got == {
@@ -457,6 +454,8 @@ def test_ball_stabilizer_maps_are_automorphisms(name):
 @pytest.mark.parametrize("d,radius,count", [(2, 20, 231), (3, 24, 2925)])
 def test_ball_orbit_counts(d, radius, count):
     # the hyperoctahedral group's orbits on [-r, r]^d: r >= x_1 >= ... >= x_d >= 0
-    rep = stabilizer_orbits(build_ball(spec_lattice(d), radius))
+    ball = build_ball(spec_lattice(d), radius)
+    rep = stabilizer_orbits(ball)
     assert len(np.unique(rep)) == count
     assert rep[0] == 0 and np.all(rep <= np.arange(rep.size)) and np.array_equal(rep[rep], rep)
+    assert ball.quotient.base.n == count

@@ -258,6 +258,29 @@ def test_cli_error_record():
     assert "error.message" in proc.stderr
 
 
+@pytest.mark.parametrize("p,error", [("inf", "BadArguments"), ("nan", "BadArguments"),
+                                     ("5000", "NonConvergence")])
+def test_cli_non_finite_and_huge_p_are_typed_errors(tmp_path, p, error):
+    # at p = 5000 every |df|^p of the iterate underflows, so E_p(f) = 0
+    z2 = ("--family", "explicit", "--factors", "inf,inf", "--generators", "box")
+    proc = _cli("resist", *z2, "--p", p, "--r", "3", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert f"error.type = {error}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_run_rejects_boolean_numbers(tmp_path):
+    man = ExperimentManifest("escape", spec_cycle(20), {"r": [1, 2], "trials": 10, "seed": 3})
+    text = (emit_manifest(man).replace("params.trials = 10", "params.trials = true")
+            .replace("params.seed = 3", "params.seed = false"))
+    path = tmp_path / "bools.txt"
+    path.write_text(text)
+    proc = _cli("run", str(path), cwd=str(tmp_path))
+    assert proc.returncode == 2
+    assert "error.type = BadArguments" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_env_override(tmp_path):
     out = tmp_path / "env_out"
     proc = _cli("growth", "--family", "torus_product", "--factors", "8",
