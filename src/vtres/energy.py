@@ -53,17 +53,25 @@ whether B(r) is an interval cube times fully covered cyclic factors, and
 character modes, one interval coordinate in closed form, refusing more
 than ``size_cap`` terms before it allocates them.
 
-The CSR pattern of the free/free block of the weighted Laplacian is built
-once per solve, with the edge of every off-diagonal slot and the slot of
-every diagonal entry recorded; each Newton step fills the values with one
-gather and one bincount.  Systems of up to DIRECT_SOLVE_LIMIT
-unknowns go to SuperLU with its default ordering and partial pivoting,
-larger ones to Jacobi-preconditioned CG.  SuperLU's symmetric mode is
-faster, but its rounding turns differences that are exactly zero across
-symmetric vertex pairs into ~1e-16; for p < 2 the residual term
-|delta|^(p-1) of such a pair is then about 6e-4 at p = 1.2, and since the
-early exit of the eps stages is a residual test, the mode can change where
-the stages stop.
+Every linear solve goes through ``_solve_spd`` on the free/free block of
+a weighted Laplacian, whose pattern is fixed for the whole solve.  Systems
+of up to DIRECT_SOLVE_LIMIT unknowns are solved by banded Cholesky (LAPACK
+``pbsv``) with the free vertices in reverse Cuthill-McKee order, which makes
+lattice blocks narrow: bandwidth r + 1 on the Z^2 quotient of radius r, 36
+(against 90 in vertex order) for a pair of the 10x10 torus.  The order, and
+where each diagonal entry and each free/free edge lands in LAPACK's band
+storage, are found on the block's first direct solve; after that a Newton
+step costs one bincount, one scatter of the edge weights and one LAPACK
+call.  The solve is exact, not approximate: the order is a symmetric
+permutation, so the reordered block is still symmetric positive definite
+and its solution is the old one permuted; the band holds every nonzero;
+the Cholesky factor of a banded matrix has no fill outside its band, so
+nothing is dropped; and Cholesky needs no pivoting on a positive definite
+matrix.  A band that is not positive definite, such as one with a vertex
+whose weights all underflowed to 0, raises NonConvergence, on which Newton
+takes a gradient step.  Larger systems go to Jacobi-preconditioned CG on the
+block as a CSR matrix, assembled for each solve at a cost small beside
+CG's iterations.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -97,7 +106,7 @@ from .graphs import (
     stabilizer_orbits,
 )
 
-DIRECT_SOLVE_LIMIT = 6000  # above this, p=2 falls back to preconditioned CG
+DIRECT_SOLVE_LIMIT = 6000  # unknowns up to which solves are banded Cholesky, CG above
 # relative float64 resolution of the regularized energy: a Newton step whose
 # predicted decrease is below this times max(1, E) is judged by its gradient
 NEWTON_DECREMENT_FLOOR = 1e-13
@@ -191,43 +200,63 @@ def _check_terminals(tg: TerminalGraph) -> None:
 
 
 class _FreeLaplacian:
-    """Free/free block of a weighted graph Laplacian in fixed CSR slots.
+    """Free/free block of a weighted graph Laplacian, whose pattern is fixed
+    for a whole solve while its edge weights change.
 
-    The pattern is built once per solve and records which edge each
-    off-diagonal slot belongs to and where each diagonal entry sits, so new
-    edge weights cost a gather, a bincount and no sort.  The block is
-    symmetric, so its CSR arrays are also its CSC arrays.
+    Direct solves take the block as a band in reverse Cuthill-McKee
+    ``order`` (``band``), whose layout is found once; CG takes it as a CSR
+    matrix (``matrix``).
     """
 
     def __init__(self, g: Graph, free_mask: np.ndarray):
         eu, ev, _ = g.edges
         self._eu, self._ev, self._n = eu, ev, g.n
         self.free_idx = np.nonzero(free_mask)[0]
-        nf = len(self.free_idx)
         pos = np.full(g.n, -1, dtype=np.int64)
-        pos[self.free_idx] = np.arange(nf)
-        # the upper triangle U comes in edge order, which is CSR order; its
-        # CSC copy is the lower triangle L, with U's entry numbers as values
-        both = np.nonzero(free_mask[eu] & free_mask[ev])[0]
-        ur, uc = pos[eu[both]], pos[ev[both]]
-        uptr = np.concatenate([[0], np.cumsum(np.bincount(ur, minlength=nf))])
-        low = sp.csr_matrix((np.arange(len(both)), uc, uptr), shape=(nf, nf)).tocsc()
-        lptr = low.indptr.astype(np.int64)
-        # row i of the block is L's row i, the diagonal, then U's row i
-        indptr = uptr + lptr + np.arange(nf + 1)
-        self._diag_slot = indptr[:-1] + np.diff(lptr)
-        up_slot = self._diag_slot[ur] + 1 + np.arange(len(both)) - uptr[ur]
-        low_row = np.repeat(np.arange(nf), np.diff(lptr))
-        low_slot = indptr[low_row] + np.arange(len(both)) - lptr[low_row]
-        self._slot_edge = np.zeros(indptr[-1], dtype=np.int64)
-        self._slot_edge[up_slot] = both
-        self._slot_edge[low_slot] = both[low.data]
-        indices = np.empty(indptr[-1], dtype=np.intc)
-        indices[up_slot] = uc
-        indices[low_slot] = low.indices
-        indices[self._diag_slot] = np.arange(nf)
-        self._a = sp.csr_matrix((np.zeros(indptr[-1]), indices, indptr.astype(np.intc)),
-                                shape=(nf, nf))
+        pos[self.free_idx] = np.arange(len(self.free_idx))
+        # the free/free edges, and their ends as positions in free_idx
+        self._both = np.nonzero(free_mask[eu] & free_mask[ev])[0]
+        self._ur, self._uc = pos[eu[self._both]], pos[ev[self._both]]
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Reverse Cuthill-McKee order of the free vertices (positions in
+        ``free_idx``), computed on the block's first direct solve."""
+        # sp.csgraph loads on first use, so importing vtres does not pay for it
+        pattern = self.matrix(np.ones(len(self._eu)))
+        return sp.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
+
+    @functools.cached_property
+    def _band_layout(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Places of the diagonal and of each free/free edge's entry in the
+        column-major lower band storage of the block in ``order``, and the
+        band's width (the number of diagonals kept)."""
+        nf = len(self.free_idx)
+        rank = np.empty(nf, dtype=np.int64)
+        rank[self.order] = np.arange(nf)
+        hi = np.maximum(rank[self._ur], rank[self._uc])
+        lo = np.minimum(rank[self._ur], rank[self._uc])
+        width = 1 + int((hi - lo).max(initial=0))
+        # entry (i, j), i >= j, sits in row i - j of column j
+        return rank * width, lo * width + hi - lo, width
+
+    def band(self, w: np.ndarray) -> np.ndarray:
+        """The block for edge weights ``w`` in ``order``, as the lower band
+        storage that LAPACK's ``pbsv`` takes: a new (width, n) array."""
+        diag_place, edge_place, width = self._band_layout
+        ab = np.zeros(width * len(self.free_idx))
+        ab[diag_place] = self.vertex_sums(w, w)
+        ab[edge_place] = -w[self._both]
+        return ab.reshape((width, -1), order="F")
+
+    def matrix(self, w: np.ndarray) -> sp.csr_matrix:
+        """The block for edge weights ``w``, as a new CSR matrix."""
+        nf = len(self.free_idx)
+        diag = np.arange(nf)
+        off = -w[self._both]
+        return sp.csr_matrix((np.concatenate([off, off, self.vertex_sums(w, w)]),
+                              (np.concatenate([self._ur, self._uc, diag]),
+                               np.concatenate([self._uc, self._ur, diag]))), shape=(nf, nf))
 
     def vertex_sums(self, at_u: np.ndarray, at_v: np.ndarray) -> np.ndarray:
         """Per free vertex, the sum of ``at_u`` over edges where it is u and
@@ -237,22 +266,28 @@ class _FreeLaplacian:
                            weights=np.concatenate([at_u, at_v]),
                            minlength=self._n)[self.free_idx]
 
-    def matrix(self, w: np.ndarray) -> sp.csr_matrix:
-        """The block for edge weights ``w``; it replaces the previous one's values."""
-        data = -w[self._slot_edge]
-        data[self._diag_slot] = self.vertex_sums(w, w)
-        self._a.data = data
-        return self._a
-
     def divergence(self, flow: np.ndarray) -> np.ndarray:
         """Net outflow at each free vertex of the edge values ``flow`` (u -> v)."""
         return self.vertex_sums(flow, -flow)
 
 
-def _solve_spd(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] <= DIRECT_SOLVE_LIMIT:
-        # a is symmetric: its transpose is a CSC view of the same arrays
-        return spla.spsolve(a.T, b)
+def _solve_spd(lap: _FreeLaplacian, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the free block for edge weights ``w`` against ``b``.
+
+    Up to DIRECT_SOLVE_LIMIT unknowns by banded Cholesky in the block's
+    RCM order, raising NonConvergence if the band is not positive definite;
+    above it by Jacobi-preconditioned CG.
+    """
+    if len(lap.free_idx) <= DIRECT_SOLVE_LIMIT:
+        try:
+            y = scipy.linalg.solveh_banded(lap.band(w), b[lap.order], overwrite_ab=True,
+                                           lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(0, float("nan"), f"banded Cholesky failed: {exc}") from None
+        x = np.empty_like(y)
+        x[lap.order] = y
+        return x
+    a = lap.matrix(w)
     d = a.diagonal()
     m = sp.diags(1.0 / np.where(d > 0, d, 1.0))
     x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=50000, M=m)
@@ -272,7 +307,7 @@ def _solve_p2(tg: TerminalGraph, t: float, lap: _FreeLaplacian) -> np.ndarray:
         w = em.astype(float)
         # f is zero on the free vertices, so b = -L_fc f_c sums clamped values
         b = lap.vertex_sums(w * f[ev], w * f[eu])
-        f[lap.free_idx] = _solve_spd(lap.matrix(w), b)
+        f[lap.free_idx] = _solve_spd(lap, w, b)
     return f
 
 
@@ -376,7 +411,7 @@ def _flow_bound(g: Graph, f: np.ndarray, p: float, source: int, emf: np.ndarray,
     theta = emf * signed_power(f[eu] - f[ev], p - 1.0)
     if len(lap.free_idx):
         phi = np.zeros(g.n)
-        phi[lap.free_idx] = _solve_spd(lap.matrix(emf), lap.divergence(theta))
+        phi[lap.free_idx] = _solve_spd(lap, emf, lap.divergence(theta))
         theta = theta - emf * (phi[eu] - phi[ev])
     out = theta[eu == source].sum() - theta[ev == source].sum()
     q = p / (p - 1.0)
@@ -413,7 +448,7 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
         for hw in weight_choices:
             newton = hw is hw_newton
             try:
-                d = _solve_spd(lap.matrix(hw), -gfree)
+                d = _solve_spd(lap, hw, -gfree)
             except NonConvergence:
                 d = -gfree / max(hw.max(), 1e-30)
                 newton = False

@@ -91,6 +91,11 @@ class ExperimentManifest:
                     raise MissingParam(f"{self.experiment} needs parameter {key!r}")
                 continue
             _check_type(key, self.params[key], typ)
+        # every p is solved for or bounded at p > 1: refuse the rest before
+        # any ball is built
+        for p in self.params.get("p", []):
+            if not (math.isfinite(p) and p > 1):
+                raise BadArguments(f"p must be finite and > 1, got {p!r}")
         if self.experiment in _NEEDS_GRAPH and self.graph is None:
             raise BadArguments(f"{self.experiment} needs a graph spec")
 

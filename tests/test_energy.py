@@ -445,6 +445,122 @@ def test_nonconvergence_carries_stage_counts(monkeypatch):
     assert all(b >= 0 for _, _, b in err.stages)
 
 
+def _free_block(tg):
+    free = np.ones(tg.graph.n, dtype=bool)
+    free[[tg.source, tg.ground]] = False
+    return energy._FreeLaplacian(tg.graph, free)
+
+
+def _bandwidth(a, order):
+    """Largest |i - j| over the nonzeros of ``a`` with rows and columns in ``order``."""
+    rank = np.empty(a.shape[0], dtype=np.int64)
+    rank[order] = np.arange(a.shape[0])
+    coo = a.tocoo()
+    return int(np.abs(rank[coo.row] - rank[coo.col]).max())
+
+
+# problem, p of the Newton Hessian (None: the graph Laplacian), and the
+# bandwidths of the free block in vertex order and in RCM order
+BANDED_CASES = {
+    "z2_b21_quotient": (lambda: dirichlet_problem(
+        build_ball(spec_lattice(2), 21).quotient, 20), 1.5, 22, 21),
+    "torus10_pair": (lambda: collapse_terminals(
+        build_cayley_graph(spec_torus(10, 10)), [0], [55]), None, 90, 36),
+    "z3_b12_quotient": (lambda: dirichlet_problem(
+        build_ball(spec_lattice(3), 12).quotient, 11), None, 89, 78),
+    "chords200_14_pair": (lambda: collapse_terminals(
+        build_cayley_graph(spec_cyclic_chords(200, 14)), [0], [100]), None, 197, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BANDED_CASES))
+def test_banded_solve_matches_dense_solve(name):
+    make, p, natural, rcm = BANDED_CASES[name]
+    tg = make()
+    g, lap = tg.graph, _free_block(tg)
+    emf = g.edges[2].astype(float)
+    w = emf
+    if p is not None:
+        f = energy._solve_p2(tg, 1.0, lap)
+        delta, d2e2, _ = energy._reg_gradient(g, f, p, 1e-2, emf, lap)
+        w = energy._newton_weights(emf, p, 1e-2, delta, d2e2)
+    a = lap.matrix(w)
+    assert a.shape[0] <= energy.DIRECT_SOLVE_LIMIT
+    assert _bandwidth(a, np.arange(a.shape[0])) == natural
+    assert _bandwidth(a, lap.order) <= rcm < natural
+    b = np.random.Generator(np.random.Philox(key=[16, 0])).standard_normal(a.shape[0])
+    want = np.linalg.solve(a.toarray(), b)
+    got = energy._solve_spd(lap, w, b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_rcm_order_is_computed_once_per_solve(monkeypatch):
+    import scipy.sparse.csgraph
+
+    calls = Counter()
+    rcm, solve = scipy.sparse.csgraph.reverse_cuthill_mckee, energy._solve_spd
+
+    def counted_rcm(*args, **kwargs):
+        calls["rcm"] += 1
+        return rcm(*args, **kwargs)
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", counted_rcm)
+    monkeypatch.setattr(energy, "_solve_spd", counted_solve)
+    tg = dirichlet_problem(build_ball(spec_lattice(2), 21).quotient, 20)
+    pot = solve_potential(tg, 1.5)
+    # the p=2 start, one solve per Newton step or more, the flow projection
+    assert calls["solve"] >= pot.iterations + 2 > 2
+    assert calls["rcm"] == 1
+
+
+# Newton steps of R_p(0 <-> S(r+1)) on the orbit quotient of the Z^2 ball
+Z2_QUOTIENT_NEWTON_STEPS = {
+    (1.2, 10): 65, (1.2, 20): 66, (1.5, 10): 23, (1.5, 20): 26,
+    (3.0, 10): 11, (3.0, 20): 13, (3.0, 40): 14,
+}
+
+
+@pytest.mark.parametrize("p,r", sorted(Z2_QUOTIENT_NEWTON_STEPS))
+def test_z2_quotient_newton_step_counts(p, r):
+    tg = dirichlet_problem(build_ball(spec_lattice(2), r + 1).quotient, r)
+    assert p_resistance(tg, p).potential.iterations == Z2_QUOTIENT_NEWTON_STEPS[p, r]
+
+
+def test_singular_block_is_a_typed_failure():
+    # the path 0-1-2-3-4 from 0 to 4, flat around vertex 2: at p=40 and
+    # eps=1e-10 both Hessian weights there, 40 eps^38, underflow to 0
+    g = series_graph(4)
+    tg = TerminalGraph(g, source=0, ground=4)
+    lap = _free_block(tg)
+    f = np.array([1.0, 0.5, 0.5, 0.5, 0.0])
+    p, eps = 40.0, 1e-10
+    eu, ev, em = g.edges
+    emf = em.astype(float)
+    delta, d2e2, gfree = energy._reg_gradient(g, f, p, eps, emf, lap)
+    hw = energy._newton_weights(emf, p, eps, delta, d2e2)
+    assert hw[1] == hw[2] == 0 < hw[0]
+    with pytest.raises(NonConvergence, match="banded Cholesky"):
+        energy._solve_spd(lap, hw, -gfree)
+    # Newton falls back to a gradient step, which still descends
+    e0 = energy._reg_energy(delta, emf, p, eps)
+    iterations, _ = energy._newton_at_eps(g, f, p, eps, emf, lap, 0)
+    assert iterations >= 1 and np.all(np.isfinite(f))
+    assert energy._reg_energy(f[eu] - f[ev], emf, p, eps) < e0
+    # zero multiplicity around vertex 2 makes the p=2 block singular too
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    g0 = Graph(g.n, g.indptr, g.nbr, np.where((rows == 2) | (g.nbr == 2), 0, g.mult))
+    tg0 = TerminalGraph(g0, source=0, ground=4)
+    with pytest.raises(NonConvergence, match="banded Cholesky"):
+        energy._solve_p2(tg0, 1.0, _free_block(tg0))
+    for p in (2.0, 1.5):
+        with pytest.raises(NonConvergence, match="banded Cholesky"):
+            solve_potential(tg0, p)
+
+
 @pytest.mark.parametrize("r", [5, 10, 20])
 def test_z2_balls_converge_above_nash_williams(r):
     # these p converge above the cutset bound; p=1.1 stalls with an R_p

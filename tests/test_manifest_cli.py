@@ -269,6 +269,30 @@ def test_cli_non_finite_and_huge_p_are_typed_errors(tmp_path, p, error):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("p", ["0.5", "1", "-inf", "inf", "nan", "2,0.5"])
+def test_cli_bad_p_fails_before_any_ball_is_built(monkeypatch, capsys, tmp_path, p):
+    import vtres.manifest
+    from vtres.cli import main
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a ball was built for a p the solver refuses")
+
+    monkeypatch.setattr(vtres.manifest, "build_ball", unreachable)
+    z2 = ["--family", "explicit", "--factors", "inf,inf", "--generators", "box"]
+    for argv in (["resist", *z2, f"--p={p}", "--r", "600"],
+                 ["verify", *z2, f"--p={p}", "--r-min", "1", "--r-max", "600"]):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error.type = BadArguments", (argv, err)
+    assert not (tmp_path / "o").exists()
+    for experiment, params in (("resistance", {"p": [float(x) for x in p.split(",")]}),
+                               ("sharpness_nw", {"p": [float(x) for x in p.split(",")],
+                                                 "d": [2], "n": [8]})):
+        with pytest.raises(BadArguments):
+            ExperimentManifest(experiment, None if experiment == "sharpness_nw"
+                               else spec_cycle(8), params)
+
+
 def test_cli_run_rejects_boolean_numbers(tmp_path):
     man = ExperimentManifest("escape", spec_cycle(20), {"r": [1, 2], "trials": 10, "seed": 3})
     text = (emit_manifest(man).replace("params.trials = 10", "params.trials = true")
