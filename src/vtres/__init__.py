@@ -46,6 +46,7 @@ from .graphs import (
     dirichlet_problem,
     graph_growth_profile,
     growth_profile,
+    orbit_ball,
     spec_cycle,
     spec_cyclic_chords,
     spec_explicit,

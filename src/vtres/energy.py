@@ -40,11 +40,11 @@ otherwise the stage ends.
 
 Symmetric problems are shrunk before they get here.  ``max_resistance`` on
 a Cayley graph solves one pair per orbit of vertex 0's stabilizer, and the
-experiments build their sphere and annulus problems on the ball's orbit
-quotient (``BallGraph.quotient``), about 1/8 of the unknowns on Z^2.  Both
-are exact.  A quotient solve's R_p bracket certifies the original R_p,
-since a unit flow on the quotient, spread evenly over the edges each
-quotient edge merges, is one of the same cost on the original.
+experiments build their sphere and annulus problems on an ``orbit_ball``,
+about 1/8 of the unknowns on Z^2.  Both are exact.  A quotient solve's R_p
+bracket certifies the original R_p, since a unit flow on the quotient,
+spread evenly over the edges each quotient edge merges, is one of the same
+cost on the original.
 
 A p=2 sphere resistance R_2(0 <-> S(r+1)) on a box ball needs neither a
 solve nor a ball.  ``box_ball_separable`` decides from the spec and r alone
@@ -107,6 +107,7 @@ from .graphs import (
 )
 
 DIRECT_SOLVE_LIMIT = 6000  # unknowns up to which solves are banded Cholesky, CG above
+PAIR_SOLVE_CAP = 200  # pair solves (vertices off a CayleyGraph) of a non-spectral max_resistance
 # relative float64 resolution of the regularized energy: a Newton step whose
 # predicted decrease is below this times max(1, E) is judged by its gradient
 NEWTON_DECREMENT_FLOOR = 1e-13
@@ -734,7 +735,7 @@ def _pair_resistances_p2(g: Graph) -> np.ndarray:
     return diag[u] + diag[v] - 2.0 * green[u, v]
 
 
-def max_resistance(g: Graph, p: float, pair_cap: int = 200) -> tuple[float, tuple[int, int]]:
+def max_resistance(g: Graph, p: float) -> tuple[float, tuple[int, int]]:
     """Maximum p-resistance between two vertices, with an argmax pair.
 
     On a ``CayleyGraph`` at p=2 every R_2(0, v) comes from the spectrum
@@ -743,14 +744,11 @@ def max_resistance(g: Graph, p: float, pair_cap: int = 200) -> tuple[float, tupl
     pair off one grounded Green matrix (``_pair_resistances_p2``).  At other
     p a ``CayleyGraph``, being vertex-transitive, needs pairs (0, v) only,
     and an automorphism fixing 0 gives every v of an orbit of
-    ``stabilizer_orbits`` the same R_p(0, v).  So one pair solve per orbit,
-    at its smallest vertex, gives every vertex its value.  Any other
-    ``Graph`` gets one pair solve per vertex pair.  The ``CayleyGraph``
-    path takes at most ``pair_cap`` pair solves, that is orbits other than
-    {0}; any other non-spectral path at most ``pair_cap`` vertices.  Both
-    scan the pairs in order, keeping the first that beats all earlier ones
-    by over 1e-15; on a ``CayleyGraph`` that is (0, v) for the smallest
-    vertex v of the maximal orbit.
+    ``stabilizer_orbits`` the same R_p(0, v), so it takes one pair per
+    orbit other than {0}, at its smallest vertex (a later one could not beat
+    it), at most PAIR_SOLVE_CAP of them.  Any other ``Graph`` takes every
+    pair of at most PAIR_SOLVE_CAP vertices.  Both scan the pairs in order,
+    keeping the first that beats all earlier ones by over 1e-15.
     """
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
@@ -760,19 +758,16 @@ def max_resistance(g: Graph, p: float, pair_cap: int = 200) -> tuple[float, tupl
         v = int(np.argmax(r >= r.max() * (1 - 1e-12)))
         return float(r[v]), (0, v)
     if cayley:
-        rep = stabilizer_orbits(g).tolist()
-        solves = sum(rep[v] == v for v in range(1, g.n))
-        if solves > pair_cap:
-            raise SizeCapExceeded(f"{solves} pair solves exceed cap {pair_cap} for p={p}")
-        pairs = [(0, v) for v in range(1, g.n)]
-        by_rep = {v: pair_resistance(g, 0, v, p).resistance for _, v in pairs if rep[v] == v}
-        values = [by_rep[rep[v]] for _, v in pairs]
+        pairs = [(0, int(v)) for v in np.flatnonzero(stabilizer_orbits(g) == np.arange(g.n))[1:]]
+        if len(pairs) > PAIR_SOLVE_CAP:
+            raise SizeCapExceeded(
+                f"{len(pairs)} pair solves exceed cap {PAIR_SOLVE_CAP} for p={p}")
     else:
-        if g.n > pair_cap:
-            raise SizeCapExceeded(f"{g.n} vertices exceeds cap {pair_cap} for p={p}")
+        if g.n > PAIR_SOLVE_CAP:
+            raise SizeCapExceeded(f"{g.n} vertices exceeds cap {PAIR_SOLVE_CAP} for p={p}")
         pairs = list(itertools.combinations(range(g.n), 2))
-        values = (_pair_resistances_p2(g).tolist() if p == 2.0
-                  else (pair_resistance(g, u, v, p).resistance for u, v in pairs))
+    values = (_pair_resistances_p2(g).tolist() if p == 2.0  # not a CayleyGraph here
+              else (pair_resistance(g, u, v, p).resistance for u, v in pairs))
     best, best_pair = -1.0, (0, 1)
     for pair, r in zip(pairs, values):
         if r > best + 1e-15:

@@ -7,21 +7,18 @@ and two-terminal networks obtained by collapsing vertex sets.
 
 Vertex identity is deterministic everywhere: finite Cayley graphs number
 vertices by the lexicographic rank of the group tuple, balls by
-(layer, lexicographic tuple), so every smaller ball is an id prefix.  Ball
-construction encodes a group element as one mixed-radix integer key, with
-the first factor most significant: a finite factor of modulus m is a digit
-in [0, m), a Z factor a digit shifted to cover every coordinate up to
-radius + 1 steps from the origin.  Key order is then lexicographic tuple
-order, and a sorted key array with ``searchsorted`` is the vertex index.
-Adjacency is stored CSR-style with integer multiplicities so that terminal
-collapsing is exact.
+(layer, lexicographic tuple), so every smaller ball is an id prefix.  A
+group element is one mixed-radix integer key (``_key_box``), whose order is
+lexicographic tuple order.  Adjacency is stored CSR-style with integer
+multiplicities so that terminal collapsing is exact.
 
 Every two-terminal problem, and ``prefix_subgraph``, is one contraction
-(``_contract``) of a label per vertex.  ``BallGraph.quotient`` is one more:
-it merges the orbits of the signed coordinate permutations that fix vertex 0
-and preserve the generating set (``stabilizer_orbits``).  They keep layers,
-so the quotient is again layer-sorted and the problem builders run on it
-unchanged: the experiments solve sphere and annulus resistances there.
+(``_contract``) of a label per vertex.  Balls come from one layered BFS
+over keys.  ``orbit_ball`` runs it over orbit representatives, the least
+keys under the signed coordinate permutations that fix vertex 0 and
+preserve the generating set (``_symmetry_group``); ``build_ball`` over the
+identity.  The orbits keep layers, so the problem builders run on an orbit
+ball unchanged: the experiments solve sphere and annulus resistances there.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -405,94 +402,90 @@ def build_cayley_graph(spec: GraphSpec, size_cap: int = DEFAULT_SIZE_CAP) -> Cay
 
 
 def _symmetry_candidates(offsets: Sequence[tuple[int, ...]],
-                         moduli: Sequence[Optional[int]]) -> list[tuple[list[int], list[int]]]:
-    """Signed coordinate permutations x -> (sign[k] x[perm[k]])_k that map
-    the offset set onto itself modulo ``moduli`` (None for a Z factor).
-
-    The candidates are -id, the negation of one coordinate, and the swap of
-    two coordinates of equal modulus.  Each is a group automorphism fixing
-    0, so it is a graph automorphism exactly when it preserves the offsets.
-    """
+                         moduli: Sequence[Optional[int]]) -> np.ndarray:
+    """Signed coordinate permutations that map the offset set onto itself
+    modulo ``moduli`` (None for a Z factor), as rows g: x goes to y with
+    y_k = x_j if g[k] = j < d and -x_j if g[k] = d + j.  The candidates are
+    -id, the negation of one coordinate, and the swap of two coordinates of
+    equal modulus: group automorphisms fixing 0, so graph automorphisms
+    exactly when they preserve the offsets."""
     d = len(moduli)
-    flips = [[-1] * d] + [[-1 if j == i else 1 for j in range(d)] for i in range(d)]
-    candidates = [(list(range(d)), sign) for sign in flips]
-    for i, j in itertools.combinations(range(d), 2):
-        if moduli[i] == moduli[j]:
-            perm = list(range(d))
-            perm[i], perm[j] = j, i
-            candidates.append((perm, [1] * d))
-    offsets = set(offsets)
-    return [(perm, sign) for perm, sign in candidates
-            if {_canonical([sign[k] * s[perm[k]] for k in range(d)], moduli)
-                for s in offsets} == offsets]
+    ident = np.arange(d)
+    rows = [ident + d] + [ident + d * (ident == i) for i in range(d)]
+    rows += [np.where(ident == i, j, np.where(ident == j, i, ident))
+             for i, j in itertools.combinations(range(d), 2) if moduli[i] == moduli[j]]
+    signed = np.concatenate([offsets, np.negative(offsets)], axis=1)
+    return np.array([g for g in rows
+                     if {_canonical(s, moduli) for s in signed[:, g].tolist()} == set(offsets)])
 
 
-def _stabilizer_maps(g: CayleyGraph | BallGraph) -> list[np.ndarray]:
-    """Automorphisms of ``g`` fixing vertex 0, each as the image of every vertex.
+def _symmetry_group(offsets: Sequence[tuple[int, ...]],
+                    moduli: Sequence[Optional[int]]) -> np.ndarray:
+    """The group the ``_symmetry_candidates`` generate, in their row form,
+    identity first (8 elements on Z^2, 48 on Z^3 with box generators).  A
+    swap keeps the offsets, so the coordinates it joins have one modulus and
+    one offset extent, and every element maps a ``_key_box`` onto itself."""
+    d = len(moduli)
+    gens = _symmetry_candidates(offsets, moduli)
+    code = (2 * d) ** np.arange(d)
+    group = frontier = np.arange(d)[None]
+    while len(frontier):
+        # gen after g: entry gen[k] of g's image, negated if gen[k] >= d
+        words = (frontier[:, gens % d] + d * (gens >= d)) % (2 * d)
+        words = np.unique(words.reshape(-1, d), axis=0)
+        frontier = words[~np.isin(words @ code, group @ code)]
+        group = np.concatenate([group, frontier])
+    return group
 
-    The maps are ``_symmetry_candidates`` applied to the group element of
-    every vertex, finite coordinates taken mod their modulus.  Image ids are
-    found by key lookup; an automorphism fixing 0 preserves distance to 0,
-    so it maps a ball onto itself, and an image outside ``g`` is a bug.
-    """
-    if isinstance(g, BallGraph):
-        moduli, offsets, coords = g.spec.factors, g.spec.offsets, g.coords
-    else:
-        moduli, offsets = g.dims, g.offsets
-        coords = np.stack(np.unravel_index(np.arange(g.n), g.dims), axis=1)
+
+def _key_box(moduli: Sequence[Optional[int]], reach: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mixed-radix int64 keys, first coordinate most significant, as (lo,
+    width, strides): x_k has the digit (x_k - lo[k]) mod width[k], where a
+    factor of modulus m has lo 0 and width m, and a Z factor lo -reach[k]."""
     finite = np.array([m is not None for m in moduli])
-    mod = np.array([m or 1 for m in moduli], dtype=np.int64)
-    # mixed-radix keys over the box the coordinates span; -1 marks a row outside it
-    lo = np.where(finite, 0, coords.min(axis=0))
-    width = np.where(finite, mod, coords.max(axis=0) - lo + 1)
+    width = np.where(finite, [m or 0 for m in moduli], 2 * reach + 1)
+    if math.prod(width.tolist()) >= 2 ** 63:
+        raise SizeCapExceeded(f"ball key space {width.tolist()} overflows int64")
     strides = np.ones(len(moduli), dtype=np.int64)
     strides[:-1] = np.cumprod(width[::-1])[::-1][1:]
-
-    def keys(rows: np.ndarray) -> np.ndarray:
-        inside = np.all((rows >= lo) & (rows < lo + width), axis=1)
-        return np.where(inside, (rows - lo) @ strides, -1)
-
-    own = keys(coords)
-    order = np.argsort(own)
-    sorted_keys = own[order]
-    maps = []
-    for perm, sign in _symmetry_candidates(offsets, moduli):
-        image = coords[:, perm] * sign
-        q = keys(np.where(finite, image % mod, image))
-        pos = np.minimum(np.searchsorted(sorted_keys, q), len(q) - 1)
-        if not np.array_equal(sorted_keys[pos], q):
-            raise RuntimeError(f"stabilizer map (perm={perm}, sign={sign}) "
-                               f"sends a vertex outside the graph")
-        maps.append(order[pos])
-    return maps
+    return np.where(finite, 0, -reach), width, strides
 
 
-def stabilizer_orbits(g: CayleyGraph | BallGraph) -> np.ndarray:
-    """The smallest vertex id in each vertex's orbit under ``_stabilizer_maps``.
+IMAGE_BLOCK = 1 << 21  # image keys per numpy pass of _least_images
 
-    The orbits are the connected components of the graph joining every
-    vertex to its image under each map, so the group those maps generate
-    is never enumerated (d! 2^d elements for the hyperoctahedral one).  A
-    subgroup of the true stabilizer only makes the orbits finer.  On a ball
-    every map preserves the layers, so the orbits of B(R) restricted to
-    B(r) are the orbits of B(r).
-    """
-    maps = _stabilizer_maps(g)  # never empty: S = -S, so -id is kept
-    n = len(maps[0])
-    src = np.tile(np.arange(n), len(maps))
-    links = sp.csr_matrix((np.ones(src.size), (src, np.concatenate(maps))), shape=(n, n))
-    _, labels = sp.csgraph.connected_components(links, connection="weak")
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    return first[inverse]
+
+def _least_images(box: tuple[np.ndarray, ...], group: np.ndarray,
+                  coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least key in the ``group`` orbit of each row of ``coords``, and
+    the number of elements sending the row there: its stabilizer's order."""
+    lo, width, strides = box
+    # row j holds the digit of x_j, row d + j that of -x_j
+    columns = (np.concatenate([coords - lo, -coords - lo], axis=1) % np.tile(width, 2)).T
+    least, fixing = np.empty((2, len(coords)), dtype=np.int64)
+    step = max(1, IMAGE_BLOCK // len(group))
+    for i in range(0, len(coords), step):
+        keys = sum(columns[group[:, k], i:i + step] * strides[k] for k in range(len(lo)))
+        least[i:i + step] = keys.min(axis=0)
+        fixing[i:i + step] = (keys == least[i:i + step]).sum(axis=0)
+    return least, fixing
+
+
+def stabilizer_orbits(g: CayleyGraph) -> np.ndarray:
+    """The smallest vertex id in each vertex's orbit under ``_symmetry_group``,
+    automorphisms fixing 0: its least image, as a vertex id is a key."""
+    digits = np.stack(np.unravel_index(np.arange(g.n), g.dims), axis=1)
+    return _least_images(_key_box(g.dims, 0), _symmetry_group(g.offsets, g.dims), digits)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class BallGraph:
-    """Induced subgraph on the metric ball B(x, radius) of ``spec``'s graph.
+    """Induced subgraph on the metric ball B(x, radius) of ``spec``'s graph,
+    or its orbit quotient (``orbit_ball``).
 
     Vertex 0 is the center; ids are sorted by (layer, lexicographic tuple),
     so every ball B(x, r) with r <= radius is an id prefix.  ``exit_degree``
     counts ambient edges leaving the ball (nonzero only on the top layer).
+    ``size`` counts the ball vertices of each id: all ones on a full ball.
     """
 
     spec: GraphSpec
@@ -502,93 +495,97 @@ class BallGraph:
     layer: np.ndarray
     exit_degree: np.ndarray
     coords: np.ndarray  # (n, d) int64 group elements, one row per vertex id
+    size: np.ndarray
 
-    def beta(self, r: int) -> int:
-        """Ball volume at radius r (number of ids with layer <= r)."""
-        if r < 0:
-            return 0
+    def prefix(self, r: int) -> int:
+        """Number of ids with layer <= r: B(x, r) is ids 0..prefix(r)-1."""
         return int(np.searchsorted(self.layer, r, side="right"))
 
+    def beta(self, r: int) -> int:
+        """Ball volume at radius r, summed from ``size``."""
+        return int(self.size[:self.prefix(r)].sum())
+
     def sphere_ids(self, r: int) -> np.ndarray:
-        return np.arange(self.beta(r - 1), self.beta(r), dtype=np.int64)
-
-    @cached_property
-    def quotient(self) -> BallGraph:
-        """The ball with each orbit of ``stabilizer_orbits`` merged into one
-        vertex, computed once per ball.
-
-        Orbits are numbered by their least member and take its layer,
-        coordinates and exit degree; edges between orbits sum and edges
-        inside one vanish.  The maps keep layers, so the orbits of every
-        B(r) are an id prefix and ``dirichlet_problem`` and
-        ``annulus_problem`` build the quotient of their problem from it.
-        That has the problem's R_p: the p-energy is strictly convex, so its
-        minimizer is constant on orbits, where the two energies agree term
-        by term.  It is not a ball of the Cayley graph: ``quotient.beta(r)`` counts
-        orbits, and beta(r) and every other volume come from the ball itself.
-        """
-        _, first, index = np.unique(stabilizer_orbits(self), return_index=True,
-                                    return_inverse=True)
-        return replace(self, base=_contract(self.base, index, first.size, self.base.n),
-                       layer=self.layer[first], exit_degree=self.exit_degree[first],
-                       coords=self.coords[first])
+        return np.arange(self.prefix(r - 1), self.prefix(r), dtype=np.int64)
 
 
 def build_ball(spec: GraphSpec, radius: int, size_cap: int = DEFAULT_SIZE_CAP) -> BallGraph:
     """BFS ball of ``spec``'s Cayley graph around the identity."""
+    return _layered_ball(spec, radius, size_cap, np.arange(spec.dim)[None])
+
+
+def orbit_ball(spec: GraphSpec, radius: int, size_cap: int = DEFAULT_SIZE_CAP) -> BallGraph:
+    """``build_ball`` with each orbit of ``_symmetry_group`` merged into one
+    vertex, numbered by (layer, least key); ``size_cap`` counts orbits.
+
+    An orbit takes the layer, coordinates and exit degree of its least
+    member.  Orbits A and B are joined by |A| #{s : a + s in B} ball edges
+    (any a in A); edges inside an orbit vanish.  The group keeps layers, so
+    ``dirichlet_problem`` and ``annulus_problem`` build their problem's
+    orbit quotient on it, which has the same R_p: the p-energy is strictly
+    convex, so its minimizer is constant on orbits.
+    """
+    return _layered_ball(spec, radius, size_cap, _symmetry_group(spec.offsets, spec.factors))
+
+
+def _layered_ball(spec: GraphSpec, radius: int, size_cap: int, group: np.ndarray) -> BallGraph:
+    """Layered BFS of B(radius) over the least keys of ``group``'s orbits."""
     if radius < 0:
         raise BadArguments("radius must be >= 0")
     offsets = np.asarray(spec.offsets, dtype=np.int64)
-    finite = np.array([m is not None for m in spec.factors])
     # a Z digit spans every coordinate within radius + 1 steps, so that exit
     # neighbours of the top layer get keys of their own instead of aliasing
-    reach = np.abs(offsets).max(axis=0) * (radius + 1)
-    width = np.where(finite, [m or 0 for m in spec.factors], 2 * reach + 1)
-    lo = np.where(finite, 0, -reach)
-    if math.prod(width.tolist()) >= 2 ** 63:
-        raise SizeCapExceeded(f"ball key space {width.tolist()} overflows int64")
-    strides = np.ones(spec.dim, dtype=np.int64)
-    strides[:-1] = np.cumprod(width[::-1])[::-1][1:]
+    lo, width, strides = box = _key_box(spec.factors, np.abs(offsets).max(axis=0) * (radius + 1))
 
     def decode(keys: np.ndarray) -> np.ndarray:
         return keys[:, None] // strides % width
 
-    def shifted(digits: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return (digits + s) % width @ strides
+    def neighbours(keys: np.ndarray) -> np.ndarray:  # least keys of key + s, one row per s
+        digits = decode(keys)
+        out = np.array([(digits + s) % width @ strides for s in offsets])
+        if len(group) > 1:
+            distinct, inverse = np.unique(out, return_inverse=True)
+            out = _least_images(box, group, decode(distinct) + lo)[0][inverse.reshape(out.shape)]
+        return out
 
     layers = [-lo[None, :] @ strides]
-    total = 1
-    for _ in range(radius):
-        front = decode(layers[-1])
-        reached = np.unique(np.concatenate([shifted(front, s) for s in offsets]))
+    while len(layers) <= radius:
+        reached = np.unique(neighbours(layers[-1]))
         nxt = np.setdiff1d(reached, np.concatenate(layers[-2:]), assume_unique=True)
         if not nxt.size:
             break  # graph exhausted below the requested radius
-        total += nxt.size
-        if total > size_cap:
+        if sum(map(len, layers)) + nxt.size > size_cap:
             raise SizeCapExceeded(f"ball exceeds size cap {size_cap}")
         layers.append(nxt)
 
     keys = np.concatenate(layers)
-    n = keys.size
-    digits = decode(keys)
+    n, deg = keys.size, len(offsets)
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
-    # one column per offset; n marks a neighbour outside the ball
-    table = np.empty((n, len(offsets)), dtype=np.int64)
-    for j, s in enumerate(offsets):
-        q = shifted(digits, s)
-        pos = np.minimum(np.searchsorted(sorted_keys, q), n - 1)
-        table[:, j] = np.where(sorted_keys[pos] == q, by_key[pos], n)
+    # neighbour ids, one row per offset; n marks one outside the ball
+    table = neighbours(keys)
+    for row in table:
+        pos = np.minimum(np.searchsorted(sorted_keys, row), n - 1)
+        row[:] = np.where(sorted_keys[pos] == row, by_key[pos], n)
+    table = np.ascontiguousarray(table.T)
     exit_degree = (table == n).sum(axis=1, dtype=np.int64)
-    table.sort(axis=1)
-    nbr = table[table < n]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(len(offsets) - exit_degree)
-    base = Graph(n, indptr, nbr, np.ones(nbr.size, dtype=np.int64))
+    coords = decode(keys) + lo
+    if len(group) == 1:
+        size = np.ones(n, dtype=np.int64)
+        table.sort(axis=1)
+        nbr = table[table < n]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(deg - exit_degree)
+        base = Graph(n, indptr, nbr, np.ones(nbr.size, dtype=np.int64))
+    else:
+        size = len(group) // _least_images(box, group, coords)[1]
+        # slot (a, s) of A's least member a stands for |A| edges, one per member
+        u, v = np.repeat(np.arange(n), deg), table.reshape(-1)
+        once = (u < v) & (v < n)
+        base = from_edge_list(n, np.stack([u[once], v[once], size[u[once]]], axis=1))
     layer = np.repeat(np.arange(len(layers), dtype=np.int64), [len(l) for l in layers])
     return BallGraph(spec=spec, base=base, center=0, radius=radius, layer=layer,
-                     exit_degree=exit_degree, coords=digits + lo)
+                     exit_degree=exit_degree, coords=coords, size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +615,7 @@ class GrowthProfile:
 
 def growth_profile(ball: BallGraph) -> GrowthProfile:
     """Growth data of the ambient graph read off a ball."""
-    sigma = np.bincount(ball.layer, minlength=ball.radius + 1)
+    sigma = np.bincount(ball.layer, ball.size, minlength=ball.radius + 1).astype(np.int64)
     beta = np.cumsum(sigma)
     degree = ball.spec.ambient_degree()
     if ball.radius >= 1 and int(beta[1]) - 1 != degree:
@@ -770,12 +767,14 @@ def dirichlet_problem(ball: BallGraph, r: int) -> TerminalGraph:
         raise BadArguments("r must be >= 0")
     if ball.radius < r + 1:
         raise RadiusTooSmall(f"need ball radius >= {r + 1}, have {ball.radius}")
-    m = ball.beta(r)
+    m, outer = ball.prefix(r), ball.prefix(r + 1)
+    if outer == m:
+        raise EmptySet(f"sphere S(x, {r + 1}) is empty")
     v = ball.base.nbr[:ball.base.indptr[m]]
     if np.any(ball.layer[v[v >= m]] != r + 1):
         raise BadArguments("layer invariant violated: edge jumps a sphere")
     # B(x, r) keeps its ids and S(x, r+1) becomes the ground vertex m
-    label = np.minimum(np.arange(ball.beta(r + 1)), m)
+    label = np.minimum(np.arange(outer), m)
     return TerminalGraph(_contract(ball.base, label, m + 1, m), source=ball.center,
                          ground=m, label=f"dirichlet(r={r})")
 
@@ -818,7 +817,7 @@ def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
         raise BadArguments("need 0 < n < r")
     if ball.radius < r:
         raise RadiusTooSmall(f"need ball radius >= {r}, have {ball.radius}")
-    inner, b_n, outer, m = ball.beta(n - 1), ball.beta(n), ball.beta(r - 1), ball.beta(r)
+    inner, b_n, outer, m = ball.prefix(n - 1), ball.prefix(n), ball.prefix(r - 1), ball.prefix(r)
     if outer == m:  # S(x, n) is empty only if S(x, r) is
         raise EmptySet(f"sphere S(x, {r}) is empty")
     f = inner + outer - b_n

@@ -28,6 +28,7 @@ from .graphs import (
     build_cayley_graph,
     dirichlet_problem,
     growth_profile,
+    orbit_ball,
     spec_cyclic_chords,
     spec_torus,
 )
@@ -261,16 +262,14 @@ def _sphere_resistance(spec: GraphSpec, r: int, p: float, ball: Callable[[], Bal
 
     At p=2 on a spec that ``box_ball_separable`` accepts both come from the
     spec and r alone: beta from the box formula, R_2 from the mode sum.
-    Otherwise ``ball()`` gives a ball of radius above r, beta is counted
-    on it, and R_p is a solve of the Dirichlet problem built on its
-    ``quotient`` by the orbits of vertex 0's stabilizer, which has the same
-    R_p.
+    Otherwise ``ball()`` gives an ``orbit_ball`` of radius above r, which
+    sums beta from its orbit sizes and has the full ball's R_p.
     """
     axes = box_ball_separable(spec, r) if p == 2.0 else None
     if axes:
         return axes.beta, box_ball_resistance(spec.offsets, spec.factors, r, axes, size_cap)
     b = ball()
-    return b.beta(r), p_resistance(dirichlet_problem(b.quotient, r), p).resistance
+    return b.beta(r), p_resistance(dirichlet_problem(b, r), p).resistance
 
 
 def _run_resistance(man: ExperimentManifest, size_cap: int):
@@ -283,8 +282,9 @@ def _run_resistance(man: ExperimentManifest, size_cap: int):
         if not rs or rs[0] < 0:
             raise BadArguments("resistance radii must be a nonempty list of r >= 0")
         # built on first use: only p != 2, a spec that is not separable, or a
-        # potential dump needs it
-        ball = functools.cache(lambda: build_ball(spec, rs[-1] + 1, size_cap))
+        # potential dump needs it, and only a dump the full ball
+        builder = build_ball if dump else orbit_ball
+        ball = functools.cache(lambda: builder(spec, rs[-1] + 1, size_cap))
         rows = []
         for p in ps:
             for r in rs:
@@ -365,7 +365,7 @@ def _run_sandwich(man: ExperimentManifest, size_cap: int):
     r_min, r_max = int(man.params["r_min"]), int(man.params["r_max"])
     if not 1 <= r_min <= r_max:
         raise BadArguments("need 1 <= r_min <= r_max")
-    ball = functools.cache(lambda: build_ball(spec, r_max + 1, size_cap))
+    ball = functools.cache(lambda: orbit_ball(spec, r_max + 1, size_cap))
     deg = spec.ambient_degree()
     rows = []
     metrics: dict = {}
@@ -438,7 +438,8 @@ def _run_table1(man: ExperimentManifest, size_cap: int):
         ball = build_ball(spec, half, size_cap)
         family = bnd.sphere_cutsets(ball, half)
         nw = bnd.nash_williams_bound(family, p)
-        _, exact = _sphere_resistance(spec, half - 1, p, lambda: ball, size_cap)
+        _, exact = _sphere_resistance(spec, half - 1, p,
+                                      lambda: orbit_ball(spec, half, size_cap), size_cap)
         if d == int(p):
             regime, regime_value = "log_n", math.log(n)
         elif d > p:
@@ -489,13 +490,13 @@ def _run_var_converse(man: ExperimentManifest, size_cap: int):
     rs = sorted(set(int(r) for r in man.params["r"]))
     if not rs or rs[0] <= n:
         raise BadArguments("need a nonempty list of radii, every r > n")
-    ball = build_ball(spec, max(rs), size_cap)
+    ball = orbit_ball(spec, max(rs), size_cap)
     deg = spec.ambient_degree()
     beta_n = ball.beta(n)
     rows = []
     regime = []
     for r in rs:
-        computed = p_resistance(annulus_problem(ball.quotient, n, r), 2.0).resistance
+        computed = p_resistance(annulus_problem(ball, n, r), 2.0).resistance
         rhs = bnd.theorem_rhs("T_var_converse",
                               {"n": n, "r": r, "beta_n": beta_n, "deg": deg})
         v = computed / math.log(r / n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import p_resistance
-from .errors import BadArguments, RadiusTooSmall
+from .errors import BadArguments, EmptySet, RadiusTooSmall
 from .graphs import BallGraph, Graph, dirichlet_problem
 
 CHUNK = 16384
@@ -147,6 +147,8 @@ def escape_profile(ball: BallGraph, r_max: int, trials: int, seed: int) -> list[
         raise BadArguments("r_max must be >= 1")
     if ball.radius < r_max:
         raise RadiusTooSmall(f"need ball radius >= {r_max}, have {ball.radius}")
+    if r_max > ball.layer[-1]:
+        raise EmptySet(f"sphere S(x, {r_max}) is empty: the graph ends at layer {ball.layer[-1]}")
     counts, _ = _walk(ball.base, ball.center, np.minimum(ball.layer, r_max),
                       ball.layer >= r_max, trials, seed)
     # walks with max layer >= r escaped S(x, r)

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from vtres import (
     GraphSpec,
@@ -15,7 +17,7 @@ from vtres import (
     spec_z_times_torus,
 )
 from vtres.errors import BadArguments
-from vtres.graphs import Graph, from_edge_list
+from vtres.graphs import Graph, _contract, _symmetry_candidates, from_edge_list
 
 
 def validate_graph(g: Graph) -> None:
@@ -33,6 +35,58 @@ def validate_graph(g: Graph) -> None:
     if bad.any():
         i = fwd[np.argmax(bad)]
         raise BadArguments(f"asymmetric adjacency at ({rows[i]},{g.nbr[i]})")
+
+
+def reference_stabilizer_maps(ball):
+    """The kept ``_symmetry_candidates`` as maps of ``ball``'s vertex ids,
+    each the image id of every vertex, found by key lookup over the box the
+    coordinates span; an image outside the ball fails."""
+    moduli = ball.spec.factors
+    finite = np.array([m is not None for m in moduli])
+    mod = np.array([m or 1 for m in moduli], dtype=np.int64)
+    lo = np.where(finite, 0, ball.coords.min(axis=0))
+    width = np.where(finite, mod, ball.coords.max(axis=0) - lo + 1)
+    strides = np.ones(len(moduli), dtype=np.int64)
+    strides[:-1] = np.cumprod(width[::-1])[::-1][1:]
+
+    def keys(rows):
+        inside = np.all((rows >= lo) & (rows < lo + width), axis=1)
+        return np.where(inside, (rows - lo) @ strides, -1)
+
+    own = keys(ball.coords)
+    order = np.argsort(own)
+    maps = []
+    for g in _symmetry_candidates(ball.spec.offsets, moduli):
+        image = ball.coords[:, g % len(moduli)] * np.where(g < len(moduli), 1, -1)
+        q = keys(np.where(finite, image % mod, image))
+        pos = np.minimum(np.searchsorted(own[order], q), len(q) - 1)
+        assert np.array_equal(own[order][pos], q), g
+        maps.append(order[pos])
+    return maps
+
+
+def reference_orbits(ball):
+    """The least vertex id of each vertex's orbit: the connected components
+    of the graph joining every vertex to its image under each map."""
+    maps = reference_stabilizer_maps(ball)
+    n = ball.base.n
+    links = sp.csr_matrix((np.ones(n * len(maps)), (np.tile(np.arange(n), len(maps)),
+                                                     np.concatenate(maps))), shape=(n, n))
+    _, labels = sp.csgraph.connected_components(links, connection="weak")
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def reference_quotient(ball):
+    """The full ball contracted by its orbits in one ``_contract``, orbits
+    numbered by least member and taking its layer, coordinates and exit
+    degree, with the orbit sizes as ``size``."""
+    _, first, index, size = np.unique(reference_orbits(ball), return_index=True,
+                                      return_inverse=True, return_counts=True)
+    return dataclasses.replace(
+        ball, base=_contract(ball.base, index, first.size, ball.base.n),
+        layer=ball.layer[first], exit_degree=ball.exit_degree[first],
+        coords=ball.coords[first], size=size)
 
 
 def series_graph(m):

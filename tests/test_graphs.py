@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from vtres import (
     GraphSpec,
+    graphs,
     boundary,
     build_ball,
     build_cayley_graph,
@@ -32,17 +35,18 @@ from vtres.errors import (
     SizeCapExceeded,
 )
 from vtres.graphs import (
+    _symmetry_group,
     annulus_problem,
     bfs_layers,
     collapse_terminals,
-    _stabilizer_maps,
+    orbit_ball,
     prefix_subgraph,
     spec_fibered_torus,
     spec_offsets,
     stabilizer_orbits,
 )
 
-from conftest import validate_graph
+from conftest import reference_quotient, validate_graph
 
 
 def _digest(*arrays) -> str:
@@ -79,7 +83,7 @@ def test_golden_ball_identity(spec, radius, expected):
 def test_golden_problem_identity():
     torus = build_cayley_graph(spec_torus(6, 5))
     mixed = build_cayley_graph(spec_torus(4, 4, 3, full_last=True))
-    ball = build_ball(spec_z_times_torus(5, 5), 5)
+    orbits = orbit_ball(spec_z_times_torus(5, 5), 5)
     ball3 = build_ball(spec_lattice(3), 6)
     prefix = prefix_subgraph(ball3.base, ball3.beta(4))
     got = {
@@ -87,7 +91,7 @@ def test_golden_problem_identity():
         "annulus": _terminal_digest(annulus_problem(build_ball(spec_lattice(2), 16), 3, 10)),
         "collapse": _terminal_digest(collapse_terminals(torus, [0, 7], [15, 20, 29])),
         "cayley": _digest(mixed.indptr, mixed.nbr, mixed.mult),
-        "quotient": _terminal_digest(dirichlet_problem(ball.quotient, 4)),
+        "quotient": _terminal_digest(dirichlet_problem(orbits, 4)),
         "prefix": _digest(prefix.indptr, prefix.nbr, prefix.mult, [prefix.n]),
     }
     assert got == {
@@ -147,6 +151,16 @@ def test_size_cap():
         build_cayley_graph(spec_torus(100, 100), size_cap=5000)
     with pytest.raises(SizeCapExceeded):
         build_ball(spec_lattice(2), 60, size_cap=5000)
+
+
+def test_orbit_ball_size_cap_counts_orbits():
+    # B(10) of Z^3 has 21^3 = 9,261 vertices in C(13, 3) = 286 orbits
+    ball = orbit_ball(spec_lattice(3), 10, size_cap=1000)
+    assert ball.base.n == 286 and ball.beta(10) == 9261
+    with pytest.raises(SizeCapExceeded, match="ball exceeds size cap 1000"):
+        build_ball(spec_lattice(3), 10, size_cap=1000)
+    with pytest.raises(SizeCapExceeded):
+        orbit_ball(spec_lattice(3), 10, size_cap=285)
 
 
 def test_infinite_factor_rejected_for_finite_build():
@@ -334,6 +348,17 @@ def test_dirichlet_ground_multiplicity_matches_edge_count(z2_ball_r5):
     assert int(tg.graph.degree[tg.ground]) == crossing
 
 
+def test_dirichlet_empty_ground_sphere_is_empty_set():
+    # B(x, 1) of K_7 (chords of width 3 on C7) and B(x, 3) of the 6x6 box
+    # torus already cover the graph, so S(x, r+1) is empty, on the full ball
+    # and on the orbit ball alike
+    for spec, r in ((spec_cyclic_chords(7, 3), 1), (spec_torus(6, 6), 3)):
+        for ball in (build_ball(spec, r + 1), orbit_ball(spec, r + 1)):
+            with pytest.raises(EmptySet, match=rf"sphere S\(x, {r + 1}\) is empty"):
+                dirichlet_problem(ball, r)
+            assert dirichlet_problem(ball, r - 1).graph.n == ball.prefix(r - 1) + 1
+
+
 def test_dirichlet_independent_of_ball_radius():
     # ids are prefix-stable, so the collapsed problem is literally the same
     # graph no matter how much further the ball extends
@@ -407,42 +432,68 @@ def test_stabilizer_orbits(name):
     assert np.array_equal(dist, dist[rep])
 
 
+def _group_maps(spec, coords, ids):
+    """Each element of ``_symmetry_group`` as a map of vertex ids: the id, by
+    ``ids``, of the image of every row of ``coords``."""
+    d = spec.dim
+    maps = []
+    for g in _symmetry_group(spec.offsets, spec.factors):
+        image = coords[:, g % d] * np.where(g < d, 1, -1)
+        maps.append(ids([tuple(x if m is None else x % m for x, m in zip(t, spec.factors))
+                         for t in image.tolist()]))
+    return maps
+
+
+# order of the group that the kept candidates generate on each spec
+STABILIZER_GROUP_ORDERS = {"c20_chords3": 2, "torus10x10": 8, "torus12x12": 8,
+                           "torus4x4x4": 48, "torus5x7": 4, "torus6x8x3_full": 8,
+                           "z6xz6_skew": 2}
+
+
 @pytest.mark.parametrize("name", sorted(STABILIZER_SPECS))
 def test_stabilizer_maps_are_automorphisms(name):
-    g = build_cayley_graph(STABILIZER_SPECS[name][0])
+    spec, group = STABILIZER_SPECS[name][0], STABILIZER_GROUP_ORDERS[name]
+    g = build_cayley_graph(spec)
     nbr = g.nbr.reshape(g.n, -1)
-    maps = _stabilizer_maps(g)
-    assert maps
+    coords = np.stack(np.unravel_index(np.arange(g.n), g.dims), axis=1)
+    maps = _group_maps(spec, coords, lambda ts: np.ravel_multi_index(np.array(ts).T, g.dims))
+    assert len(maps) == group
     for m in maps:
         assert m[0] == 0 and np.array_equal(np.sort(m), np.arange(g.n))
         assert np.array_equal(np.sort(m[nbr], axis=1), nbr[m])
-    if name == "z6xz6_skew":
-        assert len(maps) == 1
+    # the least image of a vertex is the least id of its orbit
+    assert np.array_equal(stabilizer_orbits(g), np.min(maps, axis=0))
 
 
 KNIGHT = [(a, b) for a in (-2, -1, 1, 2) for b in (-2, -1, 1, 2) if abs(a) != abs(b)]
-# spec, ball radius, number of kept maps: -id, the coordinate negations and
-# the equal-modulus swaps that preserve S
+# spec, ball radius, number of kept candidates (-id, the coordinate
+# negations and the equal-modulus swaps that preserve S), and the order of
+# the group they generate
 BALL_SYMMETRY_SPECS = {
-    "z2": (spec_lattice(2), 7, 4),
-    "z3": (spec_lattice(3), 4, 7),
-    "z_c5_c5": (spec_z_times_torus(5, 5), 3, 5),
-    "z2_knight": (spec_explicit((None, None), KNIGHT), 3, 4),
+    "z2": (spec_lattice(2), 7, 4, 8),
+    "z3": (spec_lattice(3), 4, 7, 48),
+    "z_c5_c5": (spec_z_times_torus(5, 5), 3, 5, 16),
+    "z2_knight": (spec_explicit((None, None), KNIGHT), 3, 4, 8),
     "z2_skew": (spec_explicit((None, None), [(1, 0), (-1, 0), (0, 1), (0, -1),
-                                             (1, 1), (-1, -1)]), 6, 2),
-    "torus6x6": (spec_torus(6, 6), 4, 4),
-    "c20_chords3": (spec_cyclic_chords(20, 3), 3, 2),
+                                             (1, 1), (-1, -1)]), 6, 2, 4),
+    "torus6x6": (spec_torus(6, 6), 4, 4, 8),
+    "c20_chords3": (spec_cyclic_chords(20, 3), 3, 2, 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BALL_SYMMETRY_SPECS))
 def test_ball_stabilizer_maps_are_automorphisms(name):
-    spec, radius, count = BALL_SYMMETRY_SPECS[name]
+    # every element of the closure maps the full ball onto itself and keeps
+    # adjacency, layers and exit degrees
+    spec, radius, kept, order = BALL_SYMMETRY_SPECS[name]
     ball = build_ball(spec, radius)
     g = ball.base
     adj = sp.csr_matrix((g.mult, g.nbr, g.indptr), shape=(g.n, g.n))
-    maps = _stabilizer_maps(ball)
-    assert len(maps) == count
+    index = {t: i for i, t in enumerate(map(tuple, ball.coords.tolist()))}
+    maps = _group_maps(spec, ball.coords, lambda ts: np.array([index[t] for t in ts]))
+    assert len(graphs._symmetry_candidates(spec.offsets, spec.factors)) == kept
+    assert len(maps) == order
+    assert len({m.tobytes() for m in maps}) == order
     for m in maps:
         assert m[0] == 0 and np.array_equal(np.sort(m), np.arange(g.n))
         assert np.array_equal(ball.layer[m], ball.layer)
@@ -454,8 +505,57 @@ def test_ball_stabilizer_maps_are_automorphisms(name):
 @pytest.mark.parametrize("d,radius,count", [(2, 20, 231), (3, 24, 2925)])
 def test_ball_orbit_counts(d, radius, count):
     # the hyperoctahedral group's orbits on [-r, r]^d: r >= x_1 >= ... >= x_d >= 0
-    ball = build_ball(spec_lattice(d), radius)
-    rep = stabilizer_orbits(ball)
-    assert len(np.unique(rep)) == count
-    assert rep[0] == 0 and np.all(rep <= np.arange(rep.size)) and np.array_equal(rep[rep], rep)
-    assert ball.quotient.base.n == count
+    ball = orbit_ball(spec_lattice(d), radius)
+    assert ball.base.n == count
+    assert ball.beta(radius) == (2 * radius + 1) ** d
+    # a coordinate tuple with sorted absolute values of sizes a_0, a_1, ... of
+    # equal entries and z zeros has d! / prod(a_i!) 2^(d - z) images
+    for c, size in zip(np.abs(ball.coords).tolist(), ball.size.tolist()):
+        runs = [c.count(v) for v in set(c)]
+        assert size == math.factorial(d) // math.prod(map(math.factorial, runs)) * 2 ** (
+            d - c.count(0))
+
+
+Z2_C4 = spec_explicit((None, None, 4),
+                      [s for s in itertools.product((-1, 0, 1), repeat=3) if any(s)])
+Z2_C3 = spec_explicit((None, None, 3), [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                        (0, 0, 1), (0, 0, 2), (1, 1, 1), (-1, -1, 2)])
+Z3_AXES = spec_explicit((None,) * 3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                      (0, 0, 1), (0, 0, -1)])
+ORBIT_BALLS = {
+    "z2_r11": (spec_lattice(2), 11), "z2_r21": (spec_lattice(2), 21),
+    "z2_r41": (spec_lattice(2), 41), "z3_r17": (spec_lattice(3), 17),
+    "z3_axes_r30": (Z3_AXES, 30), "z_c5_c5_r64": (spec_z_times_torus(5, 5), 64),
+    "z2_c4_r32": (Z2_C4, 32), "c10_c10_r6": (spec_torus(10, 10), 6),
+    "z_c6_r20": (spec_z_times_torus(6), 20), "z2_c3_r15": (Z2_C3, 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_BALLS))
+def test_orbit_ball_matches_contracted_full_ball(name):
+    # array for array, dtypes included, the full ball contracted by the
+    # orbits of its candidate maps in one _contract
+    spec, radius = ORBIT_BALLS[name]
+    full = build_ball(spec, radius)
+    got, want = orbit_ball(spec, radius), reference_quotient(full)
+    assert got.base.n == want.base.n
+    for a, b in [(got.base.indptr, want.base.indptr), (got.base.nbr, want.base.nbr),
+                 (got.base.mult, want.base.mult)] + [
+                    (getattr(got, f), getattr(want, f))
+                    for f in ("layer", "exit_degree", "coords", "size")]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # beta summed from orbit sizes is the full ball's at every radius
+    assert [got.beta(r) for r in range(radius + 2)] == [full.beta(r) for r in range(radius + 2)]
+    assert growth_profile(got) == growth_profile(full)
+    validate_graph(got.base)
+
+
+def test_orbit_ball_of_a_finite_group_matches_stabilizer_orbits():
+    # a ball past the diameter covers the torus: one orbit ball vertex per
+    # class of stabilizer_orbits, sizes the class sizes
+    g = build_cayley_graph(spec_torus(6, 8, 3, full_last=True))
+    ball = orbit_ball(spec_torus(6, 8, 3, full_last=True), 8)
+    ids = np.ravel_multi_index(ball.coords.T, g.dims)
+    rep, size = np.unique(stabilizer_orbits(g), return_counts=True)
+    assert np.array_equal(np.sort(ids), rep)
+    assert np.array_equal(ball.size[np.argsort(ids)], size)

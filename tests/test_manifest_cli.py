@@ -19,10 +19,10 @@ from vtres import (
     spec_z_times_torus,
 )
 from vtres.errors import BadArguments, MissingParam
-from vtres.graphs import DEFAULT_SIZE_CAP, stabilizer_orbits
+from vtres.graphs import DEFAULT_SIZE_CAP, orbit_ball
 from vtres.manifest import Table, emit
 
-from conftest import box_torus_fourier_resistance
+from conftest import box_torus_fourier_resistance, reference_orbits
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -278,6 +278,7 @@ def test_cli_bad_p_fails_before_any_ball_is_built(monkeypatch, capsys, tmp_path,
         raise AssertionError("a ball was built for a p the solver refuses")
 
     monkeypatch.setattr(vtres.manifest, "build_ball", unreachable)
+    monkeypatch.setattr(vtres.manifest, "orbit_ball", unreachable)
     z2 = ["--family", "explicit", "--factors", "inf,inf", "--generators", "box"]
     for argv in (["resist", *z2, f"--p={p}", "--r", "600"],
                  ["verify", *z2, f"--p={p}", "--r-min", "1", "--r-max", "600"]):
@@ -291,6 +292,33 @@ def test_cli_bad_p_fails_before_any_ball_is_built(monkeypatch, capsys, tmp_path,
         with pytest.raises(BadArguments):
             ExperimentManifest(experiment, None if experiment == "sharpness_nw"
                                else spec_cycle(8), params)
+
+
+@pytest.mark.parametrize("argv,sphere", [
+    (["escape", "--family", "torus_product", "--factors", "6,6", "--generators", "box",
+      "--r", "1:5", "--trials", "1000"], 5),
+    (["resist", "--family", "cyclic_chords", "--factors", "7", "--generators", "chords:3",
+      "--p", "2", "--r", "1"], 2),
+    (["verify", "--family", "torus_product", "--factors", "6,6", "--generators", "box",
+      "--r-max", "4"], 4),
+], ids=["escape", "resist", "verify"])
+def test_cli_empty_sphere_is_a_typed_error(tmp_path, argv, sphere):
+    # each asks for a sphere past the last layer of a finite graph
+    proc = _cli(*argv, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[:2] == [
+        "error.type = EmptySet", f"error.message = sphere S(x, {sphere}) is empty"
+        + (": the graph ends at layer 3" if argv[0] == "escape" else "")]
+
+
+def test_cli_resist_size_cap_counts_orbits(tmp_path):
+    # B(10) of Z^3 has 9,261 vertices but 286 orbits, under a cap of 1,000
+    z3 = ("--family", "explicit", "--factors", "inf,inf,inf", "--generators", "box")
+    proc = _cli("resist", *z3, "--p", "3", "--r", "9", "--size-cap", "1000",
+                "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    header, row = _read(tmp_path / "o" / "resistance.csv").decode().splitlines()[-2:]
+    assert dict(zip(header.split(","), row.split(",")))["beta_r"] == str(19 ** 3)
 
 
 def test_cli_run_rejects_boolean_numbers(tmp_path):
@@ -432,37 +460,42 @@ def test_cli_resist_torus_50x50_matches_fourier(tmp_path):
 
 
 def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch):
-    # the runners reach the solver and the ball builder through
+    # the runners reach the solver and the ball builders through
     # vtres.manifest's names, so wrapping them there sees every solve the
     # mode sum does not replace and every ball it does not need
     import vtres.manifest as manifest
     solved, balls = [], []
-    real, real_ball = manifest.p_resistance, manifest.build_ball
+    real = manifest.p_resistance
     monkeypatch.setattr(manifest, "p_resistance",
                         lambda tg, p: solved.append(p) or real(tg, p))
-    monkeypatch.setattr(manifest, "build_ball",
-                        lambda *args: balls.append(args[1]) or real_ball(*args))
+    for name in ("build_ball", "orbit_ball"):
+        monkeypatch.setattr(manifest, name, lambda *args, name=name, real=getattr(
+            manifest, name): balls.append(name) or real(*args))
     z2, z3, z_c5_c5 = spec_lattice(2), spec_lattice(3), spec_z_times_torus(5, 5)
     knight = spec_explicit((None, None), [(a, b) for a in (-2, -1, 1, 2)
                                           for b in (-2, -1, 1, 2) if abs(a) != abs(b)])
-    # experiment, spec, params, solved p, ball builds
-    cases = [("sandwich", z2, {"p": [2.0], "r_min": 1, "r_max": 4}, [], 0),
-             ("sandwich", z3, {"p": [2.0], "r_min": 2, "r_max": 5}, [], 0),
-             ("sandwich", z_c5_c5, {"p": [2.0], "r_min": 2, "r_max": 5}, [], 0),
-             ("resistance", z2, {"p": [2.0], "r": [3, 5]}, [], 0),
-             ("resistance", z3, {"p": [2.0], "r": [2, 4]}, [], 0),
-             ("resistance", z_c5_c5, {"p": [2.0], "r": [2, 6]}, [], 0),
-             ("resistance", z2, {"p": [2.0, 3.0], "r": [3]}, [3.0], 1),
-             ("resistance", z2, {"p": [2.0], "r": [3], "dump_potential": 1}, [2.0], 1),
-             ("resistance", knight, {"p": [2.0], "r": [2]}, [2.0], 1),
-             ("table1", None, {"n2": [8], "n3": [], "nlin": [8]}, [2.0], 2)]
+    # experiment, spec, params, solved p, ball builds: solves take an orbit
+    # ball, a potential dump and the cutsets of table1 the full ball
+    full, orbits = "build_ball", "orbit_ball"
+    cases = [("sandwich", z2, {"p": [2.0], "r_min": 1, "r_max": 4}, [], []),
+             ("sandwich", z3, {"p": [2.0], "r_min": 2, "r_max": 5}, [], []),
+             ("sandwich", z_c5_c5, {"p": [2.0], "r_min": 2, "r_max": 5}, [], []),
+             ("sandwich", z2, {"p": [3.0], "r_min": 2, "r_max": 3}, [3.0] * 2, [orbits]),
+             ("resistance", z2, {"p": [2.0], "r": [3, 5]}, [], []),
+             ("resistance", z3, {"p": [2.0], "r": [2, 4]}, [], []),
+             ("resistance", z_c5_c5, {"p": [2.0], "r": [2, 6]}, [], []),
+             ("resistance", z2, {"p": [2.0, 3.0], "r": [3]}, [3.0], [orbits]),
+             ("resistance", z2, {"p": [2.0], "r": [3], "dump_potential": 1}, [2.0], [full]),
+             ("resistance", knight, {"p": [2.0], "r": [2]}, [2.0], [orbits]),
+             ("table1", None, {"n2": [8], "n3": [], "nlin": [8]}, [2.0], [full, full, orbits]),
+             ("var_converse", z_c5_c5, {"n": 2, "r": [4, 6]}, [2.0] * 2, [orbits])]
     for i, (experiment, spec, params, want, builds) in enumerate(cases):
         solved.clear()
         balls.clear()
         run(ExperimentManifest(experiment, spec, params, f"o{i}", "csv"),
             base_dir=str(tmp_path))
         assert solved == want, (experiment, params)
-        assert len(balls) == builds, (experiment, params)
+        assert balls == builds, (experiment, params)
     # a negative radius is refused before any ball would be built
     balls.clear()
     with pytest.raises(BadArguments):
@@ -501,11 +534,11 @@ def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch, tmp_path):
     knight = spec_explicit((None, None), [(a, b) for a in (-2, -1, 1, 2)
                                           for b in (-2, -1, 1, 2) if abs(a) != abs(b)])
     for spec, p in [(spec_lattice(2), 3.0), (knight, 2.0), (spec_z_times_torus(5, 5), 1.5)]:
-        ball = build_ball(spec, 6)
+        ball = orbit_ball(spec, 6)
         for r in (1, 2, 5):
             sizes.clear()
             manifest._sphere_resistance(spec, r, p, lambda: ball, DEFAULT_SIZE_CAP)
-            assert sizes == [len(np.unique(stabilizer_orbits(build_ball(spec, r)))) + 1]
+            assert sizes == [len(np.unique(reference_orbits(build_ball(spec, r)))) + 1]
             if spec == spec_lattice(2):
                 assert sizes == [(r + 1) * (r + 2) // 2 + 1]
         n, rs = 2, [4, 6]
@@ -516,7 +549,7 @@ def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch, tmp_path):
         for r in rs:
             small = build_ball(spec, r)
             free = ~np.isin(small.layer, (n, r))
-            expected.append(len(np.unique(stabilizer_orbits(small)[free])) + 2)
+            expected.append(len(np.unique(reference_orbits(small)[free])) + 2)
         assert sizes == expected
         if spec == spec_lattice(2):
             assert sizes == [r * (r + 1) // 2 - n + 1 for r in rs]

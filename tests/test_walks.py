@@ -17,7 +17,7 @@ from vtres import (
     spec_torus,
     spec_z_times_torus,
 )
-from vtres.errors import BadArguments, RadiusTooSmall
+from vtres.errors import BadArguments, EmptySet, RadiusTooSmall
 from vtres.graphs import from_edge_list, spec_offsets
 from vtres.walks import CHUNK, _estimate
 
@@ -280,6 +280,15 @@ def test_escape_profile_stream_is_pinned():
     hits = [round(e.p_hat * e.trials) for e in prof]
     assert hits[:5] == [20000, 10043, 6675, 5023, 4025]
     assert hits[125:] == [167, 165, 165, 165, 163]
+
+
+def test_escape_profile_past_the_last_layer_is_empty_set():
+    # the 6x6 box torus ends at layer 3, so S(x, 4) and S(x, 5) are empty
+    ball = build_ball(spec_torus(6, 6), 5)
+    assert len(escape_profile(ball, 3, 1000, 1)) == 3
+    for r_max in (4, 5):
+        with pytest.raises(EmptySet, match=rf"S\(x, {r_max}\) is empty"):
+            escape_profile(ball, r_max, 1000, 1)
 
 
 def test_hit_before_return_rejects_isolated_start():
