@@ -185,7 +185,8 @@ def nash_williams_bound(family: CutsetFamily, p: float, validate: bool = True) -
 
 
 def sphere_cutsets(ball: BallGraph, r: int) -> CutsetFamily:
-    """Edge boundaries of B(x,0),...,B(x,r-1): disjoint cutsets between x and S(x,r)."""
+    """Edge boundaries of B(x,0),...,B(x,r-1): disjoint cutsets between x and S(x,r),
+    on a full or an orbit ball; each size is the cut's ball edge count on either."""
     if r < 1:
         raise BadArguments("r must be >= 1")
     if ball.radius < r:
@@ -193,7 +194,7 @@ def sphere_cutsets(ball: BallGraph, r: int) -> CutsetFamily:
     g, layer = ball.base, ball.layer
     # B(x, r-1) is an id prefix, so its adjacency slots are a CSR prefix;
     # rows ascend, so the edges come out sphere by sphere, vertex by vertex
-    inner = ball.beta(r - 1)
+    inner = ball.prefix(r - 1)
     rows = np.repeat(np.arange(inner), np.diff(g.indptr[:inner + 1]))
     nbr, mult = g.nbr[:len(rows)], g.mult[:len(rows)]
     up = layer[nbr] == layer[rows] + 1
@@ -366,8 +367,9 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive") -> BkBound:
     singleton terminals in a finite graph.  ``strategy`` selects exhaustive
     connected-subset enumeration (small graphs; arcs on cycles) or the
     growth-based lower bound on the vertex boundary of a set of each size
-    (``csc_bound``).  The caller pairs the result with a measured
-    resistance and reports the empirical ratio.
+    (``csc_bound``), which reads only beta and so takes an ``orbit_ball``.
+    The caller pairs the result with a measured resistance and reports the
+    empirical ratio.
 
     Both forms are a list of roots (root, degree, allowed mask) and a first
     block: the ball form sums its one root's blocks from n = 0, the pair
@@ -384,12 +386,14 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive") -> BkBound:
             raise RadiusTooSmall("need ball radius >= r+1 so boundaries stay visible")
         if ball.beta(r + 1) == ball.beta(r):
             raise BadArguments("B(x,r) already covers the graph, its boundary is empty")
+        if strategy == "exhaustive" and np.any(ball.size != 1):
+            raise BadArguments("a subset's boundary is not an orbit quantity: need a full ball")
         total = ball.beta(r)
         deg = ball.spec.ambient_degree()
-        roots = [(ball.center, deg, (1 << total) - 1)]
+        roots = [(ball.center, deg, (1 << ball.prefix(r)) - 1)]
         first, j_deg, cycle = 0, deg, False
         # subsets of B(x, r) have their boundaries in B(x, r+1)
-        subgraph = lambda: prefix_subgraph(ball.base, ball.beta(r + 1))
+        subgraph = lambda: prefix_subgraph(ball.base, ball.prefix(r + 1))
 
         def growth() -> GrowthProfile:
             profile = growth_profile(ball)

@@ -23,7 +23,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import BadArguments, NonConvergence, VtresError
+from .errors import BadArguments, MissingParam, NonConvergence, VtresError
 from .graphs import DEFAULT_SIZE_CAP, GraphSpec
 from .manifest import ExperimentManifest, emit_manifest, parse_manifest, run
 from .textspec import generators_from_value, parse_graphspec
@@ -67,7 +67,7 @@ def _spec_from_args(args) -> GraphSpec:
         with open(args.spec) as fh:
             return parse_graphspec(fh.read())
     if not (args.family and args.factors and args.generators):
-        raise VtresError("give --spec FILE or all of --family/--factors/--generators")
+        raise MissingParam("give --spec FILE or all of --family/--factors/--generators")
     try:
         factors = tuple(None if f.strip() == "inf" else int(f)
                         for f in args.factors.split(","))
@@ -185,7 +185,7 @@ def _manifest_from_args(args) -> ExperimentManifest:
         if spec.radius is None:
             size = spec.ambient_size()
             if size is None:
-                raise VtresError("build needs --radius for infinite graphs")
+                raise MissingParam("build needs --radius for infinite graphs")
             # the BFS stops as soon as the graph is exhausted
             spec = GraphSpec(spec.family, spec.factors, spec.generators,
                              radius=size)

@@ -38,13 +38,13 @@ tell a good step from a bad one.  There the full Newton step is taken and
 judged by the max-norm of the regularized gradient: kept if the norm fell,
 otherwise the stage ends.
 
-Symmetric problems are shrunk before they get here.  ``max_resistance`` on
-a Cayley graph solves one pair per orbit of vertex 0's stabilizer, and the
-experiments build their sphere and annulus problems on an ``orbit_ball``,
-about 1/8 of the unknowns on Z^2.  Both are exact.  A quotient solve's R_p
-bracket certifies the original R_p, since a unit flow on the quotient,
-spread evenly over the edges each quotient edge merges, is one of the same
-cost on the original.
+Symmetric problems are shrunk on an ``orbit_ball`` before they get here.
+``max_resistance`` on a Cayley graph solves one pair per orbit of vertex
+0's stabilizer, read off the orbit ball of the group, and the experiments
+solve sphere and annulus problems on one, about 1/8 of the unknowns on
+Z^2.  Both are exact.  A quotient solve's R_p bracket certifies the
+original R_p, since a unit flow on the quotient, spread evenly over the
+edges each quotient edge merges, is one of the same cost on the original.
 
 A p=2 sphere resistance R_2(0 <-> S(r+1)) on a box ball needs neither a
 solve nor a ball.  ``box_ball_separable`` decides from the spec and r alone
@@ -103,7 +103,8 @@ from .graphs import (
     TerminalGraph,
     bfs_layers,
     collapse_terminals,
-    stabilizer_orbits,
+    orbit_ball,
+    spec_explicit,
 )
 
 DIRECT_SOLVE_LIMIT = 6000  # unknowns up to which solves are banded Cholesky, CG above
@@ -743,12 +744,13 @@ def max_resistance(g: Graph, p: float) -> tuple[float, tuple[int, int]]:
     1e-12 (relative) of the maximum.  Any other ``Graph`` at p=2 reads every
     pair off one grounded Green matrix (``_pair_resistances_p2``).  At other
     p a ``CayleyGraph``, being vertex-transitive, needs pairs (0, v) only,
-    and an automorphism fixing 0 gives every v of an orbit of
-    ``stabilizer_orbits`` the same R_p(0, v), so it takes one pair per
-    orbit other than {0}, at its smallest vertex (a later one could not beat
-    it), at most PAIR_SOLVE_CAP of them.  Any other ``Graph`` takes every
-    pair of at most PAIR_SOLVE_CAP vertices.  Both scan the pairs in order,
-    keeping the first that beats all earlier ones by over 1e-15.
+    and an automorphism fixing 0 gives every v of an orbit the same
+    R_p(0, v), so it takes one pair per orbit other than {0}, at its
+    smallest vertex (a later one could not beat it), at most PAIR_SOLVE_CAP
+    of them: the ids of an ``orbit_ball`` past the diameter.  Any other
+    ``Graph`` takes every pair of at most PAIR_SOLVE_CAP vertices.  Both
+    scan the pairs in order, keeping the first that beats all earlier ones
+    by over 1e-15.
     """
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
@@ -758,7 +760,8 @@ def max_resistance(g: Graph, p: float) -> tuple[float, tuple[int, int]]:
         v = int(np.argmax(r >= r.max() * (1 - 1e-12)))
         return float(r[v]), (0, v)
     if cayley:
-        pairs = [(0, int(v)) for v in np.flatnonzero(stabilizer_orbits(g) == np.arange(g.n))[1:]]
+        ball = orbit_ball(spec_explicit(g.dims, g.offsets), g.n)
+        pairs = [(0, int(v)) for v in np.sort(np.ravel_multi_index(ball.coords.T, g.dims))[1:]]
         if len(pairs) > PAIR_SOLVE_CAP:
             raise SizeCapExceeded(
                 f"{len(pairs)} pair solves exceed cap {PAIR_SOLVE_CAP} for p={p}")

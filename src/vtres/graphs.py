@@ -18,7 +18,9 @@ over keys.  ``orbit_ball`` runs it over orbit representatives, the least
 keys under the signed coordinate permutations that fix vertex 0 and
 preserve the generating set (``_symmetry_group``); ``build_ball`` over the
 identity.  The orbits keep layers, so the problem builders run on an orbit
-ball unchanged: the experiments solve sphere and annulus resistances there.
+ball unchanged, and its layer and cut edge counts are the full ball's: all
+but the per-vertex experiments read one.  On a finite group a key is a
+vertex id, so an orbit ball past the diameter lists each orbit's least id.
 """
 
 from __future__ import annotations
@@ -468,13 +470,6 @@ def _least_images(box: tuple[np.ndarray, ...], group: np.ndarray,
         least[i:i + step] = keys.min(axis=0)
         fixing[i:i + step] = (keys == least[i:i + step]).sum(axis=0)
     return least, fixing
-
-
-def stabilizer_orbits(g: CayleyGraph) -> np.ndarray:
-    """The smallest vertex id in each vertex's orbit under ``_symmetry_group``,
-    automorphisms fixing 0: its least image, as a vertex id is a key."""
-    digits = np.stack(np.unravel_index(np.arange(g.n), g.dims), axis=1)
-    return _least_images(_key_box(g.dims, 0), _symmetry_group(g.offsets, g.dims), digits)[0]
 
 
 @dataclass(frozen=True, eq=False)

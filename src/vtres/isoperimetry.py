@@ -28,7 +28,6 @@ from .graphs import (
     boundary_sizes,
     connected_supersets,
     graph_growth_profile,
-    growth_profile,
     mask_members,
     neighbor_masks,
 )
@@ -165,7 +164,7 @@ def _candidate_sets(ball: BallGraph, rho: int, smax: int, seed: int,
     random connected sets per size decade (a documented lower-coverage
     heuristic, never reported as exhaustive).
     """
-    m = ball.beta(rho)
+    m = ball.prefix(rho)
     out: list[tuple[int, ...]] = []
     if m <= exhaustive_cap:
         for s in range(1, 1 << m):
@@ -174,8 +173,8 @@ def _candidate_sets(ball: BallGraph, rho: int, smax: int, seed: int,
         return out
     # balls around the center
     for j in range(rho + 1):
-        if 1 <= ball.beta(j) <= smax:
-            out.append(tuple(range(ball.beta(j))))
+        if 1 <= ball.prefix(j) <= smax:
+            out.append(tuple(range(ball.prefix(j))))
     # coordinate cuts
     for col in ball.coords[:m].T:
         for cut in np.unique(col)[:-1]:
@@ -226,10 +225,11 @@ def check_iso_theorems(ball: BallGraph, which: str, seed: int = 0,
     """
     if which not in ISO_THEOREMS:
         raise BadArguments(f"unknown theorem {which!r}")
+    if np.any(ball.size != 1):
+        raise BadArguments("a subset's boundary is not an orbit quantity: need a full ball")
     rho = ball.radius - 1
     if rho < 2:
         raise BadArguments("need ball radius >= 3")
-    profile = growth_profile(ball)
     beta_r = ball.beta(rho)
     beta_1 = ball.beta(1)
     smax = beta_r // 2
@@ -307,7 +307,7 @@ def _iso_converse_report(ball: BallGraph, rho: int, beta_r: int,
     """Largest q whose sphere-boundary hypothesis holds, and the implied
     growth constant."""
     q_star = math.inf
-    betas = [b for b in map(ball.beta, range(1, rho + 1)) if b <= beta_r / 2.0]
+    betas = [b for b in map(ball.prefix, range(1, rho + 1)) if b <= beta_r / 2.0]
     member = np.arange(ball.base.n) < np.array(betas, dtype=np.int64)[:, None]
     for beta_n, vb in zip(betas, boundary_sizes(ball.base, member)[0].tolist()):
         ratio = math.log(vb) / math.log(beta_n)

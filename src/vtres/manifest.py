@@ -328,8 +328,7 @@ def _run_growth(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     if spec.radius is None:
         raise BadArguments("growth experiment needs graph.radius")
-    ball = build_ball(spec, spec.radius, size_cap)
-    gp = growth_profile(ball)
+    gp = growth_profile(orbit_ball(spec, spec.radius, size_cap))
     rows = [(r, gp.beta[r], gp.sigma[r]) for r in range(gp.radius + 1)]
     meta = {"degree": gp.degree,
             "diameter": gp.diameter if gp.diameter is not None else "none"}
@@ -435,11 +434,9 @@ def _run_table1(man: ExperimentManifest, size_cap: int):
             raise BadArguments("table1 needs even n")
         spec = _torus_with_fiber(d, n, k)
         half = n // 2
-        ball = build_ball(spec, half, size_cap)
-        family = bnd.sphere_cutsets(ball, half)
-        nw = bnd.nash_williams_bound(family, p)
-        _, exact = _sphere_resistance(spec, half - 1, p,
-                                      lambda: orbit_ball(spec, half, size_cap), size_cap)
+        ball = orbit_ball(spec, half, size_cap)
+        nw = bnd.nash_williams_bound(bnd.sphere_cutsets(ball, half), p)
+        _, exact = _sphere_resistance(spec, half - 1, p, lambda: ball, size_cap)
         if d == int(p):
             regime, regime_value = "log_n", math.log(n)
         elif d > p:
@@ -462,6 +459,9 @@ def _run_table1(man: ExperimentManifest, size_cap: int):
 
 def _run_sharpness_nw(man: ExperimentManifest, size_cap: int):
     k = int(man.params.get("k", 1))
+    # one ball and cutset family per (d, n), for every p
+    cutsets = functools.cache(lambda d, n: bnd.sphere_cutsets(
+        orbit_ball(_torus_with_fiber(d, n, k), n // 2, size_cap), n // 2))
     rows = []
     for p in man.params["p"]:
         p = float(p)
@@ -470,11 +470,8 @@ def _run_sharpness_nw(man: ExperimentManifest, size_cap: int):
                 d, n = int(d), int(n)
                 if n % 2:
                     raise BadArguments("sharpness_nw needs even n")
-                spec = _torus_with_fiber(d, n, k)
                 half = n // 2
-                ball = build_ball(spec, half, size_cap)
-                family = bnd.sphere_cutsets(ball, half)
-                measured = bnd.nash_williams_bound(family, p)
+                measured = bnd.nash_williams_bound(cutsets(d, n), p)
                 exponent = (1.0 - d) / (p - 1.0)
                 formula = (1.0 / k) * sum(
                     i ** exponent for i in range(1, half + 1)) ** (p - 1.0)

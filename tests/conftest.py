@@ -17,7 +17,15 @@ from vtres import (
     spec_z_times_torus,
 )
 from vtres.errors import BadArguments
-from vtres.graphs import Graph, _contract, _symmetry_candidates, from_edge_list
+from vtres.graphs import (
+    Graph,
+    _contract,
+    _key_box,
+    _least_images,
+    _symmetry_candidates,
+    _symmetry_group,
+    from_edge_list,
+)
 
 
 def validate_graph(g: Graph) -> None:
@@ -63,6 +71,14 @@ def reference_stabilizer_maps(ball):
         assert np.array_equal(own[order][pos], q), g
         maps.append(order[pos])
     return maps
+
+
+def reference_stabilizer_orbits(g):
+    """The smallest vertex id in each vertex's orbit under ``_symmetry_group``,
+    automorphisms of the CayleyGraph g fixing 0: its least image, as a
+    vertex id is a key.  Forms every image of every vertex, |G| n keys."""
+    digits = np.stack(np.unravel_index(np.arange(g.n), g.dims), axis=1)
+    return _least_images(_key_box(g.dims, 0), _symmetry_group(g.offsets, g.dims), digits)[0]
 
 
 def reference_orbits(ball):

@@ -41,6 +41,7 @@ from vtres.bounds import (
     validate_cutsets,
 )
 from vtres.errors import (
+    BadArguments,
     DomainError,
     EmptyBoundary,
     InvalidCutsets,
@@ -49,7 +50,8 @@ from vtres.errors import (
     ProfileUnavailable,
     SizeCapExceeded,
 )
-from vtres.graphs import bfs_layers, connected_supersets, from_edge_list
+from vtres.graphs import bfs_layers, connected_supersets, from_edge_list, orbit_ball
+from vtres.manifest import _torus_with_fiber
 
 from conftest import random_small_spec, series_graph
 
@@ -273,6 +275,20 @@ def test_sphere_cutsets_match_loop_reference(spec, radius):
     assert all(type(x) is int for c in fam.cutsets for e in c for x in e)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, "n"])
+@pytest.mark.parametrize("n", [6, 8, 12, 16])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sphere_cutsets_count_edges_on_an_orbit_ball(d, n, k):
+    # the tori of table1 and sharpness_nw: an orbit edge from A to B carries
+    # |A| #{s : a + s in B} ball edges, so every cut has the full ball's size
+    spec = _torus_with_fiber(d, n, n if k == "n" else k)
+    full, orbits = (sphere_cutsets(build(spec, n // 2), n // 2)
+                    for build in (build_ball, orbit_ball))
+    assert orbits.sizes == full.sizes
+    for p in (1.5, 2.0, 3.0):
+        assert nash_williams_bound(orbits, p) == nash_williams_bound(full, p)
+
+
 def test_nash_williams_random_instances():
     rng = np.random.Generator(np.random.Philox(key=[21, 0]))
     for _ in range(15):
@@ -461,6 +477,16 @@ def test_bk_caps_and_profile_errors():
         bk_upper_bound((ball, 4), 2.0, "exhaustive")
     with pytest.raises(ProfileUnavailable):
         bk_upper_bound((ball, 4), 2.0, "profile")  # profile range too short
+
+
+def test_bk_ball_form_on_an_orbit_ball():
+    # a subset's boundary is not an orbit quantity, so the exhaustive
+    # strategy refuses an orbit ball; the profile strategy reads only beta
+    with pytest.raises(BadArguments, match="full ball"):
+        bk_upper_bound((orbit_ball(spec_torus(8), 3), 2), 2.0, "exhaustive")
+    want = bk_upper_bound((build_ball(spec_lattice(2), 5), 3), 2.0, "profile")
+    assert bk_upper_bound((orbit_ball(spec_lattice(2), 5), 3), 2.0, "profile") == want
+    assert abs(want.value - 548.401) < 1e-3
 
 
 def _reference_rooted(g, root, allowed, total, nmax, p, deg):

@@ -17,7 +17,7 @@ from vtres import (
     verify_cyclic_edge_iso,
 )
 from vtres.errors import BadArguments, SizeCapExceeded
-from vtres.graphs import from_edge_list
+from vtres.graphs import from_edge_list, orbit_ball
 from vtres.isoperimetry import ISO_THEOREMS
 
 from conftest import complete_graph
@@ -209,3 +209,10 @@ def test_exhaustive_candidates_on_tiny_ball():
     sizes = sorted(set(r.params["size"] for r in reports))
     assert sizes == [1, 2]  # smax = beta(rho)//2 = 2
     assert len(reports) == 5 + 10
+
+
+def test_iso_theorems_refuse_an_orbit_ball():
+    # a subset's boundary is not an orbit quantity
+    for which in ISO_THEOREMS:
+        with pytest.raises(BadArguments, match="full ball"):
+            check_iso_theorems(orbit_ball(spec_lattice(2), 5), which)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -321,6 +322,30 @@ def test_cli_resist_size_cap_counts_orbits(tmp_path):
     assert dict(zip(header.split(","), row.split(",")))["beta_r"] == str(19 ** 3)
 
 
+def test_cli_growth_size_cap_counts_orbits(tmp_path):
+    # B(9) of Z^3 has 6,859 vertices but 220 orbits, under a cap of 1,000
+    z3 = ("--family", "explicit", "--factors", "inf,inf,inf", "--generators", "box")
+    proc = _cli("growth", *z3, "--radius", "9", "--size-cap", "1000",
+                "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    lines = [l for l in _read(tmp_path / "o" / "growth.csv").decode().splitlines()
+             if not l.startswith("#")]
+    assert lines[0] == "r,beta,sigma"
+    assert lines[-1] == f"9,{19 ** 3},{19 ** 3 - 17 ** 3}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["build", "--family", "explicit", "--factors", "inf,inf", "--generators", "box"],
+     "build needs --radius for infinite graphs"),
+    (["resist", "--p", "2"], "give --spec FILE or all of --family/--factors/--generators"),
+], ids=["build-radius", "resist-spec"])
+def test_cli_missing_flags_are_missing_param(tmp_path, argv, message):
+    proc = _cli(*argv, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error.type = MissingParam",
+                                        f"error.message = {message}"]
+
+
 def test_cli_run_rejects_boolean_numbers(tmp_path):
     man = ExperimentManifest("escape", spec_cycle(20), {"r": [1, 2], "trials": 10, "seed": 3})
     text = (emit_manifest(man).replace("params.trials = 10", "params.trials = true")
@@ -474,8 +499,9 @@ def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch
     z2, z3, z_c5_c5 = spec_lattice(2), spec_lattice(3), spec_z_times_torus(5, 5)
     knight = spec_explicit((None, None), [(a, b) for a in (-2, -1, 1, 2)
                                           for b in (-2, -1, 1, 2) if abs(a) != abs(b)])
-    # experiment, spec, params, solved p, ball builds: solves take an orbit
-    # ball, a potential dump and the cutsets of table1 the full ball
+    # experiment, spec, params, solved p, ball builds: only a potential dump
+    # takes the full ball; growth and the cutsets of table1 and sharpness_nw
+    # count on an orbit ball, one per table1 row and per sharpness (d, n)
     full, orbits = "build_ball", "orbit_ball"
     cases = [("sandwich", z2, {"p": [2.0], "r_min": 1, "r_max": 4}, [], []),
              ("sandwich", z3, {"p": [2.0], "r_min": 2, "r_max": 5}, [], []),
@@ -487,7 +513,10 @@ def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch
              ("resistance", z2, {"p": [2.0, 3.0], "r": [3]}, [3.0], [orbits]),
              ("resistance", z2, {"p": [2.0], "r": [3], "dump_potential": 1}, [2.0], [full]),
              ("resistance", knight, {"p": [2.0], "r": [2]}, [2.0], [orbits]),
-             ("table1", None, {"n2": [8], "n3": [], "nlin": [8]}, [2.0], [full, full, orbits]),
+             ("table1", None, {"n2": [8], "n3": [], "nlin": [8]}, [2.0], [orbits, orbits]),
+             ("sharpness_nw", None, {"p": [2.0, 3.0], "d": [2, 3], "k": 2, "n": [6]}, [],
+              [orbits, orbits]),
+             ("growth", dataclasses.replace(z_c5_c5, radius=9), {}, [], [orbits]),
              ("var_converse", z_c5_c5, {"n": 2, "r": [4, 6]}, [2.0] * 2, [orbits])]
     for i, (experiment, spec, params, want, builds) in enumerate(cases):
         solved.clear()
