@@ -114,11 +114,12 @@ class CutsetFamily:
 def validate_cutsets(family: CutsetFamily) -> None:
     """Raise InvalidCutsets unless source and ground are disjoint nonempty
     sets of vertices, each cutset is a set of graph edges with their
-    multiplicities, the cutsets are pairwise disjoint, and each one
-    separates source from ground.
+    multiplicities, the cutsets are pairwise disjoint, each one separates
+    source from ground, and ``sizes`` holds each cutset's multiplicity sum.
 
     Faults are reported in the order of an edge-by-edge scan: cutset by
-    cutset, and within a cutset the edge checks first, in edge order.
+    cutset, and within a cutset the edge checks first, in edge order.  The
+    sizes are checked last.
     """
     g, n, cutsets = family.graph, family.graph.n, family.cutsets
     source = np.asarray(family.source, dtype=np.int64)
@@ -158,17 +159,19 @@ def validate_cutsets(family: CutsetFamily) -> None:
         if np.any(dist[ground] >= 0):
             raise InvalidCutsets("a cutset fails to separate source from ground")
         start += lengths[k]
-    if bad == len(cutsets):
-        return
-    i = int(np.argmax(edge_fault))
-    if not edge_fault[i] or cid[i] != bad:
-        raise InvalidCutsets("cutsets are not pairwise disjoint")
-    key = (int(pairs[i, 0]), int(pairs[i, 1]))
-    if not present[i]:
-        raise InvalidCutsets(f"edge {key} not present in the graph")
-    if mismatch[i]:
-        raise InvalidCutsets(f"edge {key} multiplicity mismatch")
-    raise InvalidCutsets(f"edge {key} repeated inside a cutset")
+    if bad < len(cutsets):
+        i = int(np.argmax(edge_fault))
+        if not edge_fault[i] or cid[i] != bad:
+            raise InvalidCutsets("cutsets are not pairwise disjoint")
+        key = (int(pairs[i, 0]), int(pairs[i, 1]))
+        if not present[i]:
+            raise InvalidCutsets(f"edge {key} not present in the graph")
+        if mismatch[i]:
+            raise InvalidCutsets(f"edge {key} multiplicity mismatch")
+        raise InvalidCutsets(f"edge {key} repeated inside a cutset")
+    sums = np.bincount(cid, weights=flat[:, 2], minlength=len(cutsets))
+    if len(family.sizes) != len(cutsets) or np.any(np.asarray(family.sizes) != sums):
+        raise InvalidCutsets("cutset sizes are not their multiplicity sums")
 
 
 def nash_williams_bound(family: CutsetFamily, p: float, validate: bool = True) -> float:
@@ -179,7 +182,8 @@ def nash_williams_bound(family: CutsetFamily, p: float, validate: bool = True) -
     if p <= 1:
         raise BadArguments("p must be > 1")
     # without cutsets only the terminal checks remain
-    validate_cutsets(family if validate else dataclasses.replace(family, cutsets=()))
+    validate_cutsets(family if validate
+                     else dataclasses.replace(family, cutsets=(), sizes=()))
     q = 1.0 / (p - 1.0)
     return float(sum(s ** (-q) for s in family.sizes) ** (p - 1.0))
 

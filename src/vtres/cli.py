@@ -5,6 +5,16 @@ invocation corresponds to a manifest file that reproduces it; with
 ``--emit-manifest`` that file is printed instead of running.  ``run``
 executes a manifest file directly.
 
+A subcommand is one row of ``_COMMANDS`` or ``_REPRO_COMMANDS``: its
+experiment, its CLI defaults and its help.  Its flags are the experiment's
+parameter schema in ``manifest._EXPERIMENTS`` (``max_n`` is ``--max-n``),
+plus the graph spec flags when the experiment needs a graph.  A flag without
+a CLI default is required, and one whose default is None is left out of the
+manifest unless given.  Scalar flags are parsed by argparse; list flags are
+comma lists (``a:b`` ranges for integers), and an empty list is
+BadArguments.  ``seed`` is the global --seed, and ``dump_potential`` is set
+in a manifest file only.
+
 Global flags: --seed, --out, --format, --size-cap.  Environment variables
 with the VTRES_ prefix (VTRES_SEED, VTRES_OUT, VTRES_FORMAT, VTRES_SIZE_CAP)
 supply defaults for the matching flags.
@@ -25,7 +35,7 @@ from typing import Optional
 
 from .errors import BadArguments, MissingParam, NonConvergence, VtresError
 from .graphs import DEFAULT_SIZE_CAP, GraphSpec
-from .manifest import ExperimentManifest, emit_manifest, parse_manifest, run
+from .manifest import _EXPERIMENTS, ExperimentManifest, emit_manifest, parse_manifest, run
 from .textspec import generators_from_value, parse_graphspec
 
 ENV_PREFIX = "VTRES_"
@@ -111,60 +121,53 @@ def _global_flags() -> argparse.ArgumentParser:
     return p
 
 
+# subcommand -> (experiment, {param: CLI default}, help)
+_COMMANDS = {
+    "build": ("growth", {}, "construct a graph or ball and report growth"),
+    "resist": ("resistance", {"r": None}, "p-resistances of balls or finite graphs"),
+    "escape": ("escape", {"trials": 100_000}, "Monte Carlo escape probabilities"),
+    "growth": ("growth", {}, "ball and sphere growth sequences"),
+    "iso": ("isoperimetry", {"max_n": 14}, "exact isoperimetric profile and checks"),
+    "verify": ("sandwich", {"p": "2", "r_min": 2}, "sandwich bound sweep on a ball family"),
+}
+_REPRO_COMMANDS = {
+    "table1": ("table1", {"n2": "8,12,16", "n3": "6,8", "nlin": None, "eps": 0.5},
+               "Nash-Williams bound against the exact R_2 on tori"),
+    "sharpness": ("sharpness_nw", {"p": "2", "d": "2,3", "k": 1, "n": "8,12,16"},
+                  "Nash-Williams bound against its closed form"),
+    "var-converse": ("var_converse", {}, "annulus resistance against the converse bound"),
+}
+_SCALAR_TYPES = {"int": int, "float": float}
+_LIST_PARSERS = {"int_list": _parse_int_list, "float_list": _parse_float_list}
+_LIST_HELP = {"int_list": "comma list of integers or a:b ranges",
+              "float_list": "comma list of numbers"}
+_NOT_FLAGS = ("seed", "dump_potential")  # the global --seed; manifest files only
+
+
+def _add_commands(subparsers, table: dict, common) -> None:
+    for command, (experiment, defaults, help_) in table.items():
+        sub = subparsers.add_parser(command, parents=[common], help=help_)
+        sub.set_defaults(experiment=experiment)
+        _, needs_graph, schema = _EXPERIMENTS[experiment]
+        if needs_graph:
+            _add_spec_flags(sub)
+        for key, (typ, _) in schema.items():
+            if key in _NOT_FLAGS:
+                continue
+            default = ({"default": defaults[key]} if key in defaults
+                       else {"required": True})
+            sub.add_argument("--" + key.replace("_", "-"), type=_SCALAR_TYPES.get(typ),
+                             help=_LIST_HELP.get(typ), **default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _global_flags()
     ap = argparse.ArgumentParser(prog="vtres", parents=[common])
     sp = ap.add_subparsers(dest="command", required=True)
-
-    b = sp.add_parser("build", parents=[common],
-                      help="construct a graph or ball and report growth")
-    _add_spec_flags(b)
-
-    r = sp.add_parser("resist", parents=[common],
-                      help="p-resistances of balls or finite graphs")
-    _add_spec_flags(r)
-    r.add_argument("--p", required=True, help="comma list of exponents")
-    r.add_argument("--r", help="comma list or a:b range of radii (ball mode)")
-
-    e = sp.add_parser("escape", parents=[common],
-                      help="Monte Carlo escape probabilities")
-    _add_spec_flags(e)
-    e.add_argument("--r", required=True)
-    e.add_argument("--trials", type=int, default=100_000)
-
-    g = sp.add_parser("growth", parents=[common],
-                      help="ball and sphere growth sequences")
-    _add_spec_flags(g)
-
-    i = sp.add_parser("iso", parents=[common],
-                      help="exact isoperimetric profile and checks")
-    _add_spec_flags(i)
-    i.add_argument("--max-n", type=int, default=14)
-
-    v = sp.add_parser("verify", parents=[common],
-                      help="sandwich bound sweep on a ball family")
-    _add_spec_flags(v)
-    v.add_argument("--p", default="2")
-    v.add_argument("--r-min", type=int, default=2)
-    v.add_argument("--r-max", type=int, required=True)
-
+    _add_commands(sp, _COMMANDS, common)
     rp = sp.add_parser("repro", help="reproduce the sharpness-example computations")
-    rsub = rp.add_subparsers(dest="repro_kind", required=True)
-    t1 = rsub.add_parser("table1", parents=[common])
-    t1.add_argument("--n2", default="8,12,16")
-    t1.add_argument("--n3", default="6,8")
-    t1.add_argument("--nlin", default="")
-    t1.add_argument("--eps", type=float, default=0.5)
-    sh = rsub.add_parser("sharpness", parents=[common])
-    sh.add_argument("--p", default="2")
-    sh.add_argument("--d", default="2,3")
-    sh.add_argument("--k", type=int, default=1)
-    sh.add_argument("--n", default="8,12,16")
-    vc = rsub.add_parser("var-converse", parents=[common])
-    _add_spec_flags(vc)
-    vc.add_argument("--n", type=int, required=True)
-    vc.add_argument("--r", required=True)
-
+    _add_commands(rp.add_subparsers(dest="repro_kind", required=True),
+                  _REPRO_COMMANDS, common)
     rn = sp.add_parser("run", parents=[common], help="run a manifest file")
     rn.add_argument("manifest")
     return ap
@@ -178,51 +181,20 @@ def _fill_global_defaults(args: argparse.Namespace) -> None:
 
 
 def _manifest_from_args(args) -> ExperimentManifest:
-    fmt = args.format
-    out = args.out
-    if args.command == "build":
-        spec = _spec_from_args(args)
-        if spec.radius is None:
-            size = spec.ambient_size()
-            if size is None:
-                raise MissingParam("build needs --radius for infinite graphs")
-            # the BFS stops as soon as the graph is exhausted
-            spec = GraphSpec(spec.family, spec.factors, spec.generators,
-                             radius=size)
-        return ExperimentManifest("growth", spec, {}, out, fmt)
-    if args.command == "resist":
-        params: dict = {"p": _parse_float_list(args.p)}
-        if args.r:
-            params["r"] = _parse_int_list(args.r)
-        return ExperimentManifest("resistance", _spec_from_args(args), params, out, fmt)
-    if args.command == "escape":
-        params = {"r": _parse_int_list(args.r), "trials": args.trials,
-                  "seed": args.seed}
-        return ExperimentManifest("escape", _spec_from_args(args), params, out, fmt)
-    if args.command == "growth":
-        return ExperimentManifest("growth", _spec_from_args(args), {}, out, fmt)
-    if args.command == "iso":
-        return ExperimentManifest("isoperimetry", _spec_from_args(args),
-                                  {"max_n": args.max_n}, out, fmt)
-    if args.command == "verify":
-        params = {"p": _parse_float_list(args.p), "r_min": args.r_min,
-                  "r_max": args.r_max}
-        return ExperimentManifest("sandwich", _spec_from_args(args), params, out, fmt)
-    if args.command == "repro":
-        if args.repro_kind == "table1":
-            params = {"n2": _parse_int_list(args.n2), "n3": _parse_int_list(args.n3),
-                      "eps": args.eps}
-            if args.nlin:
-                params["nlin"] = _parse_int_list(args.nlin)
-            return ExperimentManifest("table1", None, params, out, fmt)
-        if args.repro_kind == "sharpness":
-            params = {"p": _parse_float_list(args.p), "d": _parse_int_list(args.d),
-                      "k": args.k, "n": _parse_int_list(args.n)}
-            return ExperimentManifest("sharpness_nw", None, params, out, fmt)
-        params = {"n": args.n, "r": _parse_int_list(args.r)}
-        return ExperimentManifest("var_converse", _spec_from_args(args), params,
-                                  out, fmt)
-    raise VtresError(f"unhandled command {args.command}")
+    _, needs_graph, schema = _EXPERIMENTS[args.experiment]
+    params = {}
+    for key, (typ, _) in schema.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            params[key] = _LIST_PARSERS[typ](value) if typ in _LIST_PARSERS else value
+    spec = _spec_from_args(args) if needs_graph else None
+    if args.command == "build" and spec.radius is None:
+        size = spec.ambient_size()
+        if size is None:
+            raise MissingParam("build needs --radius for infinite graphs")
+        # the BFS stops as soon as the graph is exhausted
+        spec = GraphSpec(spec.family, spec.factors, spec.generators, radius=size)
+    return ExperimentManifest(args.experiment, spec, params, args.out, args.format)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

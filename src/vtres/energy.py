@@ -666,14 +666,14 @@ def box_ball_resistance(offsets, factors, r: int,
     positive term by term on the small modes; 1 - cos, or 3^d -
     prod(1 + 2 cos), loses about eps r^2 relative in the smallest one, and
     a naive delta = a - 2|b| 1.5e-14 at r = 200 and 9e-13 at r = 1000 on
-    Z^2.  The caller vouches that B(r) is that product; ``axes`` are the
-    coordinates ``box_ball_separable`` returned, found from the offsets
-    when not given.
+    Z^2.  ``axes`` are the coordinates ``box_ball_separable`` returned for
+    this spec and r; when not given they are found by that check, and a
+    ball it refuses raises BadArguments.
     """
     if axes is None:
-        axes = _box_axes(offsets, factors, r)
+        axes = box_ball_separable(spec_explicit(factors, offsets), r)
         if axes is None:
-            raise BadArguments("generating set is not a box along an interval coordinate")
+            raise BadArguments(f"B({r}) is not a separable box ball")
     interval, cyclic, _ = axes
     d, outer = interval[0], interval[1:]
     moduli = [factors[j] for j in cyclic]
@@ -760,11 +760,13 @@ def max_resistance(g: Graph, p: float) -> tuple[float, tuple[int, int]]:
         v = int(np.argmax(r >= r.max() * (1 - 1e-12)))
         return float(r[v]), (0, v)
     if cayley:
-        ball = orbit_ball(spec_explicit(g.dims, g.offsets), g.n)
-        pairs = [(0, int(v)) for v in np.sort(np.ravel_multi_index(ball.coords.T, g.dims))[1:]]
-        if len(pairs) > PAIR_SOLVE_CAP:
+        # an orbit past the cap stops the BFS, before the rest of the ball
+        try:
+            ball = orbit_ball(spec_explicit(g.dims, g.offsets), g.n, PAIR_SOLVE_CAP + 1)
+        except SizeCapExceeded:
             raise SizeCapExceeded(
-                f"{len(pairs)} pair solves exceed cap {PAIR_SOLVE_CAP} for p={p}")
+                f"more than {PAIR_SOLVE_CAP} pair solves for p={p}") from None
+        pairs = [(0, int(v)) for v in np.sort(np.ravel_multi_index(ball.coords.T, g.dims))[1:]]
     else:
         if g.n > PAIR_SOLVE_CAP:
             raise SizeCapExceeded(f"{g.n} vertices exceeds cap {PAIR_SOLVE_CAP} for p={p}")

@@ -4,6 +4,11 @@ A manifest pins one experiment: the graph spec, the parameter record, and
 the output destination.  Running it produces a deterministic artifact
 directory; every output file embeds the manifest hash and tool version, so
 byte-identical manifests yield byte-identical artifacts.
+
+Each experiment is declared once, in ``_EXPERIMENTS`` at the bottom of the
+module: its runner, whether it needs a graph spec, and its parameter
+schema.  Manifest validation, emission and ``run`` read that entry, and the
+CLI builds a subcommand's flags from the same schema.
 """
 
 from __future__ import annotations
@@ -45,28 +50,6 @@ from .walks import RNG_NAME, escape_profile
 
 TOOL_VERSION = "vtres-0.1.0"
 
-EXPERIMENTS = ("resistance", "escape", "growth", "isoperimetry", "sandwich",
-               "table1", "sharpness_nw", "var_converse")
-
-# experiment -> {param: (type, required)}; unknown keys are rejected
-_PARAM_SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
-    "resistance": {"p": ("float_list", True), "r": ("int_list", False),
-                   "dump_potential": ("int", False)},
-    "escape": {"r": ("int_list", True), "trials": ("int", True), "seed": ("int", True)},
-    "growth": {},
-    "isoperimetry": {"max_n": ("int", False)},
-    "sandwich": {"p": ("float_list", True), "r_min": ("int", True),
-                 "r_max": ("int", True)},
-    "table1": {"n2": ("int_list", False), "n3": ("int_list", False),
-               "nlin": ("int_list", False), "eps": ("float", False)},
-    "sharpness_nw": {"p": ("float_list", True), "d": ("int_list", True),
-                     "k": ("int", False), "n": ("int_list", True)},
-    "var_converse": {"n": ("int", True), "r": ("int_list", True)},
-}
-
-_NEEDS_GRAPH = {"resistance", "escape", "growth", "isoperimetry", "sandwich",
-                "var_converse"}
-
 
 @dataclass(frozen=True)
 class ExperimentManifest:
@@ -77,11 +60,11 @@ class ExperimentManifest:
     out_format: str = "csv"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise BadArguments(f"unknown experiment {self.experiment!r}")
         if self.out_format not in ("csv", "structured-text", "plotdata"):
             raise BadArguments(f"unknown format {self.out_format!r}")
-        schema = _PARAM_SCHEMA[self.experiment]
+        _, needs_graph, schema = _EXPERIMENTS[self.experiment]
         for key in self.params:
             if key not in schema:
                 raise BadArguments(
@@ -97,7 +80,7 @@ class ExperimentManifest:
         for p in self.params.get("p", []):
             if not (math.isfinite(p) and p > 1):
                 raise BadArguments(f"p must be finite and > 1, got {p!r}")
-        if self.experiment in _NEEDS_GRAPH and self.graph is None:
+        if needs_graph and self.graph is None:
             raise BadArguments(f"{self.experiment} needs a graph spec")
 
 
@@ -110,15 +93,11 @@ def _check_type(key: str, value, typ: str) -> None:
         raise BadArguments(f"parameter {key!r} must have type {typ}")
 
 
-_PARAM_ORDER = ("p", "r", "r_min", "r_max", "n", "n2", "n3", "nlin", "d", "k",
-                "eps", "trials", "seed", "max_n", "dump_potential")
-
-
 def manifest_items(man: ExperimentManifest) -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = [("experiment", man.experiment)]
     if man.graph is not None:
         items.extend(graphspec_items(man.graph, prefix="graph."))
-    for key in _PARAM_ORDER:
+    for key in _EXPERIMENTS[man.experiment][2]:
         if key in man.params:
             v = man.params[key]
             items.append((f"params.{key}", list(v) if isinstance(v, list) else v))
@@ -505,19 +484,6 @@ def _run_var_converse(man: ExperimentManifest, size_cap: int):
     return [table], [], metrics, []
 
 
-# each runner returns (tables, reports, metrics, extra documents)
-_RUNNERS: dict[str, Callable] = {
-    "resistance": _run_resistance,
-    "escape": _run_escape,
-    "growth": _run_growth,
-    "isoperimetry": _run_isoperimetry,
-    "sandwich": _run_sandwich,
-    "table1": _run_table1,
-    "sharpness_nw": _run_sharpness_nw,
-    "var_converse": _run_var_converse,
-}
-
-
 def run(man: ExperimentManifest, base_dir: Optional[str] = None,
         size_cap: int = DEFAULT_SIZE_CAP) -> RunResult:
     """Execute a manifest and write its artifact directory.
@@ -528,7 +494,7 @@ def run(man: ExperimentManifest, base_dir: Optional[str] = None,
     """
     # hashing validates the manifest's values, so a bad one fails before the run
     man_hash = manifest_hash(man)
-    tables, reports, metrics, extra_docs = _RUNNERS[man.experiment](man, size_cap)
+    tables, reports, metrics, extra_docs = _EXPERIMENTS[man.experiment][0](man, size_cap)
     out_dir = os.path.join(base_dir, man.out_path) if base_dir else man.out_path
     files = emit(tables, man.out_format, out_dir, man_hash)
     for name, body in extra_docs:
@@ -553,3 +519,26 @@ def run(man: ExperimentManifest, base_dir: Optional[str] = None,
     files.append(summary_path)
     return RunResult(exit_code=1 if failed else 0, files=files,
                      reports=reports, metrics=metrics)
+
+
+# experiment -> (runner, needs a graph spec, {param: (type, required)}).  A
+# runner returns (tables, reports, metrics, extra documents); params not in
+# the schema are rejected, and a manifest lists them in schema order.
+_EXPERIMENTS: dict[str, tuple[Callable, bool, dict[str, tuple[str, bool]]]] = {
+    "resistance": (_run_resistance, True,
+                   {"p": ("float_list", True), "r": ("int_list", False),
+                    "dump_potential": ("int", False)}),
+    "escape": (_run_escape, True,
+               {"r": ("int_list", True), "trials": ("int", True), "seed": ("int", True)}),
+    "growth": (_run_growth, True, {}),
+    "isoperimetry": (_run_isoperimetry, True, {"max_n": ("int", False)}),
+    "sandwich": (_run_sandwich, True,
+                 {"p": ("float_list", True), "r_min": ("int", True), "r_max": ("int", True)}),
+    "table1": (_run_table1, False,
+               {"n2": ("int_list", False), "n3": ("int_list", False),
+                "nlin": ("int_list", False), "eps": ("float", False)}),
+    "sharpness_nw": (_run_sharpness_nw, False,
+                     {"p": ("float_list", True), "n": ("int_list", True),
+                      "d": ("int_list", True), "k": ("int", False)}),
+    "var_converse": (_run_var_converse, True, {"r": ("int_list", True), "n": ("int", True)}),
+}

@@ -77,6 +77,17 @@ def test_single_cutset_gives_reciprocal_size():
         assert abs(nash_williams_bound(fam, p) - 0.25) < 1e-12
 
 
+def test_cutset_sizes_must_be_multiplicity_sums():
+    # a size below its cutset's multiplicity sum would lift the bound above
+    # the true R_2 = 0.25 of one edge of multiplicity 4
+    graph = from_edge_list(2, [(0, 1, 4)])
+    for sizes in ((1.0,), (4.0, 4.0), ()):
+        fam = CutsetFamily(cutsets=(((0, 1, 4),),), sizes=sizes, graph=graph,
+                           source=(0,), ground=(1,))
+        with pytest.raises(InvalidCutsets, match="sizes are not their multiplicity sums"):
+            nash_williams_bound(fam, 2.0)
+
+
 def test_nash_williams_below_exact_z2():
     b = build_ball(spec_lattice(2), 6)
     fam = sphere_cutsets(b, 5)
@@ -203,6 +214,8 @@ def _validate_cutsets_loop(family):
                           banned_edges=np.array(sorted(pairs)).reshape(-1, 2))
         if any(dist[g] >= 0 for g in family.ground):
             return "a cutset fails to separate source from ground"
+    if family.sizes != tuple(sum(m for _, _, m in c) for c in family.cutsets):
+        return "cutset sizes are not their multiplicity sums"
     return None
 
 
@@ -244,7 +257,7 @@ def test_validate_cutsets_matches_loop_reference():
             with pytest.raises(InvalidCutsets) as info:
                 validate_cutsets(bad)
             assert str(info.value) == want, trial
-    assert len(seen_kinds) == 6
+    assert len(seen_kinds) == 7
 
 
 def _sphere_cutsets_loop(ball, r):

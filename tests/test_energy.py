@@ -345,7 +345,8 @@ def test_max_resistance_caps(monkeypatch):
     assert len(calls) == 35
     calls.clear()
     monkeypatch.setattr(energy, "PAIR_SOLVE_CAP", 34)
-    with pytest.raises(SizeCapExceeded, match="35 pair solves exceed cap 34"):
+    # the 36th orbit passes the orbit ball's cap of 35, so no pair is solved
+    with pytest.raises(SizeCapExceeded, match=r"more than 34 pair solves for p=3\.0"):
         max_resistance(g, 3.0)
     assert calls == []
     t4 = build_cayley_graph(spec_torus(4, 4))
@@ -884,6 +885,17 @@ def test_box_ball_mode_sum_caps_its_terms():
 def test_box_ball_mode_sum_rejects_non_box_offsets():
     with pytest.raises(BadArguments):
         box_ball_resistance(tuple(KNIGHT), (None, None), 3)
+
+
+def test_box_ball_mode_sum_without_axes_checks_the_cover():
+    # Z x C10 with C10 steps +-3 is a box, but B(r) covers C10 only from
+    # r = 5 on; below that the mode sum would answer for a ball it is not
+    offsets = spec_offsets(Z_C10_STEP3)
+    with pytest.raises(BadArguments):
+        box_ball_resistance(offsets, Z_C10_STEP3.factors, 2)
+    exact = p_resistance(dirichlet_problem(build_ball(Z_C10_STEP3, 6), 5), 2.0).resistance
+    value = box_ball_resistance(offsets, Z_C10_STEP3.factors, 5)
+    assert abs(value - exact) <= 1e-12 * exact
 
 
 SKEW = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]

@@ -50,13 +50,6 @@ def test_manifest_round_trip():
     assert emit_manifest(parse_manifest(emit_manifest(man))) == emit_manifest(man)
 
 
-def test_every_schema_param_serializes():
-    from vtres.manifest import _PARAM_ORDER, _PARAM_SCHEMA
-    for experiment, schema in _PARAM_SCHEMA.items():
-        missing = set(schema) - set(_PARAM_ORDER)
-        assert not missing, (experiment, missing)
-
-
 def test_round_trip_with_every_param():
     man = ExperimentManifest(
         "resistance", spec_lattice(2),
@@ -428,7 +421,9 @@ def test_cli_bad_out_fails_before_the_run(monkeypatch, capsys, tmp_path):
     def unreachable(*args, **kwargs):
         raise AssertionError("the runner ran before --out was checked")
 
-    monkeypatch.setitem(vtres.manifest._RUNNERS, "resistance", unreachable)
+    _, needs_graph, schema = vtres.manifest._EXPERIMENTS["resistance"]
+    monkeypatch.setitem(vtres.manifest._EXPERIMENTS, "resistance",
+                        (unreachable, needs_graph, schema))
     rc = main(["resist", "--family", "explicit", "--factors", "inf,inf",
                "--generators", "box", "--p", "1.5", "--r", "2",
                "--out", str(tmp_path / "a,b")])
@@ -445,7 +440,10 @@ def test_cli_malformed_lists_are_bad_arguments(capsys, tmp_path):
                  ("resist", *torus, "--factors", "8,x", "--p", "2"),
                  ("escape", *torus, "--factors", "8", "--r", "1:2:3"),
                  ("repro", "var-converse", "--family", "z_times_torus",
-                  "--factors", "inf,3,3", "--generators", "box", "--n", "4", "--r", "")):
+                  "--factors", "inf,3,3", "--generators", "box", "--n", "4", "--r", ""),
+                 # an empty optional list is refused, not read as a missing flag
+                 ("resist", *torus, "--factors", "6,6", "--p", "2", "--r", ""),
+                 ("repro", "table1", "--nlin", "")):
         assert main([*args, "--out", str(tmp_path)]) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error.type = BadArguments"), (args, err)
@@ -599,3 +597,117 @@ def test_benchmark_hooks_exist():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_T6 = ("--family", "torus_product", "--factors", "6,6", "--generators", "box")
+_Z2_R9 = ("--family", "explicit", "--factors", "inf,inf", "--generators", "box",
+          "--radius", "9")
+_ZT33 = ("--family", "z_times_torus", "--factors", "inf,3,3", "--generators", "box")
+_GLOBALS = ("--out", "arts", "--format", "structured-text", "--size-cap", "4000")
+# subcommand -> (argv with defaults, argv with every flag); the files g.spec
+# and m.txt are written by the test
+_EMIT_CASES = {
+    "build": (("build", *_T6), ("build", *_Z2_R9, *_GLOBALS)),
+    "resist": (("resist", *_T6, "--p", "2"),
+               ("resist", *_Z2_R9, "--p", "2,3.5", "--r", "1:3,6", *_GLOBALS)),
+    "resist-spec": (("resist", "--spec", "g.spec", "--p", "3"),
+                    ("resist", "--spec", "g.spec", "--p", "3", "--r", "2", *_GLOBALS)),
+    "escape": (("escape", *_T6, "--r", "1:2"),
+               ("escape", *_Z2_R9, "--r", "1,4", "--trials", "500", *_GLOBALS)),
+    "growth": (("growth", *_T6), ("growth", *_Z2_R9, *_GLOBALS)),
+    "iso": (("iso", *_T6), ("iso", *_T6, "--radius", "3", "--max-n", "12", *_GLOBALS)),
+    "verify": (("verify", *_T6, "--r-max", "2"),
+               ("verify", *_Z2_R9, "--p", "2,3", "--r-min", "1", "--r-max", "6",
+                *_GLOBALS)),
+    "table1": (("repro", "table1"),
+               ("repro", "table1", "--n2", "8", "--n3", "6", "--nlin", "8,16",
+                "--eps", "0.25", *_GLOBALS)),
+    "sharpness": (("repro", "sharpness"),
+                  ("repro", "sharpness", "--p", "2,3", "--d", "1,2", "--k", "2",
+                   "--n", "6,8", *_GLOBALS)),
+    "var-converse": (("repro", "var-converse", *_ZT33, "--n", "4", "--r", "8,12"),
+                     ("repro", "var-converse", *_ZT33, "--radius", "20", "--n", "4",
+                      "--r", "8:10", *_GLOBALS)),
+    "run": (("run", "m.txt"), ("run", "m.txt", *_GLOBALS)),
+}
+_EMIT_DIGESTS = {
+    ("build", "defaults"): "f3bb535342144b9a5b91a5c344e8bee14819117e9a07e8a43fc747a6b47e15bf",
+    ("build", "full"): "864ec433877fbb5ee89f6f588d4552f41f9cf538eb334f030e0e158497254e21",
+    ("resist", "defaults"): "f6854bd1f378626aa3603be99150c86c688c171623b2cbfa3f55c4fe94a3a994",
+    ("resist", "full"): "cf296608f3c5bdc98f429c86a28585527d94b4e725194b382a5aa256a8004c7c",
+    ("escape", "defaults"): "cdcc9709a0e2c7f367e2a7a38181428d696f66787f12d299fb80f71e0093b533",
+    ("escape", "full"): "8751f666e1af2aa77030bf8135d7bf42f37e9cc9cd2e7872df9a86964d46cdba",
+    ("growth", "defaults"): "6b3e32a92068b0747675f8cc1618634a1808b6b1e7e77a10ad7298107271b0d4",
+    ("growth", "full"): "864ec433877fbb5ee89f6f588d4552f41f9cf538eb334f030e0e158497254e21",
+    ("iso", "defaults"): "480ee790661404ebbe783c36a93e9726bb0492b3954f59b727e741f2cfe1e774",
+    ("iso", "full"): "53338e3cbdd513138ea79d9b43a245ecce093b30bc29af234961697df00eea60",
+    ("verify", "defaults"): "c14f16e9e1d325f1f37c9a299977f8f88197e4038fec682a47729a4d424b9acd",
+    ("verify", "full"): "ba31000d84b11867a524f4336a5dc9b9a20bea4cf6104b8592cee609064cf462",
+    ("table1", "defaults"): "8e97119a53d700bdb8b47409e130983562950ab2419f354c732776895729a34a",
+    ("table1", "full"): "862735554d8833a312c9845cb0c0a3825cd5bbb31bcc4246c23b660cd14d0ca1",
+    ("sharpness", "defaults"):
+        "f6b7c87b9a2a575f590c083c1c1d22654961b407362f9160bb2d672370dc553c",
+    ("sharpness", "full"): "1c48cd50505c9a7595e770bb327ae0762e82a7e5f7860d39675e784cef35e31b",
+    ("var-converse", "defaults"):
+        "be0b2019c8ea4b95a2c6de71ad470ccdc3775bf9b35b168509f7f8f593a3d2f2",
+    ("var-converse", "full"):
+        "f35c8428e589f95bb30cd5bb15d4ebe12975a4cd52470220f554aeaa6fef06d6",
+    ("resist-spec", "defaults"):
+        "36ffda92b8d430ff764d0e5174820360f17392628831e3d8d00ab1a3c4f12a5f",
+    ("resist-spec", "full"):
+        "1564c61637d1447595d22a976d9ae3e4a0d61051c4a6bd279ce153de5d3c3b5d",
+    # the manifest file's output record wins over the global flags
+    ("run", "defaults"): "471c622ac29ec9e73db36e54f3b782be255cb6aeeae50db232a8a1d19e35fc83",
+    ("run", "full"): "471c622ac29ec9e73db36e54f3b782be255cb6aeeae50db232a8a1d19e35fc83",
+}
+
+
+def _emit_files(directory):
+    """Write the spec and manifest files the ``_EMIT_CASES`` argv name."""
+    (directory / "g.spec").write_text(
+        "family = cyclic_chords\nfactors = [12]\ngenerators = chords:3\nradius = 4\n")
+    man = ExperimentManifest("var_converse", spec_z_times_torus(3, 3), {"n": 4, "r": [8]})
+    (directory / "m.txt").write_text(emit_manifest(man))
+
+
+def _emitted(capsys, argv):
+    from vtres.cli import main
+    assert main([*argv, "--emit-manifest"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+@pytest.mark.parametrize("kind", ["defaults", "full"])
+@pytest.mark.parametrize("name", sorted(_EMIT_CASES))
+def test_cli_emitted_manifests_are_golden(monkeypatch, capsys, tmp_path, name, kind):
+    # pins the manifest every subcommand builds from its flags, hence its
+    # hash; the global --seed goes before the subcommand with the defaults
+    # and after it with every flag
+    for var in [v for v in os.environ if v.startswith("VTRES_")]:
+        monkeypatch.delenv(var)
+    monkeypatch.chdir(tmp_path)
+    _emit_files(tmp_path)
+    defaults, full = _EMIT_CASES[name]
+    out = _emitted(capsys, ["--seed", "3", *defaults] if kind == "defaults"
+                   else [*full, "--seed", "5"])
+    assert hashlib.sha256(out.encode()).hexdigest() == _EMIT_DIGESTS[name, kind]
+
+
+def test_every_experiment_is_reached_and_round_trips(monkeypatch, capsys, tmp_path):
+    # every declared experiment has a subcommand, and the manifest it emits
+    # parses back to itself, also through `run`
+    from vtres.cli import _COMMANDS, _REPRO_COMMANDS
+    from vtres.manifest import _EXPERIMENTS
+    monkeypatch.chdir(tmp_path)
+    _emit_files(tmp_path)
+    assert set(_EMIT_CASES) - {"resist-spec", "run"} == {*_COMMANDS, *_REPRO_COMMANDS}
+    reached = set()
+    for name, (defaults, _) in _EMIT_CASES.items():
+        text = _emitted(capsys, defaults)
+        man = parse_manifest(text)
+        reached.add(man.experiment)
+        assert emit_manifest(man) == text, name
+        (tmp_path / "again.txt").write_text(text)
+        assert _emitted(capsys, ["run", "again.txt"]) == text, name
+    assert reached == set(_EXPERIMENTS)
