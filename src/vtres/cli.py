@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="vtres", parents=[common])
     sp = ap.add_subparsers(dest="command", required=True)
     _add_commands(sp, _COMMANDS, common)
-    rp = sp.add_parser("repro", help="reproduce the sharpness-example computations")
+    rp = sp.add_parser("repro", parents=[common],
+                       help="reproduce the sharpness-example computations")
     _add_commands(rp.add_subparsers(dest="repro_kind", required=True),
                   _REPRO_COMMANDS, common)
     rn = sp.add_parser("run", parents=[common], help="run a manifest file")

@@ -5,15 +5,23 @@ by Monte Carlo and cross-checked against 1/(deg(x) * R_2(x <-> Y)).
 
 Randomness comes from numpy's Philox generator, a named, versioned 64-bit
 counter-based RNG, so runs are bit-reproducible across platforms.  Trials
-are split into fixed-size chunks with per-chunk derived keys; chunks are
-reduced in index order, which keeps results deterministic no matter how the
-chunks might be scheduled.
+are split into fixed-size chunks of ``CHUNK`` walks with per-chunk derived
+keys, so each chunk's stream depends on nothing but the seed and its index.
 
 Stream contract, which every seeded table depends on: within a chunk, each
 step draws one uniform u per live walk, in walk order (finished walks drop
 out, the rest keep their order), and a walk at v moves to slot floor(u*deg(v))
 of v's neighbour row, which lists each neighbour ``mult`` times in CSR order.
 All three estimators run the one kernel ``_walk``.
+
+``_walk`` steps several chunks at once: a pool of about 1.25 chunks of live
+walks takes in the next chunk whenever it has room, and every step each
+live chunk draws its uniforms from its own generator into its own slice of
+one buffer.  Interleaving chunks this way changes no draw, because a chunk
+never reads another chunk's generator and its draws still go to its own
+live walks in walk order, and a step cap counts a chunk's own steps.  So
+the per-chunk stream contract above is unchanged, and since counts are sums
+over walks, the order in which chunks finish does not matter either.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .errors import BadArguments, EmptySet, RadiusTooSmall
 from .graphs import BallGraph, Graph, dirichlet_problem
 
 CHUNK = 16384
+POOL = CHUNK + CHUNK // 4  # live walks stepped together, from one or more chunks
 RNG_NAME = "philox4x64"
 _TABLE_CELL_CAP = 100_000_000
 
@@ -58,20 +67,37 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chunk]))
 
 
-def _walk(g: Graph, start: int, score: np.ndarray, stop: np.ndarray, trials: int,
-          seed: int, step_cap: float = math.inf) -> tuple[np.ndarray, int]:
-    """Run ``trials`` walks from ``start`` until each steps onto a ``stop``
-    vertex or back onto ``start``.
+def _walk(g: Graph, start: int, score: np.ndarray, trials: int, seed: int,
+          step_cap: float = math.inf) -> tuple[np.ndarray, int]:
+    """Run ``trials`` walks from ``start`` until each steps onto a vertex of
+    the largest ``score`` or back onto ``start``, whose score must be 0.
 
     Returns ``(counts, censored)``: ``counts[k]`` walks ended with k as the
-    largest nonnegative ``score`` of a vertex they stepped onto, and
-    ``censored`` walks were still running after ``step_cap`` steps.
+    largest ``score`` of a vertex they stepped onto, and ``censored`` walks
+    were still running after ``step_cap`` steps of their chunk.
 
-    A walk's state is the first slot ``v*W`` of its vertex's row in the
-    flattened neighbour table of width W.  Per-slot copies of the target's
-    row start, score and stop flag make a step three gathers.  The degree is a
-    scalar when every vertex a walk can step from has the same one (always so
-    on a ball, whose walks stop before the boundary), else it is per walk.
+    The vertices are renumbered by score, the start first, and a walk's
+    state is the first slot ``v*W`` of its vertex's row in the flattened
+    neighbour table of width W, so the score is nondecreasing in the state.
+    A step onto the start lands on the sentinel -1 instead: read as an
+    unsigned number it lies above every state, read as a signed one below.
+    So a walk is done once its unsigned state is at least ``stop_at``, the
+    first state of the largest score, and ``best``, the largest signed state
+    it visited, gives its score, a return leaving it as it was.  A step is
+    one gather, with no per-slot score or stop flag.  The degree is a scalar
+    when every vertex a walk can step from has the same one (always so on a
+    ball, whose walks stop before the boundary), else it is per walk and is
+    gathered and compacted with the state.
+
+    The chunks are stepped side by side in one pool of at most ``POOL``
+    live walks, which takes in the next chunk, with its own generator,
+    whenever it has room for all of it.  The pool holds the live chunks in
+    chunk order and each chunk's live walks in walk order.  Each step, every
+    live chunk fills its own slice of one draw buffer with one uniform per
+    live walk; the scale, truncation, gather, stop test and compaction then
+    run once over the pool.  A chunk's walks therefore get exactly the draws
+    they would get if the chunk ran alone, and its own age, not the pool's,
+    decides when it is censored.
     """
     deg = g.degree
     if deg[start] == 0:
@@ -79,43 +105,72 @@ def _walk(g: Graph, start: int, score: np.ndarray, stop: np.ndarray, trials: int
     width = int(deg.max())
     if g.n * width > _TABLE_CELL_CAP:
         raise BadArguments("graph too large for the walk neighbour table")
-    nxt = np.zeros(g.n * width, dtype=np.int64)
-    rows = np.repeat(np.arange(g.n), deg)
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
-    nxt[rows * width + rank] = np.repeat(g.nbr, g.mult)
     top = int(score.max())
-    score_e = score.astype(np.min_scalar_type(top))[nxt]
-    stop_e = stop[nxt] | (nxt == start)
-    movable = deg[~stop | (np.arange(g.n) == start)]
+    order = np.argsort(np.where(np.arange(g.n) == start, -1, score), kind="stable")
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
+    rows = np.repeat(np.arange(g.n), deg)
+    cell = rank[rows] * width + np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    target = np.repeat(g.nbr, g.mult)
+    nxt = np.zeros(g.n * width, dtype=np.int32)  # states stay below 2**31: the table is capped
+    nxt[cell] = np.where(target == start, -1, rank[target] * width)
+    level = score[order].astype(np.int64)
+    stop_at = int(np.searchsorted(level, top)) * width
+    movable = deg[(score < top) | (np.arange(g.n) == start)]
     regular = movable.min() == movable.max()
-    deg_e = None if regular else deg[nxt]
-    nxt *= width
+    if not regular:
+        deg_e = np.zeros(g.n * width, dtype=deg.dtype)
+        deg_e[cell] = deg[target]
     counts = np.zeros(top + 1, dtype=np.int64)
-    censored = 0
-    for chunk, first in enumerate(range(0, trials, CHUNK)):
-        rng = _chunk_rng(seed, chunk)
-        s = np.full(min(CHUNK, trials - first), start * width, dtype=np.int64)
-        best = np.zeros(s.size, dtype=score_e.dtype)
-        d = deg[start] if regular else np.full(s.size, deg[start])
-        steps = 0
-        while s.size and steps < step_cap:
-            u = rng.random(s.size)
-            u *= d
-            e = u.astype(np.int64)
-            e += s
-            s = nxt[e]
-            np.maximum(best, score_e[e], out=best)
-            done = stop_e[e]
+    u = np.empty(POOL)
+    s = best = np.zeros(0, dtype=np.int32)
+    d = deg[start] if regular else np.zeros(0, dtype=deg.dtype)
+    live = []  # [generator, live walks, step it joined at] per chunk, in chunk order
+    n_chunks = -(-trials // CHUNK)
+    chunk = steps = censored = 0
+    while live or chunk < n_chunks:
+        while chunk < n_chunks:
+            size = min(CHUNK, trials - chunk * CHUNK)
+            if s.size + size > POOL:
+                break
+            live.append([_chunk_rng(seed, chunk), size, steps])
+            fresh = np.zeros(size, dtype=np.int32)
+            s, best = np.concatenate((s, fresh)), np.concatenate((best, fresh))
             if not regular:
-                d = deg_e[e]
-            steps += 1
-            if np.count_nonzero(done):
-                counts += np.bincount(best[done], minlength=top + 1)
-                keep = ~done
-                s, best = s[keep], best[keep]
-                if not regular:
-                    d = d[keep]
-        censored += s.size
+                d = np.concatenate((d, np.full(size, deg[start])))
+            chunk += 1
+        while live and steps - live[0][2] >= step_cap:
+            size = live.pop(0)[1]
+            censored += size
+            s, best = s[size:], best[size:]
+            if not regular:
+                d = d[size:]
+        firsts, first = [], 0
+        for rng, size, _ in live:
+            firsts.append(first)
+            rng.random(out=u[first:first + size])
+            first += size
+        e = u[:first]
+        e *= d
+        e = e.astype(np.int64)
+        e += s
+        s = nxt[e]
+        if not regular:
+            d = deg_e[e]
+        steps += 1
+        np.maximum(best, s, out=best)
+        done = s.view(np.uint32) >= stop_at
+        ended = done.nonzero()[0]
+        if ended.size:
+            counts += np.bincount(level[best[ended] // width], minlength=top + 1)
+            # a chunk's done walks lie between its first slot and the next chunk's
+            for c, gone in zip(live, np.diff(np.searchsorted(ended, firsts + [first])).tolist()):
+                c[1] -= gone
+            live = [c for c in live if c[1]]
+            keep = ~done
+            s, best = s[keep], best[keep]
+            if not regular:
+                d = d[keep]
     return counts, censored
 
 
@@ -149,8 +204,7 @@ def escape_profile(ball: BallGraph, r_max: int, trials: int, seed: int) -> list[
         raise RadiusTooSmall(f"need ball radius >= {r_max}, have {ball.radius}")
     if r_max > ball.layer[-1]:
         raise EmptySet(f"sphere S(x, {r_max}) is empty: the graph ends at layer {ball.layer[-1]}")
-    counts, _ = _walk(ball.base, ball.center, np.minimum(ball.layer, r_max),
-                      ball.layer >= r_max, trials, seed)
+    counts, _ = _walk(ball.base, ball.center, np.minimum(ball.layer, r_max), trials, seed)
     # walks with max layer >= r escaped S(x, r)
     tail = np.cumsum(counts[::-1])[::-1]
     return [_estimate(int(tail[r]), trials, seed) for r in range(1, r_max + 1)]
@@ -190,7 +244,7 @@ def hit_before_return(g: Graph, x: int, Y, trials: int, seed: int,
         step_cap = 100 * g.n * g.n
     in_y = np.zeros(g.n, dtype=bool)
     in_y[y_ids] = True
-    counts, censored = _walk(g, x, in_y, in_y, trials, seed, step_cap)
+    counts, censored = _walk(g, x, in_y, trials, seed, step_cap)
     if censored:
         warnings.warn(f"{censored} walks exceeded the step cap and were censored",
                       stacklevel=2)

@@ -694,6 +694,16 @@ def test_cli_emitted_manifests_are_golden(monkeypatch, capsys, tmp_path, name, k
     assert hashlib.sha256(out.encode()).hexdigest() == _EMIT_DIGESTS[name, kind]
 
 
+def test_cli_global_flags_between_repro_and_its_kind(monkeypatch, capsys, tmp_path):
+    # a global flag may also sit between `repro` and the kind
+    monkeypatch.chdir(tmp_path)
+    want = _emitted(capsys, ["repro", "table1", "--seed", "3"])
+    assert _emitted(capsys, ["repro", "--seed", "3", "table1"]) == want
+    want = _emitted(capsys, ["repro", "table1", "--out", "o"])
+    assert _emitted(capsys, ["repro", "--out", "o", "table1"]) == want
+    assert parse_manifest(want).out_path == "o"
+
+
 def test_every_experiment_is_reached_and_round_trips(monkeypatch, capsys, tmp_path):
     # every declared experiment has a subcommand, and the manifest it emits
     # parses back to itself, also through `run`

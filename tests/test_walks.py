@@ -270,6 +270,52 @@ def test_hit_before_return_matches_loop_reference(c8, case, x, Y, step_cap):
     assert got == want
 
 
+# --- the pool: chunks join it at different steps, each with its own stream ---
+
+@pytest.mark.parametrize("spec, radius, trials, seed", [
+    (spec_lattice(2), 6, 3 * CHUNK + 5, 32),      # partial last chunk, staggered joins
+    (spec_lattice(3), 4, CHUNK - 1, 33),          # a single partial chunk
+    (spec_cycle(20), 5, 1000, 34),
+])
+def test_escape_pool_matches_loop_reference(spec, radius, trials, seed):
+    b = build_ball(spec, radius)
+    assert escape_profile(b, radius, trials, seed) == _ref_escape_profile(b, radius, trials, seed)
+
+
+@pytest.mark.parametrize("case, x, Y, trials, step_cap", [
+    # on C8 a chunk outlives the next one's joining, so chunks are censored
+    # at their own ages while later ones keep walking
+    ("c8", 0, [4], 3 * CHUNK + 5, 8),
+    ("c8", 0, [4], 3 * CHUNK + 5, 10),
+    # per-walk degrees are compacted along with the pool
+    ("irregular", 0, [3], 2 * CHUNK + 7, 100 * 25),
+    ("irregular", 4, [1, 2], 2 * CHUNK + 7, 3),
+    ("irregular", 0, [3], 999, 100 * 25),
+])
+def test_hit_before_return_pool_matches_loop_reference(c8, case, x, Y, trials, step_cap):
+    g = {"c8": c8, "irregular": _irregular_graph()}[case]
+    want = _ref_hit_before_return(g, x, Y, trials, 35, step_cap)
+    if want.censored:
+        with pytest.warns(UserWarning):
+            got = hit_before_return(g, x, Y, trials, 35, step_cap=step_cap)
+    else:
+        got = hit_before_return(g, x, Y, trials, 35, step_cap=step_cap)
+    assert got == want
+
+
+def test_walk_pool_memory_is_bounded():
+    # the pool holds about 1.25 chunks of walks, however many trials run
+    import tracemalloc
+    b = build_ball(spec_lattice(2), 4)
+    tracemalloc.start()
+    try:
+        escape_profile(b, 4, 16 * CHUNK, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_escape_profile_stream_is_pinned():
     # hit counts recorded with the per-estimator loops; any change to the
     # draw order or the slot rule of the walk stream changes them
