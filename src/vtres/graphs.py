@@ -14,12 +14,15 @@ multiplicities so that terminal collapsing is exact.
 
 Every two-terminal problem, and ``prefix_subgraph``, is one contraction
 (``_contract``) of a label per vertex.  Balls come from one layered BFS
-over keys.  ``orbit_ball`` runs it over orbit representatives, the least
-keys under the signed coordinate permutations that fix vertex 0 and
-preserve the generating set (``_symmetry_group``); ``build_ball`` over the
-identity.  The orbits keep layers, so the problem builders run on an orbit
-ball unchanged, and its layer and cut edge counts are the full ball's: all
-but the per-vertex experiments read one.  On a finite group a key is a
+over keys, a few array passes per layer (``_layered_ball``): a neighbour's
+key is the key plus the step's, corrected where a finite digit wraps, and
+a new layer is what its neighbours leave of the two layers before.
+``orbit_ball`` runs it over orbit representatives, the least keys under
+the signed coordinate permutations that fix vertex 0 and preserve the
+generating set (``_symmetry_group``); ``build_ball`` over the identity.
+The orbits keep layers, so the problem builders run on an orbit ball
+unchanged, and its layer and cut edge counts are the full ball's: all but
+the per-vertex experiments read one.  On a finite group a key is a
 vertex id, so an orbit ball past the diameter lists each orbit's least id.
 """
 
@@ -453,22 +456,23 @@ def _key_box(moduli: Sequence[Optional[int]], reach: np.ndarray) -> tuple[np.nda
     return np.where(finite, 0, -reach), width, strides
 
 
-IMAGE_BLOCK = 1 << 21  # image keys per numpy pass of _least_images
+IMAGE_BLOCK = 1 << 21  # image keys per product of _least_images
 
 
-def _least_images(box: tuple[np.ndarray, ...], group: np.ndarray,
-                  coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least key in the ``group`` orbit of each row of ``coords``, and
-    the number of elements sending the row there: its stabilizer's order."""
+def _least_images(box: tuple[np.ndarray, ...], place: np.ndarray,
+                  keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least key in the orbit of each of ``keys``, and the number of
+    group elements sending it there: its stabilizer's order.  Column g of
+    ``place`` holds strides[k] in row group[g, k], so the digits of x and -x
+    times ``place`` are the keys of x's images, one column per element."""
     lo, width, strides = box
-    # row j holds the digit of x_j, row d + j that of -x_j
-    columns = (np.concatenate([coords - lo, -coords - lo], axis=1) % np.tile(width, 2)).T
-    least, fixing = np.empty((2, len(coords)), dtype=np.int64)
-    step = max(1, IMAGE_BLOCK // len(group))
-    for i in range(0, len(coords), step):
-        keys = sum(columns[group[:, k], i:i + step] * strides[k] for k in range(len(lo)))
-        least[i:i + step] = keys.min(axis=0)
-        fixing[i:i + step] = (keys == least[i:i + step]).sum(axis=0)
+    least, fixing = np.empty((2, len(keys)), dtype=np.int64)
+    step = max(1, IMAGE_BLOCK // place.shape[1])
+    for i in range(0, len(keys), step):
+        digits = keys[i:i + step, None] // strides % width
+        images = np.concatenate([digits, (-digits - 2 * lo) % width], axis=1) @ place
+        least[i:i + step] = images.min(axis=1)
+        fixing[i:i + step] = (images == least[i:i + step, None]).sum(axis=1)
     return least, fixing
 
 
@@ -524,29 +528,41 @@ def orbit_ball(spec: GraphSpec, radius: int, size_cap: int = DEFAULT_SIZE_CAP) -
 
 
 def _layered_ball(spec: GraphSpec, radius: int, size_cap: int, group: np.ndarray) -> BallGraph:
-    """Layered BFS of B(radius) over the least keys of ``group``'s orbits."""
+    """Layered BFS of B(radius) over the least keys of ``group``'s orbits.
+
+    Each layer is a few array passes: its neighbour keys by addition, one
+    ``unique``, for a nontrivial group one ``_least_images`` product and
+    one more ``unique``, then two ``searchsorted`` membership tests.  The
+    key of x + s is key + s.strides less m.stride_k for each finite digit
+    that leaves [0, m), which a canonical step does at most once; a Z digit
+    spans every coordinate within radius + 1 steps, so it never wraps, and
+    an int64 overflow on the way cancels, as the true key is below 2^63.
+    A step from layer L lands in layer L - 1, L or L + 1, so removing the
+    two sorted layers before leaves exactly layer L + 1.
+    """
     if radius < 0:
         raise BadArguments("radius must be >= 0")
     offsets = np.asarray(spec.offsets, dtype=np.int64)
-    # a Z digit spans every coordinate within radius + 1 steps, so that exit
-    # neighbours of the top layer get keys of their own instead of aliasing
     lo, width, strides = box = _key_box(spec.factors, np.abs(offsets).max(axis=0) * (radius + 1))
+    place = np.zeros((2 * len(lo), len(group)), dtype=np.int64)
+    place[group.T, np.arange(len(group))] = strides[:, None]
+    wraps = [(k, width[k] - offsets[:, k], width[k] * strides[k])
+             for k, m in enumerate(spec.factors) if m is not None]
 
-    def decode(keys: np.ndarray) -> np.ndarray:
-        return keys[:, None] // strides % width
-
-    def neighbours(keys: np.ndarray) -> np.ndarray:  # least keys of key + s, one row per s
-        digits = decode(keys)
-        out = np.array([(digits + s) % width @ strides for s in offsets])
-        if len(group) > 1:
-            distinct, inverse = np.unique(out, return_inverse=True)
-            out = _least_images(box, group, decode(distinct) + lo)[0][inverse.reshape(out.shape)]
+    def neighbours(keys: np.ndarray) -> np.ndarray:  # key of key + s, one column per s
+        out = keys[:, None] + offsets @ strides
+        for k, limit, carry in wraps:
+            out -= (keys[:, None] // strides[k] % width[k] >= limit) * carry
         return out
 
     layers = [-lo[None, :] @ strides]
     while len(layers) <= radius:
-        reached = np.unique(neighbours(layers[-1]))
-        nxt = np.setdiff1d(reached, np.concatenate(layers[-2:]), assume_unique=True)
+        nxt = np.unique(neighbours(layers[-1]))
+        if len(group) > 1:
+            nxt = np.unique(_least_images(box, place, nxt)[0])
+        for prev in layers[-2:]:
+            pos = np.minimum(np.searchsorted(prev, nxt), prev.size - 1)
+            nxt = nxt[prev[pos] != nxt]
         if not nxt.size:
             break  # graph exhausted below the requested radius
         if sum(map(len, layers)) + nxt.size > size_cap:
@@ -557,14 +573,17 @@ def _layered_ball(spec: GraphSpec, radius: int, size_cap: int, group: np.ndarray
     n, deg = keys.size, len(offsets)
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
-    # neighbour ids, one row per offset; n marks one outside the ball
-    table = neighbours(keys)
-    for row in table:
-        pos = np.minimum(np.searchsorted(sorted_keys, row), n - 1)
-        row[:] = np.where(sorted_keys[pos] == row, by_key[pos], n)
-    table = np.ascontiguousarray(table.T)
+
+    def ids(found: np.ndarray) -> np.ndarray:  # id of each key's orbit, n if outside the ball
+        if len(group) > 1:  # one image per distinct key
+            distinct, inverse = np.unique(found, return_inverse=True)
+            found = _least_images(box, place, distinct)[0][inverse.reshape(found.shape)]
+        pos = np.minimum(np.searchsorted(sorted_keys, found), n - 1)
+        return np.where(sorted_keys[pos] == found, by_key[pos], n)
+
+    table = ids(neighbours(keys))  # one row per vertex, one column per offset
     exit_degree = (table == n).sum(axis=1, dtype=np.int64)
-    coords = decode(keys) + lo
+    coords = keys[:, None] // strides % width + lo
     if len(group) == 1:
         size = np.ones(n, dtype=np.int64)
         table.sort(axis=1)
@@ -573,7 +592,7 @@ def _layered_ball(spec: GraphSpec, radius: int, size_cap: int, group: np.ndarray
         indptr[1:] = np.cumsum(deg - exit_degree)
         base = Graph(n, indptr, nbr, np.ones(nbr.size, dtype=np.int64))
     else:
-        size = len(group) // _least_images(box, group, coords)[1]
+        size = len(group) // _least_images(box, place, keys)[1]
         # slot (a, s) of A's least member a stands for |A| edges, one per member
         u, v = np.repeat(np.arange(n), deg), table.reshape(-1)
         once = (u < v) & (v < n)

@@ -20,8 +20,6 @@ from vtres.errors import BadArguments
 from vtres.graphs import (
     Graph,
     _contract,
-    _key_box,
-    _least_images,
     _symmetry_candidates,
     _symmetry_group,
     from_edge_list,
@@ -75,10 +73,16 @@ def reference_stabilizer_maps(ball):
 
 def reference_stabilizer_orbits(g):
     """The smallest vertex id in each vertex's orbit under ``_symmetry_group``,
-    automorphisms of the CayleyGraph g fixing 0: its least image, as a
-    vertex id is a key.  Forms every image of every vertex, |G| n keys."""
-    digits = np.stack(np.unravel_index(np.arange(g.n), g.dims), axis=1)
-    return _least_images(_key_box(g.dims, 0), _symmetry_group(g.offsets, g.dims), digits)[0]
+    automorphisms of the CayleyGraph g fixing 0.  Forms every image of every
+    vertex, |G| n ids, one group row at a time: y_k = x_j for row[k] = j < d
+    and -x_j for row[k] = d + j, ranked with ``np.ravel_multi_index``."""
+    x = np.unravel_index(np.arange(g.n), g.dims)
+    d = len(g.dims)
+    least = np.arange(g.n)
+    for row in _symmetry_group(g.offsets, g.dims):
+        image = [x[j] if j < d else -x[j - d] for j in row]
+        least = np.minimum(least, np.ravel_multi_index(image, g.dims, mode="wrap"))
+    return least
 
 
 def reference_orbits(ball):

@@ -35,6 +35,7 @@ from vtres.errors import (
     SizeCapExceeded,
 )
 from vtres.graphs import (
+    _canonical,
     _symmetry_group,
     annulus_problem,
     bfs_layers,
@@ -63,6 +64,14 @@ def _terminal_digest(tg) -> str:
     return _digest(g.indptr, g.nbr, g.mult, [g.n, tg.source, tg.ground])
 
 
+Z2_C4 = spec_explicit((None, None, 4),
+                      [s for s in itertools.product((-1, 0, 1), repeat=3) if any(s)])
+Z2_C3 = spec_explicit((None, None, 3), [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                        (0, 0, 1), (0, 0, 2), (1, 1, 1), (-1, -1, 2)])
+Z3_AXES = spec_explicit((None,) * 3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                      (0, 0, 1), (0, 0, -1)])
+
+
 # Vertex ids, layers and adjacency are part of the artifact format: these
 # digests pin the exact arrays, so any change of numbering or order fails.
 @pytest.mark.parametrize("spec,radius,expected", [
@@ -72,7 +81,9 @@ def _terminal_digest(tg) -> str:
     (spec_torus(6, 6, 2, full_last=True), 4, "4b88c1e496abdd8da5b87d602db13014eb624f1025d95f93459e1d5dbc788d28"),
     (spec_fibered_torus(4, 4, 3), 4, "e66a26ea0e1c94911f1fc15e7c2882c125f5e1297de0282f94f4cfe840d3650c"),
     (spec_cyclic_chords(14, 3), 5, "453f567d03bb99100f4722293bde2cab138290adf5450c2aff002dff97a56731"),
-], ids=["z2", "z3", "z-c5-c5", "torus-full-last", "fibered", "chords"])
+    # its (0, 0, 2) and (-1, -1, 2) steps wrap the C3 coordinate
+    (Z2_C3, 6, "e72faacca31351c5d78c950590f340081f1de18d2429e35379a45636ff7c12bd"),
+], ids=["z2", "z3", "z-c5-c5", "torus-full-last", "fibered", "chords", "z2-c3"])
 def test_golden_ball_identity(spec, radius, expected):
     b = build_ball(spec, radius)
     g = b.base
@@ -515,12 +526,6 @@ def test_ball_orbit_counts(d, radius, count):
             d - c.count(0))
 
 
-Z2_C4 = spec_explicit((None, None, 4),
-                      [s for s in itertools.product((-1, 0, 1), repeat=3) if any(s)])
-Z2_C3 = spec_explicit((None, None, 3), [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                                        (0, 0, 1), (0, 0, 2), (1, 1, 1), (-1, -1, 2)])
-Z3_AXES = spec_explicit((None,) * 3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                                      (0, 0, 1), (0, 0, -1)])
 ORBIT_BALLS = {
     "z2_r11": (spec_lattice(2), 11), "z2_r21": (spec_lattice(2), 21),
     "z2_r41": (spec_lattice(2), 41), "z3_r17": (spec_lattice(3), 17),
@@ -558,3 +563,64 @@ def test_orbit_ball_of_a_finite_group_matches_stabilizer_orbits():
     rep, size = np.unique(reference_stabilizer_orbits(g), return_counts=True)
     assert np.array_equal(np.sort(ids), rep)
     assert np.array_equal(ball.size[np.argsort(ids)], size)
+
+
+# orbit_ball's arrays, orbit sizes included, pinned as in test_golden_ball_identity
+@pytest.mark.parametrize("name,expected", [
+    ("z2_r41", "afdf28ee6ab360aad3c4edf16106a70a87646640fee7c3cee0753a4e301c0587"),
+    ("z3_r17", "317256c7728f2a8ae125b5c7d8d45aca8efec133bad0135716ed2789d5c064f8"),
+    ("z_c5_c5_r64", "b01db084a97b1f6da65745fb298cbc868bc30e8a9359f0075d6a98c9d2469e84"),
+    ("c10_c10_r6", "a74ba5174edc44deb4ca23a9232d8bd5731d1274015da216630289f67d0595e9"),
+    ("z2_c3_r15", "4482e246915efcbcf3afd75b63043ff37fe14462fcdc67f65527b2e418c5a25d"),
+])
+def test_golden_orbit_ball_identity(name, expected):
+    b = orbit_ball(*ORBIT_BALLS[name])
+    g = b.base
+    assert _digest(b.layer, b.exit_degree, b.coords, b.size, g.indptr, g.nbr, g.mult) == expected
+
+
+@pytest.mark.parametrize("name", ["z_c5_c5_r64", "z3_r17"])
+def test_orbit_ball_does_not_depend_on_the_image_block(monkeypatch, name):
+    # 7 image keys per block put every row of a least-image pass in a block
+    # of its own (16 elements on Z x C5 x C5, 48 on Z^3)
+    spec, radius = ORBIT_BALLS[name]
+    want = orbit_ball(spec, radius)
+    monkeypatch.setattr(graphs, "IMAGE_BLOCK", 7)
+    got = orbit_ball(spec, radius)
+    assert got.base == want.base
+    for f in ("layer", "exit_degree", "coords", "size"):
+        assert np.array_equal(getattr(got, f), getattr(want, f))
+
+
+def test_orbit_ball_memory_is_bounded():
+    # the least-image pass holds IMAGE_BLOCK image keys at a time
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        orbit_ball(spec_lattice(3), 45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 41 * 2**20
+
+
+@pytest.mark.parametrize("spec,radius", [(spec_lattice(2), r) for r in range(1, 6)] + [
+    (spec_z_times_torus(6), 4), (spec_torus(6, 6, 2, full_last=True), 4),
+], ids=[f"z2-r{r}" for r in range(1, 6)] + ["z-c6", "torus-full-last"])
+def test_ball_exit_degree_counts_the_steps_leaving_it(spec, radius):
+    # a tuple BFS over _canonical(x + s) reaches the ball's elements, and a
+    # vertex's exit degree is |S| less its steps that land in the ball; the
+    # C6 radius passes its diameter, so its steps wrap inside the ball
+    def step(x, s):
+        return _canonical([a + b for a, b in zip(x, s)], spec.factors)
+
+    reached = frontier = {(0,) * spec.dim}
+    for _ in range(radius):
+        frontier = {step(x, s) for x in frontier for s in spec.offsets} - reached
+        reached = reached | frontier
+    ball = build_ball(spec, radius)
+    coords = [tuple(x) for x in ball.coords.tolist()]
+    assert len(coords) == len(reached) and set(coords) == reached
+    want = [sum(step(x, s) not in reached for s in spec.offsets) for x in coords]
+    assert ball.exit_degree.tolist() == want
+    assert np.all(ball.base.degree + ball.exit_degree == len(spec.offsets))
