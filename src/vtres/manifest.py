@@ -46,7 +46,7 @@ from .textspec import (
     graphspec_items,
     parse_document,
 )
-from .walks import RNG_NAME, escape_profile
+from .walks import RNG_NAME, check_seed, escape_profile
 
 TOOL_VERSION = "vtres-0.1.0"
 
@@ -293,6 +293,7 @@ def _run_escape(man: ExperimentManifest, size_cap: int):
         raise BadArguments("escape radii must be >= 1")
     trials = int(man.params["trials"])
     seed = int(man.params["seed"])
+    check_seed(seed)
     ball = build_ball(spec, max(rs), size_cap)
     prof = escape_profile(ball, max(rs), trials, seed)
     spec_hash = graphspec_hash(spec)

@@ -22,11 +22,23 @@ never reads another chunk's generator and its draws still go to its own
 live walks in walk order, and a step cap counts a chunk's own steps.  So
 the per-chunk stream contract above is unchanged, and since counts are sums
 over walks, the order in which chunks finish does not matter either.
+
+The same argument lets ``_walk`` spread the chunks over processes.  With k
+CPUs usable and at least k chunks, k forked workers each run the pool over
+every k-th chunk id, and the parent, which only waits, adds up their
+integer counts.  Philox is counter-based (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011), so a chunk's draws are fixed by
+(seed, chunk index) alone, whichever process makes them: every seeded table
+is the same for any number of CPUs.  Processes rather than threads,
+because much of a step is interpreter work between numpy calls, which
+threads would take turns at.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 import warnings
 from dataclasses import dataclass
 
@@ -63,12 +75,102 @@ def _estimate(hits: int, done: int, seed: int, censored: int = 0) -> EscapeEstim
     return EscapeEstimate(p_hat=p, trials=done, stderr=se, seed=seed, censored=censored)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is not a Philox key word, so no two seeds alias."""
+    if not 0 <= seed < 2**64:
+        raise BadArguments(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chunk]))
+    # an explicit uint64 key: numpy reads a list holding an int >= 2**63 as
+    # float64, which rounds the seed
+    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context, or None where this process
+    cannot fork workers: the platform lacks fork, or it is itself a daemonic
+    worker, such as one of a ``multiprocessing.Pool``.
+
+    ``multiprocessing`` is imported here, not at module level, so that
+    importing vtres does not pay for it.  ``fork`` is named because the default start method
+    differs across platforms and Python versions, and the workers need the
+    parent's arrays without pickling them.  Forking a process that has
+    threads is safe here because the workers run only elementwise numpy and
+    Philox, never BLAS, whose pool holds the only threads vtres starts.
+    """
+    import multiprocessing
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _serve(run, chunks: range, conn) -> None:
+    """A walk worker: send ``(True, run(chunks))``, or ``(False, error)``."""
+    # an interrupt reaches the whole process group: the parent handles it
+    # for all, by killing the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        result = (True, run(chunks))
+    except Exception as exc:  # raised again in the parent
+        result = (False, exc)
+    conn.send(result)
+
+
+def _in_forks(ctx, run, shares: list[range]) -> list:
+    """``[run(chunks) for chunks in shares]``, each share in its own worker
+    forked from ``ctx``.
+
+    The workers inherit ``run`` and the arrays it reads; only the chunk ids
+    go to them, and only the results come back.  A worker's error is raised
+    here.  No worker outlives the call, whether it returns, raises or is
+    interrupted: on any exception the workers are killed, and they are
+    always joined.
+    """
+    procs, pipes = [], []
+    try:
+        for chunks in shares:
+            recv, send = ctx.Pipe(duplex=False)
+            pipes.append(recv)
+            proc = ctx.Process(target=_serve, args=(run, chunks, send))
+            try:
+                proc.start()
+            finally:
+                send.close()  # the worker holds the only write end, so its death reads as EOF
+            procs.append(proc)
+        results = []
+        for w, (proc, conn) in enumerate(zip(procs, pipes)):
+            try:
+                ok, value = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"walk worker {w} exited with code {proc.exitcode} "
+                                   "before sending its counts") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for proc in procs:
+            proc.kill()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for conn in pipes:
+            conn.close()
 
 
 def _walk(g: Graph, start: int, score: np.ndarray, trials: int, seed: int,
-          step_cap: float = math.inf) -> tuple[np.ndarray, int]:
+          step_cap: float = math.inf, workers: int | None = None) -> tuple[np.ndarray, int]:
     """Run ``trials`` walks from ``start`` until each steps onto a vertex of
     the largest ``score`` or back onto ``start``, whose score must be 0.
 
@@ -98,6 +200,15 @@ def _walk(g: Graph, start: int, score: np.ndarray, trials: int, seed: int,
     run once over the pool.  A chunk's walks therefore get exactly the draws
     they would get if the chunk ran alone, and its own age, not the pool's,
     decides when it is censored.
+
+    The chunk ids are striped over k = min(``workers``, chunks) forked
+    processes, ``workers`` defaulting to the CPUs this process may use:
+    worker i runs the pool over chunks i, i+k, i+2k, ...  The tables above
+    are built once, before the fork, and every worker reads them.  Each
+    chunk still draws from its own generator and is censored at its own
+    age, so its walks end where they would in one pool, and the parent's
+    sum of the workers' integer counts is exact for any k.  With k = 1, or
+    where this process cannot fork, the pool runs over all chunks in-process.
     """
     deg = g.degree
     if deg[start] == 0:
@@ -121,57 +232,66 @@ def _walk(g: Graph, start: int, score: np.ndarray, trials: int, seed: int,
     if not regular:
         deg_e = np.zeros(g.n * width, dtype=deg.dtype)
         deg_e[cell] = deg[target]
-    counts = np.zeros(top + 1, dtype=np.int64)
-    u = np.empty(POOL)
-    s = best = np.zeros(0, dtype=np.int32)
-    d = deg[start] if regular else np.zeros(0, dtype=deg.dtype)
-    live = []  # [generator, live walks, step it joined at] per chunk, in chunk order
+
+    def run(chunks: range) -> tuple[np.ndarray, int]:
+        counts = np.zeros(top + 1, dtype=np.int64)
+        u = np.empty(POOL)
+        s = best = np.zeros(0, dtype=np.int32)
+        d = deg[start] if regular else np.zeros(0, dtype=deg.dtype)
+        live = []  # [generator, live walks, step it joined at] per chunk, in chunk order
+        i = steps = censored = 0
+        while live or i < len(chunks):
+            while i < len(chunks):
+                size = min(CHUNK, trials - chunks[i] * CHUNK)
+                if s.size + size > POOL:
+                    break
+                live.append([_chunk_rng(seed, chunks[i]), size, steps])
+                fresh = np.zeros(size, dtype=np.int32)
+                s, best = np.concatenate((s, fresh)), np.concatenate((best, fresh))
+                if not regular:
+                    d = np.concatenate((d, np.full(size, deg[start])))
+                i += 1
+            while live and steps - live[0][2] >= step_cap:
+                size = live.pop(0)[1]
+                censored += size
+                s, best = s[size:], best[size:]
+                if not regular:
+                    d = d[size:]
+            firsts, first = [], 0
+            for rng, size, _ in live:
+                firsts.append(first)
+                rng.random(out=u[first:first + size])
+                first += size
+            e = u[:first]
+            e *= d
+            e = e.astype(np.int64)
+            e += s
+            s = nxt[e]
+            if not regular:
+                d = deg_e[e]
+            steps += 1
+            np.maximum(best, s, out=best)
+            done = s.view(np.uint32) >= stop_at
+            ended = done.nonzero()[0]
+            if ended.size:
+                counts += np.bincount(level[best[ended] // width], minlength=top + 1)
+                # a chunk's done walks lie between its first slot and the next chunk's
+                for c, gone in zip(live, np.diff(np.searchsorted(ended, firsts + [first])).tolist()):
+                    c[1] -= gone
+                live = [c for c in live if c[1]]
+                keep = ~done
+                s, best = s[keep], best[keep]
+                if not regular:
+                    d = d[keep]
+        return counts, censored
+
     n_chunks = -(-trials // CHUNK)
-    chunk = steps = censored = 0
-    while live or chunk < n_chunks:
-        while chunk < n_chunks:
-            size = min(CHUNK, trials - chunk * CHUNK)
-            if s.size + size > POOL:
-                break
-            live.append([_chunk_rng(seed, chunk), size, steps])
-            fresh = np.zeros(size, dtype=np.int32)
-            s, best = np.concatenate((s, fresh)), np.concatenate((best, fresh))
-            if not regular:
-                d = np.concatenate((d, np.full(size, deg[start])))
-            chunk += 1
-        while live and steps - live[0][2] >= step_cap:
-            size = live.pop(0)[1]
-            censored += size
-            s, best = s[size:], best[size:]
-            if not regular:
-                d = d[size:]
-        firsts, first = [], 0
-        for rng, size, _ in live:
-            firsts.append(first)
-            rng.random(out=u[first:first + size])
-            first += size
-        e = u[:first]
-        e *= d
-        e = e.astype(np.int64)
-        e += s
-        s = nxt[e]
-        if not regular:
-            d = deg_e[e]
-        steps += 1
-        np.maximum(best, s, out=best)
-        done = s.view(np.uint32) >= stop_at
-        ended = done.nonzero()[0]
-        if ended.size:
-            counts += np.bincount(level[best[ended] // width], minlength=top + 1)
-            # a chunk's done walks lie between its first slot and the next chunk's
-            for c, gone in zip(live, np.diff(np.searchsorted(ended, firsts + [first])).tolist()):
-                c[1] -= gone
-            live = [c for c in live if c[1]]
-            keep = ~done
-            s, best = s[keep], best[keep]
-            if not regular:
-                d = d[keep]
-    return counts, censored
+    k = min(workers or _usable_cpus(), n_chunks)
+    ctx = _fork_context() if k > 1 else None
+    if ctx is None:
+        return run(range(n_chunks))
+    parts = _in_forks(ctx, run, [range(w, n_chunks, k) for w in range(k)])
+    return sum(c for c, _ in parts), sum(n for _, n in parts)
 
 
 def simulate_escape(ball: BallGraph, r: int, trials: int, seed: int) -> EscapeEstimate:
@@ -198,6 +318,7 @@ def escape_profile(ball: BallGraph, r_max: int, trials: int, seed: int) -> list[
     """
     if trials < 1:
         raise BadArguments("trials must be >= 1")
+    check_seed(seed)
     if r_max < 1:
         raise BadArguments("r_max must be >= 1")
     if ball.radius < r_max:
@@ -240,6 +361,7 @@ def hit_before_return(g: Graph, x: int, Y, trials: int, seed: int,
         raise BadArguments("vertex id out of range")
     if trials < 1:
         raise BadArguments("trials must be >= 1")
+    check_seed(seed)
     if step_cap is None:
         step_cap = 100 * g.n * g.n
     in_y = np.zeros(g.n, dtype=bool)

@@ -28,13 +28,13 @@ from conftest import box_torus_fourier_resistance, reference_orbits
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def _cli(*args, cwd=None, env_extra=None, timeout=None):
+def _cli(*args, cwd=None, env_extra=None, timeout=None, preexec_fn=None):
     env = dict(os.environ, PYTHONPATH=SRC)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "vtres", *args],
                           capture_output=True, text=True, cwd=cwd, env=env,
-                          timeout=timeout)
+                          timeout=timeout, preexec_fn=preexec_fn)
 
 
 def _read(path):
@@ -228,6 +228,49 @@ def test_escape_rejects_radius_below_one(tmp_path):
                              {"r": [-2, 3], "trials": 100, "seed": 0}, "e", "csv")
     with pytest.raises(BadArguments):
         run(man, base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64 + 7)])
+def test_escape_refuses_a_seed_outside_the_key_range_before_building(monkeypatch, capsys,
+                                                                     tmp_path, seed):
+    import vtres.manifest
+    from vtres.cli import main
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a ball was built for a seed the walks refuse")
+
+    monkeypatch.setattr(vtres.manifest, "build_ball", unreachable)
+    argv = [f"--seed={seed}", "escape", "--family", "explicit", "--factors", "inf,inf",
+            "--generators", "box", "--r", "1:3", "--trials", "2000"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["error.type = BadArguments",
+                       f"error.message = seed must lie in [0, 2**64), got {seed}"]
+
+
+def _tree(root):
+    return {os.path.relpath(os.path.join(d, f), root): _read(os.path.join(d, f))
+            for d, _, files in os.walk(root) for f in files}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_escape_output_does_not_depend_on_the_cpu_count(tmp_path):
+    # criterion 11 across CPU counts: one CPU walks every chunk in-process,
+    # the full set forks a worker per CPU
+    from vtres.walks import CHUNK
+    one = min(os.sched_getaffinity(0))
+    args = ("escape", "--family", "explicit", "--factors", "inf,inf", "--generators", "box",
+            "--r", "1:6", "--trials", str(3 * CHUNK + 5), "--seed", "7")
+    out = tmp_path / "o"  # the manifest hash covers the output path
+    pinned = _cli(*args, "--out", str(out), preexec_fn=lambda: os.sched_setaffinity(0, {one}))
+    assert pinned.returncode == 0, pinned.stderr
+    want = _tree(out)
+    assert "escape.csv" in want
+    out.rename(tmp_path / "pinned")
+    full = _cli(*args, "--out", str(out))
+    assert full.returncode == 0, full.stderr
+    assert full.stdout == pinned.stdout
+    assert _tree(out) == want
 
 
 def test_cli_emit_manifest_round_trip(tmp_path):

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import signal
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,9 +23,10 @@ from vtres import (
     spec_torus,
     spec_z_times_torus,
 )
+from vtres import walks
 from vtres.errors import BadArguments, EmptySet, RadiusTooSmall
 from vtres.graphs import from_edge_list, spec_offsets
-from vtres.walks import CHUNK, _estimate
+from vtres.walks import CHUNK, _chunk_rng, _estimate, _walk
 
 from conftest import complete_graph
 
@@ -175,7 +182,7 @@ def _ref_table(g):
 
 def _ref_chunks(trials, seed):
     for chunk, first in enumerate(range(0, trials, CHUNK)):
-        rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chunk]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
         yield rng, min(CHUNK, trials - first)
 
 
@@ -306,14 +313,121 @@ def test_hit_before_return_pool_matches_loop_reference(c8, case, x, Y, trials, s
 def test_walk_pool_memory_is_bounded():
     # the pool holds about 1.25 chunks of walks, however many trials run
     import tracemalloc
+    # in-process: tracemalloc cannot see a forked worker's allocations
     b = build_ball(spec_lattice(2), 4)
     tracemalloc.start()
     try:
-        escape_profile(b, 4, 16 * CHUNK, 1)
+        _walk(b.base, b.center, b.layer, 16 * CHUNK, 1, workers=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# --- the workers: chunk ids striped over forked processes ---
+
+def _walk_case(case, c8):
+    """``(graph, start, score, trials, seed, step_cap)`` of a pool case above."""
+    if case == "z2-staggered":
+        b = build_ball(spec_lattice(2), 6)
+        return b.base, b.center, b.layer, 3 * CHUNK + 5, 32, np.inf
+    g, x, Y, trials, cap = {
+        "c8-cap8": (c8, 0, [4], 3 * CHUNK + 5, 8),
+        "c8-cap10": (c8, 0, [4], 3 * CHUNK + 5, 10),
+        "irregular": (_irregular_graph(), 0, [3], 2 * CHUNK + 7, 100 * 25),
+        "irregular-cap3": (_irregular_graph(), 4, [1, 2], 2 * CHUNK + 7, 3),
+    }[case]
+    in_y = np.zeros(g.n, dtype=bool)
+    in_y[Y] = True
+    return g, x, in_y, trials, 35, cap
+
+
+def _assert_no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child at all, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", ["z2-staggered", "c8-cap8", "c8-cap10",
+                                  "irregular", "irregular-cap3"])
+def test_walk_counts_do_not_depend_on_the_worker_count(c8, case):
+    args = _walk_case(case, c8)
+    n_chunks = -(-args[3] // CHUNK)
+    counts, censored = _walk(*args, workers=1)
+    assert censored > 0 or not case.startswith("c8")  # both C8 caps censor walks
+    for k in (2, 3, n_chunks + 1):
+        got_counts, got_censored = _walk(*args, workers=k)
+        assert got_counts.tolist() == counts.tolist() and got_censored == censored, k
+        _assert_no_children()
+
+
+def _failing_chunk_rng(monkeypatch, fail):
+    real = walks._chunk_rng
+
+    def chunk_rng(seed, chunk):
+        if chunk == 1:
+            fail()
+        return real(seed, chunk)
+    monkeypatch.setattr(walks, "_chunk_rng", chunk_rng)
+
+
+def _raise():
+    raise ValueError("chunk 1 failed")
+
+
+@pytest.mark.parametrize("fail, error, match", [
+    (_raise, ValueError, "chunk 1 failed"),                 # raised in the worker
+    (lambda: os._exit(3), RuntimeError, "exited with code 3"),  # the worker dies
+])
+def test_failing_walk_worker_raises_in_the_parent(monkeypatch, c8, fail, error, match):
+    _failing_chunk_rng(monkeypatch, fail)
+    with pytest.raises(error, match=match):
+        _walk(*_walk_case("c8-cap10", c8), workers=3)
+    _assert_no_children()
+
+
+def test_interrupted_walk_kills_its_workers(monkeypatch, c8):
+    # the worker of chunk 1 interrupts the parent, then hangs
+    def interrupt():
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(60)
+    _failing_chunk_rng(monkeypatch, interrupt)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _walk(*_walk_case("z2-staggered", c8), workers=2)
+    assert time.monotonic() - t0 < 30
+    _assert_no_children()
+
+
+def test_walk_in_a_daemonic_worker_runs_in_process():
+    # a Pool worker may not fork children of its own
+    b = build_ball(spec_lattice(2), 6)
+    want = escape_profile(b, 6, 3 * CHUNK + 5, 32)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(escape_profile, (b, 6, 3 * CHUNK + 5, 32)) == want
+
+
+# --- seeds: each in [0, 2**64) is its own Philox key ---
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_walk_estimators_refuse_seeds_outside_the_key_range(c8, seed):
+    b = build_ball(spec_cycle(8), 2)
+    for estimate in (lambda: escape_profile(b, 2, 10, seed),
+                     lambda: simulate_escape(b, 2, 10, seed),
+                     lambda: hit_before_return(c8, 0, [4], 10, seed)):
+        with pytest.raises(BadArguments, match="seed"):
+            estimate()
+
+
+def test_walk_seeds_at_the_ends_of_the_key_range():
+    b = build_ball(spec_lattice(2), 3)
+    seeds = (0, 2**63, 2**63 + 1, 2**64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the key is cast exactly, never through float64
+        for seed in seeds:
+            assert escape_profile(b, 3, 2000, seed)[0].p_hat == 1.0
+        firsts = {_chunk_rng(seed, 0).random() for seed in seeds}
+    assert len(firsts) == len(seeds)
 
 
 def test_escape_profile_stream_is_pinned():
