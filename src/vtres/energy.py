@@ -39,12 +39,23 @@ judged by the max-norm of the regularized gradient: kept if the norm fell,
 otherwise the stage ends.
 
 Symmetric problems are shrunk on an ``orbit_ball`` before they get here.
-``max_resistance`` on a Cayley graph solves one pair per orbit of vertex
-0's stabilizer, read off the orbit ball of the group, and the experiments
-solve sphere and annulus problems on one, about 1/8 of the unknowns on
-Z^2.  Both are exact.  A quotient solve's R_p bracket certifies the
-original R_p, since a unit flow on the quotient, spread evenly over the
-edges each quotient edge merges, is one of the same cost on the original.
+``max_resistance`` on a Cayley graph takes one candidate pair per orbit of
+vertex 0's stabilizer, read off the orbit ball of the group, and the
+experiments solve sphere and annulus problems on one, about 1/8 of the
+unknowns on Z^2.  Both are exact.  A quotient solve's R_p bracket
+certifies the original R_p, since a unit flow on the quotient, spread
+evenly over the edges each quotient edge merges, is one of the same cost
+on the original.
+
+At p != 2 ``max_resistance`` is a branch and bound over its candidates.
+The R_hi of each pair's p=2 potential, the Newton start, is an upper bound
+on its R_p for the cost of two linear solves.  Pairs are solved in full in
+decreasing order of that bound until the next bound is below the best R_p
+so far by more than GAP_TOL relative; a skipped pair's R_p, and the R_lo
+its solve would report, cannot then reach the maximum.  Every path of
+``max_resistance`` reports the first pair in its scan order within 1e-12
+relative of the maximum, so the skipped pairs change neither value nor
+pair.
 
 A p=2 sphere resistance R_2(0 <-> S(r+1)) on a box ball needs neither a
 solve nor a ball.  ``box_ball_separable`` decides from the spec and r alone
@@ -108,7 +119,9 @@ from .graphs import (
 )
 
 DIRECT_SOLVE_LIMIT = 6000  # unknowns up to which solves are banded Cholesky, CG above
-PAIR_SOLVE_CAP = 200  # pair solves (vertices off a CayleyGraph) of a non-spectral max_resistance
+# candidate pairs of a non-spectral max_resistance: orbits other than {0} on
+# a CayleyGraph, vertices on any other Graph
+PAIR_SOLVE_CAP = 200
 # relative float64 resolution of the regularized energy: a Newton step whose
 # predicted decrease is below this times max(1, E) is judged by its gradient
 NEWTON_DECREMENT_FLOOR = 1e-13
@@ -736,28 +749,77 @@ def _pair_resistances_p2(g: Graph) -> np.ndarray:
     return diag[u] + diag[v] - 2.0 * green[u, v]
 
 
+def _pair_upper_bound(g: Graph, u: int, v: int, p: float) -> float:
+    """Upper bound on R_p(u, v) from the pair's p=2 potential, without Newton.
+
+    The p-current of the p=2 potential, made a unit flow by ``_flow_bound``,
+    bounds R_p from above as any unit flow does: two linear solves.
+    """
+    tg = collapse_terminals(g, [u], [v])
+    _check_terminals(tg)
+    free_mask = np.ones(tg.graph.n, dtype=bool)
+    free_mask[[tg.source, tg.ground]] = False
+    lap = _FreeLaplacian(tg.graph, free_mask)
+    f = _solve_p2(tg, 1.0, lap)
+    return _flow_bound(tg.graph, f, p, tg.source, tg.graph.edges[2].astype(float), lap)
+
+
+def _largest_pair_resistances(g: Graph, pairs: list[tuple[int, int]], p: float) -> np.ndarray:
+    """R_p of every pair that can come within GAP_TOL of the maximum, -inf
+    for the others (see ``max_resistance``)."""
+    bounds = [_pair_upper_bound(g, u, v, p) for u, v in pairs]
+    values = np.full(len(pairs), -np.inf)
+    best = -math.inf
+    # stable, so equal bounds keep scan order; a non-finite bound goes first
+    for i in sorted(range(len(pairs)),
+                    key=lambda i: -bounds[i] if math.isfinite(bounds[i]) else -math.inf):
+        if bounds[i] < best * (1 - GAP_TOL):
+            break
+        values[i] = pair_resistance(g, *pairs[i], p).resistance
+        best = max(best, values[i])
+    return values
+
+
+def _first_near_max(values: np.ndarray) -> int:
+    """Index of the first value within 1e-12 (relative) of the maximum."""
+    return int(np.argmax(values >= values.max() * (1 - 1e-12)))
+
+
 def max_resistance(g: Graph, p: float) -> tuple[float, tuple[int, int]]:
     """Maximum p-resistance between two vertices, with an argmax pair.
 
+    Every path reports the first pair, in its scan order, whose R_p is
+    within 1e-12 (relative) of the maximum, and that pair's R_p.
+
     On a ``CayleyGraph`` at p=2 every R_2(0, v) comes from the spectrum
-    (``cayley_resistances``), and the pair is (0, v) for the first v within
-    1e-12 (relative) of the maximum.  Any other ``Graph`` at p=2 reads every
-    pair off one grounded Green matrix (``_pair_resistances_p2``).  At other
-    p a ``CayleyGraph``, being vertex-transitive, needs pairs (0, v) only,
-    and an automorphism fixing 0 gives every v of an orbit the same
-    R_p(0, v), so it takes one pair per orbit other than {0}, at its
-    smallest vertex (a later one could not beat it), at most PAIR_SOLVE_CAP
-    of them: the ids of an ``orbit_ball`` past the diameter.  Any other
-    ``Graph`` takes every pair of at most PAIR_SOLVE_CAP vertices.  Both
-    scan the pairs in order, keeping the first that beats all earlier ones
-    by over 1e-15.
+    (``cayley_resistances``), scanned in vertex order.  Any other ``Graph``
+    at p=2 reads every pair u < v off one grounded Green matrix
+    (``_pair_resistances_p2``).  At other p the candidates are the pairs
+    (0, v) of a ``CayleyGraph``, one per orbit other than {0} of vertex 0's
+    stabilizer, at its smallest vertex (the ids of an ``orbit_ball`` past
+    the diameter): being vertex-transitive it needs pairs at 0 only, and an
+    automorphism fixing 0 gives every v of an orbit the same R_p(0, v).
+    Any other ``Graph`` has every pair u < v as candidates.  At most
+    PAIR_SOLVE_CAP candidates are taken.
+
+    At p != 2 not every candidate is solved.  Each gets an upper bound hi
+    on R_p from its p=2 potential (``_pair_upper_bound``, two linear solves
+    and no Newton step).  Candidates are then solved in full, by
+    ``pair_resistance``, in decreasing order of hi (non-finite hi first,
+    equal hi in scan order), until the next hi is below best * (1 -
+    GAP_TOL), best being the largest R_p solved so far.  This is exact: a
+    skipped pair's reported R_p, 1/E_p of a potential, is at most its true
+    R_p by the Dirichlet principle, which is at most hi < best * (1 -
+    GAP_TOL), so it is not within 1e-12 of the maximum.  A NonConvergence
+    of a full solve propagates; it is that of the first failing pair in
+    solve order.
     """
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
     cayley = isinstance(g, CayleyGraph)
     if cayley and p == 2.0:
         r = cayley_resistances(g)
-        v = int(np.argmax(r >= r.max() * (1 - 1e-12)))
+        v = _first_near_max(r)
         return float(r[v]), (0, v)
     if cayley:
         # an orbit past the cap stops the BFS, before the rest of the ball
@@ -771,10 +833,7 @@ def max_resistance(g: Graph, p: float) -> tuple[float, tuple[int, int]]:
         if g.n > PAIR_SOLVE_CAP:
             raise SizeCapExceeded(f"{g.n} vertices exceeds cap {PAIR_SOLVE_CAP} for p={p}")
         pairs = list(itertools.combinations(range(g.n), 2))
-    values = (_pair_resistances_p2(g).tolist() if p == 2.0  # not a CayleyGraph here
-              else (pair_resistance(g, u, v, p).resistance for u, v in pairs))
-    best, best_pair = -1.0, (0, 1)
-    for pair, r in zip(pairs, values):
-        if r > best + 1e-15:
-            best, best_pair = r, pair
-    return best, best_pair
+    values = (_pair_resistances_p2(g) if p == 2.0  # not a CayleyGraph here
+              else _largest_pair_resistances(g, pairs, p))
+    i = _first_near_max(values)
+    return float(values[i]), pairs[i]

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -112,8 +113,22 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _serve(run, chunks: range, conn) -> None:
-    """A walk worker: send ``(True, run(chunks))``, or ``(False, error)``."""
+def _serve(run, chunks: range, conn, parent: int) -> None:
+    """A walk worker: send ``(True, run(chunks))``, or ``(False, error)``.
+
+    ``parent`` is the pid of the process that forked it.  On Linux the
+    worker asks to be killed when that process dies, so a parent killed by
+    SIGKILL leaves no worker running; it exits at once if the parent died
+    before the request took effect.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes  # already loaded by numpy
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            os._exit(1)
     # an interrupt reaches the whole process group: the parent handles it
     # for all, by killing the workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -139,7 +154,7 @@ def _in_forks(ctx, run, shares: list[range]) -> list:
         for chunks in shares:
             recv, send = ctx.Pipe(duplex=False)
             pipes.append(recv)
-            proc = ctx.Process(target=_serve, args=(run, chunks, send))
+            proc = ctx.Process(target=_serve, args=(run, chunks, send, os.getpid()))
             try:
                 proc.start()
             finally:

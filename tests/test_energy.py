@@ -306,49 +306,66 @@ def test_max_resistance_transitive_matches_full(c8):
     assert fast[1] == (0, 4) and full[1] == (0, 4)
 
 
-def test_max_resistance_p2_green_matches_pair_solves():
-    # a multigraph: a 10-cycle with random chords and multiplicities; the
-    # pair-solve search is the reference for value and argmax pair
+def _seeded_multigraph():
+    """A 10-cycle with random chords and multiplicities."""
     rng = np.random.default_rng(11)
     edges = [(i, (i + 1) % 10, int(rng.integers(1, 4))) for i in range(10)]
     edges += [(int(u), int(v), int(rng.integers(1, 4)))
               for u, v in rng.integers(0, 10, size=(6, 2)) if u != v]
-    g = from_edge_list(10, edges)
-    best, best_pair = -1.0, None
-    for u in range(10):
-        for v in range(u + 1, 10):
-            r = pair_resistance(g, u, v, 2.0).resistance
-            if r > best + 1e-15:
-                best, best_pair = r, (u, v)
+    return from_edge_list(10, edges)
+
+
+def test_max_resistance_p2_green_matches_pair_solves():
+    # the pair-solve search is the reference for value and argmax pair
+    g = _seeded_multigraph()
+    best, best_pair = _max_resistance_reference(g, 2.0, itertools.combinations(range(10), 2))
     value, pair = max_resistance(g, 2.0)
     assert abs(value - best) <= 1e-12 * best
     assert pair == best_pair
 
 
 def test_max_resistance_disconnected_raises():
-    with pytest.raises(DisconnectedTerminals):
-        max_resistance(from_edge_list(4, [(0, 1, 1), (2, 3, 1)]), 2.0)
+    # at p != 2 the bound step checks each pair before any solve
+    for p in (2.0, 3.0):
+        with pytest.raises(DisconnectedTerminals):
+            max_resistance(from_edge_list(4, [(0, 1, 1), (2, 3, 1)]), p)
 
 
-def test_max_resistance_caps(monkeypatch):
-    # the 15x15 torus has 36 orbits under vertex 0's stabilizer, so 35 pair
-    # solves; the cap counts those on a CayleyGraph and vertices elsewhere
-    calls = []
+@pytest.fixture
+def pair_counts(monkeypatch):
+    """The pairs max_resistance bounds, with their bounds, and the pairs it
+    solves in full."""
+    counts = {"bounded": {}, "solved": []}
+    bound = energy._pair_upper_bound
 
-    def counting(g, u, v, p):
-        calls.append((u, v))
+    def bounding(g, u, v, p):
+        counts["bounded"][u, v] = bound(g, u, v, p)
+        return counts["bounded"][u, v]
+
+    def solving(g, u, v, p):
+        counts["solved"].append((u, v))
         return pair_resistance(g, u, v, p)
 
-    monkeypatch.setattr(energy, "pair_resistance", counting)
+    monkeypatch.setattr(energy, "_pair_upper_bound", bounding)
+    monkeypatch.setattr(energy, "pair_resistance", solving)
+    return counts
+
+
+def test_max_resistance_caps(monkeypatch, pair_counts):
+    # the 15x15 torus has 36 orbits under vertex 0's stabilizer, so 35
+    # candidates, of which 3 are solved in full; the cap counts candidates
+    # on a CayleyGraph and vertices elsewhere
     g = build_cayley_graph(spec_torus(15, 15))
     max_resistance(g, 3.0)
-    assert len(calls) == 35
-    calls.clear()
+    assert len(pair_counts["bounded"]) == 35
+    assert len(pair_counts["solved"]) == 3
+    pair_counts["bounded"].clear()
+    pair_counts["solved"].clear()
     monkeypatch.setattr(energy, "PAIR_SOLVE_CAP", 34)
-    # the 36th orbit passes the orbit ball's cap of 35, so no pair is solved
+    # the 36th orbit passes the orbit ball's cap of 35, so no pair is bounded
     with pytest.raises(SizeCapExceeded, match=r"more than 34 pair solves for p=3\.0"):
         max_resistance(g, 3.0)
-    assert calls == []
+    assert pair_counts == {"bounded": {}, "solved": []}
     t4 = build_cayley_graph(spec_torus(4, 4))
     monkeypatch.setattr(energy, "PAIR_SOLVE_CAP", 10)
     with pytest.raises(SizeCapExceeded, match="16 vertices exceeds cap 10"):
@@ -636,14 +653,14 @@ def test_max_resistance_ties_pick_first_vertex():
     assert max_resistance(torus, 3.0)[1] == (0, 85)
 
 
-def _max_resistance_reference(g, p):
-    """One pair solve for every (0, v), scanned with max_resistance's tie rule."""
-    best, best_pair = -1.0, None
-    for v in range(1, g.n):
-        r = pair_resistance(g, 0, v, p).resistance
-        if r > best + 1e-15:
-            best, best_pair = r, (0, v)
-    return best, best_pair
+def _max_resistance_reference(g, p, pairs=None):
+    """One pair solve for every pair, (0, v) by default, and the first pair
+    within 1e-12 (relative) of the maximum: max_resistance's tie rule."""
+    pairs = [(0, v) for v in range(1, g.n)] if pairs is None else list(pairs)
+    values = [pair_resistance(g, u, v, p).resistance for u, v in pairs]
+    best = max(values)
+    i = next(i for i, r in enumerate(values) if r >= best * (1 - 1e-12))
+    return values[i], pairs[i]
 
 
 def _finite_small_specs(seed, count):
@@ -656,7 +673,7 @@ def _finite_small_specs(seed, count):
     return specs
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
 def test_max_resistance_orbits_match_full_scan(p):
     specs = _finite_small_specs(29, 16) + [
         spec_cyclic_chords(20, 3), spec_torus(5, 7), spec_torus(6, 8, 3, full_last=True),
@@ -669,21 +686,50 @@ def test_max_resistance_orbits_match_full_scan(p):
         assert abs(value - want) <= 1e-12 * want, spec
 
 
-def test_max_resistance_solves_one_pair_per_orbit(monkeypatch):
-    calls = []
+def _plain(g):
+    return Graph(g.n, g.indptr, g.nbr, g.mult)
 
-    def counting(g, u, v, p):
-        calls.append((u, v))
-        return pair_resistance(g, u, v, p)
 
-    monkeypatch.setattr(energy, "pair_resistance", counting)
+PLAIN_GRAPHS = {
+    "c9": lambda: _plain(build_cayley_graph(spec_cycle(9))),
+    "multigraph": _seeded_multigraph,
+    "torus4x4": lambda: _plain(build_cayley_graph(spec_torus(4, 4))),
+}
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("name", sorted(PLAIN_GRAPHS))
+def test_max_resistance_plain_graphs_match_full_scan(name, p):
+    # every pair solved against the pairs the bounds leave
+    g = PLAIN_GRAPHS[name]()
+    want, want_pair = _max_resistance_reference(g, p, itertools.combinations(range(g.n), 2))
+    value, pair = max_resistance(g, p)
+    assert pair == want_pair
+    assert abs(value - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("spec", [spec_torus(10, 10), spec_torus(6, 8, 3, full_last=True)],
+                         ids=["torus10x10", "torus6x8x3_full"])
+def test_pair_upper_bounds_hold(pair_counts, spec, p):
+    # every candidate's bound is at least its solved R_p
+    g = build_cayley_graph(spec)
+    max_resistance(g, p)
+    assert len(pair_counts["bounded"]) > 1
+    for (u, v), hi in pair_counts["bounded"].items():
+        assert hi >= pair_resistance(g, u, v, p).resistance * (1 - 1e-12), (u, v)
+
+
+def test_max_resistance_solves_one_pair_per_orbit(pair_counts):
     value, pair = max_resistance(build_cayley_graph(spec_torus(10, 10)), 3.0)
-    assert len(calls) == 20
+    assert len(pair_counts["bounded"]) == 20
+    assert len(pair_counts["solved"]) == 2
     assert pair == (0, 55) and abs(value - 2.108017860221567) <= 1e-12 * value
-    calls.clear()
-    c9 = build_cayley_graph(spec_cycle(9))
-    max_resistance(Graph(c9.n, c9.indptr, c9.nbr, c9.mult), 3.0)
-    assert len(calls) == 36
+    pair_counts["bounded"].clear()
+    pair_counts["solved"].clear()
+    max_resistance(_plain(build_cayley_graph(spec_cycle(9))), 3.0)
+    assert len(pair_counts["bounded"]) == 36
+    assert len(pair_counts["solved"]) == 9
 
 
 # {-1, 0, 1} x {0, +-3} on Z x C10: the C10 steps cover C10 in 5 steps

@@ -1,6 +1,8 @@
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 
@@ -397,6 +399,54 @@ def test_interrupted_walk_kills_its_workers(monkeypatch, c8):
         _walk(*_walk_case("z2-staggered", c8), workers=2)
     assert time.monotonic() - t0 < 30
     _assert_no_children()
+
+
+def _proc_state(pid: int) -> str:
+    """The state letter of /proc/<pid>/stat, or "gone" once the pid is reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return "gone"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or walks._usable_cpus() < 2,
+                    reason="needs /proc and two usable CPUs")
+def test_walk_workers_die_with_a_killed_parent(tmp_path):
+    # SIGKILL leaves the parent no chance to kill its workers; each worker
+    # asked the kernel to kill it when the parent dies
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vtres", "escape", "--family", "explicit",
+         "--factors", "inf,inf", "--generators", "box", "--r", "1:16",
+         "--trials", "4000000", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        if not os.path.exists(children):
+            pytest.skip("kernel does not list children in /proc")
+        workers, deadline = [], time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            with open(children) as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+            time.sleep(0.02)
+        assert len(workers) >= 2, "the escape run forked no walk workers"
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 2
+        while time.monotonic() < deadline:
+            states = [_proc_state(pid) for pid in workers]
+            if all(state in ("gone", "Z") for state in states):
+                break
+            time.sleep(0.01)
+        assert all(state in ("gone", "Z") for state in states), states
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
 
 
 def test_walk_in_a_daemonic_worker_runs_in_process():
