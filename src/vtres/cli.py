@@ -17,7 +17,8 @@ in a manifest file only.
 
 Global flags: --seed, --out, --format, --size-cap.  Environment variables
 with the VTRES_ prefix (VTRES_SEED, VTRES_OUT, VTRES_FORMAT, VTRES_SIZE_CAP)
-supply defaults for the matching flags.
+supply defaults for the matching flags, read on each ``main`` call; the
+parser itself is built once per process.
 
 Errors go to stderr as ``error.type`` and ``error.message`` lines.  A
 NonConvergence adds ``error.iterations`` and, for a general-p Newton solve,
@@ -29,6 +30,7 @@ the stage turned down.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -160,7 +162,10 @@ def _add_commands(subparsers, table: dict, common) -> None:
                              help=_LIST_HELP.get(typ), **default)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: it holds no environment
+    value, since ``_fill_global_defaults`` reads those at parse time."""
     common = _global_flags()
     ap = argparse.ArgumentParser(prog="vtres", parents=[common])
     sp = ap.add_subparsers(dest="command", required=True)

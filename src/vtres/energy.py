@@ -67,22 +67,23 @@ than ``size_cap`` terms before it allocates them.
 Every linear solve goes through ``_solve_spd`` on the free/free block of
 a weighted Laplacian, whose pattern is fixed for the whole solve.  Systems
 of up to DIRECT_SOLVE_LIMIT unknowns are solved by banded Cholesky (LAPACK
-``pbsv``) with the free vertices in reverse Cuthill-McKee order, which makes
-lattice blocks narrow: bandwidth r + 1 on the Z^2 quotient of radius r, 36
-(against 90 in vertex order) for a pair of the 10x10 torus.  The order, and
-where each diagonal entry and each free/free edge lands in LAPACK's band
-storage, are found on the block's first direct solve; after that a Newton
-step costs one bincount, one scatter of the edge weights and one LAPACK
-call.  The solve is exact, not approximate: the order is a symmetric
-permutation, so the reordered block is still symmetric positive definite
-and its solution is the old one permuted; the band holds every nonzero;
-the Cholesky factor of a banded matrix has no fill outside its band, so
-nothing is dropped; and Cholesky needs no pivoting on a positive definite
-matrix.  A band that is not positive definite, such as one with a vertex
-whose weights all underflowed to 0, raises NonConvergence, on which Newton
-takes a gradient step.  Larger systems go to Jacobi-preconditioned CG on the
-block as a CSR matrix, assembled for each solve at a cost small beside
-CG's iterations.
+``pbsv``, or ``ptsv`` on a tridiagonal band) with the free vertices in
+reverse Cuthill-McKee order, which makes lattice blocks narrow: bandwidth
+r + 1 on the Z^2 quotient of radius r, 36 (against 90 in vertex order) for
+a pair of the 10x10 torus.  The order, and where each edge end's weight
+and each free/free edge's lands in LAPACK's band storage, are found on the
+block's first direct solve; after that a Newton step fills the band with
+one bincount and solves it with one direct LAPACK call, bit for bit what
+``scipy.linalg.solveh_banded`` returns on it.  The solve is exact, not
+approximate: the order is a symmetric permutation, so the reordered block
+is still symmetric positive definite and its solution is the old one
+permuted; the band holds every nonzero; the Cholesky factor of a banded
+matrix has no fill outside its band, so nothing is dropped; and Cholesky
+needs no pivoting on a positive definite matrix.  A band that is not
+positive definite, such as one with a vertex whose weights all underflowed
+to 0, raises NonConvergence, on which Newton takes a gradient step.  Larger
+systems go to Jacobi-preconditioned CG on the block as a CSR matrix,
+assembled for each solve at a cost small beside CG's iterations.
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ class _FreeLaplacian:
 
     def __init__(self, g: Graph, free_mask: np.ndarray):
         eu, ev, _ = g.edges
-        self._eu, self._ev, self._n = eu, ev, g.n
+        self._n_edges, self._n = len(eu), g.n
+        self._ends = np.concatenate([eu, ev])  # u ends, then v ends
         self.free_idx = np.nonzero(free_mask)[0]
         pos = np.full(g.n, -1, dtype=np.int64)
         pos[self.free_idx] = np.arange(len(self.free_idx))
@@ -238,14 +240,20 @@ class _FreeLaplacian:
         """Reverse Cuthill-McKee order of the free vertices (positions in
         ``free_idx``), computed on the block's first direct solve."""
         # sp.csgraph loads on first use, so importing vtres does not pay for it
-        pattern = self.matrix(np.ones(len(self._eu)))
+        pattern = self.matrix(np.ones(self._n_edges))
         return sp.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
 
     @functools.cached_property
-    def _band_layout(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Places of the diagonal and of each free/free edge's entry in the
-        column-major lower band storage of the block in ``order``, and the
-        band's width (the number of diagonals kept)."""
+    def _band_layout(self) -> tuple[np.ndarray, int]:
+        """Where ``band`` adds each of its values in the column-major lower
+        band storage of the block in ``order``, and the band's width (the
+        number of diagonals kept).
+
+        The places run over every edge end, u ends then v ends, to its
+        vertex's diagonal entry, or to a dump slot just past the band at a
+        terminal; then over the free/free edges, each to its off-diagonal
+        entry.
+        """
         nf = len(self.free_idx)
         rank = np.empty(nf, dtype=np.int64)
         rank[self.order] = np.arange(nf)
@@ -253,16 +261,23 @@ class _FreeLaplacian:
         lo = np.minimum(rank[self._ur], rank[self._uc])
         width = 1 + int((hi - lo).max(initial=0))
         # entry (i, j), i >= j, sits in row i - j of column j
-        return rank * width, lo * width + hi - lo, width
+        diag = np.full(self._n, width * nf, dtype=np.int64)
+        diag[self.free_idx] = rank * width
+        return np.concatenate([diag[self._ends], lo * width + hi - lo]), width
 
     def band(self, w: np.ndarray) -> np.ndarray:
-        """The block for edge weights ``w`` in ``order``, as the lower band
-        storage that LAPACK's ``pbsv`` takes: a new (width, n) array."""
-        diag_place, edge_place, width = self._band_layout
-        ab = np.zeros(width * len(self.free_idx))
-        ab[diag_place] = self.vertex_sums(w, w)
-        ab[edge_place] = -w[self._both]
-        return ab.reshape((width, -1), order="F")
+        """The block for edge weights ``w`` in ``order``, in LAPACK's lower
+        band storage: a new (width, n) array, column j holding entries
+        (j, j), (j + 1, j), ...
+
+        One bincount fills it.  Each diagonal entry adds its vertex's
+        weights in ``vertex_sums``' order, so it has the bits of
+        ``matrix``'s diagonal.
+        """
+        places, width = self._band_layout
+        size = width * len(self.free_idx)
+        ab = np.bincount(places, np.concatenate([w, w, -w[self._both]]), minlength=size + 1)
+        return ab[:size].reshape((width, -1), order="F")
 
     def matrix(self, w: np.ndarray) -> sp.csr_matrix:
         """The block for edge weights ``w``, as a new CSR matrix."""
@@ -277,8 +292,7 @@ class _FreeLaplacian:
         """Per free vertex, the sum of ``at_u`` over edges where it is u and
         of ``at_v`` over edges where it is v, in the order of an edge-by-edge
         accumulation (u ends first)."""
-        return np.bincount(np.concatenate([self._eu, self._ev]),
-                           weights=np.concatenate([at_u, at_v]),
+        return np.bincount(self._ends, weights=np.concatenate([at_u, at_v]),
                            minlength=self._n)[self.free_idx]
 
     def divergence(self, flow: np.ndarray) -> np.ndarray:
@@ -286,19 +300,37 @@ class _FreeLaplacian:
         return self.vertex_sums(flow, -flow)
 
 
+@functools.cache
+def _banded_solvers():
+    """LAPACK's float64 ``ptsv`` and ``pbsv``, the routines that
+    ``scipy.linalg.solveh_banded`` calls for a band of width 2 and of any
+    other width; looked up on the first direct solve."""
+    return scipy.linalg.get_lapack_funcs(("ptsv", "pbsv"), (np.empty(0),))
+
+
 def _solve_spd(lap: _FreeLaplacian, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the free block for edge weights ``w`` against ``b``.
 
     Up to DIRECT_SOLVE_LIMIT unknowns by banded Cholesky in the block's
     RCM order, raising NonConvergence if the band is not positive definite;
-    above it by Jacobi-preconditioned CG.
+    above it by Jacobi-preconditioned CG.  The direct solve calls LAPACK as
+    ``scipy.linalg.solveh_banded`` does, ``ptsv`` on a tridiagonal band
+    (a path or a cycle) and ``pbsv`` on any other, with the same results,
+    but skips its argument checks and copies.
     """
     if len(lap.free_idx) <= DIRECT_SOLVE_LIMIT:
-        try:
-            y = scipy.linalg.solveh_banded(lap.band(w), b[lap.order], overwrite_ab=True,
-                                           lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(0, float("nan"), f"banded Cholesky failed: {exc}") from None
+        ab = lap.band(w)
+        ptsv, pbsv = _banded_solvers()
+        if len(ab) == 2:
+            *_, y, info = ptsv(ab[0], ab[1, :-1], b[lap.order], overwrite_d=1,
+                               overwrite_e=1, overwrite_b=1)
+        else:
+            _, y, info = pbsv(ab, b[lap.order], lower=1, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise NonConvergence(0, float("nan"), f"banded Cholesky failed: {info}th "
+                                 f"leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK's banded solver")
         x = np.empty_like(y)
         x[lap.order] = y
         return x
@@ -333,16 +365,15 @@ def _true_residual(g: Graph, f: np.ndarray, p: float, free_idx: np.ndarray) -> f
 
 
 def _reg_energy(delta: np.ndarray, em: np.ndarray, p: float, eps: float) -> float:
-    return float(np.sum(em * (delta * delta + eps * eps) ** (p / 2.0)))
+    return float((em * (delta * delta + eps * eps) ** (p / 2.0)).sum())
 
 
-def _reg_gradient(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarray,
+def _reg_gradient(delta: np.ndarray, p: float, eps: float, emf: np.ndarray,
                   lap: _FreeLaplacian):
-    """Edge differences, delta^2 + eps^2, and the free gradient of the regularized energy."""
-    eu, ev, _ = g.edges
-    delta = f[eu] - f[ev]
+    """delta^2 + eps^2, and the free gradient of the regularized energy, for
+    the edge differences delta = f(u) - f(v)."""
     d2e2 = delta * delta + eps * eps
-    return delta, d2e2, lap.divergence(emf * p * delta * d2e2 ** ((p - 2.0) / 2.0))
+    return d2e2, lap.divergence(emf * p * delta * d2e2 ** ((p - 2.0) / 2.0))
 
 
 def _newton_weights(emf: np.ndarray, p: float, eps: float, delta: np.ndarray,
@@ -387,20 +418,21 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
     emf = g.edges[2].astype(float)
     iterations = 0
     stages: list[tuple[str, int, int]] = []
+    stage_end = None  # E_p and residual of f as the last stage left it
 
     if len(free_idx):
         for eps in EPS_SCHEDULE:
             before = iterations
             iterations, backtracks = _newton_at_eps(g, f, p, eps, emf, lap, iterations)
             stages.append((f"{eps:.0e}", iterations - before, backtracks))
+            stage_end = None
             if iterations >= MAX_NEWTON_STEPS:
                 break
-            scale = max(p_energy(g, f, p) / t, 1e-12)
-            if _true_residual(g, f, p, free_idx) <= 0.1 * TOL * scale:
+            stage_end = p_energy(g, f, p), _true_residual(g, f, p, free_idx)
+            if stage_end[1] <= 0.1 * TOL * max(stage_end[0] / t, 1e-12):
                 break
 
-    energy = p_energy(g, f, p)
-    residual = _true_residual(g, f, p, free_idx)
+    energy, residual = stage_end or (p_energy(g, f, p), _true_residual(g, f, p, free_idx))
     if not 0 < energy < math.inf:
         raise NonConvergence(iterations, residual, f"E_p(f) = {energy!r} is not "
                              f"positive and finite", stages=tuple(stages))
@@ -443,12 +475,16 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
     eu, ev, _ = g.edges
     free_idx = lap.free_idx
     backtracks = 0
+    # the edge differences of f and, when known, its regularized energy,
+    # carried over from the trial step that f took
+    delta, e0 = f[eu] - f[ev], None
     for _ in range(80):
         if iterations >= MAX_NEWTON_STEPS:
             break
-        delta, d2e2, gfree = _reg_gradient(g, f, p, eps, emf, lap)
+        d2e2, gfree = _reg_gradient(delta, p, eps, emf, lap)
         gnorm = float(np.abs(gfree).max())
-        e0 = _reg_energy(delta, emf, p, eps)
+        if e0 is None:
+            e0 = _reg_energy(delta, emf, p, eps)
         if gnorm <= 1e-14 * max(1.0, e0):
             break
         hw_newton = _newton_weights(emf, p, eps, delta, d2e2)
@@ -468,7 +504,7 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
                 d = -gfree / max(hw.max(), 1e-30)
                 newton = False
             slope = float(gfree @ d)
-            if slope >= 0 or not np.all(np.isfinite(d)):
+            if slope >= 0 or not np.isfinite(d).all():
                 d = -gfree
                 slope = float(gfree @ d)
                 newton = False
@@ -484,8 +520,10 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
                 # step if it shrinks the gradient, else end the stage
                 trial = f.copy()
                 trial[free_idx] += d
-                if float(np.abs(_reg_gradient(g, trial, p, eps, emf, lap)[2]).max()) < gnorm:
+                trial_delta = trial[eu] - trial[ev]
+                if float(np.abs(_reg_gradient(trial_delta, p, eps, emf, lap)[1]).max()) < gnorm:
                     f[:] = trial
+                    delta, e0 = trial_delta, None
                     moved = True
                 else:
                     backtracks += 1
@@ -494,9 +532,11 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
             for _bt in range(40):
                 trial = f.copy()
                 trial[free_idx] += alpha * d
-                e1 = _reg_energy(trial[eu] - trial[ev], emf, p, eps)
+                trial_delta = trial[eu] - trial[ev]
+                e1 = _reg_energy(trial_delta, emf, p, eps)
                 if e1 <= e0 + ARMIJO_C1 * alpha * slope:
                     f[:] = trial
+                    delta, e0 = trial_delta, e1
                     moved = True
                     break
                 alpha *= 0.5

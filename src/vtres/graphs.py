@@ -32,7 +32,7 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -424,12 +424,14 @@ def _symmetry_candidates(offsets: Sequence[tuple[int, ...]],
                      if {_canonical(s, moduli) for s in signed[:, g].tolist()} == set(offsets)])
 
 
-def _symmetry_group(offsets: Sequence[tuple[int, ...]],
-                    moduli: Sequence[Optional[int]]) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _symmetry_group(offsets: tuple[tuple[int, ...], ...],
+                    moduli: tuple[Optional[int], ...]) -> np.ndarray:
     """The group the ``_symmetry_candidates`` generate, in their row form,
     identity first (8 elements on Z^2, 48 on Z^3 with box generators).  A
     swap keeps the offsets, so the coordinates it joins have one modulus and
-    one offset extent, and every element maps a ``_key_box`` onto itself."""
+    one offset extent, and every element maps a ``_key_box`` onto itself.
+    Memoised per spec, so the array is read-only."""
     d = len(moduli)
     gens = _symmetry_candidates(offsets, moduli)
     code = (2 * d) ** np.arange(d)
@@ -440,6 +442,7 @@ def _symmetry_group(offsets: Sequence[tuple[int, ...]],
         words = np.unique(words.reshape(-1, d), axis=0)
         frontier = words[~np.isin(words @ code, group @ code)]
         group = np.concatenate([group, frontier])
+    group.flags.writeable = False
     return group
 
 

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -504,7 +505,9 @@ def test_banded_solve_matches_dense_solve(name):
     w = emf
     if p is not None:
         f = energy._solve_p2(tg, 1.0, lap)
-        delta, d2e2, _ = energy._reg_gradient(g, f, p, 1e-2, emf, lap)
+        eu, ev, _ = g.edges
+        delta = f[eu] - f[ev]
+        d2e2, _ = energy._reg_gradient(delta, p, 1e-2, emf, lap)
         w = energy._newton_weights(emf, p, 1e-2, delta, d2e2)
     a = lap.matrix(w)
     assert a.shape[0] <= energy.DIRECT_SOLVE_LIMIT
@@ -514,6 +517,47 @@ def test_banded_solve_matches_dense_solve(name):
     want = np.linalg.solve(a.toarray(), b)
     got = energy._solve_spd(lap, w, b)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _dense_band(a, width):
+    """LAPACK lower band storage of the dense symmetric ``a``: row k holds
+    diagonal k, entry (j + k, j) in column j, zero past the end."""
+    ab = np.zeros((width, a.shape[0]))
+    for k in range(width):
+        ab[k, :a.shape[0] - k] = np.diagonal(a, -k)
+    return ab
+
+
+@pytest.mark.parametrize("name", sorted(BANDED_CASES) + ["series30"])
+def test_band_is_the_dense_block_exactly(name):
+    # bit for bit: the band against the CSR block made dense, and the direct
+    # solve against scipy's solveh_banded on the same band; a path has a
+    # tridiagonal block, which LAPACK solves with ptsv
+    if name == "series30":
+        tg, p = TerminalGraph(series_graph(30), source=0, ground=30), 3.0
+    else:
+        make, p, _, _ = BANDED_CASES[name]
+        tg = make()
+    g, lap = tg.graph, _free_block(tg)
+    emf = g.edges[2].astype(float)
+    rng = np.random.Generator(np.random.Philox(key=[24, 0]))
+    weights = [emf, emf * rng.uniform(0.5, 2.0, len(emf))]
+    if p is not None:
+        f = energy._solve_p2(tg, 1.0, lap)
+        eu, ev, _ = g.edges
+        delta = f[eu] - f[ev]
+        d2e2, _ = energy._reg_gradient(delta, p, 1e-2, emf, lap)
+        weights.append(energy._newton_weights(emf, p, 1e-2, delta, d2e2))
+    for w in weights:
+        a, order, ab = lap.matrix(w), lap.order, lap.band(w)
+        dense = a.toarray()[order][:, order]
+        assert len(ab) == _bandwidth(a, order) + 1
+        assert (len(ab) == 2) == (name == "series30")
+        assert np.array_equal(ab, _dense_band(dense, len(ab)))
+        b = rng.standard_normal(len(order))
+        want = np.empty(len(order))
+        want[order] = scipy.linalg.solveh_banded(ab, b[order], lower=True)
+        assert np.array_equal(energy._solve_spd(lap, w, b), want)
 
 
 def test_rcm_order_is_computed_once_per_solve(monkeypatch):
@@ -546,10 +590,35 @@ Z2_QUOTIENT_NEWTON_STEPS = {
 }
 
 
+# their R_p, and the R_p brackets of the p=1.1 solves that stall, to the
+# last bit: a change to the solver's arithmetic shows here
+Z2_QUOTIENT_RESISTANCE = {
+    (1.2, 10): 0.1250277354718353, (1.2, 20): 0.12502773993962094,
+    (1.5, 10): 0.13291682831126544, (1.5, 20): 0.13335079411038706,
+    (3.0, 10): 1.986123596526844, (3.0, 20): 3.986569161477556,
+    (3.0, 40): 8.075192908132022,
+}
+Z2_QUOTIENT_P11_BRACKETS = {
+    10: (0.12500001200467273, 0.12501396689106914),
+    20: (0.12500001191863006, 0.12506756357478957),
+}
+
+
 @pytest.mark.parametrize("p,r", sorted(Z2_QUOTIENT_NEWTON_STEPS))
 def test_z2_quotient_newton_step_counts(p, r):
     tg = dirichlet_problem(orbit_ball(spec_lattice(2), r + 1), r)
-    assert p_resistance(tg, p).potential.iterations == Z2_QUOTIENT_NEWTON_STEPS[p, r]
+    flow = p_resistance(tg, p)
+    assert flow.potential.iterations == Z2_QUOTIENT_NEWTON_STEPS[p, r]
+    assert flow.resistance == Z2_QUOTIENT_RESISTANCE[p, r]
+
+
+@pytest.mark.parametrize("r", sorted(Z2_QUOTIENT_P11_BRACKETS))
+def test_z2_quotient_p11_bracket_is_pinned(r):
+    tg = dirichlet_problem(orbit_ball(spec_lattice(2), r + 1), r)
+    with pytest.raises(NonConvergence) as info:
+        p_resistance(tg, 1.1)
+    lo, hi = Z2_QUOTIENT_P11_BRACKETS[r]
+    assert str(info.value) == f"R_p bracket [{lo!r}, {hi!r}] is wider than 1e-08 relative"
 
 
 def test_singular_block_is_a_typed_failure():
@@ -562,7 +631,8 @@ def test_singular_block_is_a_typed_failure():
     p, eps = 40.0, 1e-10
     eu, ev, em = g.edges
     emf = em.astype(float)
-    delta, d2e2, gfree = energy._reg_gradient(g, f, p, eps, emf, lap)
+    delta = f[eu] - f[ev]
+    d2e2, gfree = energy._reg_gradient(delta, p, eps, emf, lap)
     hw = energy._newton_weights(emf, p, eps, delta, d2e2)
     assert hw[1] == hw[2] == 0 < hw[0]
     with pytest.raises(NonConvergence, match="banded Cholesky"):

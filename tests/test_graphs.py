@@ -592,6 +592,25 @@ def test_orbit_ball_does_not_depend_on_the_image_block(monkeypatch, name):
         assert np.array_equal(getattr(got, f), getattr(want, f))
 
 
+@pytest.mark.parametrize("spec,radius", [(spec_lattice(2), 21), (spec_lattice(3), 9),
+                                         (Z2_C4, 12)], ids=["z2", "z3", "z2-c4"])
+def test_symmetry_group_cache(monkeypatch, spec, radius):
+    # the memoised group is shared by every caller, so it is read-only, and
+    # a ball built on it equals one built on a freshly computed group
+    group = _symmetry_group(spec.offsets, spec.factors)
+    assert _symmetry_group(spec.offsets, spec.factors) is group
+    with pytest.raises(ValueError):
+        group[0, 0] = 1
+    want = orbit_ball(spec, radius)
+    fresh = _symmetry_group.__wrapped__(spec.offsets, spec.factors)
+    assert np.array_equal(fresh, group)
+    monkeypatch.setattr(graphs, "_symmetry_group", _symmetry_group.__wrapped__)
+    got = orbit_ball(spec, radius)
+    assert got.base == want.base
+    for f in ("layer", "exit_degree", "coords", "size"):
+        assert np.array_equal(getattr(got, f), getattr(want, f))
+
+
 def test_orbit_ball_memory_is_bounded():
     # the least-image pass holds IMAGE_BLOCK image keys at a time
     import tracemalloc

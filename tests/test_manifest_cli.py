@@ -403,6 +403,18 @@ def test_cli_env_override(tmp_path):
     assert (out / "growth.txt").exists()
 
 
+def test_cli_parser_is_built_once_and_reads_env_per_call(monkeypatch, capsys, tmp_path):
+    # the cached parser holds no VTRES_* value: each main() call reads its own
+    from vtres.cli import build_parser
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(tmp_path)
+    argv = ["growth", "--family", "torus_product", "--factors", "8",
+            "--generators", "box", "--radius", "3"]
+    for fmt in ("structured-text", "plotdata", "csv"):
+        monkeypatch.setenv("VTRES_FORMAT", fmt)
+        assert parse_manifest(_emitted(capsys, argv)).out_format == fmt
+
+
 def test_cli_malformed_env_value_is_bad_arguments(tmp_path):
     proc = _cli("growth", "--family", "torus_product", "--factors", "8",
                 "--generators", "box", "--radius", "2", "--out", str(tmp_path / "g"),
