@@ -64,7 +64,11 @@ whether B(r) is an interval cube times fully covered cyclic factors, and
 character modes, one interval coordinate in closed form, refusing more
 than ``size_cap`` terms before it allocates them.
 
-Every linear solve goes through ``_solve_spd`` on the free/free block of
+Each two-terminal problem is set up once, as a ``_FreeLaplacian``.  It
+checks the terminals (in range, distinct, every vertex joined to the
+source) and holds the free vertices, edge ends, float multiplicities and
+source that the p=2 solve, the Newton stages and the flow bound read.
+Every linear solve goes through ``_solve_spd`` on its free/free block of
 a weighted Laplacian, whose pattern is fixed for the whole solve.  Systems
 of up to DIRECT_SOLVE_LIMIT unknowns are solved by banded Cholesky (LAPACK
 ``pbsv``, or ``ptsv`` on a tridiagonal band) with the free vertices in
@@ -216,18 +220,26 @@ def _check_terminals(tg: TerminalGraph) -> None:
 
 
 class _FreeLaplacian:
-    """Free/free block of a weighted graph Laplacian, whose pattern is fixed
-    for a whole solve while its edge weights change.
+    """One two-terminal problem: its terminals, checked on construction
+    (``_check_terminals``), its ``n`` vertices, the edge ends ``eu``, ``ev``
+    with float multiplicities ``emf``, the ``free_idx`` of all non-terminal
+    vertices, and the free/free block of the weighted graph Laplacian,
+    whose pattern is fixed for a whole solve while its edge weights change.
 
     Direct solves take the block as a band in reverse Cuthill-McKee
     ``order`` (``band``), whose layout is found once; CG takes it as a CSR
     matrix (``matrix``).
     """
 
-    def __init__(self, g: Graph, free_mask: np.ndarray):
-        eu, ev, _ = g.edges
-        self._n_edges, self._n = len(eu), g.n
+    def __init__(self, tg: TerminalGraph):
+        _check_terminals(tg)
+        g = tg.graph
+        eu, ev, em = g.edges
+        self.eu, self.ev, self.emf = eu, ev, em.astype(float)
+        self.source, self.n = tg.source, g.n
         self._ends = np.concatenate([eu, ev])  # u ends, then v ends
+        free_mask = np.ones(g.n, dtype=bool)
+        free_mask[[tg.source, tg.ground]] = False
         self.free_idx = np.nonzero(free_mask)[0]
         pos = np.full(g.n, -1, dtype=np.int64)
         pos[self.free_idx] = np.arange(len(self.free_idx))
@@ -240,7 +252,7 @@ class _FreeLaplacian:
         """Reverse Cuthill-McKee order of the free vertices (positions in
         ``free_idx``), computed on the block's first direct solve."""
         # sp.csgraph loads on first use, so importing vtres does not pay for it
-        pattern = self.matrix(np.ones(self._n_edges))
+        pattern = self.matrix(np.ones(len(self.eu)))
         return sp.csgraph.reverse_cuthill_mckee(pattern, symmetric_mode=True)
 
     @functools.cached_property
@@ -261,7 +273,7 @@ class _FreeLaplacian:
         lo = np.minimum(rank[self._ur], rank[self._uc])
         width = 1 + int((hi - lo).max(initial=0))
         # entry (i, j), i >= j, sits in row i - j of column j
-        diag = np.full(self._n, width * nf, dtype=np.int64)
+        diag = np.full(self.n, width * nf, dtype=np.int64)
         diag[self.free_idx] = rank * width
         return np.concatenate([diag[self._ends], lo * width + hi - lo]), width
 
@@ -293,7 +305,7 @@ class _FreeLaplacian:
         of ``at_v`` over edges where it is v, in the order of an edge-by-edge
         accumulation (u ends first)."""
         return np.bincount(self._ends, weights=np.concatenate([at_u, at_v]),
-                           minlength=self._n)[self.free_idx]
+                           minlength=self.n)[self.free_idx]
 
     def divergence(self, flow: np.ndarray) -> np.ndarray:
         """Net outflow at each free vertex of the edge values ``flow`` (u -> v)."""
@@ -344,16 +356,14 @@ def _solve_spd(lap: _FreeLaplacian, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_p2(tg: TerminalGraph, t: float, lap: _FreeLaplacian) -> np.ndarray:
+def _solve_p2(lap: _FreeLaplacian, t: float) -> np.ndarray:
     """Values of the p=2 potential: one sparse symmetric Dirichlet solve."""
-    g = tg.graph
-    f = np.zeros(g.n)
-    f[tg.source] = t
+    f = np.zeros(lap.n)
+    f[lap.source] = t
     if len(lap.free_idx):
-        eu, ev, em = g.edges
-        w = em.astype(float)
+        w = lap.emf
         # f is zero on the free vertices, so b = -L_fc f_c sums clamped values
-        b = lap.vertex_sums(w * f[ev], w * f[eu])
+        b = lap.vertex_sums(w * f[lap.ev], w * f[lap.eu])
         f[lap.free_idx] = _solve_spd(lap, w, b)
     return f
 
@@ -368,12 +378,11 @@ def _reg_energy(delta: np.ndarray, em: np.ndarray, p: float, eps: float) -> floa
     return float((em * (delta * delta + eps * eps) ** (p / 2.0)).sum())
 
 
-def _reg_gradient(delta: np.ndarray, p: float, eps: float, emf: np.ndarray,
-                  lap: _FreeLaplacian):
+def _reg_gradient(delta: np.ndarray, p: float, eps: float, lap: _FreeLaplacian):
     """delta^2 + eps^2, and the free gradient of the regularized energy, for
     the edge differences delta = f(u) - f(v)."""
     d2e2 = delta * delta + eps * eps
-    return d2e2, lap.divergence(emf * p * delta * d2e2 ** ((p - 2.0) / 2.0))
+    return d2e2, lap.divergence(lap.emf * p * delta * d2e2 ** ((p - 2.0) / 2.0))
 
 
 def _newton_weights(emf: np.ndarray, p: float, eps: float, delta: np.ndarray,
@@ -394,17 +403,15 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
     """
     if not math.isfinite(p) or p <= 1:
         raise BadArguments(f"p must be finite and > 1, got {p!r}")
-    if t <= 0:
-        raise BadArguments("t must be positive")
-    _check_terminals(tg)
+    if not (math.isfinite(t) and t > 0):
+        raise BadArguments(f"t must be finite and > 0, got {t!r}")
     g = tg.graph
-    free_mask = np.ones(g.n, dtype=bool)
-    free_mask[[tg.source, tg.ground]] = False
-    free_idx = np.nonzero(free_mask)[0]
+    lap = _FreeLaplacian(tg)
+    free_idx = lap.free_idx
+    f = _solve_p2(lap, t)
 
     if p == 2.0:
-        # the pattern is dropped before the residual pass, which peaks in memory
-        f = _solve_p2(tg, t, _FreeLaplacian(g, free_mask))
+        del lap  # the pattern is dropped before the residual pass, which peaks in memory
         energy = p_energy(g, f, 2.0)
         residual = _true_residual(g, f, 2.0, free_idx)
         scale = max(energy / t, 1e-12)
@@ -413,9 +420,6 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
         return Potential(values=f, p=2.0, source_value=t, energy=energy,
                          residual=residual, iterations=1, problem=tg)
 
-    lap = _FreeLaplacian(g, free_mask)
-    f = _solve_p2(tg, t, lap)
-    emf = g.edges[2].astype(float)
     iterations = 0
     stages: list[tuple[str, int, int]] = []
     stage_end = None  # E_p and residual of f as the last stage left it
@@ -423,7 +427,7 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
     if len(free_idx):
         for eps in EPS_SCHEDULE:
             before = iterations
-            iterations, backtracks = _newton_at_eps(g, f, p, eps, emf, lap, iterations)
+            iterations, backtracks = _newton_at_eps(lap, f, p, eps, iterations)
             stages.append((f"{eps:.0e}", iterations - before, backtracks))
             stage_end = None
             if iterations >= MAX_NEWTON_STEPS:
@@ -436,7 +440,7 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
     if not 0 < energy < math.inf:
         raise NonConvergence(iterations, residual, f"E_p(f) = {energy!r} is not "
                              f"positive and finite", stages=tuple(stages))
-    r_lo, r_hi = t ** p / energy, _flow_bound(g, f, p, tg.source, emf, lap)
+    r_lo, r_hi = t ** p / energy, _flow_bound(lap, f, p)
     if not abs(r_hi - r_lo) <= GAP_TOL * r_lo:
         raise NonConvergence(iterations, residual,
                              f"R_p bracket [{r_lo!r}, {r_hi!r}] is wider than "
@@ -445,8 +449,7 @@ def solve_potential(tg: TerminalGraph, p: float, t: float = 1.0) -> Potential:
                      residual=residual, iterations=iterations, problem=tg)
 
 
-def _flow_bound(g: Graph, f: np.ndarray, p: float, source: int, emf: np.ndarray,
-                lap: _FreeLaplacian) -> float:
+def _flow_bound(lap: _FreeLaplacian, f: np.ndarray, p: float) -> float:
     """Upper bound on R_p from the p-current of f made a unit flow.
 
     The current m |df|^(p-2) df is projected to zero divergence on the free
@@ -454,26 +457,25 @@ def _flow_bound(g: Graph, f: np.ndarray, p: float, source: int, emf: np.ndarray,
     the source; any unit flow theta gives
     R_p <= (sum m^(1-q) |theta|^q)^(p-1) with q = p/(p-1).
     """
-    eu, ev, _ = g.edges
+    eu, ev, emf = lap.eu, lap.ev, lap.emf
     theta = emf * signed_power(f[eu] - f[ev], p - 1.0)
     if len(lap.free_idx):
-        phi = np.zeros(g.n)
+        phi = np.zeros(lap.n)
         phi[lap.free_idx] = _solve_spd(lap, emf, lap.divergence(theta))
         theta = theta - emf * (phi[eu] - phi[ev])
-    out = theta[eu == source].sum() - theta[ev == source].sum()
+    out = theta[eu == lap.source].sum() - theta[ev == lap.source].sum()
     q = p / (p - 1.0)
     return float(np.sum(emf ** (1.0 - q) * np.abs(theta / out) ** q) ** (p - 1.0))
 
 
-def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarray,
-                   lap: _FreeLaplacian, iterations: int) -> tuple[int, int]:
+def _newton_at_eps(lap: _FreeLaplacian, f: np.ndarray, p: float, eps: float,
+                   iterations: int) -> tuple[int, int]:
     """Damped Newton on the eps-regularized energy; mutates f in place.
 
     Returns the running iteration count and the number of rejected trial
     steps in this stage.
     """
-    eu, ev, _ = g.edges
-    free_idx = lap.free_idx
+    eu, ev, emf, free_idx = lap.eu, lap.ev, lap.emf, lap.free_idx
     backtracks = 0
     # the edge differences of f and, when known, its regularized energy,
     # carried over from the trial step that f took
@@ -481,7 +483,7 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
     for _ in range(80):
         if iterations >= MAX_NEWTON_STEPS:
             break
-        d2e2, gfree = _reg_gradient(delta, p, eps, emf, lap)
+        d2e2, gfree = _reg_gradient(delta, p, eps, lap)
         gnorm = float(np.abs(gfree).max())
         if e0 is None:
             e0 = _reg_energy(delta, emf, p, eps)
@@ -521,7 +523,7 @@ def _newton_at_eps(g: Graph, f: np.ndarray, p: float, eps: float, emf: np.ndarra
                 trial = f.copy()
                 trial[free_idx] += d
                 trial_delta = trial[eu] - trial[ev]
-                if float(np.abs(_reg_gradient(trial_delta, p, eps, emf, lap)[1]).max()) < gnorm:
+                if float(np.abs(_reg_gradient(trial_delta, p, eps, lap)[1]).max()) < gnorm:
                     f[:] = trial
                     delta, e0 = trial_delta, None
                     moved = True
@@ -568,8 +570,7 @@ def p_resistance(tg: TerminalGraph, p: float) -> FlowResult:
 
 def pair_resistance(g: Graph, u: int, v: int, p: float) -> FlowResult:
     """R_p between two single vertices of a finite graph."""
-    tg = collapse_terminals(g, [u], [v], label=f"pair({u},{v})")
-    return p_resistance(tg, p)
+    return p_resistance(collapse_terminals(g, [u], [v]), p)
 
 
 def _half_angle(k, step, moduli) -> np.ndarray:
@@ -795,13 +796,8 @@ def _pair_upper_bound(g: Graph, u: int, v: int, p: float) -> float:
     The p-current of the p=2 potential, made a unit flow by ``_flow_bound``,
     bounds R_p from above as any unit flow does: two linear solves.
     """
-    tg = collapse_terminals(g, [u], [v])
-    _check_terminals(tg)
-    free_mask = np.ones(tg.graph.n, dtype=bool)
-    free_mask[[tg.source, tg.ground]] = False
-    lap = _FreeLaplacian(tg.graph, free_mask)
-    f = _solve_p2(tg, 1.0, lap)
-    return _flow_bound(tg.graph, f, p, tg.source, tg.graph.edges[2].astype(float), lap)
+    lap = _FreeLaplacian(collapse_terminals(g, [u], [v]))
+    return _flow_bound(lap, _solve_p2(lap, 1.0), p)
 
 
 def _largest_pair_resistances(g: Graph, pairs: list[tuple[int, int]], p: float) -> np.ndarray:

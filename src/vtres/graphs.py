@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
@@ -751,13 +751,12 @@ def mask_members(masks: Iterable[int], n: int) -> Iterator[np.ndarray]:
 
 @dataclass(frozen=True)
 class TerminalGraph:
-    """A Graph with a designated source and ground vertex; the label is not
-    part of its identity."""
+    """A Graph with a designated source and ground vertex, unchecked here:
+    the solver's problem object (``energy._FreeLaplacian``) checks them."""
 
     graph: Graph
     source: int
     ground: int
-    label: str = field(default="", compare=False)
 
 
 def _contract(g: Graph, label: np.ndarray, k: int, rows: int) -> Graph:
@@ -792,12 +791,10 @@ def dirichlet_problem(ball: BallGraph, r: int) -> TerminalGraph:
         raise BadArguments("layer invariant violated: edge jumps a sphere")
     # B(x, r) keeps its ids and S(x, r+1) becomes the ground vertex m
     label = np.minimum(np.arange(outer), m)
-    return TerminalGraph(_contract(ball.base, label, m + 1, m), source=ball.center,
-                         ground=m, label=f"dirichlet(r={r})")
+    return TerminalGraph(_contract(ball.base, label, m + 1, m), source=ball.center, ground=m)
 
 
-def collapse_terminals(g: Graph, source: Iterable[int], ground: Iterable[int],
-                       label: str = "") -> TerminalGraph:
+def collapse_terminals(g: Graph, source: Iterable[int], ground: Iterable[int]) -> TerminalGraph:
     """Collapse two disjoint vertex sets into single terminals.
 
     Free vertices keep their relative order and are renumbered 0..f-1; the
@@ -817,7 +814,7 @@ def collapse_terminals(g: Graph, source: Iterable[int], ground: Iterable[int],
     f = int(free.sum())
     remap = np.cumsum(free) - 1
     remap[src], remap[gnd] = f, f + 1
-    return TerminalGraph(_contract(g, remap, f + 2, g.n), source=f, ground=f + 1, label=label)
+    return TerminalGraph(_contract(g, remap, f + 2, g.n), source=f, ground=f + 1)
 
 
 def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
@@ -841,8 +838,7 @@ def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
     label = np.concatenate([np.arange(inner), np.full(b_n - inner, f),
                             np.arange(inner, f), np.full(m - outer, f + 1)])
     # every edge leaving B(x, r-1) ends in S(x, r), so its rows hold all kept edges
-    return TerminalGraph(_contract(ball.base, label, f + 2, outer), source=f,
-                         ground=f + 1, label=f"annulus(n={n}, r={r})")
+    return TerminalGraph(_contract(ball.base, label, f + 2, outer), source=f, ground=f + 1)
 
 
 def prefix_subgraph(g: Graph, m: int) -> Graph:

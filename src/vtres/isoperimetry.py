@@ -31,6 +31,7 @@ from .graphs import (
     mask_members,
     neighbor_masks,
 )
+from .walks import check_seed
 
 ALL_SETS_CAP = 14
 CONNECTED_SETS_CAP = 20
@@ -182,7 +183,7 @@ def _candidate_sets(ball: BallGraph, rho: int, smax: int, seed: int,
             if 1 <= ids.size <= smax:
                 out.append(tuple(ids.tolist()))
     # seeded random connected sets
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     lo = 1
     while lo <= smax:
         hi = min(smax, lo * 10 - 1)
@@ -225,6 +226,7 @@ def check_iso_theorems(ball: BallGraph, which: str, seed: int = 0,
     """
     if which not in ISO_THEOREMS:
         raise BadArguments(f"unknown theorem {which!r}")
+    check_seed(seed)
     if np.any(ball.size != 1):
         raise BadArguments("a subset's boundary is not an orbit quantity: need a full ball")
     rho = ball.radius - 1

@@ -80,6 +80,10 @@ class ExperimentManifest:
         for p in self.params.get("p", []):
             if not (math.isfinite(p) and p > 1):
                 raise BadArguments(f"p must be finite and > 1, got {p!r}")
+        # table1's fiber size ceil(n^(1 - eps)) is then at most n
+        eps = self.params.get("eps", 0.5)
+        if not (math.isfinite(eps) and eps >= 0):
+            raise BadArguments(f"eps must be finite and >= 0, got {eps!r}")
         if needs_graph and self.graph is None:
             raise BadArguments(f"{self.experiment} needs a graph spec")
 

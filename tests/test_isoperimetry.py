@@ -18,7 +18,7 @@ from vtres import (
 )
 from vtres.errors import BadArguments, SizeCapExceeded
 from vtres.graphs import from_edge_list, orbit_ball
-from vtres.isoperimetry import ISO_THEOREMS
+from vtres.isoperimetry import ISO_THEOREMS, _candidate_sets
 
 from conftest import complete_graph
 
@@ -216,3 +216,16 @@ def test_iso_theorems_refuse_an_orbit_ball():
     for which in ISO_THEOREMS:
         with pytest.raises(BadArguments, match="full ball"):
             check_iso_theorems(orbit_ball(spec_lattice(2), 5), which)
+
+
+def test_iso_theorem_seeds_do_not_alias():
+    # a seed >= 2**63 in a Python list key reads as float64, so 2**63 and
+    # 2**63 + 1 drew the same sets; the walks' seed range is refused here too
+    ball = build_ball(spec_lattice(2), 8)
+    rho = ball.radius - 1
+    a, b = (_candidate_sets(ball, rho, ball.beta(rho) // 2, seed, 14, 200)
+            for seed in (2**63, 2**63 + 1))
+    assert a != b
+    for seed in (-1, 2**64 + 5):
+        with pytest.raises(BadArguments, match="seed"):
+            check_iso_theorems(ball, "T6_1", seed=seed)

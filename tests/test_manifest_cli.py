@@ -306,6 +306,18 @@ def test_cli_non_finite_and_huge_p_are_typed_errors(tmp_path, p, error):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("eps", ["nan", "-1000"])
+def test_cli_table1_bad_eps_is_a_typed_error(capsys, tmp_path, eps):
+    # the fiber size ceil(8^(1 - eps)) is a ValueError at nan and an
+    # OverflowError at -1000
+    from vtres.cli import main
+    assert main(["repro", "table1", "--nlin", "8", f"--eps={eps}",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error.type = BadArguments", err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("p", ["0.5", "1", "-inf", "inf", "nan", "2,0.5"])
 def test_cli_bad_p_fails_before_any_ball_is_built(monkeypatch, capsys, tmp_path, p):
     import vtres.manifest
