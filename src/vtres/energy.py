@@ -49,13 +49,17 @@ on the original.
 
 At p != 2 ``max_resistance`` is a branch and bound over its candidates.
 The R_hi of each pair's p=2 potential, the Newton start, is an upper bound
-on its R_p for the cost of two linear solves.  Pairs are solved in full in
-decreasing order of that bound until the next bound is below the best R_p
-so far by more than GAP_TOL relative; a skipped pair's R_p, and the R_lo
-its solve would report, cannot then reach the maximum.  Every path of
+on its R_p.  On a Cayley graph every candidate's bound comes from FFTs on
+the torus Green function (``_cayley_pair_bounds``); on any other graph it
+costs two banded solves (``_pair_upper_bound``).  Pairs are solved in full
+in decreasing order of that bound until the next bound is below the best
+R_p so far by more than GAP_TOL relative; a skipped pair's R_p, and the
+R_lo its solve would report, cannot then reach the maximum.  Every path of
 ``max_resistance`` reports the first pair in its scan order within 1e-12
 relative of the maximum, so the skipped pairs change neither value nor
-pair.
+pair.  PAIR_SOLVE_CAP caps the full solves; the candidates of a Cayley
+graph are capped at DEFAULT_SIZE_CAP // n orbits, as each bound costs
+about n log n.
 
 A p=2 sphere resistance R_2(0 <-> S(r+1)) on a box ball needs neither a
 solve nor a ball.  ``box_ball_separable`` decides from the spec and r alone
@@ -124,8 +128,9 @@ from .graphs import (
 )
 
 DIRECT_SOLVE_LIMIT = 6000  # unknowns up to which solves are banded Cholesky, CG above
-# candidate pairs of a non-spectral max_resistance: orbits other than {0} on
-# a CayleyGraph, vertices on any other Graph
+# full pair solves of a max_resistance at p != 2, checked after the first
+# one; on a plain Graph, whose pairs each cost two banded solves to bound,
+# it also caps the vertices
 PAIR_SOLVE_CAP = 200
 # relative float64 resolution of the regularized energy: a Newton step whose
 # predicted decrease is below this times max(1, E) is judged by its gradient
@@ -586,21 +591,83 @@ def _half_angle(k, step, moduli) -> np.ndarray:
     return 2.0 * np.sin(np.pi * num / den) ** 2
 
 
-def cayley_resistances(g: CayleyGraph) -> np.ndarray:
-    """R_2(0, v) for every vertex v of a finite abelian Cayley graph.
+def _cayley_green(g: CayleyGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The Laplacian spectrum lambda of a finite abelian Cayley graph, with
+    lambda(0) = inf, and its Green function g0 = ifftn(1/lambda), both of
+    shape ``g.dims``.
 
     Character k is a Laplacian eigenvector with eigenvalue lambda(k) =
     sum over s in S of 2 sin^2(pi theta), theta = sum_i k_i s_i / n_i (see
-    ``_half_angle``).  With lambda(0) = inf and G = ifftn(1/lambda),
-    R_2(0, v) = 2 (G(0) - G(v)).
+    ``_half_angle``), so L g0 = delta_0 - 1/n.
     """
     k = np.ix_(*[np.arange(n, dtype=np.int64) for n in g.dims])
     lam = np.zeros(g.dims)
     for s in g.offsets:
         lam += _half_angle(k, s, g.dims)
     lam.flat[0] = np.inf
-    green = np.fft.ifftn(1.0 / lam).real.reshape(-1)
+    return lam, np.fft.ifftn(1.0 / lam).real
+
+
+def cayley_resistances(g: CayleyGraph) -> np.ndarray:
+    """R_2(0, v) for every vertex v of a finite abelian Cayley graph:
+    2 (g0(0) - g0(v)) with g0 the Green function of ``_cayley_green``."""
+    green = _cayley_green(g)[1].reshape(-1)
     return 2.0 * (green[0] - green)
+
+
+def _cayley_pair_bounds(g: CayleyGraph, targets: list[int], p: float) -> np.ndarray:
+    """For each v in ``targets``, the upper bound on R_p(0, v) that
+    ``_pair_upper_bound`` gives, from FFTs in place of banded solves.
+
+    The edges are the pairs (x, x + s) over every vertex x and offset s,
+    each undirected edge twice: the offsets are distinct, so every edge has
+    multiplicity 1, and an offset with s = -s reaches its edges from both
+    ends.  With g0 from ``_cayley_green``, the p=2
+    potential of (0, v) is h = g0 - g0(. - v) up to its scale, since
+    L h = delta_0 - delta_v; it makes f with f(0) = 1 and f(v) = 0 after
+    dividing by h(0) - h(v).  Its p-current c = |df|^(p-2) df is projected
+    as ``_flow_bound`` projects it, to zero divergence off {0, v}, with the
+    capacitance method of Buzbee, Dorr, George and Golub (SIAM J. Numer.
+    Anal. 8, 1971): let d0 be div c with its entries at 0 and v zeroed and
+    psi = G d0 + a g0 + b g0(. - v), where G d0 = ifftn(fftn(d0)/lambda).
+    Then L psi = d0 + a delta_0 + b delta_v - (sum d0 + a + b)/n, so
+    a + b = -sum d0 makes it d0 off {0, v}, and a - b is fixed by
+    psi(0) = psi(v), the Dirichlet condition up to a constant that dpsi
+    does not see.  The bound is (sum |c - dpsi|^q / 2 / out^q)^(p-1), with
+    q = p/(p-1) and out the net outflow at 0.
+
+    Both routes bound with the same flow; they agree to 3e-11 relative on
+    the test graphs (at p=1.5; 5e-15 at p=3 and 4).
+    """
+    lam, green = _cayley_green(g)
+    g0, dims, axes = green.reshape(-1), g.dims, tuple(range(1, len(g.dims) + 1))
+    coords = np.unravel_index(np.arange(g.n), dims)
+    step = g.nbr.reshape(g.n, -1).T  # (deg, n): the neighbours x + s of each x
+    q = p / (p - 1.0)
+    targets = np.asarray(targets, dtype=np.int64)
+    bounds = np.empty(len(targets))
+    size = max(1, (1 << 19) // step.size)  # candidates per pass: 4 MB per edge array
+    for lo in range(0, len(targets), size):
+        v = targets[lo:lo + size]
+        rows = np.arange(len(v))
+        # (batch, n): g0(x - v) as ids, and h
+        back = np.ravel_multi_index([c[None, :] - vc[:, None] for c, vc in
+                                     zip(coords, np.unravel_index(v, dims))], dims, mode="wrap")
+        h = g0 - g0[back]
+        drop = h[:, 0] - h[rows, v]
+        cur = signed_power((h[:, None, :] - h[:, step]) / drop[:, None, None], p - 1.0)
+        d0 = cur.sum(axis=1)
+        d0[:, 0] = d0[rows, v] = 0.0
+        psi = np.fft.ifftn(np.fft.fftn(d0.reshape(-1, *dims), axes=axes) / lam,
+                          axes=axes).real.reshape(len(v), -1)
+        plus = -d0.sum(axis=1)
+        minus = (psi[rows, v] - psi[:, 0]) / (g0[0] - g0[v])
+        psi += 0.5 * (plus + minus)[:, None] * g0 + 0.5 * (plus - minus)[:, None] * g0[back]
+        cur -= psi[:, None, :] - psi[:, step]
+        out = cur[:, :, 0].sum(axis=1)
+        bounds[lo:lo + size] = (0.5 * (np.abs(cur) ** q).sum(axis=(1, 2))
+                                / np.abs(out) ** q) ** (p - 1.0)
+    return bounds
 
 
 class BoxAxes(NamedTuple):
@@ -803,16 +870,27 @@ def _pair_upper_bound(g: Graph, u: int, v: int, p: float) -> float:
 def _largest_pair_resistances(g: Graph, pairs: list[tuple[int, int]], p: float) -> np.ndarray:
     """R_p of every pair that can come within GAP_TOL of the maximum, -inf
     for the others (see ``max_resistance``)."""
-    bounds = [_pair_upper_bound(g, u, v, p) for u, v in pairs]
+    if isinstance(g, CayleyGraph):  # every pair is (0, v)
+        bounds = _cayley_pair_bounds(g, [v for _, v in pairs], p)
+    else:
+        bounds = np.array([_pair_upper_bound(g, u, v, p) for u, v in pairs])
     values = np.full(len(pairs), -np.inf)
     best = -math.inf
     # stable, so equal bounds keep scan order; a non-finite bound goes first
-    for i in sorted(range(len(pairs)),
-                    key=lambda i: -bounds[i] if math.isfinite(bounds[i]) else -math.inf):
+    order = sorted(range(len(pairs)),
+                   key=lambda i: -bounds[i] if math.isfinite(bounds[i]) else -math.inf)
+    for k, i in enumerate(order):
         if bounds[i] < best * (1 - GAP_TOL):
             break
         values[i] = pair_resistance(g, *pairs[i], p).resistance
         best = max(best, values[i])
+        if k == 0:
+            # best only grows, so only pairs whose bound reaches it now
+            # can be solved
+            solves = int(np.count_nonzero(~(bounds < best * (1 - GAP_TOL))))
+            if solves > PAIR_SOLVE_CAP:
+                raise SizeCapExceeded(f"up to {solves} pair solves for p={p}, "
+                                      f"more than the cap {PAIR_SOLVE_CAP}")
     return values
 
 
@@ -835,21 +913,37 @@ def max_resistance(g: Graph, p: float) -> tuple[float, tuple[int, int]]:
     stabilizer, at its smallest vertex (the ids of an ``orbit_ball`` past
     the diameter): being vertex-transitive it needs pairs at 0 only, and an
     automorphism fixing 0 gives every v of an orbit the same R_p(0, v).
-    Any other ``Graph`` has every pair u < v as candidates.  At most
-    PAIR_SOLVE_CAP candidates are taken.
+    Any other ``Graph`` has every pair u < v as candidates.
 
     At p != 2 not every candidate is solved.  Each gets an upper bound hi
-    on R_p from its p=2 potential (``_pair_upper_bound``, two linear solves
-    and no Newton step).  Candidates are then solved in full, by
+    on R_p from its p=2 potential, with no Newton step: on a
+    ``CayleyGraph`` from FFTs on the Green function of its spectrum, every
+    candidate at once (``_cayley_pair_bounds``), on any other ``Graph``
+    from two banded solves per pair (``_pair_upper_bound``); both are the
+    same flow bound.  Candidates are then solved in full, by
     ``pair_resistance``, in decreasing order of hi (non-finite hi first,
     equal hi in scan order), until the next hi is below best * (1 -
     GAP_TOL), best being the largest R_p solved so far.  This is exact: a
     skipped pair's reported R_p, 1/E_p of a potential, is at most its true
-    R_p by the Dirichlet principle, which is at most hi < best * (1 -
-    GAP_TOL), so it is not within 1e-12 of the maximum.  A NonConvergence
-    of a full solve propagates; it is that of the first failing pair in
-    solve order.
+    R_p by the Dirichlet principle, which is at most the exact bound.  A
+    computed hi is that bound up to rounding well inside 1e-10 relative
+    (the two bound routes agree to 3e-11 on the test graphs, and the tests
+    hold them to 1e-10), so the skipped pair's R_p is below
+    best * (1 - GAP_TOL) / (1 - 1e-10) < best * (1 - 1e-12): it is not
+    within 1e-12 of the maximum.  A NonConvergence of a full
+    solve propagates; it is that of the first failing pair in solve order.
+
+    The caps refuse work before it is done.  The bounds cost about
+    candidates * n log n, so a ``CayleyGraph`` takes at most DEFAULT_SIZE_CAP
+    // n orbits, and its orbit BFS stops at the first one past that (the
+    1000x1000 torus stops at 5).  A plain ``Graph`` takes at most
+    PAIR_SOLVE_CAP vertices.  PAIR_SOLVE_CAP caps the full solves: after
+    the first, every pair still to be solved has hi at or above best * (1 -
+    GAP_TOL), so more such candidates than the cap raise SizeCapExceeded
+    at the cost of one solve.
     """
+    if not math.isfinite(p) or p <= 1:
+        raise BadArguments(f"p must be finite and > 1, got {p!r}")
     if g.n < 2:
         raise BadArguments("graph needs at least two vertices")
     cayley = isinstance(g, CayleyGraph)
@@ -858,12 +952,14 @@ def max_resistance(g: Graph, p: float) -> tuple[float, tuple[int, int]]:
         v = _first_near_max(r)
         return float(r[v]), (0, v)
     if cayley:
-        # an orbit past the cap stops the BFS, before the rest of the ball
+        # each candidate's bound costs about n log n; an orbit past the cap
+        # stops the BFS, before the rest of the ball
+        orbits = DEFAULT_SIZE_CAP // g.n
         try:
-            ball = orbit_ball(spec_explicit(g.dims, g.offsets), g.n, PAIR_SOLVE_CAP + 1)
+            ball = orbit_ball(spec_explicit(g.dims, g.offsets), g.n, orbits)
         except SizeCapExceeded:
-            raise SizeCapExceeded(
-                f"more than {PAIR_SOLVE_CAP} pair solves for p={p}") from None
+            raise SizeCapExceeded(f"more than {orbits - 1} candidate pairs on {g.n} "
+                                  f"vertices for p={p}") from None
         pairs = [(0, int(v)) for v in np.sort(np.ravel_multi_index(ball.coords.T, g.dims))[1:]]
     else:
         if g.n > PAIR_SOLVE_CAP:

@@ -132,6 +132,7 @@ def _serve(run, chunks: range, conn, parent: int) -> None:
     # an interrupt reaches the whole process group: the parent handles it
     # for all, by killing the workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})  # blocked by _in_forks
     try:
         result = (True, run(chunks))
     except Exception as exc:  # raised again in the parent
@@ -148,8 +149,15 @@ def _in_forks(ctx, run, shares: list[range]) -> list:
     here.  No worker outlives the call, whether it returns, raises or is
     interrupted: on any exception the workers are killed, and they are
     always joined.
+
+    SIGINT is blocked while the workers start.  An interrupt that lands in
+    a fork would run its handler inside an at-fork hook (``logging``'s),
+    where Python drops the KeyboardInterrupt; held back, it is raised once
+    the last worker has started, and the workers inherit the block until
+    ``_serve`` ignores SIGINT.
     """
     procs, pipes = [], []
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for chunks in shares:
             recv, send = ctx.Pipe(duplex=False)
@@ -160,6 +168,7 @@ def _in_forks(ctx, run, shares: list[range]) -> list:
             finally:
                 send.close()  # the worker holds the only write end, so its death reads as EOF
             procs.append(proc)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results = []
         for w, (proc, conn) in enumerate(zip(procs, pipes)):
             try:
@@ -182,6 +191,7 @@ def _in_forks(ctx, run, shares: list[range]) -> list:
             proc.close()
         for conn in pipes:
             conn.close()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _walk(g: Graph, start: int, score: np.ndarray, trials: int, seed: int,

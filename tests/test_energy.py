@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -338,40 +340,71 @@ def pair_counts(monkeypatch):
     """The pairs max_resistance bounds, with their bounds, and the pairs it
     solves in full."""
     counts = {"bounded": {}, "solved": []}
-    bound = energy._pair_upper_bound
+    bound, cayley_bounds = energy._pair_upper_bound, energy._cayley_pair_bounds
 
     def bounding(g, u, v, p):
         counts["bounded"][u, v] = bound(g, u, v, p)
         return counts["bounded"][u, v]
+
+    def cayley_bounding(g, targets, p):
+        his = cayley_bounds(g, targets, p)
+        counts["bounded"].update({(0, int(v)): float(hi) for v, hi in zip(targets, his)})
+        return his
 
     def solving(g, u, v, p):
         counts["solved"].append((u, v))
         return pair_resistance(g, u, v, p)
 
     monkeypatch.setattr(energy, "_pair_upper_bound", bounding)
+    monkeypatch.setattr(energy, "_cayley_pair_bounds", cayley_bounding)
     monkeypatch.setattr(energy, "pair_resistance", solving)
     return counts
 
 
 def test_max_resistance_caps(monkeypatch, pair_counts):
     # the 15x15 torus has 36 orbits under vertex 0's stabilizer, so 35
-    # candidates, of which 3 are solved in full; the cap counts candidates
-    # on a CayleyGraph and vertices elsewhere
+    # candidates, of which 3 are solved in full
     g = build_cayley_graph(spec_torus(15, 15))
     max_resistance(g, 3.0)
     assert len(pair_counts["bounded"]) == 35
     assert len(pair_counts["solved"]) == 3
     pair_counts["bounded"].clear()
     pair_counts["solved"].clear()
-    monkeypatch.setattr(energy, "PAIR_SOLVE_CAP", 34)
-    # the 36th orbit passes the orbit ball's cap of 35, so no pair is bounded
-    with pytest.raises(SizeCapExceeded, match=r"more than 34 pair solves for p=3\.0"):
+    # the cap counts full solves; after the first, at least 3 bounds reach
+    # its R_p, so the refusal costs one solve
+    monkeypatch.setattr(energy, "PAIR_SOLVE_CAP", 2)
+    with pytest.raises(SizeCapExceeded, match=r"pair solves for p=3\.0, more than the cap 2"):
         max_resistance(g, 3.0)
+    assert len(pair_counts["bounded"]) == 35
+    assert len(pair_counts["solved"]) == 1
+    # the orbit ball stops at DEFAULT_SIZE_CAP // n = 5 orbits of the
+    # 1000x1000 torus, before any pair is bounded
+    pair_counts["bounded"].clear()
+    pair_counts["solved"].clear()
+    big = build_cayley_graph(spec_torus(1000, 1000))
+    t0 = time.perf_counter()
+    with pytest.raises(SizeCapExceeded, match="more than 4 candidate pairs on 1000000 vertices"):
+        max_resistance(big, 3.0)
+    assert time.perf_counter() - t0 < 1.0
     assert pair_counts == {"bounded": {}, "solved": []}
+    # on a plain Graph every pair is bounded by banded solves, so the cap
+    # also counts its vertices
     t4 = build_cayley_graph(spec_torus(4, 4))
     monkeypatch.setattr(energy, "PAIR_SOLVE_CAP", 10)
     with pytest.raises(SizeCapExceeded, match="16 vertices exceeds cap 10"):
         max_resistance(Graph(t4.n, t4.indptr, t4.nbr, t4.mult), 3.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf, -2.0])
+@pytest.mark.parametrize("plain", [False, True], ids=["cayley", "plain"])
+def test_max_resistance_bad_p_is_bad_arguments(p, plain):
+    g = build_cayley_graph(spec_torus(4, 4))
+    if plain:
+        g = Graph(g.n, g.indptr, g.nbr, g.mult)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadArguments, match="p must be finite and > 1"):
+            max_resistance(g, p)
 
 
 def _stokes_loop_reference(g, f, p, A):
@@ -732,12 +765,15 @@ def _finite_small_specs(seed, count):
     return specs
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
-def test_max_resistance_orbits_match_full_scan(p):
-    specs = _finite_small_specs(29, 16) + [
+def _orbit_scan_specs():
+    return _finite_small_specs(29, 16) + [
         spec_cyclic_chords(20, 3), spec_torus(5, 7), spec_torus(6, 8, 3, full_last=True),
         spec_explicit((6, 6), [(1, 0), (5, 0), (0, 1), (0, 5), (1, 2), (5, 4)])]
-    for spec in specs:
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_max_resistance_orbits_match_full_scan(p):
+    for spec in _orbit_scan_specs():
         g = build_cayley_graph(spec)
         want, want_pair = _max_resistance_reference(g, p)
         value, pair = max_resistance(g, p)
@@ -779,6 +815,26 @@ def test_pair_upper_bounds_hold(pair_counts, spec, p):
     assert len(pair_counts["bounded"]) > 1
     for (u, v), hi in pair_counts["bounded"].items():
         assert hi >= pair_resistance(g, u, v, p).resistance * (1 - 1e-12), (u, v)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_cayley_pair_bounds_match_banded_bounds(p):
+    # the FFT bounds are _pair_upper_bound's up to rounding, at every vertex;
+    # on C2 x C7 the C2 step is its own inverse
+    for spec in _orbit_scan_specs() + [spec_torus(2, 7)]:
+        g = build_cayley_graph(spec)
+        targets = list(range(1, g.n))
+        banded = [energy._pair_upper_bound(g, 0, v, p) for v in targets]
+        np.testing.assert_allclose(energy._cayley_pair_bounds(g, targets, p), banded,
+                                   rtol=1e-10, atol=0, err_msg=str(spec))
+
+
+def test_max_resistance_torus40_p3(pair_counts):
+    # 230 candidates, past the old candidate cap of 200; 24 full solves
+    value, pair = max_resistance(build_cayley_graph(spec_torus(40, 40)), 3.0)
+    assert len(pair_counts["bounded"]) == 230
+    assert len(pair_counts["solved"]) == 24
+    assert pair == (0, 820) and abs(value - 10.111282842830375) <= 1e-12 * value
 
 
 def test_max_resistance_solves_one_pair_per_orbit(pair_counts):
