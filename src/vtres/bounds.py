@@ -38,6 +38,7 @@ from .graphs import (
     Graph,
     GrowthProfile,
     TerminalGraph,
+    _row_slots,
     bfs_layers,
     boundary,
     boundary_sizes,
@@ -102,13 +103,29 @@ def make_report(quantity: str, computed: float, bound: float, side: str,
 
 @dataclass(frozen=True)
 class CutsetFamily:
-    """Pairwise disjoint edge sets, each separating source from ground."""
+    """Pairwise disjoint edge sets, each separating source from ground.
+
+    ``validate_cutsets`` checks a family once: the frozen fields cannot
+    change, so the first check's finding is cached on the instance, and a
+    family summed at several p is checked only the first time.
+    """
 
     cutsets: tuple[tuple[tuple[int, int, int], ...], ...]
     sizes: tuple[float, ...]
     graph: Graph
     source: tuple[int, ...]
     ground: tuple[int, ...]
+
+    @functools.cached_property
+    def _fault(self) -> Optional[str]:
+        # cached_property writes the instance __dict__ directly, which a
+        # frozen dataclass allows
+        return _cutset_fault(self)
+
+
+def _check_p(p: float, error: type[Exception] = BadArguments) -> None:
+    if not math.isfinite(p) or p <= 1:
+        raise error(f"p must be finite and > 1, got {p!r}")
 
 
 def validate_cutsets(family: CutsetFamily) -> None:
@@ -119,17 +136,27 @@ def validate_cutsets(family: CutsetFamily) -> None:
 
     Faults are reported in the order of an edge-by-edge scan: cutset by
     cutset, and within a cutset the edge checks first, in edge order.  The
-    sizes are checked last.
+    sizes are checked last.  Separation is decided for every cutset before
+    the first faulty one by a single reachability pass
+    (``_reach_past_cutsets``), not one search per cutset; any of them
+    failing gives the same message, so the scan order is kept.  The finding
+    is cached on the family, so a second call costs nothing.
     """
+    if family._fault is not None:
+        raise InvalidCutsets(family._fault)
+
+
+def _cutset_fault(family: CutsetFamily) -> Optional[str]:
+    """The message ``validate_cutsets`` raises for ``family``, or None."""
     g, n, cutsets = family.graph, family.graph.n, family.cutsets
     source = np.asarray(family.source, dtype=np.int64)
     ground = np.asarray(family.ground, dtype=np.int64)
     if not source.size or not ground.size:
-        raise InvalidCutsets("source and ground must be nonempty")
+        return "source and ground must be nonempty"
     if np.any((source < 0) | (source >= n)) or np.any((ground < 0) | (ground >= n)):
-        raise InvalidCutsets(f"source or ground vertex out of range [0, {n})")
+        return f"source or ground vertex out of range [0, {n})"
     if np.intersect1d(source, ground).size:
-        raise InvalidCutsets("source and ground overlap")
+        return "source and ground overlap"
     eu, ev, em = g.edges
     lengths = [len(c) for c in cutsets]
     flat = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(cutsets)),
@@ -153,37 +180,89 @@ def validate_cutsets(family: CutsetFamily) -> None:
     edge_fault = ~present | mismatch | (again & same)
     faulty = np.nonzero(edge_fault | again)[0]
     bad = int(cid[faulty[0]]) if len(faulty) else len(cutsets)
-    start = 0
-    for k in range(bad):
-        dist = bfs_layers(g, source, banned_edges=pairs[start:start + lengths[k]])
-        if np.any(dist[ground] >= 0):
-            raise InvalidCutsets("a cutset fails to separate source from ground")
-        start += lengths[k]
+    # cutsets 0..bad-1 are pairwise disjoint sets of graph edges
+    if bad:
+        head = sum(lengths[:bad])
+        if _reach_past_cutsets(g, source, pairs[:head], cid[:head], bad)[ground].any():
+            return "a cutset fails to separate source from ground"
     if bad < len(cutsets):
         i = int(np.argmax(edge_fault))
         if not edge_fault[i] or cid[i] != bad:
-            raise InvalidCutsets("cutsets are not pairwise disjoint")
+            return "cutsets are not pairwise disjoint"
         key = (int(pairs[i, 0]), int(pairs[i, 1]))
         if not present[i]:
-            raise InvalidCutsets(f"edge {key} not present in the graph")
+            return f"edge {key} not present in the graph"
         if mismatch[i]:
-            raise InvalidCutsets(f"edge {key} multiplicity mismatch")
-        raise InvalidCutsets(f"edge {key} repeated inside a cutset")
+            return f"edge {key} multiplicity mismatch"
+        return f"edge {key} repeated inside a cutset"
     sums = np.bincount(cid, weights=flat[:, 2], minlength=len(cutsets))
     if len(family.sizes) != len(cutsets) or np.any(np.asarray(family.sizes) != sums):
-        raise InvalidCutsets("cutset sizes are not their multiplicity sums")
+        return "cutset sizes are not their multiplicity sums"
+    return None
+
+
+def _reach_past_cutsets(g: Graph, source: np.ndarray, pairs: np.ndarray,
+                        cid: np.ndarray, k: int) -> np.ndarray:
+    """(n, ceil(k/64)) uint64 masks: bit j % 64 of word j // 64 of row v is
+    set when v can be reached from ``source`` without crossing cutset j.
+
+    ``pairs`` holds the (min, max) edges of cutsets 0..k-1 and ``cid`` the
+    cutset of each.  The cutsets must be pairwise disjoint sets of graph
+    edges, so each adjacency slot blocks at most one bit.  One pass finds
+    every bit: each round, the vertices that gained a bit pass their masks,
+    less each slot's blocked bit, to their neighbours.  Bit j reaches v in
+    the round of v's distance from ``source`` with cutset j deleted, so the
+    pass is a breadth-first search for all k cutsets at once.
+    """
+    n, words = g.n, -(-k // 64)
+    full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+    if k % 64:
+        full[-1] = (1 << (k % 64)) - 1
+    # the cutset each slot crosses, or -1; slot keys u*n+v ascend, since
+    # rows ascend and each row's neighbours are sorted
+    deg = np.diff(g.indptr)
+    keys = np.repeat(np.arange(n), deg) * n + g.nbr
+    cut = np.full(keys.size, -1, dtype=np.int32)
+    cut[np.searchsorted(keys, pairs[:, 0] * n + pairs[:, 1])] = cid
+    cut[np.searchsorted(keys, pairs[:, 1] * n + pairs[:, 0])] = cid
+    del keys
+    reach = np.zeros((n, words), dtype=np.uint64)
+    frontier = np.unique(source)
+    reach[frontier] = full
+    while frontier.size:
+        pos = _row_slots(g.indptr, frontier)
+        if not pos.size:
+            break
+        carry = reach[np.repeat(frontier, deg[frontier])]
+        j = cut[pos]
+        hit = np.flatnonzero(j >= 0)
+        j = j[hit]
+        carry[hit, j // 64] &= ~np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
+        w = g.nbr[pos]
+        order = np.argsort(w, kind="stable")
+        w, carry = w[order], carry[order]
+        first = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
+        w = w[first]
+        got = np.bitwise_or.reduceat(carry, first, axis=0) | reach[w]
+        grew = np.any(got != reach[w], axis=1)
+        frontier = w[grew]
+        reach[frontier] = got[grew]
+    return reach
 
 
 def nash_williams_bound(family: CutsetFamily, p: float, validate: bool = True) -> float:
     """(sum_i |Pi_i|^(-1/(p-1)))^(p-1), a lower bound for R_p(source <-> ground).
 
-    ``validate=False`` skips the per-cutset checks, never the terminal ones.
+    An empty cutset, valid when source and ground are already disconnected,
+    gives math.inf, which R_p is there.  ``validate=False`` skips the
+    per-cutset checks, never the terminal ones.
     """
-    if p <= 1:
-        raise BadArguments("p must be > 1")
+    _check_p(p)
     # without cutsets only the terminal checks remain
     validate_cutsets(family if validate
                      else dataclasses.replace(family, cutsets=(), sizes=()))
+    if 0 in family.sizes:
+        return math.inf
     q = 1.0 / (p - 1.0)
     return float(sum(s ** (-q) for s in family.sizes) ** (p - 1.0))
 
@@ -224,8 +303,7 @@ def diameter_resistance_lower(p: float, deg_u: int, diam: int, edge_total: int) 
     at least half of the rest have at most 2(|E|-deg(u))/(diam-1) edges.
     The constant is explicit, so the bound is a genuine inequality.
     """
-    if p <= 1:
-        raise BadArguments("p must be > 1")
+    _check_p(p)
     if diam < 2 or edge_total <= deg_u:
         raise BadArguments("need diam >= 2 and more edges than deg(u)")
     q = 1.0 / (p - 1.0)
@@ -258,8 +336,7 @@ def j_quantity(g: Graph, A, p: float, ambient_degree: Optional[int] = None) -> f
     ``ambient_degree`` overrides deg(Gamma) when g is a truncated piece of a
     larger graph.
     """
-    if p <= 1:
-        raise BadArguments("p must be > 1")
+    _check_p(p)
     info = boundary(g, A)
     deg = ambient_degree if ambient_degree is not None else g.max_degree
     return _j_value(len(set(int(x) for x in A)), info.vertex_size, info.edge_size, p, deg)
@@ -379,8 +456,7 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive") -> BkBound:
     block: the ball form sums its one root's blocks from n = 0, the pair
     form each terminal's blocks from n = 1.
     """
-    if p <= 1:
-        raise BadArguments("p must be > 1")
+    _check_p(p)
     if strategy not in ("exhaustive", "profile"):
         raise BadArguments(f"unknown strategy {strategy!r}")
 
@@ -456,8 +532,7 @@ class ExponentValues(NamedTuple):
 
 
 def alpha_exponent(p: float) -> float:
-    if p <= 1:
-        raise DomainError("p must be > 1")
+    _check_p(p, DomainError)
     return 1.0 if p < 3 else 1.0 - p / (math.floor(p) + 1.0)
 
 

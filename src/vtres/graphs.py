@@ -334,34 +334,17 @@ def from_edge_list(n: int, edges: Sequence[Sequence[int]] | np.ndarray) -> Graph
     return Graph(n, indptr, key % n, np.add.reduceat(em, np.flatnonzero(first)))
 
 
-def bfs_layers(g: Graph, sources: Iterable[int],
-               banned_edges: Optional[np.ndarray] = None) -> np.ndarray:
-    """Distances from a source set; -1 marks unreachable vertices.
-
-    ``banned_edges`` is a (k, 2) array of normalized (min, max) pairs
-    treated as deleted, used by cutset-separation checks.
-    """
+def bfs_layers(g: Graph, sources: Iterable[int]) -> np.ndarray:
+    """Distances from a source set; -1 marks unreachable vertices."""
     dist = np.full(g.n, -1, dtype=np.int64)
     frontier = np.unique(np.fromiter(sources, dtype=np.int64))
-    blocked = None
-    if banned_edges is not None and len(banned_edges) and g.nbr.size:
-        pairs = np.asarray(banned_edges, dtype=np.int64).reshape(-1, 2)
-        # slot keys u*n+v ascend: rows ascend and each row's neighbours are sorted
-        keys = np.repeat(np.arange(g.n), np.diff(g.indptr)) * g.n + g.nbr
-        q = np.concatenate([pairs @ [g.n, 1], pairs @ [1, g.n]])
-        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
-        blocked = np.zeros(keys.size, dtype=bool)
-        blocked[pos[keys[pos] == q]] = True
     dist[frontier] = 0
     d = 0
     while frontier.size:
         pos = _row_slots(g.indptr, frontier)
         w = g.nbr[pos]
-        fresh = dist[w] < 0
-        if blocked is not None:
-            fresh &= ~blocked[pos]
         d += 1
-        frontier = np.unique(w[fresh])
+        frontier = np.unique(w[dist[w] < 0])
         dist[frontier] = d
     return dist
 

@@ -14,14 +14,17 @@ out, the rest keep their order), and a walk at v moves to slot floor(u*deg(v))
 of v's neighbour row, which lists each neighbour ``mult`` times in CSR order.
 All three estimators run the one kernel ``_walk``.
 
-``_walk`` steps several chunks at once: a pool of about 1.25 chunks of live
+``_walk`` steps several chunks at once: a pool of up to four chunks of live
 walks takes in the next chunk whenever it has room, and every step each
 live chunk draws its uniforms from its own generator into its own slice of
 one buffer.  Interleaving chunks this way changes no draw, because a chunk
 never reads another chunk's generator and its draws still go to its own
 live walks in walk order, and a step cap counts a chunk's own steps.  So
 the per-chunk stream contract above is unchanged, and since counts are sums
-over walks, the order in which chunks finish does not matter either.
+over walks, the order in which chunks finish does not matter either.  The
+pool's width sets only how many walks share each step's numpy calls: a
+chunk's walks end at widely spread steps, and a wide pool overlaps the
+long tails of several chunks, so it takes fewer, fuller steps.
 
 The same argument lets ``_walk`` spread the chunks over processes.  With k
 CPUs usable and at least k chunks, k forked workers each run the pool over
@@ -50,7 +53,7 @@ from .errors import BadArguments, EmptySet, RadiusTooSmall
 from .graphs import BallGraph, Graph, dirichlet_problem
 
 CHUNK = 16384
-POOL = CHUNK + CHUNK // 4  # live walks stepped together, from one or more chunks
+POOL = 4 * CHUNK  # live walks stepped together, from one or more chunks
 RNG_NAME = "philox4x64"
 _TABLE_CELL_CAP = 100_000_000
 
@@ -217,12 +220,12 @@ def _walk(g: Graph, start: int, score: np.ndarray, trials: int, seed: int,
     gathered and compacted with the state.
 
     The chunks are stepped side by side in one pool of at most ``POOL``
-    live walks, which takes in the next chunk, with its own generator,
-    whenever it has room for all of it.  The pool holds the live chunks in
-    chunk order and each chunk's live walks in walk order.  Each step, every
-    live chunk fills its own slice of one draw buffer with one uniform per
-    live walk; the scale, truncation, gather, stop test and compaction then
-    run once over the pool.  A chunk's walks therefore get exactly the draws
+    live walks (four chunks), which takes in the next chunk, with its own
+    generator, whenever it has room for all of it.  The pool holds the live
+    chunks in chunk order and each chunk's live walks in walk order.  Each
+    step, every live chunk fills its own slice of one draw buffer with one
+    uniform per live walk; the scale, truncation, gather, stop test and
+    compaction then run once over the pool.  A chunk's walks therefore get exactly the draws
     they would get if the chunk ran alone, and its own age, not the pool's,
     decides when it is censored.
 
@@ -291,9 +294,11 @@ def _walk(g: Graph, start: int, score: np.ndarray, trials: int, seed: int,
             e *= d
             e = e.astype(np.int64)
             e += s
-            s = nxt[e]
+            # in place: s is spent once e holds it, and every index is in range
+            np.take(nxt, e, out=s, mode="clip")
             if not regular:
                 d = deg_e[e]
+            del e  # the largest buffer after the draws: gone before the compaction copies
             steps += 1
             np.maximum(best, s, out=best)
             done = s.view(np.uint32) >= stop_at

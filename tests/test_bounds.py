@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,11 +33,13 @@ from vtres import (
     spec_z_times_torus,
     theorem_rhs,
 )
+from vtres import bounds
 from vtres.bounds import (
     BkBound,
     CutsetFamily,
     alpha_exponent,
     b_exponent,
+    diameter_resistance_lower,
     h_star,
     homogeneous_dimension,
     j_upper_from_profile,
@@ -49,8 +54,10 @@ from vtres.errors import (
     OutOfProfileRange,
     ProfileUnavailable,
     SizeCapExceeded,
+    VtresError,
 )
-from vtres.graphs import bfs_layers, connected_supersets, from_edge_list, orbit_ball
+from vtres.cli import main
+from vtres.graphs import connected_supersets, from_edge_list, orbit_ball
 from vtres.manifest import _torus_with_fiber
 
 from conftest import random_small_spec, series_graph
@@ -191,6 +198,17 @@ def test_cutset_validation_rejects_repeat_inside_cutset():
         validate_cutsets(bad)
 
 
+def _reachable_without(graph, source, banned):
+    """Which vertices share a component with ``source`` once the (min, max)
+    edges in ``banned`` are deleted."""
+    n = graph.n
+    eu, ev, _ = graph.edges
+    kept = ~np.isin(eu * n + ev, [u * n + v for u, v in banned])
+    adj = sp.coo_matrix((np.ones(int(kept.sum())), (eu[kept], ev[kept])), shape=(n, n))
+    label = connected_components(adj, directed=False)[1]
+    return np.isin(label, label[list(source)])
+
+
 def _validate_cutsets_loop(family):
     """Edge-by-edge reference for validate_cutsets: its message, or None."""
     seen = set()
@@ -210,13 +228,23 @@ def _validate_cutsets_loop(family):
         if pairs & seen:
             return "cutsets are not pairwise disjoint"
         seen |= pairs
-        dist = bfs_layers(family.graph, family.source,
-                          banned_edges=np.array(sorted(pairs)).reshape(-1, 2))
-        if any(dist[g] >= 0 for g in family.ground):
+        if _reachable_without(family.graph, family.source, pairs)[list(family.ground)].any():
             return "a cutset fails to separate source from ground"
     if family.sizes != tuple(sum(m for _, _, m in c) for c in family.cutsets):
         return "cutset sizes are not their multiplicity sums"
     return None
+
+
+def _matches_loop_reference(family):
+    """Check validate_cutsets against the loop reference; its message, or None."""
+    want = _validate_cutsets_loop(family)
+    if want is None:
+        validate_cutsets(family)
+    else:
+        with pytest.raises(InvalidCutsets) as info:
+            validate_cutsets(family)
+        assert str(info.value) == want
+    return want
 
 
 def test_validate_cutsets_matches_loop_reference():
@@ -249,15 +277,125 @@ def test_validate_cutsets_matches_loop_reference():
                 cs[i][j] = (v, u, m)
         bad = CutsetFamily(cutsets=tuple(tuple(c) for c in cs), sizes=fam.sizes,
                            graph=fam.graph, source=fam.source, ground=fam.ground)
-        want = _validate_cutsets_loop(bad)
+        want = _matches_loop_reference(bad)
         seen_kinds.add(want and want.rsplit(") ", 1)[-1])
-        if want is None:
-            validate_cutsets(bad)
-        else:
-            with pytest.raises(InvalidCutsets) as info:
-                validate_cutsets(bad)
-            assert str(info.value) == want, trial
     assert len(seen_kinds) == 7
+
+
+def _reach_matches_search_per_cutset(family):
+    """Every bit of the one-pass masks against a search with that cutset deleted."""
+    g = family.graph
+    cutsets = [sorted({(min(u, v), max(u, v)) for u, v, _ in c}) for c in family.cutsets]
+    pairs = np.array([e for c in cutsets for e in c], dtype=np.int64).reshape(-1, 2)
+    cid = np.repeat(np.arange(len(cutsets)), [len(c) for c in cutsets])
+    reach = bounds._reach_past_cutsets(g, np.array(family.source), pairs, cid, len(cutsets))
+    assert reach.shape == (g.n, -(-len(cutsets) // 64)) and reach.dtype == np.uint64
+    for j, cut in enumerate(cutsets):
+        bit = (reach[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
+        assert bit.astype(bool).tolist() == _reachable_without(g, family.source, cut).tolist(), j
+    # no bit past the last cutset is ever set
+    if len(cutsets) % 64:
+        assert not (reach[:, -1] >> np.uint64(len(cutsets) % 64)).any()
+
+
+def _without_edge(family, i):
+    cutsets = list(family.cutsets)
+    cutsets[i] = cutsets[i][1:]
+    return dataclasses.replace(family, cutsets=tuple(cutsets))
+
+
+@pytest.mark.parametrize("drop", [None, 3, 66])
+def test_one_pass_check_past_64_cutsets(drop):
+    # 70 sphere cutsets take two mask words; cutset 66's bit is in the second
+    fam = sphere_cutsets(build_ball(spec_lattice(2), 70), 70)
+    assert len(fam.cutsets) == 70
+    if drop is not None:
+        fam = _without_edge(fam, drop)
+    want = _matches_loop_reference(fam)
+    assert want == (None if drop is None else "a cutset fails to separate source from ground")
+    _reach_matches_search_per_cutset(fam)
+
+
+def test_one_pass_check_from_a_source_set():
+    # the sphere cutsets past B(x, 1) separate all of B(x, 1) from S(x, 6)
+    b = build_ball(spec_lattice(2), 6)
+    fam = sphere_cutsets(b, 6)
+    inner = tuple(range(b.prefix(1)))
+    assert len(inner) == 9
+    outer = dataclasses.replace(fam, cutsets=fam.cutsets[1:], sizes=fam.sizes[1:], source=inner)
+    # a source vertex on S(x, 3) lies past the first two of them
+    past = dataclasses.replace(outer, source=inner + (int(b.sphere_ids(3)[0]),))
+    # from S(x, 6) inwards, each cutset is crossed from its larger ids
+    inward = dataclasses.replace(fam, source=fam.ground, ground=fam.source)
+    fails = "a cutset fails to separate source from ground"
+    for family, want in ((outer, None), (_without_edge(outer, 2), fails), (past, fails),
+                         (inward, None), (_without_edge(inward, 4), fails)):
+        assert _matches_loop_reference(family) == want
+        _reach_matches_search_per_cutset(family)
+
+
+def test_one_pass_check_on_an_orbit_ball():
+    # orbit edges carry multiplicities above 1
+    fam = sphere_cutsets(orbit_ball(_torus_with_fiber(2, 8, 2), 4), 4)
+    assert max(m for c in fam.cutsets for _, _, m in c) > 1
+    u, v, m = fam.cutsets[1][0]
+    bumped = (fam.cutsets[0], ((u, v, m + 1),) + fam.cutsets[1][1:]) + fam.cutsets[2:]
+    cases = ((fam, None),
+             (_without_edge(fam, 2), "a cutset fails to separate source from ground"),
+             (dataclasses.replace(fam, cutsets=bumped),
+              f"edge {(min(u, v), max(u, v))} multiplicity mismatch"))
+    for family, want in cases:
+        assert _matches_loop_reference(family) == want
+        _reach_matches_search_per_cutset(family)
+
+
+def test_each_cutset_family_is_checked_once(monkeypatch, tmp_path):
+    # sharpness sums each (d, n) family at every p; the check runs once per family
+    calls = []
+    real = bounds._reach_past_cutsets
+    monkeypatch.setattr(bounds, "_reach_past_cutsets",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+    assert main(["repro", "sharpness", "--p", "2,3", "--d", "2,3", "--n", "8,12,16",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 6
+    calls.clear()
+    fam = sphere_cutsets(build_ball(spec_lattice(2), 5), 5)
+    assert nash_williams_bound(fam, 2.0) < nash_williams_bound(fam, 3.0)
+    assert calls == [5]
+    # a broken family's finding is cached too
+    bad = _without_edge(fam, 1)
+    for _ in range(2):
+        with pytest.raises(InvalidCutsets, match="fails to separate"):
+            nash_williams_bound(bad, 2.0)
+    assert calls == [5, 5]
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_nash_williams_empty_cutset_is_infinite(validate):
+    # source and ground are already disconnected, so R_p is infinite and the
+    # empty cutset is a valid one
+    fam = CutsetFamily(cutsets=((),), sizes=(0.0,), graph=from_edge_list(
+        4, [(0, 1, 1), (2, 3, 1)]), source=(0,), ground=(3,))
+    validate_cutsets(fam)
+    for p in (1.5, 2.0, 3.0):
+        assert nash_williams_bound(fam, p, validate=validate) == math.inf
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 1.0, 0.5])
+def test_bounds_refuse_p_not_finite_and_above_one(p):
+    g = build_cayley_graph(spec_cycle(8))
+    fam = CutsetFamily(cutsets=(((0, 1, 4),),), sizes=(4.0,), graph=from_edge_list(
+        2, [(0, 1, 4)]), source=(0,), ground=(1,))
+    ball = build_ball(spec_cycle(12), 4)
+    for call, error in ((lambda: nash_williams_bound(fam, p), BadArguments),
+                        (lambda: nash_williams_bound(fam, p, validate=False), BadArguments),
+                        (lambda: diameter_resistance_lower(p, 2, 4, 8), BadArguments),
+                        (lambda: j_quantity(g, [0, 1], p), BadArguments),
+                        (lambda: bk_upper_bound((ball, 2), p), BadArguments),
+                        (lambda: alpha_exponent(p), DomainError)):
+        with pytest.raises(VtresError, match=r"p must be finite and > 1, got") as info:
+            call()
+        assert type(info.value) is error
 
 
 def _sphere_cutsets_loop(ball, r):

@@ -313,7 +313,7 @@ def test_hit_before_return_pool_matches_loop_reference(c8, case, x, Y, trials, s
 
 
 def test_walk_pool_memory_is_bounded():
-    # the pool holds about 1.25 chunks of walks, however many trials run
+    # the pool holds at most four chunks of walks, however many trials run
     import tracemalloc
     # in-process: tracemalloc cannot see a forked worker's allocations
     b = build_ball(spec_lattice(2), 4)
@@ -361,6 +361,24 @@ def test_walk_counts_do_not_depend_on_the_worker_count(c8, case):
         got_counts, got_censored = _walk(*args, workers=k)
         assert got_counts.tolist() == counts.tolist() and got_censored == censored, k
         _assert_no_children()
+
+
+@pytest.mark.parametrize("case", ["z2-staggered", "c8-cap8", "c8-cap10",
+                                  "irregular", "irregular-cap3"])
+def test_walk_counts_do_not_depend_on_the_pool_width(monkeypatch, c8, case):
+    # at 4 * CHUNK every chunk of these cases joins the pool at step 0, and
+    # the loop-reference tests above check that width; at 1.25 chunks the
+    # chunks join at different steps, and on C8 the caps censor one chunk
+    # while later ones keep walking; at one chunk they run one after another
+    args = _walk_case(case, c8)
+    widths = (CHUNK, CHUNK + CHUNK // 4, 4 * CHUNK)
+    got = []
+    for pool in widths:
+        monkeypatch.setattr(walks, "POOL", pool)
+        counts, censored = _walk(*args, workers=1)
+        got.append((counts.tolist(), censored))
+    assert got == [got[-1]] * len(widths)
+    assert got[0][1] > 0 or not case.startswith("c8")
 
 
 def _failing_chunk_rng(monkeypatch, fail):
