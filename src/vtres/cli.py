@@ -11,9 +11,9 @@ parameter schema in ``manifest._EXPERIMENTS`` (``max_n`` is ``--max-n``),
 plus the graph spec flags when the experiment needs a graph.  A flag without
 a CLI default is required, and one whose default is None is left out of the
 manifest unless given.  Scalar flags are parsed by argparse; list flags are
-comma lists (``a:b`` ranges for integers), and an empty list is
-BadArguments.  ``seed`` is the global --seed, and ``dump_potential`` is set
-in a manifest file only.
+comma lists (``a:b`` ranges for integers, a <= b), and an empty list or a
+reversed range is BadArguments.  ``seed`` is the global --seed, and
+``dump_potential`` is set in a manifest file only.
 
 Global flags: --seed, --out, --format, --size-cap.  Environment variables
 with the VTRES_ prefix (VTRES_SEED, VTRES_OUT, VTRES_FORMAT, VTRES_SIZE_CAP)
@@ -58,12 +58,15 @@ def _env_default(name: str, fallback):
 
 def _parse_int_list(text: str) -> list[int]:
     out: list[int] = []
-    try:
-        for part in text.split(","):
-            a, colon, b = part.partition(":")
-            out.extend(range(int(a), int(b if colon else a) + 1))
-    except ValueError:
-        raise BadArguments(f"expected integers or a:b ranges, got {text!r}") from None
+    for part in text.split(","):
+        a, colon, b = part.partition(":")
+        try:
+            lo, hi = int(a), int(b if colon else a)
+        except ValueError:
+            raise BadArguments(f"expected integers or a:b ranges, got {text!r}") from None
+        if hi < lo:
+            raise BadArguments(f"range {part!r} in {text!r} is reversed")
+        out.extend(range(lo, hi + 1))
     return out
 
 

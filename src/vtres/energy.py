@@ -47,19 +47,18 @@ certifies the original R_p, since a unit flow on the quotient, spread
 evenly over the edges each quotient edge merges, is one of the same cost
 on the original.
 
-At p != 2 ``max_resistance`` is a branch and bound over its candidates.
-The R_hi of each pair's p=2 potential, the Newton start, is an upper bound
-on its R_p.  On a Cayley graph every candidate's bound comes from FFTs on
-the torus Green function (``_cayley_pair_bounds``); on any other graph it
-costs two banded solves (``_pair_upper_bound``).  Pairs are solved in full
-in decreasing order of that bound until the next bound is below the best
-R_p so far by more than GAP_TOL relative; a skipped pair's R_p, and the
-R_lo its solve would report, cannot then reach the maximum.  Every path of
-``max_resistance`` reports the first pair in its scan order within 1e-12
-relative of the maximum, so the skipped pairs change neither value nor
-pair.  PAIR_SOLVE_CAP caps the full solves; the candidates of a Cayley
-graph are capped at DEFAULT_SIZE_CAP // n orbits, as each bound costs
-about n log n.
+``max_resistance`` takes Cayley graphs only.  At p=2 it reads every
+R_2(0, v) off the spectrum; at other p it is a branch and bound over its
+candidates.  The R_hi of each pair's p=2 potential, the Newton start, is an
+upper bound on its R_p, and every candidate's comes from FFTs on the torus
+Green function (``_cayley_pair_bounds``).  Pairs are solved in full in
+decreasing order of that bound until the next bound is below the best R_p
+so far by more than GAP_TOL relative; a skipped pair's R_p, and the R_lo
+its solve would report, cannot then reach the maximum.  Both paths report
+the first vertex v within 1e-12 relative of the maximum, so the skipped
+pairs change neither value nor pair.  PAIR_SOLVE_CAP caps the full solves,
+and the candidates are capped at DEFAULT_SIZE_CAP // n orbits, as each
+bound costs about n log n.
 
 A p=2 sphere resistance R_2(0 <-> S(r+1)) on a box ball needs neither a
 solve nor a ball.  ``box_ball_separable`` decides from the spec and r alone
@@ -97,7 +96,6 @@ assembled for each solve at a cost small beside CG's iterations.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -128,9 +126,7 @@ from .graphs import (
 )
 
 DIRECT_SOLVE_LIMIT = 6000  # unknowns up to which solves are banded Cholesky, CG above
-# full pair solves of a max_resistance at p != 2, checked after the first
-# one; on a plain Graph, whose pairs each cost two banded solves to bound,
-# it also caps the vertices
+# full pair solves of a max_resistance at p != 2, checked after the first one
 PAIR_SOLVE_CAP = 200
 # relative float64 resolution of the regularized energy: a Newton step whose
 # predicted decrease is below this times max(1, E) is judged by its gradient
@@ -617,7 +613,8 @@ def cayley_resistances(g: CayleyGraph) -> np.ndarray:
 
 def _cayley_pair_bounds(g: CayleyGraph, targets: list[int], p: float) -> np.ndarray:
     """For each v in ``targets``, the upper bound on R_p(0, v) that
-    ``_pair_upper_bound`` gives, from FFTs in place of banded solves.
+    ``_flow_bound`` gives on the pair's p=2 potential, from FFTs in place
+    of the two banded solves that would take.
 
     The edges are the pairs (x, x + s) over every vertex x and offset s,
     each undirected edge twice: the offsets are distinct, so every edge has
@@ -636,8 +633,9 @@ def _cayley_pair_bounds(g: CayleyGraph, targets: list[int], p: float) -> np.ndar
     does not see.  The bound is (sum |c - dpsi|^q / 2 / out^q)^(p-1), with
     q = p/(p-1) and out the net outflow at 0.
 
-    Both routes bound with the same flow; they agree to 3e-11 relative on
-    the test graphs (at p=1.5; 5e-15 at p=3 and 4).
+    This is the flow that two banded solves per pair give; the two routes
+    agree to 3e-11 relative on the test graphs (at p=1.5; 5e-15 at p=3
+    and 4).
     """
     lam, green = _cayley_green(g)
     g0, dims, axes = green.reshape(-1), g.dims, tuple(range(1, len(g.dims) + 1))
@@ -837,52 +835,79 @@ def box_ball_resistance(offsets, factors, r: int,
     return total / ((r + 1) ** len(outer) * math.prod(moduli))
 
 
-def _pair_resistances_p2(g: Graph) -> np.ndarray:
-    """R_2(u, v) for every pair u < v, in ``itertools.combinations`` order.
+def _first_near_max(values: np.ndarray) -> int:
+    """Index of the first value within 1e-12 (relative) of the maximum."""
+    return int(np.argmax(values >= values.max() * (1 - 1e-12)))
 
-    With G the inverse of the Laplacian grounded at vertex 0 (one LU
-    factorisation; row and column 0 of G are zero),
-    R_2(u, v) = G_uu + G_vv - 2 G_uv.
+
+def max_resistance(g: CayleyGraph, p: float) -> tuple[float, tuple[int, int]]:
+    """Maximum p-resistance between two vertices of a finite abelian Cayley
+    graph, with an argmax pair (0, v).
+
+    Being vertex-transitive, the graph needs pairs at 0 only, and the
+    reported pair is the first (0, v), in vertex order, whose R_p is within
+    1e-12 (relative) of the maximum, with that R_p.  At p=2 every R_2(0, v)
+    comes from the spectrum (``cayley_resistances``).  At other p the
+    candidates are one vertex per orbit other than {0} of vertex 0's
+    stabilizer, at its smallest id (the ids of an ``orbit_ball`` past the
+    diameter): an automorphism fixing 0 gives every v of an orbit the same
+    R_p(0, v).  Any other ``Graph`` is refused with BadArguments, after
+    the check of p; ``pair_resistance`` serves a single pair of any graph.
+
+    At p != 2 not every candidate is solved.  Each gets an upper bound hi
+    on R_p from its p=2 potential, with no Newton step, from FFTs on the
+    Green function of the spectrum, every candidate at once
+    (``_cayley_pair_bounds``).  Candidates are then solved in full, by
+    ``pair_resistance``, in decreasing order of hi (non-finite hi first,
+    equal hi in vertex order), until the next hi is below best * (1 -
+    GAP_TOL), best being the largest R_p solved so far.  This is exact: a
+    skipped pair's reported R_p, 1/E_p of a potential, is at most its true
+    R_p by the Dirichlet principle, which is at most the exact bound.  A
+    computed hi is that bound up to rounding well inside 1e-10 relative
+    (it matches two banded solves per pair to 3e-11 on the test graphs, and
+    the tests hold it to 1e-10), so the skipped pair's R_p is below
+    best * (1 - GAP_TOL) / (1 - 1e-10) < best * (1 - 1e-12): it is not
+    within 1e-12 of the maximum.  A NonConvergence of a full solve
+    propagates; it is that of the first failing pair in solve order.
+
+    The caps refuse work before it is done.  The bounds cost about
+    candidates * n log n, so at most DEFAULT_SIZE_CAP // n orbits are
+    taken, and the orbit BFS stops at the first one past that (the
+    1000x1000 torus stops at 5).  PAIR_SOLVE_CAP caps the full solves:
+    after the first, every pair still to be solved has hi at or above
+    best * (1 - GAP_TOL), so more such candidates than the cap raise
+    SizeCapExceeded at the cost of one solve.
     """
-    if np.any(bfs_layers(g, [0]) < 0):
-        raise DisconnectedTerminals("graph is not connected")
-    eu, ev, em = g.edges
-    lap = np.zeros((g.n, g.n))
-    lap[eu, ev] = lap[ev, eu] = -em
-    lap[np.diag_indices(g.n)] = g.degree
-    green = np.zeros((g.n, g.n))
-    green[1:, 1:] = np.linalg.inv(lap[1:, 1:])
-    u, v = np.triu_indices(g.n, 1)
-    diag = np.diag(green)
-    return diag[u] + diag[v] - 2.0 * green[u, v]
-
-
-def _pair_upper_bound(g: Graph, u: int, v: int, p: float) -> float:
-    """Upper bound on R_p(u, v) from the pair's p=2 potential, without Newton.
-
-    The p-current of the p=2 potential, made a unit flow by ``_flow_bound``,
-    bounds R_p from above as any unit flow does: two linear solves.
-    """
-    lap = _FreeLaplacian(collapse_terminals(g, [u], [v]))
-    return _flow_bound(lap, _solve_p2(lap, 1.0), p)
-
-
-def _largest_pair_resistances(g: Graph, pairs: list[tuple[int, int]], p: float) -> np.ndarray:
-    """R_p of every pair that can come within GAP_TOL of the maximum, -inf
-    for the others (see ``max_resistance``)."""
-    if isinstance(g, CayleyGraph):  # every pair is (0, v)
-        bounds = _cayley_pair_bounds(g, [v for _, v in pairs], p)
-    else:
-        bounds = np.array([_pair_upper_bound(g, u, v, p) for u, v in pairs])
-    values = np.full(len(pairs), -np.inf)
+    if not math.isfinite(p) or p <= 1:
+        raise BadArguments(f"p must be finite and > 1, got {p!r}")
+    if not isinstance(g, CayleyGraph):
+        raise BadArguments("max_resistance needs a CayleyGraph; "
+                           "pair_resistance takes a pair of any Graph")
+    if g.n < 2:
+        raise BadArguments("graph needs at least two vertices")
+    if p == 2.0:
+        r = cayley_resistances(g)
+        v = _first_near_max(r)
+        return float(r[v]), (0, v)
+    # each candidate's bound costs about n log n; an orbit past the cap
+    # stops the BFS, before the rest of the ball
+    orbits = DEFAULT_SIZE_CAP // g.n
+    try:
+        ball = orbit_ball(spec_explicit(g.dims, g.offsets), g.n, orbits)
+    except SizeCapExceeded:
+        raise SizeCapExceeded(f"more than {orbits - 1} candidate pairs on {g.n} "
+                              f"vertices for p={p}") from None
+    targets = np.sort(np.ravel_multi_index(ball.coords.T, g.dims))[1:].tolist()
+    bounds = _cayley_pair_bounds(g, targets, p)
+    values = np.full(len(targets), -np.inf)
     best = -math.inf
-    # stable, so equal bounds keep scan order; a non-finite bound goes first
-    order = sorted(range(len(pairs)),
+    # stable, so equal bounds keep vertex order; a non-finite bound goes first
+    order = sorted(range(len(targets)),
                    key=lambda i: -bounds[i] if math.isfinite(bounds[i]) else -math.inf)
     for k, i in enumerate(order):
         if bounds[i] < best * (1 - GAP_TOL):
             break
-        values[i] = pair_resistance(g, *pairs[i], p).resistance
+        values[i] = pair_resistance(g, 0, targets[i], p).resistance
         best = max(best, values[i])
         if k == 0:
             # best only grows, so only pairs whose bound reaches it now
@@ -891,81 +916,5 @@ def _largest_pair_resistances(g: Graph, pairs: list[tuple[int, int]], p: float) 
             if solves > PAIR_SOLVE_CAP:
                 raise SizeCapExceeded(f"up to {solves} pair solves for p={p}, "
                                       f"more than the cap {PAIR_SOLVE_CAP}")
-    return values
-
-
-def _first_near_max(values: np.ndarray) -> int:
-    """Index of the first value within 1e-12 (relative) of the maximum."""
-    return int(np.argmax(values >= values.max() * (1 - 1e-12)))
-
-
-def max_resistance(g: Graph, p: float) -> tuple[float, tuple[int, int]]:
-    """Maximum p-resistance between two vertices, with an argmax pair.
-
-    Every path reports the first pair, in its scan order, whose R_p is
-    within 1e-12 (relative) of the maximum, and that pair's R_p.
-
-    On a ``CayleyGraph`` at p=2 every R_2(0, v) comes from the spectrum
-    (``cayley_resistances``), scanned in vertex order.  Any other ``Graph``
-    at p=2 reads every pair u < v off one grounded Green matrix
-    (``_pair_resistances_p2``).  At other p the candidates are the pairs
-    (0, v) of a ``CayleyGraph``, one per orbit other than {0} of vertex 0's
-    stabilizer, at its smallest vertex (the ids of an ``orbit_ball`` past
-    the diameter): being vertex-transitive it needs pairs at 0 only, and an
-    automorphism fixing 0 gives every v of an orbit the same R_p(0, v).
-    Any other ``Graph`` has every pair u < v as candidates.
-
-    At p != 2 not every candidate is solved.  Each gets an upper bound hi
-    on R_p from its p=2 potential, with no Newton step: on a
-    ``CayleyGraph`` from FFTs on the Green function of its spectrum, every
-    candidate at once (``_cayley_pair_bounds``), on any other ``Graph``
-    from two banded solves per pair (``_pair_upper_bound``); both are the
-    same flow bound.  Candidates are then solved in full, by
-    ``pair_resistance``, in decreasing order of hi (non-finite hi first,
-    equal hi in scan order), until the next hi is below best * (1 -
-    GAP_TOL), best being the largest R_p solved so far.  This is exact: a
-    skipped pair's reported R_p, 1/E_p of a potential, is at most its true
-    R_p by the Dirichlet principle, which is at most the exact bound.  A
-    computed hi is that bound up to rounding well inside 1e-10 relative
-    (the two bound routes agree to 3e-11 on the test graphs, and the tests
-    hold them to 1e-10), so the skipped pair's R_p is below
-    best * (1 - GAP_TOL) / (1 - 1e-10) < best * (1 - 1e-12): it is not
-    within 1e-12 of the maximum.  A NonConvergence of a full
-    solve propagates; it is that of the first failing pair in solve order.
-
-    The caps refuse work before it is done.  The bounds cost about
-    candidates * n log n, so a ``CayleyGraph`` takes at most DEFAULT_SIZE_CAP
-    // n orbits, and its orbit BFS stops at the first one past that (the
-    1000x1000 torus stops at 5).  A plain ``Graph`` takes at most
-    PAIR_SOLVE_CAP vertices.  PAIR_SOLVE_CAP caps the full solves: after
-    the first, every pair still to be solved has hi at or above best * (1 -
-    GAP_TOL), so more such candidates than the cap raise SizeCapExceeded
-    at the cost of one solve.
-    """
-    if not math.isfinite(p) or p <= 1:
-        raise BadArguments(f"p must be finite and > 1, got {p!r}")
-    if g.n < 2:
-        raise BadArguments("graph needs at least two vertices")
-    cayley = isinstance(g, CayleyGraph)
-    if cayley and p == 2.0:
-        r = cayley_resistances(g)
-        v = _first_near_max(r)
-        return float(r[v]), (0, v)
-    if cayley:
-        # each candidate's bound costs about n log n; an orbit past the cap
-        # stops the BFS, before the rest of the ball
-        orbits = DEFAULT_SIZE_CAP // g.n
-        try:
-            ball = orbit_ball(spec_explicit(g.dims, g.offsets), g.n, orbits)
-        except SizeCapExceeded:
-            raise SizeCapExceeded(f"more than {orbits - 1} candidate pairs on {g.n} "
-                                  f"vertices for p={p}") from None
-        pairs = [(0, int(v)) for v in np.sort(np.ravel_multi_index(ball.coords.T, g.dims))[1:]]
-    else:
-        if g.n > PAIR_SOLVE_CAP:
-            raise SizeCapExceeded(f"{g.n} vertices exceeds cap {PAIR_SOLVE_CAP} for p={p}")
-        pairs = list(itertools.combinations(range(g.n), 2))
-    values = (_pair_resistances_p2(g) if p == 2.0  # not a CayleyGraph here
-              else _largest_pair_resistances(g, pairs, p))
     i = _first_near_max(values)
-    return float(values[i]), pairs[i]
+    return float(values[i]), (0, targets[i])

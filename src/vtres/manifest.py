@@ -293,7 +293,7 @@ def _run_resistance(man: ExperimentManifest, size_cap: int):
 def _run_escape(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     rs = sorted(set(int(r) for r in man.params["r"]))
-    if not rs or rs[0] < 1:
+    if rs[0] < 1:
         raise BadArguments("escape radii must be >= 1")
     trials = int(man.params["trials"])
     seed = int(man.params["seed"])
@@ -469,8 +469,8 @@ def _run_var_converse(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     n = int(man.params["n"])
     rs = sorted(set(int(r) for r in man.params["r"]))
-    if not rs or rs[0] <= n:
-        raise BadArguments("need a nonempty list of radii, every r > n")
+    if rs[0] <= n:
+        raise BadArguments("need every r > n")
     ball = orbit_ball(spec, max(rs), size_cap)
     deg = spec.ambient_degree()
     beta_n = ball.beta(n)
@@ -499,7 +499,14 @@ def run(man: ExperimentManifest, base_dir: Optional[str] = None,
     """
     # hashing validates the manifest's values, so a bad one fails before the run
     man_hash = manifest_hash(man)
-    tables, reports, metrics, extra_docs = _EXPERIMENTS[man.experiment][0](man, size_cap)
+    # and a sweep whose table would have no rows fails before any ball is built
+    runner, _, schema = _EXPERIMENTS[man.experiment]
+    for key, (typ, required) in schema.items():
+        if required and typ.endswith("_list") and not man.params[key]:
+            raise BadArguments(f"{man.experiment} needs a nonempty list {key!r}")
+    if man.experiment == "table1" and not any(man.params.get(k) for k in ("n2", "n3", "nlin")):
+        raise BadArguments("table1 needs a nonempty list n2, n3 or nlin")
+    tables, reports, metrics, extra_docs = runner(man, size_cap)
     out_dir = os.path.join(base_dir, man.out_path) if base_dir else man.out_path
     files = emit(tables, man.out_format, out_dir, man_hash)
     for name, body in extra_docs:

@@ -524,6 +524,49 @@ def test_empty_radius_lists_are_bad_arguments(tmp_path):
             run(man, base_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("argv,part", [
+    (["repro", "table1", "--n2", "5:3", "--n3", "9:8"], "'5:3' in '5:3'"),
+    (["repro", "sharpness", "--n", "9:8"], "'9:8' in '9:8'"),
+    (["repro", "table1", "--n2", "1,5:3"], "'5:3' in '1,5:3'")],
+    ids=["table1", "sharpness", "table1-mixed"])
+def test_cli_reversed_ranges_are_bad_arguments(capsys, tmp_path, argv, part):
+    # a reversed range is refused, not read as an empty sweep
+    from vtres.cli import main
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error.type = BadArguments", f"error.message = range {part} is reversed"]
+    assert not (tmp_path / "o").exists()
+
+
+EMPTY_SWEEPS = {
+    "resistance": (spec_cycle(8), {"p": []}),
+    "sandwich": (spec_lattice(2), {"p": [], "r_min": 1, "r_max": 4}),
+    "sharpness_nw": (None, {"p": [2.0], "d": [], "n": [8]}),
+    "table1": (None, {"n2": [], "n3": [], "nlin": []}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EMPTY_SWEEPS) + ["table1-no-lists"])
+def test_manifests_without_rows_fail_before_any_ball_is_built(monkeypatch, capsys, tmp_path,
+                                                              experiment):
+    import vtres.manifest
+    from vtres.cli import main
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a ball was built for a table without rows")
+
+    for name in ("build_ball", "orbit_ball", "build_cayley_graph"):
+        monkeypatch.setattr(vtres.manifest, name, unreachable)
+    spec, params = EMPTY_SWEEPS.get(experiment, (None, {}))
+    man = ExperimentManifest(experiment.split("-")[0], spec, params, str(tmp_path / "o"))
+    path = tmp_path / "m.txt"
+    path.write_text(emit_manifest(man))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error.type = BadArguments", err
+    assert not (tmp_path / "o").exists()
+
+
 def test_manifest_transitive_key_is_not_consumed(tmp_path):
     man = ExperimentManifest("resistance", spec_cycle(8), {"p": [2.0]}, "o", "csv")
     path = tmp_path / "m.txt"
