@@ -8,7 +8,10 @@ byte-identical manifests yield byte-identical artifacts.
 Each experiment is declared once, in ``_EXPERIMENTS`` at the bottom of the
 module: its runner, whether it needs a graph spec, and its parameter
 schema.  Manifest validation, emission and ``run`` read that entry, and the
-CLI builds a subcommand's flags from the same schema.
+CLI builds a subcommand's flags from the same schema.  The four claim
+tables (``sandwich``, ``table1``, ``sharpness_nw``, ``var_converse``) are
+``_sweep`` declarations: a table name, its columns, a row generator, and
+optionally a group key, named fits per group and a per-row check.
 """
 
 from __future__ import annotations
@@ -342,151 +345,146 @@ def _run_isoperimetry(man: ExperimentManifest, size_cap: int):
     return tables, reports, {}, []
 
 
+def _sweep(name: str, columns: tuple[str, ...], group: Optional[Callable] = None,
+           fits: tuple = (), check: Optional[Callable] = None):
+    """Declare a claim table; the decorated ``rows(man, size_cap)`` becomes its runner.
+
+    ``rows`` yields one tuple per row in ``columns`` order, and refuses a bad
+    grid before the first ball.  ``group(*row)`` is a row's group key.  Each
+    (name, fit) in ``fits`` maps one group's columns (name -> values) to the
+    metric ``{group}.{name}`` (``{name}`` with no group) or to None.
+    ``check(*row)``, if given, makes the row's BoundReport.
+    """
+    def declare(rows: Callable) -> Callable:
+        def runner(man: ExperimentManifest, size_cap: int):
+            table = Table(name, list(columns), list(rows(man, size_cap)))
+            groups: dict = {}
+            for row in table.rows:
+                groups.setdefault(group(*row) if group else "", []).append(row)
+            metrics = {}
+            for key, grp in groups.items():
+                cols = dict(zip(columns, zip(*grp)))
+                for fit, fn in fits:
+                    if (value := fn(cols)) is not None:
+                        metrics[f"{key}.{fit}" if key else fit] = value
+            reports = [check(*row) for row in table.rows] if check else []
+            return [table], reports, metrics, []
+        return runner
+    return declare
+
+
+def _spread(values) -> Optional[float]:
+    return max(values) / min(values) if values else None
+
+
+def _slope_on_log_r(rs, values) -> Optional[float]:
+    """Least-squares slope of log value against log log r; None unless two or more r, all >= 2."""
+    if len(rs) < 2 or rs[0] < 2:
+        return None
+    return bnd.loglog_slope([math.log(r) for r in rs], values)
+
+
+@_sweep("sandwich", ("p", "r", "beta_r", "lower_rhs", "computed", "upper_rhs",
+                     "lower_over_computed", "computed_over_upper"),
+        group=lambda p, *_: "p" + f"{p:g}".replace(".", "_"),
+        fits=(("log_regime_spread", lambda c: _spread(
+                  [v / math.log(r) for r, v in zip(c["r"], c["computed"]) if r >= 2])),
+              ("slope_computed", lambda c: _slope_on_log_r(c["r"], c["computed"])),
+              ("slope_upper", lambda c: _slope_on_log_r(c["r"], c["upper_rhs"])),
+              ("max_lower_over_computed", lambda c: max(c["lower_over_computed"])),
+              ("max_computed_over_upper", lambda c: max(c["computed_over_upper"]))))
 def _run_sandwich(man: ExperimentManifest, size_cap: int):
     spec = man.graph
-    ps = [float(p) for p in man.params["p"]]
     r_min, r_max = int(man.params["r_min"]), int(man.params["r_max"])
     if not 1 <= r_min <= r_max:
         raise BadArguments("need 1 <= r_min <= r_max")
     ball = functools.cache(lambda: orbit_ball(spec, r_max + 1, size_cap))
     deg = spec.ambient_degree()
-    rows = []
-    metrics: dict = {}
-    for p in ps:
-        computed_list, upper_list, lower_list, r_list = [], [], [], []
+    for p in map(float, man.params["p"]):
+        lower_thm, upper_thm = (("T1_8_lower", "T1_8_upper") if p == 2.0 else (
+            "T1_10_lower", "T1_10_upper_int" if p == int(p) else "T1_10_upper_nonint"))
         for r in range(r_min, r_max + 1):
             beta_r, computed = _sphere_resistance(spec, r, p, ball, size_cap)
-            if p == 2.0:
-                lower = bnd.theorem_rhs("T1_8_lower",
-                                        {"r": r, "beta_r": beta_r, "deg": deg})
-                upper = bnd.theorem_rhs("T1_8_upper",
-                                        {"r": r, "beta_r": beta_r, "deg": deg})
-            else:
-                base = {"p": p, "r": r, "beta_r": beta_r, "deg": deg}
-                lower = bnd.theorem_rhs("T1_10_lower", base)
-                which = "T1_10_upper_int" if p == int(p) else "T1_10_upper_nonint"
-                upper = bnd.theorem_rhs(which, base)
-            rows.append((p, r, beta_r, lower, computed, upper,
-                         lower / computed, computed / upper))
-            r_list.append(r)
-            computed_list.append(computed)
-            lower_list.append(lower)
-            upper_list.append(upper)
-        key = "p" + f"{p:g}".replace(".", "_")
-        regime = [c / math.log(r) for c, r in zip(computed_list, r_list) if r >= 2]
-        if regime:
-            metrics[f"{key}.log_regime_spread"] = max(regime) / min(regime)
-        if len(r_list) >= 2 and r_list[0] >= 2:
-            metrics[f"{key}.slope_computed"] = bnd.loglog_slope(
-                [math.log(r) for r in r_list], computed_list)
-            metrics[f"{key}.slope_upper"] = bnd.loglog_slope(
-                [math.log(r) for r in r_list], upper_list)
-        metrics[f"{key}.max_lower_over_computed"] = max(
-            l / c for l, c in zip(lower_list, computed_list))
-        metrics[f"{key}.max_computed_over_upper"] = max(
-            c / u for c, u in zip(computed_list, upper_list))
-    table = Table("sandwich", ["p", "r", "beta_r", "lower_rhs", "computed",
-                               "upper_rhs", "lower_over_computed",
-                               "computed_over_upper"], rows)
-    return [table], [], metrics, []
-
-
-def _table1_row_specs(man: ExperimentManifest):
-    eps = float(man.params.get("eps", 0.5))
-    for n in man.params.get("n2", []):
-        yield 2, int(n), 1
-    for n in man.params.get("n3", []):
-        yield 3, int(n), 1
-    for n in man.params.get("nlin", []):
-        yield 1, int(n), max(2, math.ceil(int(n) ** (1.0 - eps)))
+            base = {"p": p, "r": r, "beta_r": beta_r, "deg": deg}
+            lower, upper = bnd.theorem_rhs(lower_thm, base), bnd.theorem_rhs(upper_thm, base)
+            yield p, r, beta_r, lower, computed, upper, lower / computed, computed / upper
 
 
 def _torus_with_fiber(d: int, n: int, k: int) -> GraphSpec:
-    if k == 1:
-        return spec_torus(*([n] * d))
-    return spec_torus(*([n] * d + [k]), full_last=True)
+    return spec_torus(*[n] * d) if k == 1 else spec_torus(*[n] * d, k, full_last=True)
 
 
+def _even_tori(experiment: str, grid):
+    """The torus of each (d, n, k) in ``grid``, refusing an odd n first."""
+    for d, n, k in grid:
+        if n % 2:
+            raise BadArguments(f"{experiment} needs even n")
+        yield _torus_with_fiber(d, n, k)
+
+
+@_sweep("table1", ("p", "d", "k", "n", "deg", "nw_bound", "exact", "nw_over_exact",
+                   "regime", "regime_value", "nw_over_regime"),
+        group=lambda p, d, *_: f"d{d}",
+        fits=(("regime_spread", lambda c: _spread(c["nw_over_regime"])),),
+        check=lambda p, d, k, n, deg, nw, exact, *_: bnd.make_report(
+            "nash_williams_vs_exact", computed=exact, bound=nw, side="lower",
+            params={"p": p, "d": d, "k": k, "n": n}))
 def _run_table1(man: ExperimentManifest, size_cap: int):
     p = 2.0
-    rows = []
-    reports = []
-    metrics: dict = {}
-    groups: dict[int, list[float]] = {}
-    for d, n, k in _table1_row_specs(man):
-        if n % 2:
-            raise BadArguments("table1 needs even n")
-        spec = _torus_with_fiber(d, n, k)
+    eps = float(man.params.get("eps", 0.5))
+    grid = [(d, int(n), 1) for d, key in ((2, "n2"), (3, "n3"))
+            for n in man.params.get(key, [])]
+    grid += [(1, int(n), max(2, math.ceil(int(n) ** (1.0 - eps))))
+             for n in man.params.get("nlin", [])]
+    if not grid:
+        raise BadArguments("table1 needs a nonempty list n2, n3 or nlin")
+    for (d, n, k), spec in zip(grid, list(_even_tori("table1", grid))):
         half = n // 2
         ball = orbit_ball(spec, half, size_cap)
         nw = bnd.nash_williams_bound(bnd.sphere_cutsets(ball, half), p)
         _, exact = _sphere_resistance(spec, half - 1, p, lambda: ball, size_cap)
-        if d == int(p):
-            regime, regime_value = "log_n", math.log(n)
-        elif d > p:
-            regime, regime_value = "const", 1.0
-        else:
-            regime, regime_value = "poly", n ** (p - d) / k
-        reports.append(bnd.make_report(
-            "nash_williams_vs_exact", computed=exact, bound=nw, side="lower",
-            params={"p": p, "d": d, "k": k, "n": n}))
-        rows.append((p, d, k, n, spec.ambient_degree(), nw, exact, nw / exact,
-                     regime, regime_value, nw / regime_value))
-        groups.setdefault(d, []).append(nw / regime_value)
-    for d, vals in sorted(groups.items()):
-        metrics[f"d{d}.regime_spread"] = max(vals) / min(vals)
-    table = Table("table1", ["p", "d", "k", "n", "deg", "nw_bound", "exact",
-                             "nw_over_exact", "regime", "regime_value",
-                             "nw_over_regime"], rows)
-    return [table], reports, metrics, []
+        regime, regime_value = (("log_n", math.log(n)) if d == int(p) else
+                                ("const", 1.0) if d > p else ("poly", n ** (p - d) / k))
+        yield (p, d, k, n, spec.ambient_degree(), nw, exact, nw / exact,
+               regime, regime_value, nw / regime_value)
 
 
+@_sweep("sharpness_nw", ("p", "d", "k", "n", "nw_measured", "nw_formula",
+                         "measured_over_formula"))
 def _run_sharpness_nw(man: ExperimentManifest, size_cap: int):
     k = int(man.params.get("k", 1))
+    grid = [(int(d), int(n)) for d in man.params["d"] for n in man.params["n"]]
+    specs = dict(zip(grid, _even_tori("sharpness_nw", [(d, n, k) for d, n in grid])))
     # one ball and cutset family per (d, n), for every p
     cutsets = functools.cache(lambda d, n: bnd.sphere_cutsets(
-        orbit_ball(_torus_with_fiber(d, n, k), n // 2, size_cap), n // 2))
-    rows = []
-    for p in man.params["p"]:
-        p = float(p)
-        for d in man.params["d"]:
-            for n in man.params["n"]:
-                d, n = int(d), int(n)
-                if n % 2:
-                    raise BadArguments("sharpness_nw needs even n")
-                half = n // 2
-                measured = bnd.nash_williams_bound(cutsets(d, n), p)
-                exponent = (1.0 - d) / (p - 1.0)
-                formula = (1.0 / k) * sum(
-                    i ** exponent for i in range(1, half + 1)) ** (p - 1.0)
-                rows.append((p, d, k, n, measured, formula, measured / formula))
-    table = Table("sharpness_nw", ["p", "d", "k", "n", "nw_measured",
-                                   "nw_formula", "measured_over_formula"], rows)
-    return [table], [], {}, []
+        orbit_ball(specs[d, n], n // 2, size_cap), n // 2))
+    for p in map(float, man.params["p"]):
+        for d, n in grid:
+            measured = bnd.nash_williams_bound(cutsets(d, n), p)
+            exponent = (1.0 - d) / (p - 1.0)
+            formula = (1.0 / k) * sum(i ** exponent for i in range(1, n // 2 + 1)) ** (p - 1.0)
+            yield p, d, k, n, measured, formula, measured / formula
 
 
+@_sweep("var_converse", ("n", "r", "beta_n", "computed", "rhs", "computed_over_rhs",
+                         "computed_over_log"),
+        fits=(("log_regime_spread", lambda c: _spread(c["computed_over_log"])),))
 def _run_var_converse(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     n = int(man.params["n"])
     rs = sorted(set(int(r) for r in man.params["r"]))
     if rs[0] <= n:
         raise BadArguments("need every r > n")
+    if n < 1:
+        raise BadArguments("need 0 < n < r")
     ball = orbit_ball(spec, max(rs), size_cap)
     deg = spec.ambient_degree()
     beta_n = ball.beta(n)
-    rows = []
-    regime = []
     for r in rs:
         computed = p_resistance(annulus_problem(ball, n, r), 2.0).resistance
         rhs = bnd.theorem_rhs("T_var_converse",
                               {"n": n, "r": r, "beta_n": beta_n, "deg": deg})
-        v = computed / math.log(r / n)
-        regime.append(v)
-        rows.append((n, r, beta_n, computed, rhs, computed / rhs, v))
-    metrics = {"log_regime_spread": max(regime) / min(regime)}
-    table = Table("var_converse", ["n", "r", "beta_n", "computed", "rhs",
-                                   "computed_over_rhs", "computed_over_log"], rows)
-    return [table], [], metrics, []
+        yield n, r, beta_n, computed, rhs, computed / rhs, computed / math.log(r / n)
 
 
 def run(man: ExperimentManifest, base_dir: Optional[str] = None,
@@ -504,8 +502,6 @@ def run(man: ExperimentManifest, base_dir: Optional[str] = None,
     for key, (typ, required) in schema.items():
         if required and typ.endswith("_list") and not man.params[key]:
             raise BadArguments(f"{man.experiment} needs a nonempty list {key!r}")
-    if man.experiment == "table1" and not any(man.params.get(k) for k in ("n2", "n3", "nlin")):
-        raise BadArguments("table1 needs a nonempty list n2, n3 or nlin")
     tables, reports, metrics, extra_docs = runner(man, size_cap)
     out_dir = os.path.join(base_dir, man.out_path) if base_dir else man.out_path
     files = emit(tables, man.out_format, out_dir, man_hash)

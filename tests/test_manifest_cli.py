@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from vtres import (
 from vtres.errors import BadArguments, MissingParam
 from vtres.graphs import DEFAULT_SIZE_CAP, orbit_ball
 from vtres.manifest import Table, emit
+from vtres.textspec import parse_document
 
 from conftest import box_torus_fourier_resistance, reference_orbits
 
@@ -184,6 +186,81 @@ def test_run_table1_reports(tmp_path):
     result = run(man, base_dir=str(tmp_path))
     assert result.exit_code == 0
     assert all(r.status == "PASS" for r in result.reports)
+
+
+def _csv_rows(path):
+    lines = [line for line in _read(path).decode().splitlines() if not line.startswith("#")]
+
+    def cell(text):
+        for kind in (int, float):
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        return text
+    return [dict(zip(lines[0].split(","), map(cell, line.split(",")))) for line in lines[1:]]
+
+
+def _claim_metrics(experiment, rows):
+    """Every summary metric of a claim table, recomputed from its rows."""
+    out = {}
+    if experiment == "sandwich":
+        for p in dict.fromkeys(row["p"] for row in rows):
+            group = [row for row in rows if row["p"] == p]
+            key = "p" + f"{p:g}".replace(".", "_")
+            rs = [row["r"] for row in group]
+            regime = [row["computed"] / math.log(row["r"]) for row in group if row["r"] >= 2]
+            if regime:
+                out[f"{key}.log_regime_spread"] = max(regime) / min(regime)
+            if len(rs) >= 2 and min(rs) >= 2:
+                for name, col in (("slope_computed", "computed"), ("slope_upper", "upper_rhs")):
+                    out[f"{key}.{name}"] = np.polyfit(
+                        np.log(np.log(rs)), np.log([row[col] for row in group]), 1)[0]
+            out[f"{key}.max_lower_over_computed"] = max(
+                row["lower_rhs"] / row["computed"] for row in group)
+            out[f"{key}.max_computed_over_upper"] = max(
+                row["computed"] / row["upper_rhs"] for row in group)
+    elif experiment == "table1":
+        for d in {row["d"] for row in rows}:
+            vals = [row["nw_bound"] / row["regime_value"] for row in rows if row["d"] == d]
+            out[f"d{d}.regime_spread"] = max(vals) / min(vals)
+    elif experiment == "var_converse":
+        vals = [row["computed"] / math.log(row["r"] / row["n"]) for row in rows]
+        out["log_regime_spread"] = max(vals) / min(vals)
+    return out
+
+
+CLAIM_GRIDS = {
+    "sandwich": (spec_lattice(2), {"p": [2.0, 2.5], "r_min": 2, "r_max": 5}),
+    "sandwich-from-r1": (spec_lattice(2), {"p": [2.0, 3.0], "r_min": 1, "r_max": 4}),
+    "sandwich-one-radius": (spec_lattice(2), {"p": [2.0], "r_min": 1, "r_max": 1}),
+    "sandwich-two-radii": (spec_lattice(3), {"p": [2.0], "r_min": 2, "r_max": 3}),
+    "table1": (None, {"n2": [6, 8], "n3": [4], "nlin": [8, 12]}),
+    "table1-one-row": (None, {"n2": [8]}),
+    "var_converse": (spec_z_times_torus(3, 3), {"n": 2, "r": [4, 6, 8]}),
+    "sharpness_nw": (None, {"p": [2.0, 3.0], "d": [2], "n": [4, 6]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLAIM_GRIDS))
+def test_claim_metrics_recompute_from_the_emitted_rows(tmp_path, case):
+    experiment = case.split("-")[0]
+    spec, params = CLAIM_GRIDS[case]
+    result = run(ExperimentManifest(experiment, spec, params, "o", "csv"),
+                 base_dir=str(tmp_path))
+    rows = _csv_rows(tmp_path / "o" / f"{experiment}.csv")
+    summary = parse_document((tmp_path / "o" / "summary.txt").read_text())
+    got = {k[len("metrics."):]: v for k, v in summary.items() if k.startswith("metrics.")}
+    want = _claim_metrics(experiment, rows)
+    assert sorted(got) == sorted(want) == sorted(result.metrics)
+    for key, value in want.items():
+        assert math.isclose(got[key], value, rel_tol=1e-12), (key, got[key], value)
+    if case == "sandwich-one-radius":
+        assert sorted(got) == ["p2.max_computed_over_upper", "p2.max_lower_over_computed"]
+    if case == "table1-one-row":
+        assert got == {"d2.regime_spread": 1.0}
+    if case == "sharpness_nw":
+        assert got == {} and len(rows) == 4
 
 
 def test_run_resistance_dump_potential(tmp_path):
@@ -544,9 +621,17 @@ EMPTY_SWEEPS = {
     "sharpness_nw": (None, {"p": [2.0], "d": [], "n": [8]}),
     "table1": (None, {"n2": [], "n3": [], "nlin": []}),
 }
+# grids with rows that no ball can serve: each is refused before the first ball
+BAD_GRIDS = {
+    "sharpness_nw-no-factor": (None, {"p": [2.0], "d": [2, 0], "n": [8]}),
+    "table1-odd-n": (None, {"n2": [8, 9]}),
+    "var_converse-n0": (spec_lattice(2), {"n": 0, "r": [1500]}),
+    "var_converse-negative-n": (spec_lattice(2), {"n": -5, "r": [10]}),
+}
 
 
-@pytest.mark.parametrize("experiment", sorted(EMPTY_SWEEPS) + ["table1-no-lists"])
+@pytest.mark.parametrize("experiment",
+                         sorted(EMPTY_SWEEPS) + ["table1-no-lists"] + sorted(BAD_GRIDS))
 def test_manifests_without_rows_fail_before_any_ball_is_built(monkeypatch, capsys, tmp_path,
                                                               experiment):
     import vtres.manifest
@@ -557,7 +642,7 @@ def test_manifests_without_rows_fail_before_any_ball_is_built(monkeypatch, capsy
 
     for name in ("build_ball", "orbit_ball", "build_cayley_graph"):
         monkeypatch.setattr(vtres.manifest, name, unreachable)
-    spec, params = EMPTY_SWEEPS.get(experiment, (None, {}))
+    spec, params = {**EMPTY_SWEEPS, **BAD_GRIDS}.get(experiment, (None, {}))
     man = ExperimentManifest(experiment.split("-")[0], spec, params, str(tmp_path / "o"))
     path = tmp_path / "m.txt"
     path.write_text(emit_manifest(man))
