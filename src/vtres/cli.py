@@ -8,9 +8,10 @@ executes a manifest file directly.
 A subcommand is one row of ``_COMMANDS`` or ``_REPRO_COMMANDS``: its
 experiment, its CLI defaults and its help.  Its flags are the experiment's
 parameter schema in ``manifest._EXPERIMENTS`` (``max_n`` is ``--max-n``),
-plus the graph spec flags when the experiment needs a graph.  A flag without
-a CLI default is required, and one whose default is None is left out of the
-manifest unless given.  Scalar flags are parsed by argparse; list flags are
+plus, for an experiment with a graph, the spec flags: each replaces its key
+of a --spec file (``_spec_from_args``).  A flag without a CLI default is
+required, and one whose default is None is left out of the manifest unless
+given.  Scalar flags are parsed by argparse; list flags are
 comma lists (``a:b`` ranges for integers, a <= b), and an empty list or a
 reversed range is BadArguments.  ``seed`` is the global --seed, and
 ``dump_potential`` is set in a manifest file only.
@@ -36,9 +37,9 @@ import sys
 from typing import Optional
 
 from .errors import BadArguments, MissingParam, NonConvergence, VtresError
-from .graphs import DEFAULT_SIZE_CAP, GraphSpec
+from .graphs import DEFAULT_SIZE_CAP, FAMILIES, GraphSpec
 from .manifest import _EXPERIMENTS, ExperimentManifest, emit_manifest, parse_manifest, run
-from .textspec import generators_from_value, parse_graphspec
+from .textspec import ATOM_FIELDS, graphspec_from_doc, parse_document, parse_value
 
 ENV_PREFIX = "VTRES_"
 
@@ -78,29 +79,27 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _spec_from_args(args) -> GraphSpec:
+    """The --spec file's document, each given flag in place of its key; a
+    flag takes what a spec file's value takes (--factors without brackets)."""
+    doc = {}
     if args.spec:
         with open(args.spec) as fh:
-            return parse_graphspec(fh.read())
-    if not (args.family and args.factors and args.generators):
+            doc = parse_document(fh.read())
+    elif not (args.family and args.factors and args.generators):
         raise MissingParam("give --spec FILE or all of --family/--factors/--generators")
-    try:
-        factors = tuple(None if f.strip() == "inf" else int(f)
-                        for f in args.factors.split(","))
-    except ValueError:
-        raise BadArguments(f"expected moduli or 'inf', got {args.factors!r}") from None
-    gens = generators_from_value(args.generators, len(factors))
-    return GraphSpec(family=args.family, factors=factors, generators=gens,
-                     radius=args.radius)
+    for key in ("family", "factors", "generators", "radius"):
+        if (text := getattr(args, key)) is not None:
+            doc[key] = parse_value(f"[{text}]" if key == "factors" else text)
+    return graphspec_from_doc(doc)
 
 
 def _add_spec_flags(sub):
-    sub.add_argument("--spec", help="graph spec file")
-    sub.add_argument("--family", choices=("torus_product", "cyclic_chords",
-                                          "z_times_torus", "explicit"))
+    sub.add_argument("--spec", help="graph spec file; the flags below replace its keys")
+    sub.add_argument("--family", choices=FAMILIES)
     sub.add_argument("--factors", help="comma list of moduli, 'inf' for a Z factor")
-    sub.add_argument("--generators",
-                     help="'+'-joined atoms: box, box:i-j, full:i, chords:k")
-    sub.add_argument("--radius", type=int, default=None)
+    atoms = ", ".join(":".join((kind, *fields)) for kind, fields in ATOM_FIELDS.items())
+    sub.add_argument("--generators", help=f"'+'-joined atoms box, {atoms}, or offset tuples")
+    sub.add_argument("--radius")
 
 
 _GLOBAL_DEFAULTS = {

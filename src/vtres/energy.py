@@ -119,10 +119,12 @@ from .graphs import (
     Graph,
     GraphSpec,
     TerminalGraph,
+    _key_box,
     bfs_layers,
     collapse_terminals,
     orbit_ball,
     spec_explicit,
+    step_keys,
 )
 
 DIRECT_SOLVE_LIMIT = 6000  # unknowns up to which solves are banded Cholesky, CG above
@@ -639,7 +641,7 @@ def _cayley_pair_bounds(g: CayleyGraph, targets: list[int], p: float) -> np.ndar
     """
     lam, green = _cayley_green(g)
     g0, dims, axes = green.reshape(-1), g.dims, tuple(range(1, len(g.dims) + 1))
-    coords = np.unravel_index(np.arange(g.n), dims)
+    _, width, strides = box = _key_box(dims)  # a key is a vertex id
     step = g.nbr.reshape(g.n, -1).T  # (deg, n): the neighbours x + s of each x
     q = p / (p - 1.0)
     targets = np.asarray(targets, dtype=np.int64)
@@ -648,9 +650,8 @@ def _cayley_pair_bounds(g: CayleyGraph, targets: list[int], p: float) -> np.ndar
     for lo in range(0, len(targets), size):
         v = targets[lo:lo + size]
         rows = np.arange(len(v))
-        # (batch, n): g0(x - v) as ids, and h
-        back = np.ravel_multi_index([c[None, :] - vc[:, None] for c, vc in
-                                     zip(coords, np.unravel_index(v, dims))], dims, mode="wrap")
+        # (batch, n): the ids of x - v, and h
+        back = step_keys(box, dims, np.arange(g.n), -(v[:, None] // strides) % width).T
         h = g0 - g0[back]
         drop = h[:, 0] - h[rows, v]
         cur = signed_power((h[:, None, :] - h[:, step]) / drop[:, None, None], p - 1.0)
@@ -708,22 +709,15 @@ def _box_axes(offsets, factors, r: int) -> Optional[BoxAxes]:
 @functools.lru_cache(maxsize=64)
 def _cover_radius(steps: tuple[tuple[int, ...], ...], moduli: tuple[int, ...]) -> float:
     """Least r at which r-fold sums of ``steps`` (0 among them) cover
-    prod Z_n, or inf if they never do: the eccentricity of 0, by BFS."""
-    size = math.prod(moduli)
-    seen = np.zeros(size, dtype=bool)
-    seen[0] = True
-    front, count, radius = np.zeros(1, dtype=np.int64), 1, 0
-    while count < size:
-        digits = np.unravel_index(front, moduli)
-        reached = np.unique(np.concatenate([
-            np.ravel_multi_index([(x + s) % n for x, s, n in zip(digits, step, moduli)],
-                                 moduli) for step in steps]))
-        front = reached[~seen[reached]]
-        if not front.size:
-            return math.inf
-        seen[front] = True
-        count, radius = count + front.size, radius + 1
-    return radius
+    prod Z_n, or inf if they never do: the eccentricity of 0, the last layer
+    of an orbit ball that covers the group."""
+    if not moduli:
+        return 0
+    nonzero = [s for s in steps if any(s)]
+    if not nonzero:
+        return math.inf
+    ball = orbit_ball(spec_explicit(moduli, nonzero), math.prod(moduli))
+    return int(ball.layer[-1]) if int(ball.size.sum()) == math.prod(moduli) else math.inf
 
 
 def box_ball_separable(spec: GraphSpec, r: int) -> Optional[BoxAxes]:
@@ -736,10 +730,11 @@ def box_ball_separable(spec: GraphSpec, r: int) -> Optional[BoxAxes]:
     r-fold sumset of a product is the product of the sumsets: B(r) =
     [-r, r]^D x B_C(r), with B_C(r) the ball of A_C on the cyclic factors.
     That is separable when B_C(r) covers them, so that
-    beta(r) = (2r+1)^|D| * prod of the cyclic moduli.  A BFS on the cyclic
-    factors alone decides it (25 vertices for Z x C5 x C5, none for Z^d);
-    one on more than ``DEFAULT_SIZE_CAP`` of them is not run and the spec is
-    refused, since its mode sum would pass that cap anyway.
+    beta(r) = (2r+1)^|D| * prod of the cyclic moduli.  An orbit ball of
+    A_C on the cyclic factors alone decides it (``_cover_radius``: 25
+    vertices for Z x C5 x C5, none for Z^d); one on more than
+    ``DEFAULT_SIZE_CAP`` of them is not built and the spec is refused, since
+    its mode sum would pass that cap anyway.
     """
     if r < 0:
         return None

@@ -9,14 +9,15 @@ Vertex identity is deterministic everywhere: finite Cayley graphs number
 vertices by the lexicographic rank of the group tuple, balls by
 (layer, lexicographic tuple), so every smaller ball is an id prefix.  A
 group element is one mixed-radix integer key (``_key_box``), whose order is
-lexicographic tuple order.  Adjacency is stored CSR-style with integer
-multiplicities so that terminal collapsing is exact.
+lexicographic tuple order.  The group law is one function, ``step_keys``:
+the key of x + s, for the ball BFS and, as a key on a finite group is a
+vertex id, for ``build_cayley_graph``.  Adjacency is stored CSR-style with
+integer multiplicities so that terminal collapsing is exact.
 
 Every two-terminal problem, and ``prefix_subgraph``, is one contraction
 (``_contract``) of a label per vertex.  Balls come from one layered BFS
-over keys, a few array passes per layer (``_layered_ball``): a neighbour's
-key is the key plus the step's, corrected where a finite digit wraps, and
-a new layer is what its neighbours leave of the two layers before.
+over keys, a few array passes per layer (``_layered_ball``): a new layer
+is what its neighbours leave of the two layers before.
 ``orbit_ball`` runs it over orbit representatives, the least keys under
 the signed coordinate permutations that fix vertex 0 and preserve the
 generating set (``_symmetry_group``); ``build_ball`` over the identity.
@@ -139,11 +140,17 @@ def spec_offsets(spec: GraphSpec) -> tuple[tuple[int, ...], ...]:
     offs: set[tuple[int, ...]] = set()
     for atom in spec.generators:
         kind = atom[0]
-        if kind == "box":
+        if kind in ("box", "boxfull"):
             idxs = atom[1] if len(atom) > 1 and atom[1] is not None else tuple(range(d))
             if any(i < 0 or i >= d for i in idxs):
-                raise BadArguments(f"box atom index out of range: {atom}")
+                raise BadArguments(f"{kind} atom index out of range: {atom}")
             ranges = [(-1, 0, 1) if i in idxs else (0,) for i in range(d)]
+            if kind == "boxfull":  # any element of the fiber factor f
+                f = atom[2]
+                if f < 0 or f >= d or factors[f] is None or f in idxs:
+                    raise BadArguments(f"boxfull atom needs a finite fiber factor "
+                                       f"outside its box: {atom}")
+                ranges[f] = tuple(range(factors[f]))
             offs.update(_canonical(t, factors) for t in itertools.product(*ranges))
         elif kind == "full":
             i = atom[1]
@@ -159,15 +166,6 @@ def spec_offsets(spec: GraphSpec) -> tuple[tuple[int, ...], ...]:
                 raise BadArguments("chords width must be >= 1")
             for v in range(-k, k + 1):
                 offs.add(_canonical((v,), factors))
-        elif kind == "boxfull":
-            idxs, f = atom[1], atom[2]
-            if f < 0 or f >= d or factors[f] is None:
-                raise BadArguments(f"boxfull atom needs a finite fiber factor: {atom}")
-            if f in idxs or any(i < 0 or i >= d for i in idxs):
-                raise BadArguments(f"boxfull atom has bad box indices: {atom}")
-            ranges = [(-1, 0, 1) if i in idxs else (0,) for i in range(d)]
-            ranges[f] = tuple(range(factors[f]))
-            offs.update(_canonical(t, factors) for t in itertools.product(*ranges))
         elif kind == "explicit":
             for t in atom[1]:
                 if len(t) != d:
@@ -372,13 +370,12 @@ def build_cayley_graph(spec: GraphSpec, size_cap: int = DEFAULT_SIZE_CAP) -> Cay
         raise SizeCapExceeded(f"{n} vertices exceeds cap {size_cap}")
     offsets = spec.offsets
     deg = len(offsets)
-    coords = np.unravel_index(np.arange(n), dims)
-    nbrs = np.empty((n, deg), dtype=np.int64)
-    for j, s in enumerate(offsets):
-        nbrs[:, j] = np.ravel_multi_index([c + x for c, x in zip(coords, s)], dims, mode="wrap")
+    # a key is the C-order rank, so the vertex id
+    nbrs = step_keys(_key_box(dims), dims, np.arange(n), np.asarray(offsets, dtype=np.int64))
     nbrs.sort(axis=1)
     indptr = np.arange(0, (n + 1) * deg, deg, dtype=np.int64)
-    g = CayleyGraph(n, indptr, nbrs.reshape(-1), np.ones(n * deg, dtype=np.int64),
+    # every multiplicity is 1: one read-only int64 broadcast, not n * deg of them
+    g = CayleyGraph(n, indptr, nbrs.reshape(-1), np.broadcast_to(np.int64(1), (n * deg,)),
                     dims, offsets)
     # one pass in C where a BFS takes diameter-many rounds (half a million on
     # a 10^6-cycle); S = -S, so the strong components are the connected ones,
@@ -429,7 +426,7 @@ def _symmetry_group(offsets: tuple[tuple[int, ...], ...],
     return group
 
 
-def _key_box(moduli: Sequence[Optional[int]], reach: np.ndarray) -> tuple[np.ndarray, ...]:
+def _key_box(moduli: Sequence[Optional[int]], reach=0) -> tuple[np.ndarray, ...]:
     """Mixed-radix int64 keys, first coordinate most significant, as (lo,
     width, strides): x_k has the digit (x_k - lo[k]) mod width[k], where a
     factor of modulus m has lo 0 and width m, and a Z factor lo -reach[k]."""
@@ -440,6 +437,23 @@ def _key_box(moduli: Sequence[Optional[int]], reach: np.ndarray) -> tuple[np.nda
     strides = np.ones(len(moduli), dtype=np.int64)
     strides[:-1] = np.cumprod(width[::-1])[::-1][1:]
     return np.where(finite, 0, -reach), width, strides
+
+
+def step_keys(box: tuple[np.ndarray, ...], moduli: Sequence[Optional[int]],
+              keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The key of x + s in ``box``, a row per key x and a column per offset
+    s, whose finite components lie in [0, m): key + s.strides less
+    m.stride_k for each finite digit that leaves [0, m), which a canonical
+    step does at most once.  A Z digit spans every coordinate the caller
+    reaches, so it never wraps, and an int64 overflow on the way cancels,
+    as the true key is below 2^63."""
+    _, width, strides = box
+    out = keys[:, None] + offsets @ strides
+    for k, m in enumerate(moduli):
+        if m is not None:
+            wraps = keys[:, None] // strides[k] % width[k] >= width[k] - offsets[:, k]
+            np.subtract(out, width[k] * strides[k], out=out, where=wraps)
+    return out
 
 
 IMAGE_BLOCK = 1 << 21  # image keys per product of _least_images
@@ -516,15 +530,12 @@ def orbit_ball(spec: GraphSpec, radius: int, size_cap: int = DEFAULT_SIZE_CAP) -
 def _layered_ball(spec: GraphSpec, radius: int, size_cap: int, group: np.ndarray) -> BallGraph:
     """Layered BFS of B(radius) over the least keys of ``group``'s orbits.
 
-    Each layer is a few array passes: its neighbour keys by addition, one
-    ``unique``, for a nontrivial group one ``_least_images`` product and
-    one more ``unique``, then two ``searchsorted`` membership tests.  The
-    key of x + s is key + s.strides less m.stride_k for each finite digit
-    that leaves [0, m), which a canonical step does at most once; a Z digit
-    spans every coordinate within radius + 1 steps, so it never wraps, and
-    an int64 overflow on the way cancels, as the true key is below 2^63.
-    A step from layer L lands in layer L - 1, L or L + 1, so removing the
-    two sorted layers before leaves exactly layer L + 1.
+    Each layer is a few array passes: its neighbour keys (``step_keys``),
+    one ``unique``, for a nontrivial group one ``_least_images`` product and
+    one more ``unique``, then two ``searchsorted`` membership tests.  A Z
+    digit spans every coordinate within radius + 1 steps.  A step from
+    layer L lands in layer L - 1, L or L + 1, so removing the two sorted
+    layers before leaves exactly layer L + 1.
     """
     if radius < 0:
         raise BadArguments("radius must be >= 0")
@@ -532,18 +543,9 @@ def _layered_ball(spec: GraphSpec, radius: int, size_cap: int, group: np.ndarray
     lo, width, strides = box = _key_box(spec.factors, np.abs(offsets).max(axis=0) * (radius + 1))
     place = np.zeros((2 * len(lo), len(group)), dtype=np.int64)
     place[group.T, np.arange(len(group))] = strides[:, None]
-    wraps = [(k, width[k] - offsets[:, k], width[k] * strides[k])
-             for k, m in enumerate(spec.factors) if m is not None]
-
-    def neighbours(keys: np.ndarray) -> np.ndarray:  # key of key + s, one column per s
-        out = keys[:, None] + offsets @ strides
-        for k, limit, carry in wraps:
-            out -= (keys[:, None] // strides[k] % width[k] >= limit) * carry
-        return out
-
     layers = [-lo[None, :] @ strides]
     while len(layers) <= radius:
-        nxt = np.unique(neighbours(layers[-1]))
+        nxt = np.unique(step_keys(box, spec.factors, layers[-1], offsets))
         if len(group) > 1:
             nxt = np.unique(_least_images(box, place, nxt)[0])
         for prev in layers[-2:]:
@@ -567,7 +569,7 @@ def _layered_ball(spec: GraphSpec, radius: int, size_cap: int, group: np.ndarray
         pos = np.minimum(np.searchsorted(sorted_keys, found), n - 1)
         return np.where(sorted_keys[pos] == found, by_key[pos], n)
 
-    table = ids(neighbours(keys))  # one row per vertex, one column per offset
+    table = ids(step_keys(box, spec.factors, keys, offsets))  # a row per vertex, column per offset
     exit_degree = (table == n).sum(axis=1, dtype=np.int64)
     coords = keys[:, None] // strides % width + lo
     if len(group) == 1:

@@ -122,16 +122,9 @@ def parse_manifest(text: str) -> ExperimentManifest:
     if "experiment" not in doc:
         raise BadArguments("manifest needs an experiment key")
     experiment = str(doc.pop("experiment"))
-    graph = None
-    if any(k.startswith("graph.") for k in doc):
-        graph = graphspec_from_doc(doc, prefix="graph.")
-        for k in list(doc):
-            if k.startswith("graph."):
-                doc.pop(k)
-    params = {}
-    for k in list(doc):
-        if k.startswith("params."):
-            params[k[len("params."):]] = doc.pop(k)
+    graph_doc = {k: doc.pop(k) for k in list(doc) if k.startswith("graph.")}
+    graph = graphspec_from_doc(graph_doc, prefix="graph.") if graph_doc else None
+    params = {k[len("params."):]: doc.pop(k) for k in list(doc) if k.startswith("params.")}
     out_path = str(doc.pop("output.path", "out"))
     out_format = str(doc.pop("output.format", "csv"))
     if doc:
@@ -384,9 +377,13 @@ def _slope_on_log_r(rs, values) -> Optional[float]:
     return bnd.loglog_slope([math.log(r) for r in rs], values)
 
 
+def _p_key(p: float, *_) -> str:
+    return "p" + f"{p:g}".replace(".", "_")
+
+
 @_sweep("sandwich", ("p", "r", "beta_r", "lower_rhs", "computed", "upper_rhs",
                      "lower_over_computed", "computed_over_upper"),
-        group=lambda p, *_: "p" + f"{p:g}".replace(".", "_"),
+        group=_p_key,
         fits=(("log_regime_spread", lambda c: _spread(
                   [v / math.log(r) for r, v in zip(c["r"], c["computed"]) if r >= 2])),
               ("slope_computed", lambda c: _slope_on_log_r(c["r"], c["computed"])),
@@ -398,6 +395,11 @@ def _run_sandwich(man: ExperimentManifest, size_cap: int):
     r_min, r_max = int(man.params["r_min"]), int(man.params["r_max"])
     if not 1 <= r_min <= r_max:
         raise BadArguments("need 1 <= r_min <= r_max")
+    # each p's metrics are keyed by _p_key, which two distinct p may share
+    keys: dict = {}
+    for p in map(float, man.params["p"]):
+        if (first := keys.setdefault(_p_key(p), p)) != p:
+            raise BadArguments(f"p = {first!r} and p = {p!r} share the metric key {_p_key(p)}")
     ball = functools.cache(lambda: orbit_ball(spec, r_max + 1, size_cap))
     deg = spec.ambient_degree()
     for p in map(float, man.params["p"]):

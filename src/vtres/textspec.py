@@ -7,8 +7,10 @@ flat lists ``[v1, v2, ...]`` of those.  Emission is canonical (fixed key
 order, shortest round-trip float repr), so identical inputs serialize to
 identical bytes and documents can be hashed.
 
-Generator sets serialize as ``+``-joined atoms: ``box``, ``box:0-1``,
-``full:<index>``, ``chords:<k>``, or an explicit list of offset tuples.
+Generator sets serialize as ``+``-joined atoms, whose kinds and fields
+``ATOM_FIELDS`` declares, or as an explicit list of offset tuples.
+``graphspec_from_doc`` is the only reader of a spec: a malformed factor,
+radius or atom is BadArguments there.
 """
 
 from __future__ import annotations
@@ -61,10 +63,17 @@ def _split_top(s: str) -> list[str]:
     return parts
 
 
+def _whole(what: str, value) -> int:
+    # bool is an int subclass, but true and false are not integers
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadArguments(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_scalar(s: str):
     s = s.strip()
     if s.startswith("(") and s.endswith(")"):
-        return tuple(int(x) for x in _split_top(s[1:-1]))
+        return tuple(_whole(f"entry of {s}", parse_scalar(x)) for x in _split_top(s[1:-1]))
     if _INT_RE.match(s):
         return int(s)
     if _FLOAT_RE.match(s):
@@ -117,52 +126,44 @@ def document_hash(text: str) -> str:
 # GraphSpec serialization
 # ---------------------------------------------------------------------------
 
+# atom kind -> its ':'-separated fields: "i-j" a '-'-joined index tuple,
+# "k" an integer.  A bare ``box`` is the box on every factor.
+ATOM_FIELDS = {"box": ("i-j",), "full": ("k",), "chords": ("k",), "boxfull": ("i-j", "k")}
+
+
 def generators_to_value(spec: GraphSpec):
     parts = []
-    for atom in spec.generators:
-        kind = atom[0]
-        if kind == "box":
-            idxs = atom[1] if len(atom) > 1 and atom[1] is not None else tuple(range(spec.dim))
-            if tuple(idxs) == tuple(range(spec.dim)):
-                parts.append("box")
-            else:
-                parts.append("box:" + "-".join(str(i) for i in idxs))
-        elif kind == "full":
-            parts.append(f"full:{atom[1]}")
-        elif kind == "chords":
-            parts.append(f"chords:{atom[1]}")
-        elif kind == "boxfull":
-            parts.append("boxfull:" + "-".join(str(i) for i in atom[1])
-                         + f":{atom[2]}")
-        elif kind == "explicit":
+    for kind, *fields in spec.generators:
+        if kind == "explicit":
             if len(spec.generators) != 1:
                 raise BadArguments("explicit offsets cannot mix with other atoms")
-            return [tuple(t) for t in atom[1]]
-        else:
-            raise BadArguments(f"unknown atom {atom!r}")
+            return [tuple(t) for t in fields[0]]
+        if kind == "box" and (not fields or fields[0] is None
+                              or tuple(fields[0]) == tuple(range(spec.dim))):
+            parts.append("box")
+            continue
+        parts.append(":".join([kind, *("-".join(map(str, f)) if typ == "i-j" else str(f)
+                                      for typ, f in zip(ATOM_FIELDS[kind], fields))]))
     return "+".join(parts)
 
 
 def generators_from_value(value, dim: int) -> tuple[tuple, ...]:
     if isinstance(value, list):
-        return (("explicit", tuple(tuple(int(x) for x in t) for t in value)),)
+        if not all(isinstance(t, tuple) for t in value):
+            raise BadArguments(f"explicit generators must be offset tuples, got {value!r}")
+        return (("explicit", tuple(value)),)
     if not isinstance(value, str):
         raise BadArguments(f"bad generators value {value!r}")
     atoms = []
-    for part in value.split("+"):
-        part = part.strip()
-        if part == "box":
+    for part in map(str.strip, value.split("+")):
+        kind, *fields = part.split(":")
+        if kind == "box" and not fields:
             atoms.append(("box", tuple(range(dim))))
-        elif part.startswith("box:"):
-            atoms.append(("box", tuple(int(x) for x in part[4:].split("-"))))
-        elif part.startswith("full:"):
-            atoms.append(("full", int(part[5:])))
-        elif part.startswith("chords:"):
-            atoms.append(("chords", int(part[7:])))
-        elif part.startswith("boxfull:"):
-            idxs, _, fiber = part[8:].partition(":")
-            atoms.append(("boxfull", tuple(int(x) for x in idxs.split("-")),
-                          int(fiber)))
+        elif kind in ATOM_FIELDS and len(fields) == len(ATOM_FIELDS[kind]):
+            def whole(text: str) -> int:
+                return _whole(f"generator atom {part!r}", parse_scalar(text))
+            atoms.append((kind, *(tuple(map(whole, f.split("-"))) if typ == "i-j" else whole(f)
+                                  for typ, f in zip(ATOM_FIELDS[kind], fields))))
         else:
             raise BadArguments(f"unknown generator atom {part!r}")
     return tuple(atoms)
@@ -191,11 +192,11 @@ def graphspec_from_doc(doc: dict, prefix: str = "") -> GraphSpec:
     raw_factors = doc[prefix + "factors"]
     if not isinstance(raw_factors, list):
         raise BadArguments("factors must be a list")
-    factors = tuple(INFINITE if f == "inf" else int(f) for f in raw_factors)
+    factors = tuple(INFINITE if f == "inf" else _whole(prefix + "factors", f)
+                    for f in raw_factors)
     gens = generators_from_value(doc[prefix + "generators"], len(factors))
     radius = doc.get(prefix + "radius")
-    if radius is not None:
-        radius = int(radius)
+    radius = None if radius is None else _whole(prefix + "radius", radius)
     return GraphSpec(family=str(doc[prefix + "family"]), factors=factors,
                      generators=gens, radius=radius)
 

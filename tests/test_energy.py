@@ -1123,3 +1123,34 @@ def test_quotient_ball_problems_match_contracted_problems():
             want = _quotient_problem_reference(
                 annulus_problem(ball, n, r), np.append(rep[free], [ball.base.n, ball.base.n + 1]))
             assert _problem_bits(annulus_problem(orbits, n, r)) == _problem_bits(want)
+
+
+def _sumset_cover_reference(steps, moduli):
+    """Least r whose r-fold sumset of steps u {0} is prod Z_n, by sets of tuples."""
+    reached, r = {(0,) * len(moduli)}, 0
+    while len(reached) < math.prod(moduli):
+        grown = reached | {tuple((x + s) % n for x, s, n in zip(a, step, moduli))
+                           for a in reached for step in steps}
+        if grown == reached:
+            return math.inf
+        reached, r = grown, r + 1
+    return r
+
+
+def test_cover_radius_matches_sumset_reference():
+    rng = np.random.Generator(np.random.Philox(key=[30, 0]))
+    cases = [((), ()), (((0,),), (5,)), (((0, 0),), (3, 4))]
+    for _ in range(300):
+        moduli = tuple(int(n) for n in rng.integers(2, 8, size=rng.integers(1, 4)))
+        picks = {tuple(int(rng.integers(n)) for n in moduli)
+                 for _ in range(rng.integers(1, 4))}
+        # symmetric, canonical, with or without the identity
+        steps = picks | {tuple(-x % n for x, n in zip(s, moduli)) for s in picks}
+        cases.append((tuple(sorted(steps)), moduli))
+    finite = 0
+    for steps, moduli in cases:
+        want = _sumset_cover_reference(steps, moduli)
+        assert energy._cover_radius(steps, moduli) == want, (steps, moduli)
+        finite += math.isfinite(want)
+    # both outcomes are exercised
+    assert 50 < finite < len(cases) - 50

@@ -643,3 +643,29 @@ def test_ball_exit_degree_counts_the_steps_leaving_it(spec, radius):
     want = [sum(step(x, s) not in reached for s in spec.offsets) for x in coords]
     assert ball.exit_degree.tolist() == want
     assert np.all(ball.base.degree + ball.exit_degree == len(spec.offsets))
+
+
+# one spec per generator atom kind, and a box on some factors only
+ATOM_SPECS = {
+    "box": spec_torus(5, 7),
+    "box_full": spec_torus(4, 4, 3, full_last=True),
+    "partial_box": GraphSpec("torus_product", (3, 4, 5), (("box", (1,)), ("full", 0), ("full", 2))),
+    "chords": spec_cyclic_chords(11, 3),
+    "boxfull": spec_fibered_torus(6, 5, 3),
+    "explicit": spec_explicit((6, 6), [(1, 0), (5, 0), (0, 1), (0, 5), (1, 2), (5, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATOM_SPECS))
+def test_cayley_neighbours_match_ravel_reference(name):
+    spec = ATOM_SPECS[name]
+    g = build_cayley_graph(spec)
+    coords = np.unravel_index(np.arange(g.n), g.dims)
+    ref = np.stack([np.ravel_multi_index([c + x for c, x in zip(coords, s)], g.dims, mode="wrap")
+                    for s in spec_offsets(spec)], axis=1)
+    deg = len(spec_offsets(spec))
+    assert np.array_equal(g.indptr, np.arange(0, (g.n + 1) * deg, deg))
+    assert np.array_equal(g.nbr.reshape(g.n, deg), np.sort(ref, axis=1))
+    # every multiplicity is 1, held in one read-only broadcast
+    assert g.mult.shape == g.nbr.shape and not g.mult.flags.writeable
+    assert np.all(g.mult == 1)

@@ -916,3 +916,84 @@ def test_every_experiment_is_reached_and_round_trips(monkeypatch, capsys, tmp_pa
         (tmp_path / "again.txt").write_text(text)
         assert _emitted(capsys, ["run", "again.txt"]) == text, name
     assert reached == set(_EXPERIMENTS)
+
+
+_T55 = {"--family": "torus_product", "--factors": "5,5", "--generators": "box",
+        "--radius": "2"}
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--generators", "box:x"), ("--generators", "full:"), ("--generators", "chords:a"),
+    ("--generators", "boxfull:0:"), ("--factors", "5,x"), ("--factors", "+5,5"),
+    ("--radius", "2.5"),
+])
+def test_cli_malformed_spec_flags_are_bad_arguments(tmp_path, flag, value):
+    # the flags are read by the spec file reader: a bad integer is refused
+    # there, not a traceback, and no output directory is made
+    argv = [x for key, v in {**_T55, flag: value}.items() for x in (key, v)]
+    proc = _cli("growth", *argv, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error.type = BadArguments\n"), proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+_GROWTH_C5 = emit_manifest(ExperimentManifest(
+    "growth", dataclasses.replace(spec_cycle(5), radius=2), {}, "o"))
+
+
+@pytest.mark.parametrize("path,text", [
+    ("g.spec", "family = explicit\nfactors = [5, 5]\ngenerators = [(1, x)]\n"),
+    ("m.txt", _GROWTH_C5.replace("factors = [5]", "factors = [abc, 5]")),
+    ("m.txt", _GROWTH_C5.replace("factors = [5]", "factors = [5.5, 5]")),
+    ("m.txt", _GROWTH_C5.replace("radius = 2", "radius = 2.5")),
+], ids=["spec-offset", "factors-word", "factors-float", "radius-float"])
+def test_cli_malformed_spec_files_are_bad_arguments(tmp_path, path, text):
+    # a spec file and a manifest's graph.* keys go through the same reader;
+    # before, [5.5, 5] ran on C5 x C5 and the others crashed
+    (tmp_path / path).write_text(text)
+    argv = ["growth", "--spec", path, "--out", "o"] if path == "g.spec" else ["run", path]
+    proc = _cli(*argv, cwd=str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error.type = BadArguments\n"), proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_spec_flags_replace_spec_file_keys(monkeypatch, capsys, tmp_path):
+    # --radius used to be dropped when --spec was given
+    monkeypatch.chdir(tmp_path)
+    _emit_files(tmp_path)
+    flags = ["--family", "cyclic_chords", "--factors", "12", "--generators", "chords:3"]
+    want = _emitted(capsys, ["growth", *flags, "--radius", "3"])
+    assert "graph.radius = 3\n" in want
+    assert _emitted(capsys, ["growth", "--spec", "g.spec", "--radius", "3"]) == want
+    # every key replaced: the file's values do not show
+    assert _emitted(capsys, ["growth", "--spec", "g.spec", "--family", "explicit",
+                             "--factors", "inf", "--generators", "[(1), (-1)]",
+                             "--radius", "3"]) == _emitted(
+        capsys, ["growth", "--family", "explicit", "--factors", "inf",
+                 "--generators", "[(1), (-1)]", "--radius", "3"])
+
+
+def test_cli_generators_help_lists_every_atom():
+    from vtres.textspec import ATOM_FIELDS
+    proc = _cli("growth", "--help")
+    assert proc.returncode == 0
+    help_text = " ".join(proc.stdout.split())
+    for kind, fields in ATOM_FIELDS.items():
+        assert ":".join((kind, *fields)) in help_text
+
+
+def test_sandwich_refuses_p_values_sharing_a_metric_key(tmp_path):
+    # p2 would name the metrics of both p = 2 and p = 2.0000001
+    z2 = ("--family", "explicit", "--factors", "inf,inf", "--generators", "box")
+    proc = _cli("verify", *z2, "--p", "2,2.0000001", "--r-min", "2", "--r-max", "4",
+                "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error.type = BadArguments",
+        "error.message = p = 2.0 and p = 2.0000001 share the metric key p2"]
+    assert not (tmp_path / "o").exists()
+    # a p listed twice is one p
+    proc = _cli("verify", *z2, "--p", "2,2", "--r-min", "2", "--r-max", "3",
+                "--out", str(tmp_path / "twice"))
+    assert proc.returncode == 0, proc.stderr

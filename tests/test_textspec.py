@@ -76,3 +76,38 @@ def test_emit_document_is_plain_lines():
 def test_infinite_factor_token():
     text = emit_graphspec(spec_line())
     assert "factors = [inf]" in text
+
+
+@pytest.mark.parametrize("text", [
+    "factors = [abc, 5]\ngenerators = box",
+    "factors = [5.5, 5]\ngenerators = box",
+    "factors = [true, 5]\ngenerators = box",
+    "factors = [(5, 5)]\ngenerators = box",
+    "factors = [5, 5]\ngenerators = box\nradius = 2.5",
+    "factors = [5, 5]\ngenerators = box\nradius = false",
+    "factors = [5, 5]\ngenerators = box\nradius = inf",
+    "factors = [5, 5]\ngenerators = [(1, x)]",
+    "factors = [5, 5]\ngenerators = [1, 4]",
+    "factors = [5, 5]\ngenerators = box:x",
+    "factors = [5, 5]\ngenerators = box:0-",
+    "factors = [5, 5]\ngenerators = full:",
+    "factors = [5, 5]\ngenerators = full:1.5",
+    "factors = [5]\ngenerators = chords:a",
+    "factors = [5, 5]\ngenerators = boxfull:0:",
+    "factors = [5, 5]\ngenerators = boxfull:0",
+    "factors = [5, 5]\ngenerators = explicit",
+    "factors = [5, 5]\ngenerators = knight:1",
+], ids=lambda text: text.replace("\n", "; "))
+def test_malformed_spec_values_are_bad_arguments(text):
+    # floats, bools and words are refused, not truncated or crashed on
+    with pytest.raises(BadArguments):
+        parse_graphspec("family = explicit\n" + text + "\n")
+
+
+def test_every_atom_kind_reads_back():
+    spec = parse_graphspec("family = torus_product\nfactors = [6, 5, 4, 3]\n"
+                           "generators = box:0-1+full:2+boxfull:0:3\n")
+    assert spec.generators == (("box", (0, 1)), ("full", 2), ("boxfull", (0,), 3))
+    assert parse_graphspec(emit_graphspec(spec)) == spec
+    chords = parse_graphspec("family = cyclic_chords\nfactors = [9]\ngenerators = chords:2+box\n")
+    assert chords.generators == (("chords", 2), ("box", (0,)))
