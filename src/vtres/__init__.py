@@ -18,6 +18,7 @@ from .bounds import (
 from .energy import (
     FlowResult,
     Potential,
+    annulus_resistances,
     box_ball_resistance,
     box_ball_separable,
     cayley_resistances,
@@ -27,6 +28,7 @@ from .energy import (
     p_resistance,
     pair_resistance,
     solve_potential,
+    sphere_resistances,
     stokes_check,
 )
 from .errors import VtresError

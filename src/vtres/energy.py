@@ -60,6 +60,22 @@ pairs change neither value nor pair.  PAIR_SOLVE_CAP caps the full solves,
 and the candidates are capped at DEFAULT_SIZE_CAP // n orbits, as each
 bound costs about n log n.
 
+At p=2 every radius of a sweep on one ball comes from one banded
+Cholesky factor (``sphere_resistances``, ``annulus_resistances``).  An
+orbit ball's ids are in layer order, and an id in layer <= r has all its
+neighbours in B(r+1), so the free block of the sphere problem at r, its
+diagonal the full weighted degree, is the leading principal block of the
+one at the largest radius; the Cholesky factor of a leading block is the
+leading block of the factor.  With A = L L^T and y = L^-1 b, b the edge
+weights to the source, the conductance at r is W - sum of y_i^2 over the
+block's unknowns, W the source's weighted degree.  An annulus of fixed n
+is the same with the layers n+1..r-1 as unknowns and S(n) as the source.
+The band is in id order, with no reordering, and serves the radii whose
+block has at most ``size_cap`` cells (width times unknowns); each larger
+radius gets its own ``p_resistance``.  The subtraction loses about
+eps * W / C relative: 1e-13 against per-radius solves where the tests
+look, 3e-12 at r = 1024 on the Z x C5 x C5 annuli.
+
 A p=2 sphere resistance R_2(0 <-> S(r+1)) on a box ball needs neither a
 solve nor a ball.  ``box_ball_separable`` decides from the spec and r alone
 whether B(r) is an interval cube times fully covered cyclic factors, and
@@ -98,6 +114,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -112,18 +129,24 @@ from .errors import (
     DisconnectedTerminals,
     NonConvergence,
     SizeCapExceeded,
+    VtresError,
 )
 from .graphs import (
     DEFAULT_SIZE_CAP,
+    BallGraph,
     CayleyGraph,
     Graph,
     GraphSpec,
     TerminalGraph,
     _key_box,
+    annulus_prefixes,
+    annulus_problem,
     bfs_layers,
     collapse_terminals,
+    dirichlet_problem,
     orbit_ball,
     spec_explicit,
+    sphere_prefixes,
     step_keys,
 )
 
@@ -316,11 +339,14 @@ class _FreeLaplacian:
 
 
 @functools.cache
-def _banded_solvers():
-    """LAPACK's float64 ``ptsv`` and ``pbsv``, the routines that
-    ``scipy.linalg.solveh_banded`` calls for a band of width 2 and of any
-    other width; looked up on the first direct solve."""
-    return scipy.linalg.get_lapack_funcs(("ptsv", "pbsv"), (np.empty(0),))
+def _lapack(*names: str):
+    """LAPACK's float64 routines ``names``, looked up on first use."""
+    return scipy.linalg.get_lapack_funcs(names, (np.empty(0),))
+
+
+def _not_positive_definite(info: int) -> NonConvergence:
+    return NonConvergence(0, float("nan"), f"banded Cholesky failed: {info}th "
+                          f"leading minor not positive definite")
 
 
 def _solve_spd(lap: _FreeLaplacian, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,15 +361,14 @@ def _solve_spd(lap: _FreeLaplacian, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if len(lap.free_idx) <= DIRECT_SOLVE_LIMIT:
         ab = lap.band(w)
-        ptsv, pbsv = _banded_solvers()
+        ptsv, pbsv = _lapack("ptsv", "pbsv")
         if len(ab) == 2:
             *_, y, info = ptsv(ab[0], ab[1, :-1], b[lap.order], overwrite_d=1,
                                overwrite_e=1, overwrite_b=1)
         else:
             _, y, info = pbsv(ab, b[lap.order], lower=1, overwrite_ab=1, overwrite_b=1)
         if info > 0:
-            raise NonConvergence(0, float("nan"), f"banded Cholesky failed: {info}th "
-                                 f"leading minor not positive definite")
+            raise _not_positive_definite(info)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK's banded solver")
         x = np.empty_like(y)
@@ -574,6 +599,119 @@ def p_resistance(tg: TerminalGraph, p: float) -> FlowResult:
 def pair_resistance(g: Graph, u: int, v: int, p: float) -> FlowResult:
     """R_p between two single vertices of a finite graph."""
     return p_resistance(collapse_terminals(g, [u], [v]), p)
+
+
+def sphere_resistances(ball: BallGraph, rs: Iterable[int],
+                       size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[float]:
+    """R_2(x <-> S(x, r+1)) for each r of ``rs``, in order, from one banded
+    Cholesky factor of the ball (``_prefix_conductances``).
+
+    Each value is ``p_resistance(dirichlet_problem(ball, r), 2.0)``'s
+    resistance up to rounding, and a radius that ``dirichlet_problem``
+    refuses raises its error when its turn comes.  The unknowns of radius r
+    are ids 1..prefix(r) - 1 and the source is the center, id 0.
+    """
+    return _layered_resistances(
+        rs, lambda r: sphere_prefixes(ball, r)[0], ball.base, 0, 1,
+        lambda r: p_resistance(dirichlet_problem(ball, r), 2.0).resistance, size_cap)
+
+
+def annulus_resistances(ball: BallGraph, n: int, rs: Iterable[int],
+                        size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[float]:
+    """R_2(S(x, n) <-> S(x, r)) for each r of ``rs``, in order, as
+    ``sphere_resistances`` gives spheres; a radius that
+    ``annulus_problem(ball, n, r)`` refuses raises its error in turn.
+
+    The unknowns of radius r are layers n + 1 .. r - 1 and the source is
+    S(x, n).  The free vertices of B(x, n - 1) that ``annulus_problem``
+    keeps take the source value and carry no energy, so they are left out.
+    """
+    return _layered_resistances(
+        rs, lambda r: annulus_prefixes(ball, n, r)[2], ball.base,
+        ball.prefix(n - 1), ball.prefix(n),
+        lambda r: p_resistance(annulus_problem(ball, n, r), 2.0).resistance, size_cap)
+
+
+def _layered_resistances(rs, check, g: Graph, source: int, first: int, per_radius,
+                         size_cap: int) -> Iterator[float]:
+    """The body of ``sphere_resistances`` and ``annulus_resistances``.
+
+    ``check(r)`` raises r's error or returns the end of r's unknowns, ids
+    first..end - 1; the source is ids source..first - 1.  Radii past the
+    first refused one are not solved.  A radius whose block is past the
+    band's size cap gets ``per_radius(r)``; one whose block holds a leading
+    minor that is not positive definite raises NonConvergence.
+    """
+    rs, ends, error = list(rs), [], None
+    for r in rs:
+        try:
+            ends.append(check(r))
+        except VtresError as exc:
+            error = exc
+            break
+    conductance, top = _prefix_conductances(g, source, first, max(ends, default=first),
+                                            size_cap)
+    for r, end in zip(rs, ends):
+        k = end - first
+        if k > top:
+            yield per_radius(r)
+        elif k < len(conductance):
+            yield float(1.0 / conductance[k])
+        else:
+            raise _not_positive_definite(len(conductance))
+    if error is not None:
+        raise error
+
+
+def _prefix_conductances(g: Graph, source: int, first: int, last: int,
+                         size_cap: int) -> tuple[np.ndarray, int]:
+    """Conductances C[k] of the problems whose unknowns are ids first ..
+    first + k - 1, for every k up to the band's cap, and that cap ``top``.
+
+    The source is ids ``source`` .. first - 1, held at 1, and every id from
+    first + k on is the ground.  The ids are in layer order, so each
+    problem's free block A_k (the Laplacian of ``g`` on its unknowns, its
+    diagonal the full weighted degree) is the leading principal k-block of
+    A_top, provided every unknown has all its neighbours in ``g``, which
+    the callers' checks ensure.  With A_top = L L^T, L's leading block is
+    the Cholesky factor of A_k, so y = L^-1 b, with b the unknowns' edge
+    weights to the source, gives C[k] = W - sum_{i<k} y_i^2, W being the
+    source's edge weight to ids first and on.  One ``pbtrf`` and one
+    ``tbtrs`` serve every k.
+
+    ``top`` is the largest k <= last - first whose band, its id-order
+    width times k, has at most ``size_cap`` cells (0 if none has).  C is
+    shorter than top + 1 when LAPACK finds its leading minor of order
+    len(C) not positive definite; the factor before that minor is complete.
+    """
+    indptr, nbr, mult = g.indptr, g.nbr, g.mult
+    lo = indptr[first]
+    u = np.repeat(np.arange(first, last), np.diff(indptr[first:last + 1]))
+    v = nbr[lo:indptr[last]]
+    below = (v >= first) & (v < u)  # entry (u, v) of the block's lower band
+    # reach[j]: the band width less 1 over the first j slots
+    reach = np.maximum.accumulate(np.concatenate([[0], np.where(below, u - v, 0)]))
+    # the cells of every k from 1 on grow with k
+    ks = np.arange(1, last - first + 1)
+    top = int(np.count_nonzero((1 + reach[indptr[first + ks] - lo]) * ks <= size_cap))
+    slots = indptr[first + top] - lo
+    width, keep = 1 + int(reach[slots]), below[:slots]
+    bu, bv = u[:slots][keep] - first, v[:slots][keep] - first
+    # entry (i, j), i >= j, sits in row i - j of column j
+    ab = np.bincount(np.concatenate([np.arange(top) * width, bv * width + bu - bv]),
+                     np.concatenate([g.degree[first:first + top], -mult[lo:lo + slots][keep]]),
+                     minlength=width * top).reshape((width, top), order="F")
+    out = nbr[indptr[source]:lo]
+    weight = mult[indptr[source]:lo][out >= first]
+    out = out[out >= first] - first
+    b = np.bincount(out[out < top], weight[out < top], minlength=top)
+    pbtrf, tbtrs = _lapack("pbtrf", "tbtrs")
+    ab, info = pbtrf(ab, lower=1, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK's pbtrf")
+    good = info - 1 if info else top
+    y = tbtrs(ab[:, :good], b[:good, None], uplo="L")[0][:, 0]
+    return float(weight.sum()) - np.concatenate([[0.0], np.cumsum(y * y)]), top
 
 
 def _half_angle(k, step, moduli) -> np.ndarray:

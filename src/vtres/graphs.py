@@ -77,9 +77,11 @@ class GraphSpec:
     * ``("explicit", offsets)``     -- explicit tuple of offset tuples.
 
     The union of the atoms, canonicalized and with the identity dropped,
-    is the generating set.  The box/full union and the boxfull product give
-    different metrics on the same group: a full-factor step costs its own
-    move in the former and rides along with a box step in the latter.
+    is the generating set.  An ``explicit`` atom stands alone, so that every
+    spec has a text form (``textspec.generators_to_value``).  The box/full
+    union and the boxfull product give different metrics on the same group:
+    a full-factor step costs its own move in the former and rides along
+    with a box step in the latter.
     """
 
     family: str
@@ -95,6 +97,8 @@ class GraphSpec:
         for f in self.factors:
             if f is not None and f < 2:
                 raise BadArguments(f"finite modulus must be >= 2, got {f}")
+        if len(self.generators) > 1 and any(a[:1] == ("explicit",) for a in self.generators):
+            raise BadArguments("explicit offsets cannot mix with other atoms")
         # Eagerly canonicalize so malformed generator atoms fail at build time.
         if not self.offsets:
             raise BadArguments("generating set is empty after dropping identity")
@@ -764,6 +768,15 @@ def dirichlet_problem(ball: BallGraph, r: int) -> TerminalGraph:
     invariant (no edge of B(x, r) jumps past S(x, r+1)) is checked, so that
     the ground is exactly the collapsed sphere.
     """
+    m, outer = sphere_prefixes(ball, r)
+    # B(x, r) keeps its ids and S(x, r+1) becomes the ground vertex m
+    label = np.minimum(np.arange(outer), m)
+    return TerminalGraph(_contract(ball.base, label, m + 1, m), source=ball.center, ground=m)
+
+
+def sphere_prefixes(ball: BallGraph, r: int) -> tuple[int, int]:
+    """prefix(r) and prefix(r + 1) of ``ball``, after the checks that
+    ``dirichlet_problem`` makes of its radius r."""
     if r < 0:
         raise BadArguments("r must be >= 0")
     if ball.radius < r + 1:
@@ -774,9 +787,7 @@ def dirichlet_problem(ball: BallGraph, r: int) -> TerminalGraph:
     v = ball.base.nbr[:ball.base.indptr[m]]
     if np.any(ball.layer[v[v >= m]] != r + 1):
         raise BadArguments("layer invariant violated: edge jumps a sphere")
-    # B(x, r) keeps its ids and S(x, r+1) becomes the ground vertex m
-    label = np.minimum(np.arange(outer), m)
-    return TerminalGraph(_contract(ball.base, label, m + 1, m), source=ball.center, ground=m)
+    return m, outer
 
 
 def collapse_terminals(g: Graph, source: Iterable[int], ground: Iterable[int]) -> TerminalGraph:
@@ -812,6 +823,17 @@ def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
     B(x, r-1) less S(x, n), keep their order as 0..f-1, S(x, n) is the
     source f and S(x, r) the ground f+1.
     """
+    inner, b_n, outer, m = annulus_prefixes(ball, n, r)
+    f = inner + outer - b_n
+    label = np.concatenate([np.arange(inner), np.full(b_n - inner, f),
+                            np.arange(inner, f), np.full(m - outer, f + 1)])
+    # every edge leaving B(x, r-1) ends in S(x, r), so its rows hold all kept edges
+    return TerminalGraph(_contract(ball.base, label, f + 2, outer), source=f, ground=f + 1)
+
+
+def annulus_prefixes(ball: BallGraph, n: int, r: int) -> tuple[int, int, int, int]:
+    """prefix(n - 1), prefix(n), prefix(r - 1) and prefix(r) of ``ball``,
+    after the checks that ``annulus_problem`` makes of its n and r."""
     if not (0 < n < r):
         raise BadArguments("need 0 < n < r")
     if ball.radius < r:
@@ -819,11 +841,7 @@ def annulus_problem(ball: BallGraph, n: int, r: int) -> TerminalGraph:
     inner, b_n, outer, m = ball.prefix(n - 1), ball.prefix(n), ball.prefix(r - 1), ball.prefix(r)
     if outer == m:  # S(x, n) is empty only if S(x, r) is
         raise EmptySet(f"sphere S(x, {r}) is empty")
-    f = inner + outer - b_n
-    label = np.concatenate([np.arange(inner), np.full(b_n - inner, f),
-                            np.arange(inner, f), np.full(m - outer, f + 1)])
-    # every edge leaving B(x, r-1) ends in S(x, r), so its rows hold all kept edges
-    return TerminalGraph(_contract(ball.base, label, f + 2, outer), source=f, ground=f + 1)
+    return inner, b_n, outer, m
 
 
 def prefix_subgraph(g: Graph, m: int) -> Graph:

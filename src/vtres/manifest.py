@@ -25,8 +25,18 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import bounds as bnd
-from .energy import box_ball_resistance, box_ball_separable, max_resistance, p_resistance
+from .energy import (
+    annulus_resistances,
+    box_ball_resistance,
+    box_ball_separable,
+    max_resistance,
+    p_resistance,
+    sphere_resistances,
+)
 from .errors import BadArguments, IoError, MissingParam
+# annulus_problem is not called here, but stays a name of this module:
+# perfbench/tracer.py wraps it, with dirichlet_problem, where the runners
+# look them up
 from .graphs import (
     DEFAULT_SIZE_CAP,
     BallGraph,
@@ -235,20 +245,30 @@ def flow_items(flow) -> list[tuple[str, object]]:
     return items
 
 
-def _sphere_resistance(spec: GraphSpec, r: int, p: float, ball: Callable[[], BallGraph],
-                       size_cap: int) -> tuple[int, float]:
-    """beta(r) and R_p(x <-> S(x, r+1)).
+def _sphere_resistances(spec: GraphSpec, rs: list[int], p: float,
+                        ball: Callable[[], BallGraph], size_cap: int):
+    """beta(r) and R_p(x <-> S(x, r+1)) for each r of ``rs``, in order.
 
-    At p=2 on a spec that ``box_ball_separable`` accepts both come from the
-    spec and r alone: beta from the box formula, R_2 from the mode sum.
-    Otherwise ``ball()`` gives an ``orbit_ball`` of radius above r, which
-    sums beta from its orbit sizes and has the full ball's R_p.
+    At p=2, for each r that ``box_ball_separable`` accepts on the spec,
+    both come from the spec and r alone: beta from the box formula, R_2
+    from the mode sum.  Otherwise ``ball()`` gives an ``orbit_ball`` of
+    radius above r, which sums beta from its orbit sizes and has the full
+    ball's R_p: at p=2 every such r of ``rs`` comes from one
+    ``sphere_resistances`` pass, at other p each from its own solve.
     """
-    axes = box_ball_separable(spec, r) if p == 2.0 else None
-    if axes:
-        return axes.beta, box_ball_resistance(spec.offsets, spec.factors, r, axes, size_cap)
-    b = ball()
-    return b.beta(r), p_resistance(dirichlet_problem(b, r), p).resistance
+    axes = [box_ball_separable(spec, r) if p == 2.0 else None for r in rs]
+    on_ball = None
+    for r, ax in zip(rs, axes):
+        if ax:
+            yield ax.beta, box_ball_resistance(spec.offsets, spec.factors, r, ax, size_cap)
+            continue
+        b = ball()
+        if p != 2.0:
+            yield b.beta(r), p_resistance(dirichlet_problem(b, r), p).resistance
+            continue
+        if on_ball is None:
+            on_ball = sphere_resistances(b, [r for r, ax in zip(rs, axes) if not ax], size_cap)
+        yield b.beta(r), next(on_ball)
 
 
 def _run_resistance(man: ExperimentManifest, size_cap: int):
@@ -260,21 +280,23 @@ def _run_resistance(man: ExperimentManifest, size_cap: int):
         rs = sorted(set(int(r) for r in man.params["r"]))
         if not rs or rs[0] < 0:
             raise BadArguments("resistance radii must be a nonempty list of r >= 0")
+        if dump:  # each dump is named by its p's key
+            _check_p_keys(ps)
         # built on first use: only p != 2, a spec that is not separable, or a
         # potential dump needs it, and only a dump the full ball
         builder = build_ball if dump else orbit_ball
         ball = functools.cache(lambda: builder(spec, rs[-1] + 1, size_cap))
         rows = []
         for p in ps:
+            if not dump:
+                rows += [(p, r, *row) for r, row in
+                         zip(rs, _sphere_resistances(spec, rs, p, ball, size_cap))]
+                continue
             for r in rs:
-                if dump:
-                    flow = p_resistance(dirichlet_problem(ball(), r), p)
-                    beta, value = ball().beta(r), flow.resistance
-                    name = f"potential_p{p:g}_r{r}".replace(".", "_")
-                    extra_docs.append((name, emit_document(flow_items(flow))))
-                else:
-                    beta, value = _sphere_resistance(spec, r, p, ball, size_cap)
-                rows.append((p, r, beta, value))
+                flow = p_resistance(dirichlet_problem(ball(), r), p)
+                rows.append((p, r, ball().beta(r), flow.resistance))
+                extra_docs.append((f"potential_{_p_key(p)}_r{r}",
+                                   emit_document(flow_items(flow))))
         table = Table("resistance", ["p", "r", "beta_r", "resistance"], rows)
     else:
         g = build_cayley_graph(spec, size_cap)
@@ -381,6 +403,14 @@ def _p_key(p: float, *_) -> str:
     return "p" + f"{p:g}".replace(".", "_")
 
 
+def _check_p_keys(ps) -> None:
+    """Refuse two distinct p of ``ps`` that share a ``_p_key``."""
+    keys: dict = {}
+    for p in map(float, ps):
+        if (first := keys.setdefault(_p_key(p), p)) != p:
+            raise BadArguments(f"p = {first!r} and p = {p!r} share the metric key {_p_key(p)}")
+
+
 @_sweep("sandwich", ("p", "r", "beta_r", "lower_rhs", "computed", "upper_rhs",
                      "lower_over_computed", "computed_over_upper"),
         group=_p_key,
@@ -395,18 +425,14 @@ def _run_sandwich(man: ExperimentManifest, size_cap: int):
     r_min, r_max = int(man.params["r_min"]), int(man.params["r_max"])
     if not 1 <= r_min <= r_max:
         raise BadArguments("need 1 <= r_min <= r_max")
-    # each p's metrics are keyed by _p_key, which two distinct p may share
-    keys: dict = {}
-    for p in map(float, man.params["p"]):
-        if (first := keys.setdefault(_p_key(p), p)) != p:
-            raise BadArguments(f"p = {first!r} and p = {p!r} share the metric key {_p_key(p)}")
+    _check_p_keys(man.params["p"])  # each p's metrics are keyed by _p_key
     ball = functools.cache(lambda: orbit_ball(spec, r_max + 1, size_cap))
     deg = spec.ambient_degree()
     for p in map(float, man.params["p"]):
         lower_thm, upper_thm = (("T1_8_lower", "T1_8_upper") if p == 2.0 else (
             "T1_10_lower", "T1_10_upper_int" if p == int(p) else "T1_10_upper_nonint"))
-        for r in range(r_min, r_max + 1):
-            beta_r, computed = _sphere_resistance(spec, r, p, ball, size_cap)
+        rs = list(range(r_min, r_max + 1))
+        for r, (beta_r, computed) in zip(rs, _sphere_resistances(spec, rs, p, ball, size_cap)):
             base = {"p": p, "r": r, "beta_r": beta_r, "deg": deg}
             lower, upper = bnd.theorem_rhs(lower_thm, base), bnd.theorem_rhs(upper_thm, base)
             yield p, r, beta_r, lower, computed, upper, lower / computed, computed / upper
@@ -444,7 +470,7 @@ def _run_table1(man: ExperimentManifest, size_cap: int):
         half = n // 2
         ball = orbit_ball(spec, half, size_cap)
         nw = bnd.nash_williams_bound(bnd.sphere_cutsets(ball, half), p)
-        _, exact = _sphere_resistance(spec, half - 1, p, lambda: ball, size_cap)
+        (_, exact), = _sphere_resistances(spec, [half - 1], p, lambda: ball, size_cap)
         regime, regime_value = (("log_n", math.log(n)) if d == int(p) else
                                 ("const", 1.0) if d > p else ("poly", n ** (p - d) / k))
         yield (p, d, k, n, spec.ambient_degree(), nw, exact, nw / exact,
@@ -482,8 +508,7 @@ def _run_var_converse(man: ExperimentManifest, size_cap: int):
     ball = orbit_ball(spec, max(rs), size_cap)
     deg = spec.ambient_degree()
     beta_n = ball.beta(n)
-    for r in rs:
-        computed = p_resistance(annulus_problem(ball, n, r), 2.0).resistance
+    for r, computed in zip(rs, annulus_resistances(ball, n, rs, size_cap)):
         rhs = bnd.theorem_rhs("T_var_converse",
                               {"n": n, "r": r, "beta_n": beta_n, "deg": deg})
         yield n, r, beta_n, computed, rhs, computed / rhs, computed / math.log(r / n)

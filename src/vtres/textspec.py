@@ -134,9 +134,7 @@ ATOM_FIELDS = {"box": ("i-j",), "full": ("k",), "chords": ("k",), "boxfull": ("i
 def generators_to_value(spec: GraphSpec):
     parts = []
     for kind, *fields in spec.generators:
-        if kind == "explicit":
-            if len(spec.generators) != 1:
-                raise BadArguments("explicit offsets cannot mix with other atoms")
+        if kind == "explicit":  # alone in its spec (GraphSpec)
             return [tuple(t) for t in fields[0]]
         if kind == "box" and (not fields or fields[0] is None
                               or tuple(fields[0]) == tuple(range(spec.dim))):

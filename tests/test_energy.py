@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -42,6 +43,7 @@ from vtres.errors import (
     EmptySet,
     NonConvergence,
     SizeCapExceeded,
+    VtresError,
 )
 from vtres.graphs import (
     Graph,
@@ -1154,3 +1156,158 @@ def test_cover_radius_matches_sumset_reference():
         finite += math.isfinite(want)
     # both outcomes are exercised
     assert 50 < finite < len(cases) - 50
+
+
+Z2_AXES = spec_explicit((None, None), [(1, 0), (-1, 0), (0, 1), (0, -1)])
+Z3_AXES = spec_explicit((None,) * 3, [s for s in itertools.product((-1, 0, 1), repeat=3)
+                                      if sum(map(abs, s)) == 1])
+# axes and one chord on Z x C5 x C5: no symmetry swaps the C5 factors' signs
+Z_C5_C5_CHORD = spec_explicit((None, 5, 5), [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                             (0, 0, 1), (0, 0, -1), (1, 1, 1), (-1, -1, -1)])
+
+
+def _per_radius_spheres(ball, rs):
+    return [p_resistance(dirichlet_problem(ball, r), 2.0).resistance for r in rs]
+
+
+def _per_radius_annuli(ball, n, rs):
+    return [p_resistance(annulus_problem(ball, n, r), 2.0).resistance for r in rs]
+
+
+def _count_per_radius_solves(monkeypatch):
+    """The p values of the solves that ``energy``'s band sweeps hand to
+    ``p_resistance``, one per radius they do not take from the band."""
+    solved, real = [], energy.p_resistance
+    monkeypatch.setattr(energy, "p_resistance", lambda tg, p: solved.append(p) or real(tg, p))
+    return solved
+
+
+@pytest.mark.parametrize("spec, r_max", [
+    (spec_lattice(2), 30), (Z2_AXES, 30), (spec_lattice(3), 10), (Z3_AXES, 16),
+    (Z_C5_C5_CHORD, 24)], ids=["z2_box", "z2_axes", "z3_box", "z3_axes", "z_c5_c5_chord"])
+def test_sphere_resistances_match_per_radius_solves(spec, r_max, monkeypatch):
+    # every radius from one factorization, each within 1e-12 of its own
+    # solve, in the order asked, with no solve of its own
+    ball = orbit_ball(spec, r_max + 1)
+    rs = list(range(r_max + 1))
+    rs = rs[1::2] + rs[::-2]
+    want = _per_radius_spheres(ball, rs)
+    solved = _count_per_radius_solves(monkeypatch)
+    got = list(energy.sphere_resistances(ball, rs))
+    assert solved == []
+    assert len(got) == len(rs)
+    for r, g, w in zip(rs, got, want):
+        assert abs(g - w) <= 1e-12 * w, (r, g, w)
+    assert got[rs.index(0)] == 1.0 / ball.base.degree[0]
+
+
+@pytest.mark.parametrize("spec, n, r_max", [
+    (spec_lattice(2), 5, 40), (spec_z_times_torus(5, 5), 8, 64), (Z_C5_C5_CHORD, 3, 20)],
+    ids=["z2_box", "z_c5_c5_box", "z_c5_c5_chord"])
+def test_annulus_resistances_match_per_radius_solves(spec, n, r_max, monkeypatch):
+    ball = orbit_ball(spec, r_max)
+    rs = list(range(n + 1, r_max + 1))
+    want = _per_radius_annuli(ball, n, rs)
+    solved = _count_per_radius_solves(monkeypatch)
+    got = list(energy.annulus_resistances(ball, n, rs))
+    assert solved == []
+    for r, g, w in zip(rs, got, want):
+        assert abs(g - w) <= 1e-12 * w, (r, g, w)
+    if spec == spec_z_times_torus(5, 5):
+        # 450 edges join consecutive slices of Z x C5 x C5 past radius 2
+        for r, g in zip(rs, got):
+            assert abs(g - (r - n) / 450) <= 1e-12 * g
+
+
+def _id_order_cells(ball, first, last):
+    """Width times unknowns of the band of ids first..last-1, in id order."""
+    g = ball.base
+    u = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    inside = (u >= first) & (u < last) & (g.nbr >= first) & (g.nbr < u)
+    return (1 + int((u - g.nbr)[inside].max(initial=0))) * (last - first)
+
+
+def test_band_radii_past_the_size_cap_are_solved_one_by_one(monkeypatch):
+    # the band covers the radii whose block has at most size_cap cells;
+    # each larger radius is today's solve of its own
+    ball = orbit_ball(spec_lattice(2), 15)
+    cap = _id_order_cells(ball, 1, ball.prefix(8))
+    assert _id_order_cells(ball, 1, ball.prefix(9)) > cap
+    rs = list(range(15))
+    want = _per_radius_spheres(ball, rs)
+    solved = _count_per_radius_solves(monkeypatch)
+    got = list(energy.sphere_resistances(ball, rs, size_cap=cap))
+    assert solved == [2.0] * 6
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * w
+    # an annulus block of no unknowns fits any cap
+    assert list(energy.annulus_resistances(ball, 3, [4], size_cap=0)) == \
+        _per_radius_annuli(ball, 3, [4])
+
+
+def _jumping_ball():
+    """A Z^2 ball whose last id of layer 2 claims layer 3, so that an edge
+    of B(1) jumps past S(2)."""
+    ball = orbit_ball(spec_lattice(2), 4)
+    layer = ball.layer.copy()
+    layer[ball.prefix(2) - 1] = 3
+    return dataclasses.replace(ball, layer=layer)
+
+
+# name: (ball, n (None for spheres), radii); each radius is checked and
+# solved in turn, and the first that today's problem builders refuse
+# raises their error after every radius before it is given
+BAND_ERRORS = {
+    "sphere-exhausted": (lambda: orbit_ball(spec_cycle(6), 5), None, [0, 1, 2, 3, 1]),
+    "sphere-radius-too-small": (lambda: orbit_ball(spec_lattice(2), 4), None, [1, 3, 4, 2]),
+    "sphere-negative-r": (lambda: orbit_ball(spec_lattice(2), 4), None, [2, -1]),
+    "sphere-layer-jump": (_jumping_ball, None, [0, 1]),
+    "annulus-n0": (lambda: orbit_ball(spec_lattice(2), 6), 0, [3, 4]),
+    "annulus-r-not-past-n": (lambda: orbit_ball(spec_lattice(2), 6), 3, [5, 3, 6]),
+    "annulus-radius-too-small": (lambda: orbit_ball(spec_lattice(2), 6), 2, [4, 7]),
+    "annulus-exhausted": (lambda: orbit_ball(spec_cycle(6), 6), 1, [2, 3, 4, 2]),
+}
+
+
+@pytest.mark.parametrize("case", BAND_ERRORS)
+def test_band_sweeps_raise_each_radius_error_in_turn(case):
+    make, n, rs = BAND_ERRORS[case]
+    ball = make()
+    one = ((lambda r: _per_radius_spheres(ball, [r])[0]) if n is None
+           else (lambda r: _per_radius_annuli(ball, n, [r])[0]))
+    want = []
+    for r in rs:
+        try:
+            want.append(one(r))
+        except VtresError as exc:
+            expected = exc
+            break
+    else:
+        pytest.fail("no radius is refused")
+    sweep = (energy.sphere_resistances(ball, rs) if n is None
+             else energy.annulus_resistances(ball, n, rs))
+    got = []
+    with pytest.raises(type(expected)) as info:
+        for value in sweep:
+            got.append(value)
+    assert str(info.value) == str(expected)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * w
+
+
+def test_band_that_is_not_positive_definite_raises_nonconvergence():
+    # on the orbit ball of Z, id 1 is {-1, 1}; an edge to id 2 of weight
+    # -m(0, 1) leaves it a zero pivot, the band's first
+    ball = orbit_ball(spec_lattice(1), 4)
+    g = ball.base
+    mult = g.mult.copy()
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    pair = ((rows == 1) & (g.nbr == 2)) | ((rows == 2) & (g.nbr == 1))
+    mult[pair] = -mult[(rows == 0) & (g.nbr == 1)]
+    bad = dataclasses.replace(ball, base=Graph(g.n, g.indptr, g.nbr, mult))
+    sweep = energy.sphere_resistances(bad, [0, 1, 2])
+    assert next(sweep) == 1.0 / g.degree[0]
+    with pytest.raises(NonConvergence,
+                       match="banded Cholesky failed: 1th leading minor not positive definite"):
+        next(sweep)

@@ -678,20 +678,28 @@ def test_cli_resist_torus_50x50_matches_fourier(tmp_path):
 
 
 def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch):
-    # the runners reach the solver and the ball builders through
+    # the runners reach the solvers and the ball builders through
     # vtres.manifest's names, so wrapping them there sees every solve the
-    # mode sum does not replace and every ball it does not need
+    # mode sum does not replace and every ball it does not need; at p=2 a
+    # ball's radii are one sphere_resistances or annulus_resistances pass
     import vtres.manifest as manifest
     solved, balls = [], []
     real = manifest.p_resistance
     monkeypatch.setattr(manifest, "p_resistance",
                         lambda tg, p: solved.append(p) or real(tg, p))
+    spheres, annuli = manifest.sphere_resistances, manifest.annulus_resistances
+    monkeypatch.setattr(manifest, "sphere_resistances", lambda ball, rs, cap: solved.append(
+        ("spheres", list(rs))) or spheres(ball, rs, cap))
+    monkeypatch.setattr(manifest, "annulus_resistances", lambda ball, n, rs, cap: solved.append(
+        ("annuli", n, list(rs))) or annuli(ball, n, rs, cap))
     for name in ("build_ball", "orbit_ball"):
         monkeypatch.setattr(manifest, name, lambda *args, name=name, real=getattr(
             manifest, name): balls.append(name) or real(*args))
     z2, z3, z_c5_c5 = spec_lattice(2), spec_lattice(3), spec_z_times_torus(5, 5)
     knight = spec_explicit((None, None), [(a, b) for a in (-2, -1, 1, 2)
                                           for b in (-2, -1, 1, 2) if abs(a) != abs(b)])
+    z_c5_step2 = spec_explicit((None, 5), [(a, b) for a in (-1, 0, 1) for b in (0, 2, 3)
+                                           if (a, b) != (0, 0)])
     # experiment, spec, params, solved p, ball builds: only a potential dump
     # takes the full ball; growth and the cutsets of table1 and sharpness_nw
     # count on an orbit ball, one per table1 row and per sharpness (d, n)
@@ -699,18 +707,23 @@ def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch
     cases = [("sandwich", z2, {"p": [2.0], "r_min": 1, "r_max": 4}, [], []),
              ("sandwich", z3, {"p": [2.0], "r_min": 2, "r_max": 5}, [], []),
              ("sandwich", z_c5_c5, {"p": [2.0], "r_min": 2, "r_max": 5}, [], []),
+             # B(1) of this Z x C5 leaves out two elements of C5, B(2) covers it
+             ("sandwich", z_c5_step2, {"p": [2.0], "r_min": 1, "r_max": 3},
+              [("spheres", [1])], [orbits]),
              ("sandwich", z2, {"p": [3.0], "r_min": 2, "r_max": 3}, [3.0] * 2, [orbits]),
              ("resistance", z2, {"p": [2.0], "r": [3, 5]}, [], []),
              ("resistance", z3, {"p": [2.0], "r": [2, 4]}, [], []),
              ("resistance", z_c5_c5, {"p": [2.0], "r": [2, 6]}, [], []),
              ("resistance", z2, {"p": [2.0, 3.0], "r": [3]}, [3.0], [orbits]),
              ("resistance", z2, {"p": [2.0], "r": [3], "dump_potential": 1}, [2.0], [full]),
-             ("resistance", knight, {"p": [2.0], "r": [2]}, [2.0], [orbits]),
-             ("table1", None, {"n2": [8], "n3": [], "nlin": [8]}, [2.0], [orbits, orbits]),
+             ("resistance", knight, {"p": [2.0], "r": [2, 3]}, [("spheres", [2, 3])], [orbits]),
+             ("table1", None, {"n2": [8], "n3": [], "nlin": [8]}, [("spheres", [3])],
+              [orbits, orbits]),
              ("sharpness_nw", None, {"p": [2.0, 3.0], "d": [2, 3], "k": 2, "n": [6]}, [],
               [orbits, orbits]),
              ("growth", dataclasses.replace(z_c5_c5, radius=9), {}, [], [orbits]),
-             ("var_converse", z_c5_c5, {"n": 2, "r": [4, 6]}, [2.0] * 2, [orbits])]
+             ("var_converse", z_c5_c5, {"n": 2, "r": [4, 6]}, [("annuli", 2, [4, 6])],
+              [orbits])]
     for i, (experiment, spec, params, want, builds) in enumerate(cases):
         solved.clear()
         balls.clear()
@@ -746,35 +759,38 @@ def test_cli_resist_p2_far_past_the_ball_cap(tmp_path):
 
 def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch, tmp_path):
     # the problem handed to the solver has one vertex per orbit of B(r),
-    # counted on a ball of radius r, plus the ground; var-converse's annulus
-    # has one per orbit of B(r) less S(n) and S(r), plus the two terminals
+    # counted on a ball of radius r, plus the ground.  At p=2 the one band
+    # has one unknown per orbit of B(r) but the center, and var-converse's
+    # one per orbit of the layers n+1..r-1 of its largest r
+    import vtres.energy as energy
     import vtres.manifest as manifest
     sizes = []
     real = manifest.p_resistance
     monkeypatch.setattr(manifest, "p_resistance",
                         lambda tg, p: sizes.append(tg.graph.n) or real(tg, p))
+    band = energy._prefix_conductances
+    monkeypatch.setattr(energy, "_prefix_conductances", lambda g, source, first, last, cap:
+                        sizes.append(last - first) or band(g, source, first, last, cap))
     knight = spec_explicit((None, None), [(a, b) for a in (-2, -1, 1, 2)
                                           for b in (-2, -1, 1, 2) if abs(a) != abs(b)])
     for spec, p in [(spec_lattice(2), 3.0), (knight, 2.0), (spec_z_times_torus(5, 5), 1.5)]:
         ball = orbit_ball(spec, 6)
         for r in (1, 2, 5):
             sizes.clear()
-            manifest._sphere_resistance(spec, r, p, lambda: ball, DEFAULT_SIZE_CAP)
-            assert sizes == [len(np.unique(reference_orbits(build_ball(spec, r)))) + 1]
+            list(manifest._sphere_resistances(spec, [r], p, lambda: ball, DEFAULT_SIZE_CAP))
+            orbits = len(np.unique(reference_orbits(build_ball(spec, r))))
+            assert sizes == [orbits - 1 if p == 2.0 else orbits + 1]
             if spec == spec_lattice(2):
                 assert sizes == [(r + 1) * (r + 2) // 2 + 1]
         n, rs = 2, [4, 6]
         sizes.clear()
         run(ExperimentManifest("var_converse", spec, {"n": n, "r": rs}, "v", "csv"),
             base_dir=str(tmp_path))
-        expected = []
-        for r in rs:
-            small = build_ball(spec, r)
-            free = ~np.isin(small.layer, (n, r))
-            expected.append(len(np.unique(reference_orbits(small)[free])) + 2)
-        assert sizes == expected
+        small = build_ball(spec, rs[-1])
+        free = (small.layer > n) & (small.layer < rs[-1])
+        assert sizes == [len(np.unique(reference_orbits(small)[free]))]
         if spec == spec_lattice(2):
-            assert sizes == [r * (r + 1) // 2 - n + 1 for r in rs]
+            assert sizes == [sum(range(n + 2, rs[-1] + 1))]
 
 
 def test_benchmark_hooks_exist():
@@ -997,3 +1013,41 @@ def test_sandwich_refuses_p_values_sharing_a_metric_key(tmp_path):
     proc = _cli("verify", *z2, "--p", "2,2", "--r-min", "2", "--r-max", "3",
                 "--out", str(tmp_path / "twice"))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_potential_dumps_refuse_p_values_sharing_a_name(tmp_path):
+    # a dump is named potential_{p key}_r{r}, so p = 2 and p = 2.0000001
+    # would write one file; dump_potential is set in a manifest file only
+    def manifest_file(name, ps):
+        man = ExperimentManifest("resistance", spec_lattice(2),
+                                 {"p": ps, "r": [2], "dump_potential": 1},
+                                 str(tmp_path / name), "csv")
+        path = tmp_path / f"{name}.txt"
+        path.write_text(emit_manifest(man))
+        return str(path)
+
+    proc = _cli("run", manifest_file("shared", [2.0, 2.0000001]))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error.type = BadArguments",
+        "error.message = p = 2.0 and p = 2.0000001 share the metric key p2"]
+    assert not (tmp_path / "shared").exists()
+    # a p listed twice is one p, and one file
+    proc = _cli("run", manifest_file("twice", [2.0, 2.0]))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path / "twice")) == [
+        "potential_p2_r2.txt", "resistance.csv", "summary.txt"]
+
+
+def test_var_converse_loads_no_graph_reordering(tmp_path):
+    # the annulus radii come from one factorization in id order, so the
+    # reverse Cuthill-McKee order of scipy.sparse.csgraph is never loaded
+    script = ("import sys, vtres.cli\n"
+              "rc = vtres.cli.main(['repro', 'var-converse', '--family', 'z_times_torus',\n"
+              "                     '--factors', 'inf,5,5', '--generators', 'box', '--n', '8',\n"
+              "                     '--r', '16,32,64', '--out', sys.argv[1]])\n"
+              "print(rc, 'scipy.sparse.csgraph' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "o")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

@@ -13,7 +13,7 @@ from vtres import (
     spec_z_times_torus,
 )
 from vtres.errors import BadArguments
-from vtres.graphs import spec_fibered_torus
+from vtres.graphs import GraphSpec, spec_fibered_torus
 from vtres.textspec import emit_document, parse_document, parse_value
 
 SPECS = [
@@ -111,3 +111,18 @@ def test_every_atom_kind_reads_back():
     assert parse_graphspec(emit_graphspec(spec)) == spec
     chords = parse_graphspec("family = cyclic_chords\nfactors = [9]\ngenerators = chords:2+box\n")
     assert chords.generators == (("chords", 2), ("box", (0,)))
+
+
+@pytest.mark.parametrize("generators", [
+    (("box", (0,)), ("explicit", ((0, 1), (0, -1)))),
+    (("explicit", ((1, 0), (-1, 0))), ("full", 1)),
+    (("explicit", ((1, 0), (-1, 0))), ("explicit", ((0, 1), (0, -1)))),
+], ids=["box-then-explicit", "explicit-then-full", "two-explicit"])
+def test_explicit_atoms_stand_alone(generators):
+    # an explicit atom beside another has no text form, so no spec holds one
+    factors = (None, 5) if ("full", 1) in generators else (None, None)
+    with pytest.raises(BadArguments, match="explicit offsets cannot mix with other atoms"):
+        GraphSpec("explicit", factors, generators)
+    # every spec that is built has a text form that reads back
+    for spec in [*SPECS, GraphSpec("explicit", factors, generators[1:])]:
+        assert parse_graphspec(emit_graphspec(spec)) == spec
