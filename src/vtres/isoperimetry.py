@@ -6,9 +6,12 @@ with witnesses; the exhaustive checks read a profile the caller computed,
 so one graph's subsets are enumerated once.  Theorem checks compare
 measured boundaries of candidate sets inside a ball against the formula
 right-hand sides at implied constant 1, leaving boundedness of the ratios
-to sweep-level assertions.  Profiles and theorem checks count boundaries
-with ``graphs.boundary_sizes``, many sets per call; profiles hold sets as
-int64 bitmasks, so they stop at 62 vertices.
+to sweep-level assertions.  Profiles hold sets as int64 bitmasks, so they
+stop at 62 vertices.  An ``all_sets`` profile takes every subset's
+boundaries from subset recurrences over blocks of 2^SUBSET_BLOCK_BITS sets,
+so its memory is bounded for any size cap; ``connected_sets`` profiles and
+theorem checks count boundaries with ``graphs.boundary_sizes``, many sets
+per call.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .walks import check_seed
 
 ALL_SETS_CAP = 14
 CONNECTED_SETS_CAP = 20
+SUBSET_BLOCK_BITS = 16  # all_sets: the low vertex bits one recurrence block spans
 
 
 class ProfileEntry(NamedTuple):
@@ -59,13 +63,90 @@ def _least_per_size(size: np.ndarray, bound: np.ndarray, rank: np.ndarray) -> li
     return order[first].tolist()
 
 
+def _digit_sums(masks, digits: np.ndarray) -> np.ndarray:
+    """Weight from each bitmask set to a target, given the binary digit masks
+    of the target's weights: row d of ``digits`` is the bitmask of the
+    vertices whose weight has digit d.  A row may hold one target per entry."""
+    out = np.zeros(np.broadcast_shapes(np.shape(masks), digits.shape[1:]), dtype=np.int64)
+    for d, row in enumerate(digits):
+        out += np.bitwise_count(masks & row).astype(np.int64) << d
+    return out
+
+
+def _all_sets_minima(g: Graph) -> tuple[dict, dict]:
+    """Each size's least vertex and edge boundary over all proper subsets,
+    as size -> (boundary, witness), ties going to the greatest rank.
+
+    A set S splits into its low part l, on the vertices below
+    SUBSET_BLOCK_BITS, and its high part h.  Over the low parts, one
+    recurrence on the top member v gives the neighbour mask
+    N(l) = N(l - v) | nbr(v) and the edge boundary
+    e(l) = e(l - v) + deg(v) - 2 w(v, l - v), where w(v, .) takes one bit
+    count per binary digit of the multiplicities.  Each high part is one
+    block: N(S) = N(l) | N(h) and e(S) = e(l) + e(h) - 2 w(l, h), with
+    w(., h) a cross-weight vector over the low vertices.  The vertex
+    boundary is |N(S) & ~S|.  Low parts are kept sorted by size, so each
+    size's least boundary is one ``reduceat`` per block.
+    """
+    n = g.n
+    bit = np.left_shift(1, np.arange(n, dtype=np.int64))
+    # digits[d, v]: v's neighbours whose multiplicity has binary digit d
+    width = int(g.mult.max(initial=0)).bit_length()
+    on = (g.mult >> np.arange(width)[:, None]) & 1
+    d, at = np.nonzero(on)
+    digits = np.zeros((on.shape[0], n), dtype=np.int64)
+    np.add.at(digits, (d, np.repeat(np.arange(n), np.diff(g.indptr))[at]), bit[g.nbr[at]])
+    nbr = np.bitwise_or.reduce(digits, axis=0, initial=0)
+    deg = g.degree
+    low = min(n, SUBSET_BLOCK_BITS)
+    sets = np.arange(1 << low, dtype=np.int64)
+    nb, edge, rank = (np.zeros(1 << low, dtype=np.int64) for _ in range(3))
+    for v in range(low):
+        lo, hi = 1 << v, 2 << v
+        nb[lo:hi] = nb[:lo] | nbr[v]
+        edge[lo:hi] = edge[:lo] + (deg[v] - 2 * _digit_sums(sets[:lo], digits[:, v]))
+        # a membership vector read from vertex 0 as a binary number
+        rank[lo:hi] = rank[:lo] + bit[n - 1 - v]
+    size = np.bitwise_count(sets)
+    order = np.argsort(size, kind="stable")
+    sets, nb, edge, rank = sets[order], nb[order], edge[order], rank[order]
+    counts = np.bincount(size, minlength=low + 1)
+    starts = np.cumsum(counts) - counts
+    best: tuple[dict, dict] = ({}, {})  # size -> (boundary, -rank), vertex and edge
+    for h in range(0, 1 << n, 1 << low):
+        members = np.flatnonzero(h & bit)
+        nb_h = np.bitwise_or.reduce(nbr[members], initial=0)
+        edge_h = deg[members].sum() - _digit_sums(h, digits[:, members]).sum()
+        # cross[d]: the low vertices whose weight into h has binary digit d
+        into_h = _digit_sums(h, digits[:, :low])
+        width = int(into_h.max(initial=0)).bit_length()
+        cross = ((into_h >> np.arange(width)[:, None]) & 1) @ bit[:low]
+        rank_h = int(bit[n - 1 - members].sum())
+        bounds = (np.bitwise_count((nb | nb_h) & ~(sets | h)),
+                  edge + (edge_h - 2 * _digit_sums(sets, cross)))
+        for found, bound in zip(best, bounds):
+            least = np.minimum.reduceat(bound, starts)
+            tie = np.where(bound == np.repeat(least, counts), rank, -1)
+            top = np.maximum.reduceat(tie, starts)
+            for m, b, r in zip(range(members.size, n + 1), least.tolist(), top.tolist()):
+                key = (b, -(r + rank_h))
+                if 0 < m < n and (m not in found or key < found[m]):
+                    found[m] = key
+    return tuple({m: (b, tuple(np.flatnonzero(-neg_rank & bit[::-1]).tolist()))
+                  for m, (b, neg_rank) in found.items()} for found in best)
+
+
 def exact_profile(g: Graph, mode: str = "all_sets",
                   max_n: Optional[int] = None) -> IsoProfile:
     """Exhaustive minimum boundaries per set size, with witnesses.
 
-    ``all_sets`` scans every proper subset; ``connected_sets`` restricts to
-    connected ones.  Sets are int64 bitmasks, so no cap admits a graph of
-    more than MASK_BITS vertices.  Ties break to the lexicographically least
+    ``all_sets`` scans every proper subset through subset recurrences
+    (``_all_sets_minima``), with no membership matrix: it holds a few
+    arrays of 2^SUBSET_BLOCK_BITS entries and O(n) tables whatever
+    ``max_n``.  ``connected_sets`` restricts to connected ones and counts
+    their boundaries with ``boundary_sizes``, MASK_BLOCK sets per call.
+    Sets are int64 bitmasks, so no cap admits a graph of more than
+    MASK_BITS vertices.  Ties break to the lexicographically least
     witness: the set whose membership vector, read from vertex 0, is the
     greatest.
     """
@@ -77,14 +158,22 @@ def exact_profile(g: Graph, mode: str = "all_sets",
         raise SizeCapExceeded(f"{g.n} vertices exceeds profile cap {cap}")
     if g.n > MASK_BITS:
         raise SizeCapExceeded(f"{g.n} vertices exceeds the {MASK_BITS}-bit set masks")
+    minima = _all_sets_minima if mode == "all_sets" else _connected_minima
+    vbest, ebest = minima(g)
+    by_size = {m: ProfileEntry(vbest[m][0], ebest[m][0], vbest[m][1], ebest[m][1])
+               for m in sorted(vbest)}
+    lo, hi = (min(by_size), max(by_size)) if by_size else (0, 0)
+    return IsoProfile(by_size=by_size, size_range=(lo, hi), mode=mode)
+
+
+def _connected_minima(g: Graph) -> tuple[dict, dict]:
+    """Each size's least vertex and edge boundary over the connected proper
+    subsets, as size -> (boundary, witness)."""
     full = (1 << g.n) - 1
-    if mode == "all_sets":
-        sets = range(1, full)
-    else:
-        masks = neighbor_masks(g, g.n)
-        sets = (s for root in range(g.n)
-                for s in connected_supersets(masks, root, full & ~((1 << root) - 1))
-                if s != full)
+    masks = neighbor_masks(g, g.n)
+    sets = (s for root in range(g.n)
+            for s in connected_supersets(masks, root, full & ~((1 << root) - 1))
+            if s != full)
     # a membership vector read from vertex 0 as a binary number
     weights = np.left_shift(1, np.arange(g.n - 1, -1, -1, dtype=np.int64))
     best: tuple[dict, dict] = ({}, {})  # size -> (boundary, witness), vertex and edge
@@ -97,11 +186,16 @@ def exact_profile(g: Graph, mode: str = "all_sets",
                 key = (int(bound[i]), tuple(np.flatnonzero(member[i]).tolist()))
                 if m not in found or key < found[m]:
                     found[m] = key
-    vbest, ebest = best
-    by_size = {m: ProfileEntry(vbest[m][0], ebest[m][0], vbest[m][1], ebest[m][1])
-               for m in sorted(vbest)}
-    lo, hi = (min(by_size), max(by_size)) if by_size else (0, 0)
-    return IsoProfile(by_size=by_size, size_range=(lo, hi), mode=mode)
+    return best
+
+
+def _check_all_sets(profile: IsoProfile, n: int) -> None:
+    """Refuse a profile whose minima are not over every proper subset of an
+    n-vertex graph: a restricted profile's minima can only be larger, so it
+    could pass a set that violates the bound."""
+    if profile.mode != "all_sets" or profile.size_range != (1, n - 1):
+        raise BadArguments(f"need the all_sets profile of sizes 1..{n - 1}, got "
+                           f"{profile.mode} over {profile.size_range}")
 
 
 def verify_csc(g: Graph, profile: IsoProfile) -> list[BoundReport]:
@@ -111,6 +205,7 @@ def verify_csc(g: Graph, profile: IsoProfile) -> list[BoundReport]:
     size up to half the graph; the constant 12 is explicit, so these are
     genuine inequalities.
     """
+    _check_all_sets(profile, g.n)
     growth = graph_growth_profile(g)
     reports = []
     for m in range(1, g.n // 2 + 1):
@@ -134,6 +229,7 @@ def verify_cyclic_edge_iso(profile: IsoProfile, n: int, k: int) -> BoundReport:
     """
     if not 1 <= k < n / 2:
         raise BadArguments("need 1 <= k < n/2")
+    _check_all_sets(profile, n)
     best = math.inf
     witness: tuple[int, ...] = ()
     for m in range(k, n - k + 1):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -16,9 +17,10 @@ from vtres import (
     verify_csc,
     verify_cyclic_edge_iso,
 )
+import vtres.isoperimetry
 from vtres.errors import BadArguments, SizeCapExceeded
 from vtres.graphs import from_edge_list, orbit_ball
-from vtres.isoperimetry import ISO_THEOREMS, _candidate_sets
+from vtres.isoperimetry import ISO_THEOREMS, ProfileEntry, _candidate_sets
 
 from conftest import complete_graph
 
@@ -89,6 +91,67 @@ def test_profile_matches_bruteforce_on_multigraph(mode):
                                       best_v, best_e)
 
 
+def _looped_profile(g):
+    """Each size's least boundaries over every proper subset, by a Python loop
+    over each mask's members; ties keep the least witness tuple."""
+    best_v, best_e = {}, {}
+    for mask in range(1, (1 << g.n) - 1):
+        ids = tuple(v for v in range(g.n) if mask >> v & 1)
+        outside, edge = set(), 0
+        for u in ids:
+            for w, m in zip(*(a.tolist() for a in g.neighbors(u))):
+                if not mask >> w & 1:
+                    outside.add(w)
+                    edge += m
+        for best, key in ((best_v, (len(outside), ids)), (best_e, (edge, ids))):
+            if len(ids) not in best or key < best[len(ids)]:
+                best[len(ids)] = key
+    return {m: ProfileEntry(best_v[m][0], best_e[m][0], best_v[m][1], best_e[m][1])
+            for m in sorted(best_v)}
+
+
+# even multiplicities: a neighbour mask taken from the lowest multiplicity
+# digit would miss 1-2, 3-4, 5-0 and 0-4
+EVEN_MULTIGRAPH = [(0, 1, 3), (1, 2, 2), (2, 3, 5), (3, 4, 4), (4, 5, 1), (5, 0, 6),
+                   (0, 3, 1), (1, 4, 3), (0, 4, 8)]
+# ten vertices, multiplicities up to 5, so a 3-bit block's cross weights
+# take several binary digits
+MULTIGRAPH_10 = [(v, (v + 1) % 10, 1 + v % 5) for v in range(10)] + \
+    [(v, (v + 3) % 10, 5 - v % 5) for v in range(10)] + [(0, 5, 4), (2, 7, 2)]
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(5),
+    build_cayley_graph(spec_cyclic_chords(11, 3)),  # many ties per size
+    from_edge_list(6, EVEN_MULTIGRAPH),
+], ids=["K5", "chords11_3", "even_multigraph"])
+def test_recurrence_matches_looped_profile(g):
+    assert exact_profile(g).by_size == _looped_profile(g)
+
+
+@pytest.mark.parametrize("edges", [
+    MULTIGRAPH_10, [(v, (v + k) % 10, 1) for v in range(10) for k in (1, 2)],
+], ids=["multigraph", "chords10_2"])
+def test_recurrence_blocks_match_looped_profile(monkeypatch, edges):
+    # blocks of 3 vertex bits: 128 blocks, each with its own high part
+    g = from_edge_list(10, edges)
+    monkeypatch.setattr(vtres.isoperimetry, "SUBSET_BLOCK_BITS", 3)
+    assert exact_profile(g).by_size == _looped_profile(g)
+
+
+def test_all_sets_memory_is_bounded():
+    # 2^20 subsets in 16 blocks: no array spans them all, so the peak stays
+    # below one int64 table of 2^20 entries
+    g = build_cayley_graph(spec_cyclic_chords(20, 4))
+    tracemalloc.start()
+    try:
+        exact_profile(g, max_n=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 def test_witness_tie_break_is_lexicographic():
     prof = exact_profile(build_cayley_graph(spec_cycle(6)))
     assert prof.by_size[2].witness == (0, 1)
@@ -138,6 +201,16 @@ def test_verify_csc_two_vertex_graph():
     assert all(r.status == "PASS" for r in reports)
 
 
+def test_verify_csc_refuses_a_restricted_profile():
+    # connected minima are never below the all-sets ones, so they could
+    # pass a set that breaks the bound
+    g = build_cayley_graph(spec_cycle(8))
+    for profile in (exact_profile(g, "connected_sets"),
+                    exact_profile(build_cayley_graph(spec_cycle(7)))):
+        with pytest.raises(BadArguments, match="all_sets"):
+            verify_csc(g, profile)
+
+
 def _chord_profile(n, k):
     return exact_profile(build_cayley_graph(spec_cyclic_chords(n, k)))
 
@@ -154,6 +227,14 @@ def test_cyclic_edge_lemma_guards():
         verify_cyclic_edge_iso(_chord_profile(20, 4), 20, 4)
     with pytest.raises(BadArguments):
         verify_cyclic_edge_iso(_chord_profile(10, 5), 10, 5)
+
+
+def test_cyclic_edge_lemma_refuses_a_restricted_profile():
+    g = build_cayley_graph(spec_cyclic_chords(10, 4))
+    with pytest.raises(BadArguments, match="all_sets"):
+        verify_cyclic_edge_iso(exact_profile(g, "connected_sets"), 10, 4)
+    with pytest.raises(BadArguments, match="all_sets"):
+        verify_cyclic_edge_iso(_chord_profile(10, 4), 12, 4)
 
 
 def test_iso_theorem_checks_on_z2_ball():
