@@ -654,7 +654,7 @@ def graph_growth_profile(g: Graph, center: int = 0) -> GrowthProfile:
 # ---------------------------------------------------------------------------
 
 MASK_BITS = 62  # widest graph whose vertex sets fit an int64 bitmask, bit v = vertex v
-MASK_BLOCK = 4096  # sets per boundary_sizes call when a set list (connected sets) is scanned
+MASK_BLOCK = 4096  # sets per boundary_sizes call when bk_upper_bound scans its connected sets
 
 
 class BoundaryInfo(NamedTuple):

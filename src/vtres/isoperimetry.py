@@ -1,17 +1,16 @@
 """Exact isoperimetric profiles and empirical checks of the growth-based
 isoperimetric theorems.
 
-Profiles are exhaustive minima of the vertex/edge boundary per set size,
-with witnesses; the exhaustive checks read a profile the caller computed,
-so one graph's subsets are enumerated once.  Theorem checks compare
-measured boundaries of candidate sets inside a ball against the formula
-right-hand sides at implied constant 1, leaving boundedness of the ratios
-to sweep-level assertions.  Profiles hold sets as int64 bitmasks, so they
-stop at 62 vertices.  An ``all_sets`` profile takes every subset's
-boundaries from subset recurrences over blocks of 2^SUBSET_BLOCK_BITS sets,
-so its memory is bounded for any size cap; ``connected_sets`` profiles and
-theorem checks count boundaries with ``graphs.boundary_sizes``, many sets
-per call.
+Profiles are exhaustive minima of the vertex/edge boundary per set size
+over every proper subset, with witnesses; the exhaustive checks read a
+profile the caller computed, so one graph's subsets are enumerated once.
+A profile takes every subset's boundaries from subset recurrences over
+blocks of 2^SUBSET_BLOCK_BITS sets, so its memory is bounded for any size
+cap; sets are int64 bitmasks, so profiles stop at 62 vertices.  Theorem
+checks compare measured boundaries of candidate sets inside a ball (every
+subset of a tiny ball, else the balls around the centre and the
+coordinate cuts) against the formula right-hand sides at implied
+constant 1, leaving boundedness of the ratios to sweep-level assertions.
 """
 
 from __future__ import annotations
@@ -29,16 +28,11 @@ from .graphs import (
     BallGraph,
     Graph,
     boundary_sizes,
-    connected_supersets,
     graph_growth_profile,
-    mask_members,
-    neighbor_masks,
 )
-from .walks import check_seed
 
-ALL_SETS_CAP = 14
-CONNECTED_SETS_CAP = 20
-SUBSET_BLOCK_BITS = 16  # all_sets: the low vertex bits one recurrence block spans
+ALL_SETS_CAP = 14  # default profile cap, and the largest ball checked on every subset
+SUBSET_BLOCK_BITS = 16  # the low vertex bits one recurrence block spans
 
 
 class ProfileEntry(NamedTuple):
@@ -52,15 +46,6 @@ class ProfileEntry(NamedTuple):
 class IsoProfile:
     by_size: dict[int, ProfileEntry]
     size_range: tuple[int, int]
-    mode: str
-
-
-def _least_per_size(size: np.ndarray, bound: np.ndarray, rank: np.ndarray) -> list[int]:
-    """Row of each size's least boundary, ties going to the greatest rank."""
-    order = np.lexsort((-rank, bound, size))
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = size[order[1:]] != size[order[:-1]]
-    return order[first].tolist()
 
 
 def _digit_sums(masks, digits: np.ndarray) -> np.ndarray:
@@ -136,76 +121,45 @@ def _all_sets_minima(g: Graph) -> tuple[dict, dict]:
                   for m, (b, neg_rank) in found.items()} for found in best)
 
 
-def exact_profile(g: Graph, mode: str = "all_sets",
-                  max_n: Optional[int] = None) -> IsoProfile:
+def exact_profile(g: Graph, *, max_n: Optional[int] = None) -> IsoProfile:
     """Exhaustive minimum boundaries per set size, with witnesses.
 
-    ``all_sets`` scans every proper subset through subset recurrences
+    Scans every proper subset through subset recurrences
     (``_all_sets_minima``), with no membership matrix: it holds a few
     arrays of 2^SUBSET_BLOCK_BITS entries and O(n) tables whatever
-    ``max_n``.  ``connected_sets`` restricts to connected ones and counts
-    their boundaries with ``boundary_sizes``, MASK_BLOCK sets per call.
-    Sets are int64 bitmasks, so no cap admits a graph of more than
-    MASK_BITS vertices.  Ties break to the lexicographically least
-    witness: the set whose membership vector, read from vertex 0, is the
-    greatest.
+    ``max_n`` (default ALL_SETS_CAP).  Sets are int64 bitmasks, so no cap
+    admits a graph of more than MASK_BITS vertices.  Ties break to the
+    lexicographically least witness: the set whose membership vector, read
+    from vertex 0, is the greatest.
     """
-    if mode not in ("all_sets", "connected_sets"):
-        raise BadArguments(f"unknown mode {mode!r}")
-    cap = max_n if max_n is not None else (ALL_SETS_CAP if mode == "all_sets"
-                                           else CONNECTED_SETS_CAP)
+    cap = max_n if max_n is not None else ALL_SETS_CAP
     if g.n > cap:
         raise SizeCapExceeded(f"{g.n} vertices exceeds profile cap {cap}")
     if g.n > MASK_BITS:
         raise SizeCapExceeded(f"{g.n} vertices exceeds the {MASK_BITS}-bit set masks")
-    minima = _all_sets_minima if mode == "all_sets" else _connected_minima
-    vbest, ebest = minima(g)
+    vbest, ebest = _all_sets_minima(g)
     by_size = {m: ProfileEntry(vbest[m][0], ebest[m][0], vbest[m][1], ebest[m][1])
                for m in sorted(vbest)}
     lo, hi = (min(by_size), max(by_size)) if by_size else (0, 0)
-    return IsoProfile(by_size=by_size, size_range=(lo, hi), mode=mode)
+    return IsoProfile(by_size=by_size, size_range=(lo, hi))
 
 
-def _connected_minima(g: Graph) -> tuple[dict, dict]:
-    """Each size's least vertex and edge boundary over the connected proper
-    subsets, as size -> (boundary, witness)."""
-    full = (1 << g.n) - 1
-    masks = neighbor_masks(g, g.n)
-    sets = (s for root in range(g.n)
-            for s in connected_supersets(masks, root, full & ~((1 << root) - 1))
-            if s != full)
-    # a membership vector read from vertex 0 as a binary number
-    weights = np.left_shift(1, np.arange(g.n - 1, -1, -1, dtype=np.int64))
-    best: tuple[dict, dict] = ({}, {})  # size -> (boundary, witness), vertex and edge
-    for member in mask_members(sets, g.n):
-        size = member.sum(axis=1)
-        rank = member @ weights
-        for found, bound in zip(best, boundary_sizes(g, member)):
-            for i in _least_per_size(size, bound, rank):
-                m = int(size[i])
-                key = (int(bound[i]), tuple(np.flatnonzero(member[i]).tolist()))
-                if m not in found or key < found[m]:
-                    found[m] = key
-    return best
-
-
-def _check_all_sets(profile: IsoProfile, n: int) -> None:
-    """Refuse a profile whose minima are not over every proper subset of an
-    n-vertex graph: a restricted profile's minima can only be larger, so it
-    could pass a set that violates the bound."""
-    if profile.mode != "all_sets" or profile.size_range != (1, n - 1):
-        raise BadArguments(f"need the all_sets profile of sizes 1..{n - 1}, got "
-                           f"{profile.mode} over {profile.size_range}")
+def _check_sizes(profile: IsoProfile, n: int) -> None:
+    """Refuse a profile that is not of an n-vertex graph: one of another
+    graph would be read at the wrong sizes."""
+    if list(profile.by_size) != list(range(1, n)):
+        raise BadArguments(f"need the profile of a {n}-vertex graph, got sizes "
+                           f"{profile.size_range}")
 
 
 def verify_csc(g: Graph, profile: IsoProfile) -> list[BoundReport]:
     """Exhaustive check of the growth-based vertex-boundary lower bound.
 
-    ``profile`` is g's ``all_sets`` profile.  One PASS/FAIL report per set
+    ``profile`` is g's profile.  One PASS/FAIL report per set
     size up to half the graph; the constant 12 is explicit, so these are
     genuine inequalities.
     """
-    _check_all_sets(profile, g.n)
+    _check_sizes(profile, g.n)
     growth = graph_growth_profile(g)
     reports = []
     for m in range(1, g.n // 2 + 1):
@@ -223,13 +177,13 @@ def verify_csc(g: Graph, profile: IsoProfile) -> list[BoundReport]:
 def verify_cyclic_edge_iso(profile: IsoProfile, n: int, k: int) -> BoundReport:
     """Exhaustive edge-isoperimetry check for the chord graph on n vertices.
 
-    ``profile`` is the ``all_sets`` profile of that graph.  Minimum |edge
+    ``profile`` is the profile of that graph.  Minimum |edge
     boundary| over k <= |A| <= n-k is compared against k^2/4 - 1 (an
     explicit inequality, PASS/FAIL).
     """
     if not 1 <= k < n / 2:
         raise BadArguments("need 1 <= k < n/2")
-    _check_all_sets(profile, n)
+    _check_sizes(profile, n)
     best = math.inf
     witness: tuple[int, ...] = ()
     for m in range(k, n - k + 1):
@@ -253,17 +207,16 @@ def verify_cyclic_edge_iso(profile: IsoProfile, n: int, k: int) -> BoundReport:
 ISO_THEOREMS = ("T6_1", "T6_2", "T6_3", "C6_x", "L_iso_rel_lin", "P_iso_conv")
 
 
-def _candidate_sets(ball: BallGraph, rho: int, smax: int, seed: int,
-                    exhaustive_cap: int, samples_per_decade: int) -> list[tuple[int, ...]]:
+def _candidate_sets(ball: BallGraph, rho: int, smax: int) -> list[tuple[int, ...]]:
     """Subsets of B(x, rho) with sizes in [1, smax].
 
-    Exhaustive for tiny balls; otherwise balls, coordinate cuts, and seeded
-    random connected sets per size decade (a documented lower-coverage
-    heuristic, never reported as exhaustive).
+    Every such subset when B(x, rho) has at most ALL_SETS_CAP vertices;
+    otherwise the balls around the center and the coordinate cuts, a
+    structured heuristic that is never reported as exhaustive.
     """
     m = ball.prefix(rho)
     out: list[tuple[int, ...]] = []
-    if m <= exhaustive_cap:
+    if m <= ALL_SETS_CAP:
         for s in range(1, 1 << m):
             if s.bit_count() <= smax:
                 out.append(tuple(v for v in range(m) if (s >> v) & 1))
@@ -278,51 +231,26 @@ def _candidate_sets(ball: BallGraph, rho: int, smax: int, seed: int,
             ids = np.flatnonzero(col <= cut)
             if 1 <= ids.size <= smax:
                 out.append(tuple(ids.tolist()))
-    # seeded random connected sets
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    lo = 1
-    while lo <= smax:
-        hi = min(smax, lo * 10 - 1)
-        for _ in range(samples_per_decade):
-            target = int(rng.integers(lo, hi + 1))
-            out.append(_random_connected(ball, m, target, rng))
-        lo *= 10
     return list(dict.fromkeys(out))  # dedupe, preserving deterministic order
-
-
-def _random_connected(ball: BallGraph, m: int, target: int,
-                      rng: np.random.Generator) -> tuple[int, ...]:
-    start = int(rng.integers(0, m))
-    chosen = {start}
-    frontier = [int(v) for v in ball.base.neighbors(start)[0] if v < m]
-    while len(chosen) < target and frontier:
-        i = int(rng.integers(0, len(frontier)))
-        v = frontier.pop(i)
-        if v in chosen:
-            continue
-        chosen.add(v)
-        frontier.extend(int(w) for w in ball.base.neighbors(v)[0]
-                        if w < m and int(w) not in chosen)
-    return tuple(sorted(chosen))
 
 
 def _frac(q: float) -> float:
     return q - math.floor(q)
 
 
-def check_iso_theorems(ball: BallGraph, which: str, seed: int = 0,
-                       exhaustive_cap: int = 14,
-                       samples_per_decade: int = 200) -> list[BoundReport]:
+def check_iso_theorems(ball: BallGraph, which: str) -> list[BoundReport]:
     """Compare measured |boundary A| against one theorem's right-hand side.
 
     Works inside B(x, rho) with rho = radius - 1 so that boundaries are
-    exact ambient boundaries.  The growth exponent q is chosen to make the
-    theorem's hypothesis exactly tight for this ball (strongest testable
-    instance).  Rows are INFO except for the explicit-constant lemma.
+    exact ambient boundaries.  The sets A are every subset when B(x, rho)
+    has at most ALL_SETS_CAP vertices, else only the balls around the
+    center and the coordinate cuts.  The growth exponent q is chosen to
+    make the theorem's hypothesis exactly tight for this ball (strongest
+    testable instance).  Rows are INFO except for the explicit-constant
+    lemma.
     """
     if which not in ISO_THEOREMS:
         raise BadArguments(f"unknown theorem {which!r}")
-    check_seed(seed)
     if np.any(ball.size != 1):
         raise BadArguments("a subset's boundary is not an orbit quantity: need a full ball")
     rho = ball.radius - 1
@@ -340,7 +268,7 @@ def check_iso_theorems(ball: BallGraph, which: str, seed: int = 0,
     rhs, check, base_params = _iso_rhs(which, rho, beta_r, beta_1, q_abs, q_rel)
     if rhs is None:
         return []
-    sets = _candidate_sets(ball, rho, smax, seed, exhaustive_cap, samples_per_decade)
+    sets = _candidate_sets(ball, rho, smax)
     member = np.zeros((len(sets), ball.base.n), dtype=bool)
     member[np.repeat(np.arange(len(sets)), [len(ids) for ids in sets]),
            np.concatenate(sets)] = True
@@ -403,12 +331,13 @@ def _iso_rhs(which: str, rho: int, beta_r: int, beta_1: int,
 def _iso_converse_report(ball: BallGraph, rho: int, beta_r: int,
                          q_abs: float) -> BoundReport:
     """Largest q whose sphere-boundary hypothesis holds, and the implied
-    growth constant."""
+    growth constant.  The vertex boundary of B(j) is the sphere S(j+1)."""
     q_star = math.inf
-    betas = [b for b in map(ball.prefix, range(1, rho + 1)) if b <= beta_r / 2.0]
-    member = np.arange(ball.base.n) < np.array(betas, dtype=np.int64)[:, None]
-    for beta_n, vb in zip(betas, boundary_sizes(ball.base, member)[0].tolist()):
-        ratio = math.log(vb) / math.log(beta_n)
+    for j in range(1, rho + 1):
+        beta_n = ball.beta(j)
+        if beta_n > beta_r / 2.0:
+            continue
+        ratio = math.log(ball.beta(j + 1) - beta_n) / math.log(beta_n)
         if ratio < 1:
             q_star = min(q_star, 1.0 / (1.0 - ratio))
     if not math.isfinite(q_star):

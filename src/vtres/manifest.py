@@ -341,7 +341,7 @@ def _run_isoperimetry(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     g = build_cayley_graph(spec, size_cap)
     max_n = int(man.params.get("max_n", 14))
-    profile = exact_profile(g, "all_sets", max_n=max_n)
+    profile = exact_profile(g, max_n=max_n)
     rows = []
     for size, entry in profile.by_size.items():
         mask = sum(1 << v for v in entry.witness)
