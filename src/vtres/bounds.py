@@ -8,17 +8,19 @@ empirical ratio so that sweeps can assert boundedness instead.
 
 The exhaustive j-quantity bound counts boundaries with
 ``graphs.boundary_sizes`` and evaluates j once per distinct (size, vertex
-boundary, edge boundary); on a simple cycle it needs no sets at all.
+boundary, edge boundary); on a simple cycle it needs no sets at all.  The
+profile bound takes each block's exact maximum at O(radius) sizes.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -403,39 +405,29 @@ def _blocks_exhaustive_rooted(g: Graph, root: int, allowed: int, total: int,
 def _blocks_cycle_arcs(total: int, nmax: int, p: float) -> list[float]:
     """On a simple cycle the connected proper subsets are arcs; one of a <= n-2
     vertices has vertex and edge boundary 2, and j grows with a, so a block's
-    maximum is j at its largest arc."""
-    maxima = [0.0] * (nmax + 1)
-    for a in range(1, total - 1):
-        n = _dyadic_block(total, a)
-        if n <= nmax:
-            maxima[n] = _j_value(a, 2, 2, p, 2)
-    return maxima
+    maximum is j at its largest arc, min(total - 2, total >> n).  Block 0
+    holds no arc when total <= 4: that arc then lies in block 1."""
+    arcs = [min(total - 2, total >> n) for n in range(nmax + 1)]
+    return [_j_value(a, 2, 2, p, 2) if _dyadic_block(total, a) == n else 0.0
+            for n, a in enumerate(arcs)]
 
 
-def _blocks_from_profile(xi_of: Callable[[int], float], total: int, nmax: int,
+def _blocks_from_profile(profile: GrowthProfile, total: int, nmax: int,
                          p: float, first: int = 0) -> list[float]:
-    """Block maxima from a boundary profile; blocks below ``first`` stay 0.0
-    and are never evaluated."""
+    """Exact block maxima of j_upper(a) = ``j_upper_from_profile(a,
+    csc_bound(profile, a), p)``; blocks below ``first`` stay 0.0.
+
+    xi(a)/a = 1/(12 phi(2a)) < 1, so j_upper(a) = 2 (12 phi(2a))^(p/(p-1))
+    a^(-1/(p-1)) falls with a while phi(2a) holds.  phi(2a) steps up at the
+    sizes beta(r) // 2 + 1, so a block's maximum is at its least size or
+    at one of those inside it."""
+    steps = [b // 2 + 1 for b in profile.beta]
     maxima = [0.0] * (nmax + 1)
     for n in range(first, nmax + 1):
-        lo = total / 2 ** (n + 1)
-        hi = total / 2 ** n
-        a_lo = int(math.floor(lo)) + 1
-        a_hi = int(math.floor(hi))
-        if a_hi < a_lo:
-            continue
-        count = a_hi - a_lo + 1
-        if count <= 4096:
-            sizes = range(a_lo, a_hi + 1)
-        else:
-            grid = np.unique(np.geomspace(a_lo, a_hi, 257).astype(np.int64))
-            sizes = [int(a) for a in grid]
-        best = 0.0
-        for a in sizes:
-            val = j_upper_from_profile(a, xi_of(a), p)
-            if val > best:
-                best = val
-        maxima[n] = best
+        # total/2^(n+1) < a <= total/2^n, never empty since 2^nmax <= total
+        lo, hi = (total >> (n + 1)) + 1, total >> n
+        sizes = [lo] + steps[bisect.bisect_right(steps, lo):bisect.bisect_right(steps, hi)]
+        maxima[n] = max(j_upper_from_profile(a, csc_bound(profile, a), p) for a in sizes)
     return maxima
 
 
@@ -501,13 +493,13 @@ def bk_upper_bound(problem, p: float, strategy: str = "exhaustive") -> BkBound:
 
     base = sum(deg_root ** (-1.0 / (p - 1.0)) for _, deg_root, _ in roots)
     block_maxima: list[float] = []
-    xi_of = functools.partial(csc_bound, growth()) if strategy == "profile" else None
+    profile = growth() if strategy == "profile" else None
     for root, deg_root, allowed in roots:
         nmax = _dyadic_block(total, deg_root) if total >= deg_root else -1
         if nmax < first:
             continue
         if strategy == "profile":
-            maxima = _blocks_from_profile(xi_of, total, nmax, p, first)
+            maxima = _blocks_from_profile(profile, total, nmax, p, first)
         elif cycle:
             maxima = _blocks_cycle_arcs(total, nmax, p)
         elif total > BK_EXHAUSTIVE_CAP:

@@ -29,6 +29,7 @@ vertex id, so an orbit ball past the diameter lists each orbit's least id.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
@@ -613,10 +614,10 @@ class GrowthProfile:
 
     def phi(self, xi: float) -> int:
         """Smallest r with beta(r) >= xi (the growth inverse)."""
-        for r, b in enumerate(self.beta):
-            if b >= xi:
-                return r
-        raise OutOfProfileRange(f"profile only reaches beta={self.beta[-1]} < {xi}")
+        r = bisect.bisect_left(self.beta, xi)
+        if r == len(self.beta):
+            raise OutOfProfileRange(f"profile only reaches beta={self.beta[-1]} < {xi}")
+        return r
 
 
 def growth_profile(ball: BallGraph) -> GrowthProfile:

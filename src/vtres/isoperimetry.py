@@ -251,8 +251,6 @@ def check_iso_theorems(ball: BallGraph, which: str) -> list[BoundReport]:
     """
     if which not in ISO_THEOREMS:
         raise BadArguments(f"unknown theorem {which!r}")
-    if np.any(ball.size != 1):
-        raise BadArguments("a subset's boundary is not an orbit quantity: need a full ball")
     rho = ball.radius - 1
     if rho < 2:
         raise BadArguments("need ball radius >= 3")
@@ -264,6 +262,8 @@ def check_iso_theorems(ball: BallGraph, which: str) -> list[BoundReport]:
 
     if which == "P_iso_conv":
         return [_iso_converse_report(ball, rho, beta_r, q_abs)]
+    if np.any(ball.size != 1):
+        raise BadArguments("a subset's boundary is not an orbit quantity: need a full ball")
 
     rhs, check, base_params = _iso_rhs(which, rho, beta_r, beta_1, q_abs, q_rel)
     if rhs is None:

@@ -48,9 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import p_resistance
+# p_resistance is not called here, but stays a name of this module:
+# perfbench/tracer.py wraps it where the runners look it up
+from .energy import p_resistance, sphere_resistances
 from .errors import BadArguments, EmptySet, RadiusTooSmall
-from .graphs import BallGraph, Graph, dirichlet_problem
+from .graphs import BallGraph, Graph
 
 CHUNK = 16384
 POOL = 4 * CHUNK  # live walks stepped together, from one or more chunks
@@ -362,15 +364,14 @@ def escape_profile(ball: BallGraph, r_max: int, trials: int, seed: int) -> list[
 
 
 def escape_via_resistance(ball: BallGraph, r: int) -> float:
-    """Exact escape probability 1/(deg(x) * R_2(x <-> S(x,r))) from the solver."""
+    """Exact escape probability 1/(deg(x) * R_2(x <-> S(x,r))), with R_2 from
+    ``energy.sphere_resistances``."""
     if r < 1:
         raise BadArguments("escape radius must be >= 1")
     if ball.radius < r:
         raise RadiusTooSmall(f"need ball radius >= {r}, have {ball.radius}")
-    problem = dirichlet_problem(ball, r - 1)
-    flow = p_resistance(problem, 2.0)
     deg = ball.spec.ambient_degree()
-    return 1.0 / (deg * flow.resistance)
+    return 1.0 / (deg * next(sphere_resistances(ball, [r - 1])))
 
 
 def hit_before_return(g: Graph, x: int, Y, trials: int, seed: int,

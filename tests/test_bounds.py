@@ -799,6 +799,55 @@ def test_bk_profile_matches_golden(case, p):
     assert bound == _BK_PROFILE_GOLDEN[case, p]
 
 
+# Values of a scan that took every size only in blocks of at most 4,096
+# sizes and 257 geometric sizes in larger ones, so it could miss a maximum
+_BK_PROFILE_SAMPLED = {
+    ("z2-r199", 1.5): 52.71291097582293,
+    ("z2-r199", 2.0): 2447.5811144136533,
+    ("z2-r199", 3.0): 34217506.44795379,
+    ("z3-r29", 1.5): 9.168259703320182,
+    ("z3-r29", 2.0): 206.6130321516418,
+    ("z3-r29", 3.0): 361024.474223128,
+}
+
+
+@pytest.fixture(scope="module")
+def large_orbit_balls():
+    return {"z2-r199": (orbit_ball(spec_lattice(2), 400), 199),
+            "z3-r29": (orbit_ball(spec_lattice(3), 60), 29)}
+
+
+@pytest.mark.parametrize("case,p", sorted(_BK_PROFILE_SAMPLED))
+def test_bk_profile_blocks_match_every_size(large_orbit_balls, case, p):
+    # blocks of up to 102,690 sizes: the maximum over the least size and the
+    # steps of phi(2a) is the maximum over every size, bit for bit
+    ball, r = large_orbit_balls[case]
+    bound = bk_upper_bound((ball, r), p, "profile")
+    profile, total = growth_profile(ball), ball.beta(r)
+    want = []
+    for n in range(len(bound.block_maxima)):
+        sizes = range(total // 2 ** (n + 1) + 1, total // 2 ** n + 1)
+        want.append(max(j_upper_from_profile(a, csc_bound(profile, a), p) for a in sizes))
+    assert bound.block_maxima == tuple(want)
+    assert total - total // 2 > 4096
+    assert bound.value >= _BK_PROFILE_SAMPLED[case, p]
+
+
+def test_bk_cycle_blocks_match_every_arc():
+    # the arc each block's maximum is taken at, found by walking every arc
+    for total in range(3, 2001):
+        nmax = bounds._dyadic_block(total, 2)
+        largest = {}
+        for a in range(1, total - 1):
+            n = int(math.floor(math.log2(total / a)))
+            if n <= nmax:
+                largest[n] = a
+        for p in (1.5, 2.0, 3.0):
+            want = [bounds._j_value(largest[n], 2, 2, p, 2) if n in largest else 0.0
+                    for n in range(nmax + 1)]
+            assert bounds._blocks_cycle_arcs(total, nmax, p) == want, (total, p)
+
+
 # ---------------------------------------------------------------------------
 # Exponent functions and theorem formulas
 # ---------------------------------------------------------------------------

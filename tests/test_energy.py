@@ -241,9 +241,14 @@ def test_residual_is_small():
 
 
 def test_disconnected_terminals_raises():
-    g = from_edge_list(4, [(0, 1, 1), (2, 3, 1)])
-    with pytest.raises(DisconnectedTerminals):
-        solve_potential(collapse_terminals(g, [0], [2]), 2.0)
+    unreachable = collapse_terminals(from_edge_list(4, [(0, 1, 1), (2, 3, 1)]), [0], [2])
+    # a free component attached to neither terminal
+    free = TerminalGraph(from_edge_list(5, [(0, 1, 1), (1, 2, 1), (3, 4, 1)]), 0, 2)
+    for tg, message in [(unreachable, "ground is not reachable from source"),
+                        (free, "problem graph is not connected")]:
+        for p in (2.0, 1.5):
+            with pytest.raises(DisconnectedTerminals, match=message):
+                solve_potential(tg, p)
 
 
 @pytest.mark.parametrize("source,ground", [(0, 0), (-1, 3), (0, 4), (0, -1)])

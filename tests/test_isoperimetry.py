@@ -237,10 +237,16 @@ def test_iso_rel_lin_rows_are_strict():
 
 
 def test_iso_converse_reports_constant():
-    ball = build_ball(spec_lattice(2), 9)
-    (report,) = check_iso_theorems(ball, "P_iso_conv")
-    assert report.params["q_star"] == pytest.approx(5.186940113063962, rel=1e-12)
-    assert report.ratio > 0
+    # the report reads only beta, so an orbit ball gives the full ball's
+    for spec, radius, q_star in [(spec_lattice(2), 9, 5.186940113063962),
+                                 (spec_lattice(2), 10, 4.6443461460544295),
+                                 (spec_lattice(2), 32, 3.1984133257503324),
+                                 (spec_lattice(3), 12, 9.177798885833912),
+                                 (spec_z_times_torus(5, 5), 32, 2.4273080410675245)]:
+        (report,) = check_iso_theorems(build_ball(spec, radius), "P_iso_conv")
+        assert report.params["q_star"] == pytest.approx(q_star, rel=1e-12)
+        assert report.ratio > 0
+        assert check_iso_theorems(orbit_ball(spec, radius), "P_iso_conv") == [report]
 
 
 def test_ratio_stable_across_radius_sweep():
@@ -273,8 +279,10 @@ def test_exhaustive_candidates_on_tiny_ball():
 
 
 def test_iso_theorems_refuse_an_orbit_ball():
-    # a subset's boundary is not an orbit quantity
+    # a subset's boundary is not an orbit quantity; P_iso_conv reads only beta
     for which in ISO_THEOREMS:
+        if which == "P_iso_conv":
+            continue
         with pytest.raises(BadArguments, match="full ball"):
             check_iso_theorems(orbit_ball(spec_lattice(2), 5), which)
 

@@ -15,8 +15,10 @@ from vtres import (
     escape_profile,
     escape_via_resistance,
     build_cayley_graph,
+    dirichlet_problem,
     hit_before_return,
     max_resistance,
+    p_resistance,
     simulate_escape,
     spec_cycle,
     spec_cyclic_chords,
@@ -51,6 +53,18 @@ def test_escape_via_resistance_radius_one_any_graph():
     for spec in (spec_cycle(12), spec_lattice(2), spec_line()):
         b = build_ball(spec, 2)
         assert abs(escape_via_resistance(b, 1) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("spec, radius", [
+    (spec_lattice(2), 16), (spec_z_times_torus(5, 5), 12), (spec_lattice(3), 6),
+])
+def test_escape_via_resistance_matches_per_radius_solves(spec, radius):
+    # the band's R_2 against a solve of each radius's own Dirichlet problem
+    b = build_ball(spec, radius)
+    deg = spec.ambient_degree()
+    for r in range(1, radius + 1):
+        want = 1.0 / (deg * p_resistance(dirichlet_problem(b, r - 1), 2.0).resistance)
+        assert escape_via_resistance(b, r) == pytest.approx(want, rel=1e-12)
 
 
 def test_escape_via_resistance_line():
@@ -300,6 +314,11 @@ def test_escape_pool_matches_loop_reference(spec, radius, trials, seed):
     ("irregular", 0, [3], 2 * CHUNK + 7, 100 * 25),
     ("irregular", 4, [1, 2], 2 * CHUNK + 7, 3),
     ("irregular", 0, [3], 999, 100 * 25),
+    # caps that censor thousands of walks mid-chunk, so the per-walk degrees
+    # are compacted on a censoring
+    ("irregular", 0, [3], 2 * CHUNK + 7, 2),
+    ("irregular", 0, [3], 3 * CHUNK + 5, 3),
+    ("irregular", 1, [4], 3 * CHUNK + 11, 5),
 ])
 def test_hit_before_return_pool_matches_loop_reference(c8, case, x, Y, trials, step_cap):
     g = {"c8": c8, "irregular": _irregular_graph()}[case]
