@@ -686,10 +686,15 @@ def theorem_rhs(theorem: str, params: dict) -> float:
 
 
 def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x), for sweep regressions."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    if len(lx) < 2:
-        raise BadArguments("need at least two points")
+    """Least-squares slope of log(y) against log(x), for sweep regressions;
+    x and y must be positive and paired, with at least two distinct x."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise BadArguments(f"need one y per x, got shapes {xs.shape} and {ys.shape}")
+    if not (np.all(xs > 0) and np.all(ys > 0)):
+        raise BadArguments("every x and y must be positive")
+    lx, ly = np.log(xs), np.log(ys)
+    if len(lx) < 2 or lx.min() == lx.max():
+        raise BadArguments("need at least two distinct x")
     lx = lx - lx.mean()
     return float((lx @ (ly - ly.mean())) / (lx @ lx))

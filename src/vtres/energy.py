@@ -71,10 +71,10 @@ weights to the source, the conductance at r is W - sum of y_i^2 over the
 block's unknowns, W the source's weighted degree.  An annulus of fixed n
 is the same with the layers n+1..r-1 as unknowns and S(n) as the source.
 The band is in id order, with no reordering, and serves the radii whose
-block has at most ``size_cap`` cells (width times unknowns); each larger
-radius gets its own ``p_resistance``.  The subtraction loses about
-eps * W / C relative: 1e-13 against per-radius solves where the tests
-look, 3e-12 at r = 1024 on the Z x C5 x C5 annuli.
+block has at most BAND_CELLS cells (width times unknowns), a budget that
+no size cap moves; each larger radius gets its own ``p_resistance``.  The
+subtraction loses about eps * W / C relative: 1e-13 against per-radius
+solves where the tests look, 3e-12 at r = 1024 on the Z x C5 x C5 annuli.
 
 A p=2 sphere resistance R_2(0 <-> S(r+1)) on a box ball needs neither a
 solve nor a ball.  ``box_ball_separable`` decides from the spec and r alone
@@ -151,6 +151,7 @@ from .graphs import (
 )
 
 DIRECT_SOLVE_LIMIT = 6000  # unknowns up to which solves are banded Cholesky, CG above
+BAND_CELLS = 5_000_000  # cells (40 MB) of a p=2 sweep's band; larger radii are solved one by one
 # full pair solves of a max_resistance at p != 2, checked after the first one
 PAIR_SOLVE_CAP = 200
 # relative float64 resolution of the regularized energy: a Newton step whose
@@ -601,8 +602,7 @@ def pair_resistance(g: Graph, u: int, v: int, p: float) -> FlowResult:
     return p_resistance(collapse_terminals(g, [u], [v]), p)
 
 
-def sphere_resistances(ball: BallGraph, rs: Iterable[int],
-                       size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[float]:
+def sphere_resistances(ball: BallGraph, rs: Iterable[int]) -> Iterator[float]:
     """R_2(x <-> S(x, r+1)) for each r of ``rs``, in order, from one banded
     Cholesky factor of the ball (``_prefix_conductances``).
 
@@ -613,11 +613,10 @@ def sphere_resistances(ball: BallGraph, rs: Iterable[int],
     """
     return _layered_resistances(
         rs, lambda r: sphere_prefixes(ball, r)[0], ball.base, 0, 1,
-        lambda r: p_resistance(dirichlet_problem(ball, r), 2.0).resistance, size_cap)
+        lambda r: p_resistance(dirichlet_problem(ball, r), 2.0).resistance)
 
 
-def annulus_resistances(ball: BallGraph, n: int, rs: Iterable[int],
-                        size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[float]:
+def annulus_resistances(ball: BallGraph, n: int, rs: Iterable[int]) -> Iterator[float]:
     """R_2(S(x, n) <-> S(x, r)) for each r of ``rs``, in order, as
     ``sphere_resistances`` gives spheres; a radius that
     ``annulus_problem(ball, n, r)`` refuses raises its error in turn.
@@ -629,17 +628,17 @@ def annulus_resistances(ball: BallGraph, n: int, rs: Iterable[int],
     return _layered_resistances(
         rs, lambda r: annulus_prefixes(ball, n, r)[2], ball.base,
         ball.prefix(n - 1), ball.prefix(n),
-        lambda r: p_resistance(annulus_problem(ball, n, r), 2.0).resistance, size_cap)
+        lambda r: p_resistance(annulus_problem(ball, n, r), 2.0).resistance)
 
 
-def _layered_resistances(rs, check, g: Graph, source: int, first: int, per_radius,
-                         size_cap: int) -> Iterator[float]:
+def _layered_resistances(rs, check, g: Graph, source: int, first: int,
+                         per_radius) -> Iterator[float]:
     """The body of ``sphere_resistances`` and ``annulus_resistances``.
 
     ``check(r)`` raises r's error or returns the end of r's unknowns, ids
     first..end - 1; the source is ids source..first - 1.  Radii past the
-    first refused one are not solved.  A radius whose block is past the
-    band's size cap gets ``per_radius(r)``; one whose block holds a leading
+    first refused one are not solved.  A radius whose block has more than
+    BAND_CELLS cells gets ``per_radius(r)``; one whose block holds a leading
     minor that is not positive definite raises NonConvergence.
     """
     rs, ends, error = list(rs), [], None
@@ -649,8 +648,7 @@ def _layered_resistances(rs, check, g: Graph, source: int, first: int, per_radiu
         except VtresError as exc:
             error = exc
             break
-    conductance, top = _prefix_conductances(g, source, first, max(ends, default=first),
-                                            size_cap)
+    conductance, top = _prefix_conductances(g, source, first, max(ends, default=first))
     for r, end in zip(rs, ends):
         k = end - first
         if k > top:
@@ -663,10 +661,9 @@ def _layered_resistances(rs, check, g: Graph, source: int, first: int, per_radiu
         raise error
 
 
-def _prefix_conductances(g: Graph, source: int, first: int, last: int,
-                         size_cap: int) -> tuple[np.ndarray, int]:
+def _prefix_conductances(g: Graph, source: int, first: int, last: int) -> tuple[np.ndarray, int]:
     """Conductances C[k] of the problems whose unknowns are ids first ..
-    first + k - 1, for every k up to the band's cap, and that cap ``top``.
+    first + k - 1, for every k up to ``top``, the most the band holds.
 
     The source is ids ``source`` .. first - 1, held at 1, and every id from
     first + k on is the ground.  The ids are in layer order, so each
@@ -680,7 +677,7 @@ def _prefix_conductances(g: Graph, source: int, first: int, last: int,
     ``tbtrs`` serve every k.
 
     ``top`` is the largest k <= last - first whose band, its id-order
-    width times k, has at most ``size_cap`` cells (0 if none has).  C is
+    width times k, has at most BAND_CELLS cells (0 if none has).  C is
     shorter than top + 1 when LAPACK finds its leading minor of order
     len(C) not positive definite; the factor before that minor is complete.
     """
@@ -693,7 +690,7 @@ def _prefix_conductances(g: Graph, source: int, first: int, last: int,
     reach = np.maximum.accumulate(np.concatenate([[0], np.where(below, u - v, 0)]))
     # the cells of every k from 1 on grow with k
     ks = np.arange(1, last - first + 1)
-    top = int(np.count_nonzero((1 + reach[indptr[first + ks] - lo]) * ks <= size_cap))
+    top = int(np.count_nonzero((1 + reach[indptr[first + ks] - lo]) * ks <= BAND_CELLS))
     slots = indptr[first + top] - lo
     width, keep = 1 + int(reach[slots]), below[:slots]
     bu, bv = u[:slots][keep] - first, v[:slots][keep] - first

@@ -505,9 +505,13 @@ class BallGraph:
         """Number of ids with layer <= r: B(x, r) is ids 0..prefix(r)-1."""
         return int(np.searchsorted(self.layer, r, side="right"))
 
+    @cached_property
+    def _volumes(self) -> np.ndarray:  # the volume of ids 0..i-1 at i
+        return np.concatenate([[0], np.cumsum(self.size)])
+
     def beta(self, r: int) -> int:
-        """Ball volume at radius r, summed from ``size``."""
-        return int(self.size[:self.prefix(r)].sum())
+        """Ball volume at radius r, the sum of ``size`` over B(x, r)."""
+        return int(self._volumes[self.prefix(r)])
 
     def sphere_ids(self, r: int) -> np.ndarray:
         return np.arange(self.prefix(r - 1), self.prefix(r), dtype=np.int64)

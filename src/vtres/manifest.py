@@ -267,45 +267,37 @@ def _sphere_resistances(spec: GraphSpec, rs: list[int], p: float,
             yield b.beta(r), p_resistance(dirichlet_problem(b, r), p).resistance
             continue
         if on_ball is None:
-            on_ball = sphere_resistances(b, [r for r, ax in zip(rs, axes) if not ax], size_cap)
+            on_ball = sphere_resistances(b, [r for r, ax in zip(rs, axes) if not ax])
         yield b.beta(r), next(on_ball)
 
 
 def _run_resistance(man: ExperimentManifest, size_cap: int):
     spec = man.graph
     ps = [float(p) for p in man.params["p"]]
-    extra_docs: list[tuple[str, str]] = []
-    dump = bool(man.params.get("dump_potential", 0))
-    if "r" in man.params:
-        rs = sorted(set(int(r) for r in man.params["r"]))
-        if not rs or rs[0] < 0:
-            raise BadArguments("resistance radii must be a nonempty list of r >= 0")
-        if dump:  # each dump is named by its p's key
-            _check_p_keys(ps)
-        # built on first use: only p != 2, a spec that is not separable, or a
-        # potential dump needs it, and only a dump the full ball
-        builder = build_ball if dump else orbit_ball
-        ball = functools.cache(lambda: builder(spec, rs[-1] + 1, size_cap))
-        rows = []
-        for p in ps:
-            if not dump:
-                rows += [(p, r, *row) for r, row in
-                         zip(rs, _sphere_resistances(spec, rs, p, ball, size_cap))]
-                continue
-            for r in rs:
-                flow = p_resistance(dirichlet_problem(ball(), r), p)
-                rows.append((p, r, ball().beta(r), flow.resistance))
-                extra_docs.append((f"potential_{_p_key(p)}_r{r}",
-                                   emit_document(flow_items(flow))))
-        table = Table("resistance", ["p", "r", "beta_r", "resistance"], rows)
-    else:
+    if "r" not in man.params:
         g = build_cayley_graph(spec, size_cap)
         rows = []
         for p in ps:
             value, (u, v) = max_resistance(g, p)
             rows.append((p, value, u, v))
         table = Table("resistance", ["p", "max_resistance", "argmax_u", "argmax_v"], rows)
-    return [table], [], {}, extra_docs
+        return [table], [], {}, []
+    rs = sorted(set(int(r) for r in man.params["r"]))
+    if not rs or rs[0] < 0:
+        raise BadArguments("resistance radii must be a nonempty list of r >= 0")
+    dump = bool(man.params.get("dump_potential", 0))
+    if dump:  # each dump is named by its p's key
+        _check_p_keys(ps)
+    # built on first use: only p != 2 or a spec that is not separable needs it
+    ball = functools.cache(lambda: orbit_ball(spec, rs[-1] + 1, size_cap))
+    rows = [(p, r, *row) for p in ps
+            for r, row in zip(rs, _sphere_resistances(spec, rs, p, ball, size_cap))]
+    extra_docs = []
+    if dump:  # a potential has a value per vertex, so only the full ball has one
+        full = build_ball(spec, rs[-1] + 1, size_cap)
+        extra_docs = [(f"potential_{_p_key(p)}_r{r}", emit_document(flow_items(
+            p_resistance(dirichlet_problem(full, r), p)))) for p in ps for r in rs]
+    return [Table("resistance", ["p", "r", "beta_r", "resistance"], rows)], [], {}, extra_docs
 
 
 def _run_escape(man: ExperimentManifest, size_cap: int):
@@ -508,7 +500,7 @@ def _run_var_converse(man: ExperimentManifest, size_cap: int):
     ball = orbit_ball(spec, max(rs), size_cap)
     deg = spec.ambient_degree()
     beta_n = ball.beta(n)
-    for r, computed in zip(rs, annulus_resistances(ball, n, rs, size_cap)):
+    for r, computed in zip(rs, annulus_resistances(ball, n, rs)):
         rhs = bnd.theorem_rhs("T_var_converse",
                               {"n": n, "r": r, "beta_n": beta_n, "deg": deg})
         yield n, r, beta_n, computed, rhs, computed / rhs, computed / math.log(r / n)

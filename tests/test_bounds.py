@@ -1013,3 +1013,28 @@ def test_loglog_slope_recovers_exponent():
     xs = [2.0, 4.0, 8.0, 16.0]
     ys = [x ** 1.7 for x in xs]
     assert abs(loglog_slope(xs, ys) - 1.7) < 1e-12
+
+
+# each refusal comes before numpy is asked for a log or a product, so a
+# warning turned error would show a check that runs too late
+@pytest.mark.filterwarnings("error")
+def test_loglog_slope_refuses_unequal_lengths():
+    with pytest.raises(BadArguments, match="one y per x"):
+        loglog_slope([1, 2, 3], [1, 2])
+
+
+@pytest.mark.filterwarnings("error")
+def test_loglog_slope_refuses_a_single_distinct_x():
+    with pytest.raises(BadArguments, match="two distinct x"):
+        loglog_slope([1, 1], [2, 3])
+    with pytest.raises(BadArguments, match="two distinct x"):
+        loglog_slope([5.0], [2.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xs, ys", [([0, 2], [1, 2]), ([-1, 2], [1, 2]), ([1, 2], [0, 2]),
+                                    ([1, 2], [1, -2]), ([1, float("nan")], [1, 2])],
+                         ids=["zero_x", "negative_x", "zero_y", "negative_y", "nan_x"])
+def test_loglog_slope_refuses_a_value_that_is_not_positive(xs, ys):
+    with pytest.raises(BadArguments, match="positive"):
+        loglog_slope(xs, ys)

@@ -1233,7 +1233,7 @@ def _id_order_cells(ball, first, last):
 
 
 def test_band_radii_past_the_size_cap_are_solved_one_by_one(monkeypatch):
-    # the band covers the radii whose block has at most size_cap cells;
+    # the band covers the radii whose block has at most BAND_CELLS cells;
     # each larger radius is today's solve of its own
     ball = orbit_ball(spec_lattice(2), 15)
     cap = _id_order_cells(ball, 1, ball.prefix(8))
@@ -1241,12 +1241,14 @@ def test_band_radii_past_the_size_cap_are_solved_one_by_one(monkeypatch):
     rs = list(range(15))
     want = _per_radius_spheres(ball, rs)
     solved = _count_per_radius_solves(monkeypatch)
-    got = list(energy.sphere_resistances(ball, rs, size_cap=cap))
+    monkeypatch.setattr(energy, "BAND_CELLS", cap)
+    got = list(energy.sphere_resistances(ball, rs))
     assert solved == [2.0] * 6
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * w
     # an annulus block of no unknowns fits any cap
-    assert list(energy.annulus_resistances(ball, 3, [4], size_cap=0)) == \
+    monkeypatch.setattr(energy, "BAND_CELLS", 0)
+    assert list(energy.annulus_resistances(ball, 3, [4])) == \
         _per_radius_annuli(ball, 3, [4])
 
 

@@ -173,6 +173,19 @@ def test_orbit_ball_size_cap_counts_orbits():
         orbit_ball(spec_lattice(3), 10, size_cap=285)
 
 
+@pytest.mark.parametrize("spec, radius", [
+    (spec_lattice(2), 6), (spec_lattice(3), 4), (spec_z_times_torus(5, 5), 5),
+    (spec_cyclic_chords(9, 2), 3)], ids=["z2", "z3", "z_c5_c5", "chords_9_2"])
+def test_beta_is_the_prefix_sum_of_sizes(spec, radius):
+    # beta reads one cumulative array; every r, past either end included,
+    # is the sum of the sizes of the ids with layer <= r
+    for ball in (build_ball(spec, radius), orbit_ball(spec, radius)):
+        for r in range(-3, radius + 4):
+            want = int(ball.size[:int(np.count_nonzero(ball.layer <= r))].sum())
+            assert ball.beta(r) == want and type(ball.beta(r)) is int, (r, want)
+    assert orbit_ball(spec, radius).beta(radius) == build_ball(spec, radius).base.n
+
+
 def test_infinite_factor_rejected_for_finite_build():
     with pytest.raises(InfiniteFactorPresent):
         build_cayley_graph(spec_line())

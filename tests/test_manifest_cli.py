@@ -350,6 +350,51 @@ def test_escape_output_does_not_depend_on_the_cpu_count(tmp_path):
     assert _tree(out) == want
 
 
+Z3_AXES = spec_explicit((None,) * 3, [s for i in range(3) for s in (
+    tuple(int(j == i) for j in range(3)), tuple(-int(j == i) for j in range(3)))])
+
+
+@pytest.mark.parametrize("experiment, spec, params, cap", [
+    # Z^3 with axis generators has no closed form: every radius is on the band
+    ("sandwich", Z3_AXES, {"p": [2.0], "r_min": 30, "r_max": 40}, 200_000),
+    ("var_converse", spec_lattice(2), {"n": 8, "r": [100, 120, 128]}, 1_000_000)],
+    ids=["sandwich_z3_axes", "var_converse_z2"])
+def test_p2_sweep_output_does_not_depend_on_the_size_cap(experiment, spec, params, cap,
+                                                         tmp_path):
+    # criterion 11 across size caps: the band's budget is fixed, so a cap
+    # that admits the ball leaves every radius on the path it takes by default
+    man = ExperimentManifest(experiment, spec, params, "o", "csv")
+    run(man, base_dir=str(tmp_path))
+    want = _tree(tmp_path / "o")
+    assert f"{experiment}.csv" in want
+    run(man, base_dir=str(tmp_path), size_cap=cap)
+    assert _tree(tmp_path / "o") == want
+
+
+def test_potential_dump_does_not_change_the_resistance_rows(tmp_path):
+    # the rows come from one path with or without a dump, and the dump's
+    # full-ball solve agrees with its row
+    chords = spec_explicit((None, None), [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+    params = {"p": [2.0, 3.0], "r": [3, 5, 8]}
+
+    def rows(out):
+        lines = _read(tmp_path / out / "resistance.csv").decode().splitlines()
+        return [line for line in lines if not line.startswith("#")]
+
+    run(ExperimentManifest("resistance", chords, params, "plain", "csv"), base_dir=str(tmp_path))
+    run(ExperimentManifest("resistance", chords, {**params, "dump_potential": 1}, "dump", "csv"),
+        base_dir=str(tmp_path))
+    assert rows("dump") == rows("plain")
+    header, *body = rows("dump")
+    assert header == "p,r,beta_r,resistance" and len(body) == 6
+    for row in body:
+        p, r, _, value = row.split(",")
+        dump = tmp_path / "dump" / f"potential_p{float(p):g}_r{r}.txt"
+        doc = parse_document(_read(dump).decode())
+        assert doc["p"] == float(p)
+        assert abs(doc["resistance"] - float(value)) <= 1e-12 * float(value), row
+
+
 def test_cli_emit_manifest_round_trip(tmp_path):
     proc = _cli("escape", "--family", "torus_product", "--factors", "12",
                 "--generators", "box", "--r", "1,2", "--trials", "100",
@@ -688,10 +733,10 @@ def test_sphere_resistance_solves_only_where_not_separable(tmp_path, monkeypatch
     monkeypatch.setattr(manifest, "p_resistance",
                         lambda tg, p: solved.append(p) or real(tg, p))
     spheres, annuli = manifest.sphere_resistances, manifest.annulus_resistances
-    monkeypatch.setattr(manifest, "sphere_resistances", lambda ball, rs, cap: solved.append(
-        ("spheres", list(rs))) or spheres(ball, rs, cap))
-    monkeypatch.setattr(manifest, "annulus_resistances", lambda ball, n, rs, cap: solved.append(
-        ("annuli", n, list(rs))) or annuli(ball, n, rs, cap))
+    monkeypatch.setattr(manifest, "sphere_resistances", lambda ball, rs: solved.append(
+        ("spheres", list(rs))) or spheres(ball, rs))
+    monkeypatch.setattr(manifest, "annulus_resistances", lambda ball, n, rs: solved.append(
+        ("annuli", n, list(rs))) or annuli(ball, n, rs))
     for name in ("build_ball", "orbit_ball"):
         monkeypatch.setattr(manifest, name, lambda *args, name=name, real=getattr(
             manifest, name): balls.append(name) or real(*args))
@@ -769,8 +814,8 @@ def test_sphere_resistance_solves_the_orbit_quotient(monkeypatch, tmp_path):
     monkeypatch.setattr(manifest, "p_resistance",
                         lambda tg, p: sizes.append(tg.graph.n) or real(tg, p))
     band = energy._prefix_conductances
-    monkeypatch.setattr(energy, "_prefix_conductances", lambda g, source, first, last, cap:
-                        sizes.append(last - first) or band(g, source, first, last, cap))
+    monkeypatch.setattr(energy, "_prefix_conductances", lambda g, source, first, last:
+                        sizes.append(last - first) or band(g, source, first, last))
     knight = spec_explicit((None, None), [(a, b) for a in (-2, -1, 1, 2)
                                           for b in (-2, -1, 1, 2) if abs(a) != abs(b)])
     for spec, p in [(spec_lattice(2), 3.0), (knight, 2.0), (spec_z_times_torus(5, 5), 1.5)]:
